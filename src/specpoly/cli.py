@@ -13,7 +13,7 @@ import sys
 from . import serialize
 from .contract import decompose_majorization, random_comparable_pair
 from .errors import SpecPolyError
-from .harness import (SUITES, ExperimentConfig, _HUNTS, hunt_counterexamples,
+from .harness import (HUNTS, SUITES, ExperimentConfig, hunt_counterexamples,
                       run_suite)
 from .lpops import (DiffOperator, appell, gaussian_op, laguerre_ms,
                     multiplier_apply, apply_operator, shift_pencil)
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
     _add_harness_flags(p_verify)
 
     p_hunt = top.add_parser("hunt", help="hunt counterexamples to an open problem")
-    p_hunt.add_argument("problem", choices=sorted(_HUNTS))
+    p_hunt.add_argument("problem", choices=sorted(HUNTS))
     _add_harness_flags(p_hunt)
 
     p_maj = top.add_parser("majorize", help="majorization checks and witnesses")

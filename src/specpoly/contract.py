@@ -24,7 +24,8 @@ from .errors import (ChainTooLong, CoefficientTooLarge, DegreeMismatch,
                      EqualRoots, FloatModeUnsupported, InvalidIndices,
                      NotDistinct, NotMajorized, NotStrict, PreconditionViolated,
                      SigmaTooLarge)
-from .majorize import Verdict, check_majorization, default_tol
+from .majorize import (Verdict, check_majorization, default_tol,
+                       first_transfer)
 from .poly import HyperbolicPoly, is_strict, strict_perturb
 from .scalars import FLOAT, RATIONAL, Scalar, coerce
 
@@ -175,15 +176,6 @@ def expand_transfer(p: HyperbolicPoly, i: int, j: int, sigma: Scalar,
     return ContractionChain(p, tuple(steps), cur)
 
 
-def _first_transfer_indices(x: tuple, y: tuple) -> tuple[int, int]:
-    # leftmost position where the source root exceeds the target, and the
-    # nearest position to its left that still must rise; everything between
-    # agrees, which is exactly the case split of the induction.
-    j = next(idx for idx in range(len(x)) if y[idx] < x[idx])
-    i = max(idx for idx in range(j) if y[idx] > x[idx])
-    return i, j
-
-
 def decompose_majorization(p: HyperbolicPoly, q: HyperbolicPoly,
                            step_cap: int = DEFAULT_STEP_CAP,
                            perturb_eps: Optional[Scalar] = None,
@@ -226,8 +218,7 @@ def decompose_majorization(p: HyperbolicPoly, q: HyperbolicPoly,
     stage_lengths: list[int] = []
     cur = p
     while cur.roots != y:
-        i, j = _first_transfer_indices(cur.roots, y)
-        amount = min(y[i] - cur.roots[i], cur.roots[j] - y[j])
+        i, j, amount = first_transfer(cur.roots, y)
         before = len(steps)
         if j == i + 1:
             step = ContractionStep(i + 1, j + 1, amount)

@@ -101,10 +101,6 @@ class ZeroTopTerm(SpecPolyError):
     pass
 
 
-class InsufficientAlphas(SpecPolyError):
-    pass
-
-
 # --- harness / CLI ---
 
 class UnknownSuite(SpecPolyError):

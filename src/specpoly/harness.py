@@ -6,6 +6,13 @@ runs a pure check on the serialized form.  A failure record therefore
 contains everything needed to reproduce itself: feed its ``inputs`` back
 through ``recheck_failure`` and the violation recurs.
 
+``SUITES`` and ``HUNTS`` map a name to a ``(generate, check)`` pair:
+``generate(config, rng)`` returns a JSON-able input dict and
+``check(inputs)`` returns ``(ok, margin, details)``.  A margin of
+``inf`` marks a skipped trial.  Suites and hunts run through the same
+trial loop and write the same report format; a hunt's report adds
+``info["evidence"]``, the number of passing trials that returned details.
+
 Reports are deterministic: identical config gives byte-identical report
 files (wall time is kept out of the canonical serialization).
 """
@@ -193,17 +200,18 @@ def confirm_violation(x_roots, y_roots) -> bool:
     yr = [Fraction(float(v)).limit_denominator(RATIONALIZE_CAP)
           for v in y_roots]
     gap = Fraction(scaled_tol(CONFIRM_REL_TOL, x_roots, y_roots))
-    total_x, total_y = sum(xr), sum(yr)
-    if abs(total_x - total_y) > gap:
-        return True
-    xs, ys = sorted(xr), sorted(yr)
-    top_x = top_y = Fraction(0)
-    for k in range(1, len(xs)):
-        top_x += xs[-k]
-        top_y += ys[-k]
-        if top_x - top_y > gap:
-            return True
-    return False
+    cert = check_majorization(xr, yr)
+    return (abs(cert.sum_residual) > gap
+            or any(s < -gap for s in cert.slacks))
+
+
+def _confirmed_order(x_roots, y_roots, rel) -> tuple[bool, float, dict]:
+    """``_check_order`` where only an exact-confirmed violation fails."""
+    ok, margin, details = _check_order(x_roots, y_roots, rel)
+    if ok or not confirm_violation(x_roots, y_roots):
+        return True, margin, {}
+    details["confirmed"] = True
+    return False, margin, details
 
 
 # --- suite generators and checks ----------------------------------------------
@@ -530,25 +538,39 @@ SUITES: dict[str, tuple[Callable, Callable]] = {
 }
 
 
+def _run(name: str, generate: Callable, check: Callable,
+         config: ExperimentConfig) -> tuple[SuiteReport, int]:
+    """The trial loop shared by suites and hunts.
+
+    Returns the report and the number of passing trials whose check
+    returned details.
+    """
+    begin = time.perf_counter()
+    failures = []
+    evidence = 0
+    worst = float("inf")
+    for trial in range(config.trials):
+        inputs = generate(config, trial_rng(config.seed, trial))
+        ok, slack, details = check(inputs)
+        worst = min(worst, slack)
+        if not ok:
+            failures.append({"suite": name, "trial": trial,
+                             "inputs": inputs, "details": details})
+        elif details:
+            evidence += 1
+    cfg = config.to_json()
+    cfg["suite"] = name
+    report = SuiteReport(name, config.trials, tuple(failures),
+                         worst if worst != float("inf") else 0.0,
+                         time.perf_counter() - begin, cfg)
+    return report, evidence
+
+
 def run_suite(config: ExperimentConfig) -> SuiteReport:
     if config.suite not in SUITES:
         raise UnknownSuite(f"no suite named {config.suite!r}; "
                            f"available: {', '.join(sorted(SUITES))}")
-    generate, check = SUITES[config.suite]
-    begin = time.perf_counter()
-    failures = []
-    worst = float("inf")
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
-        inputs = generate(config, rng)
-        ok, slack, details = check(inputs)
-        worst = min(worst, slack)
-        if not ok:
-            failures.append({"suite": config.suite, "trial": trial,
-                             "inputs": inputs, "details": details})
-    report = SuiteReport(config.suite, config.trials, tuple(failures),
-                         worst if worst != float("inf") else 0.0,
-                         time.perf_counter() - begin, config.to_json())
+    report, _ = _run(config.suite, *SUITES[config.suite], config)
     if config.out:
         report.write(config.out)
     return report
@@ -557,13 +579,10 @@ def run_suite(config: ExperimentConfig) -> SuiteReport:
 def recheck_failure(record: dict) -> bool:
     """True when the recorded failure reproduces from its own inputs."""
     suite = record["suite"]
-    if suite in SUITES:
-        _, check = SUITES[suite]
-    elif suite in _HUNTS:
-        check = _HUNTS[suite]
-    else:
+    entry = SUITES.get(suite) or HUNTS.get(suite)
+    if entry is None:
         raise UnknownSuite(f"record names unknown suite {suite!r}")
-    ok, _, _ = check(record["inputs"])
+    ok, _, _ = entry[1](record["inputs"])
     return not ok
 
 
@@ -621,11 +640,7 @@ def _check_pb1(inputs):
                                           normalized=True))
     img_q = _image_roots(multiplier_apply(gammas, q.coefficients(), n,
                                           normalized=True))
-    ok, margin, details = _check_order(img_q, img_p, inputs["rel_tol"])
-    if ok or not confirm_violation(img_q, img_p):
-        return True, margin, {}
-    details["confirmed"] = True
-    return False, margin, details
+    return _confirmed_order(img_q, img_p, inputs["rel_tol"])
 
 
 def _probe_basis(rng, n: int) -> list:
@@ -695,13 +710,10 @@ def _check_pb2(inputs):
         img_q = _image_roots(multiplier_apply(gammas, q.coefficients(),
                                               q.degree))
     except NotRealRooted:
-        # the rejection probes missed: operator was not admissible after all
-        return True, 0.0, {}
-    ok, margin, details = _check_order(img_q, img_p, inputs["rel_tol"])
-    if ok or not confirm_violation(img_q, img_p):
-        return True, margin, {}
-    details["confirmed"] = True
-    return False, margin, details
+        # the rejection probes missed: operator was not admissible after
+        # all; the trial is skipped and has no margin
+        return True, float("inf"), {}
+    return _confirmed_order(img_q, img_p, inputs["rel_tol"])
 
 
 def _gen_pb3(cfg, rng):
@@ -739,27 +751,30 @@ def _check_pb3(inputs):
         if drift != 0:
             roots_p = tuple(r - float(drift) for r in roots_p)
             roots_q = tuple(r - float(drift) for r in roots_q)
-        ok, margin, details = _check_order(roots_q, roots_p,
-                                           inputs["rel_tol"])
+        ok, margin, details = _confirmed_order(roots_q, roots_p,
+                                               inputs["rel_tol"])
         worst = min(worst, margin)
-        if not ok and confirm_violation(roots_q, roots_p):
+        if not ok:
             preserved = False
             evidence = details
             break
     if in_slice_monoid and not preserved:
         evidence["part"] = "slice-preserving operator broke the order"
-        evidence["confirmed"] = True
         return False, worst, evidence
     # an order-preserving operator outside the slice monoid is only
     # sampling evidence, never a certificate; report it as information
     info = {}
     if not in_slice_monoid and preserved:
         info["order_preserving_outside_slice_monoid"] = True
-    return True, worst if worst != float("inf") else 0.0, info
+    # a trial whose every pair was skipped has no margin (worst stays inf)
+    return True, worst, info
 
 
-_HUNTS = {"pb1": _check_pb1, "pb2": _check_pb2, "pb3": _check_pb3}
-_HUNT_GENS = {"pb1": _gen_pb1, "pb2": _gen_pb2, "pb3": _gen_pb3}
+HUNTS: dict[str, tuple[Callable, Callable]] = {
+    "pb1": (_gen_pb1, _check_pb1),
+    "pb2": (_gen_pb2, _check_pb2),
+    "pb3": (_gen_pb3, _check_pb3),
+}
 
 
 def hunt_counterexamples(problem: str, config: ExperimentConfig) -> SuiteReport:
@@ -768,31 +783,13 @@ def hunt_counterexamples(problem: str, config: ExperimentConfig) -> SuiteReport:
     Only exact-confirmed order violations count as counterexamples; the
     anchor cases (pb2 at n=2, pb1 on the derivative-type and factorial
     families) are settled affirmatively and must report none.
+    ``info["evidence"]`` counts the passing trials that carried evidence.
     """
-    if problem not in _HUNTS:
+    if problem not in HUNTS:
         raise UnknownSuite(f"unknown problem {problem!r}; "
-                           f"choose from {', '.join(sorted(_HUNTS))}")
-    generate = _HUNT_GENS[problem]
-    check = _HUNTS[problem]
-    begin = time.perf_counter()
-    failures = []
-    info: dict = {"evidence": 0}
-    worst = float("inf")
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
-        inputs = generate(config, rng)
-        ok, slack, details = check(inputs)
-        worst = min(worst, slack)
-        if not ok:
-            failures.append({"suite": problem, "trial": trial,
-                             "inputs": inputs, "details": details})
-        elif details:
-            info["evidence"] += 1
-    cfg = config.to_json()
-    cfg["suite"] = problem
-    report = SuiteReport(problem, config.trials, tuple(failures),
-                         worst if worst != float("inf") else 0.0,
-                         time.perf_counter() - begin, cfg, info)
+                           f"choose from {', '.join(sorted(HUNTS))}")
+    report, evidence = _run(problem, *HUNTS[problem], config)
+    report.info["evidence"] = evidence
     if config.out:
         report.write(config.out)
     return report

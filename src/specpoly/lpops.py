@@ -21,13 +21,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegreeTooSmall, ZeroTopTerm
+from .pencil import pencil_coeffs
 from .poly import (HyperbolicPoly, coeff_derivative, hyperbolic_from_coeffs,
                    taylor_shift)
 from .scalars import RATIONAL, Scalar, infer_mode
-
-
-def _zero_like(values) -> Scalar:
-    return Fraction(0) if infer_mode(values) == RATIONAL else 0.0
 
 
 def _mul_trunc(a: list, b: list, n: int) -> list:
@@ -62,11 +59,6 @@ class LPFunction:
     @property
     def mode(self) -> str:
         return infer_mode((self.c, self.a, self.b) + self.alphas)
-
-    @property
-    def in_lp_prime(self) -> bool:
-        """The zero-drift subclass (b = 0): barycenter-preserving operators."""
-        return self.b == 0
 
     def maclaurin_prefix(self, n: int) -> tuple:
         """Maclaurin coefficients a_0..a_N; exact for rational parameters.
@@ -272,11 +264,9 @@ def appell(phi: LPFunction, n: int, normalized: bool = True) -> tuple:
 
 
 def shift_pencil_coeffs(p: HyperbolicPoly, lam: Scalar) -> tuple:
-    """(1 - lam D) e^{lam D} P = P(x + lam) - lam P'(x + lam), by coefficients."""
-    c = taylor_shift(p, lam).coefficients()
-    lam = c[0] * 0 + lam  # match the polynomial's scalar mode
-    return tuple(c[i] - lam * (i + 1) * c[i + 1] for i in range(len(c) - 1)
-                 ) + (c[-1],)
+    """(1 - lam D) e^{lam D} P = P(x + lam) - lam P'(x + lam), by coefficients:
+    the pencil of the shifted polynomial P(x + lam)."""
+    return pencil_coeffs(taylor_shift(p, lam), lam)
 
 
 def shift_pencil(p: HyperbolicPoly, lam: Scalar,

@@ -217,6 +217,18 @@ class _TransformAccumulator:
         self.vec[l] -= t
 
 
+def first_transfer(x: Sequence, y: Sequence) -> tuple:
+    """The next two-point transfer (i, j, t) carrying sorted X toward sorted Y.
+
+    j is the leftmost position where x exceeds y, i the nearest position to
+    its left that must still rise (everything between agrees), and t the
+    largest amount that overshoots neither: x_i rises by t, x_j drops by t.
+    """
+    j = next(idx for idx in range(len(x)) if y[idx] < x[idx])
+    i = max(idx for idx in range(j) if y[idx] > x[idx])
+    return i, j, min(y[i] - x[i], x[j] - y[j])
+
+
 def _direct_transfers(acc: _TransformAccumulator, target: list[Fraction]) -> None:
     # Robin Hood loop: repeatedly fix the leftmost coordinate that is still
     # too large, transferring from it... (transfers may be non-adjacent and
@@ -226,11 +238,7 @@ def _direct_transfers(acc: _TransformAccumulator, target: list[Fraction]) -> Non
         guard += 1
         if guard > 4 * len(target) ** 2:
             raise NotMajorized("transfer loop failed to converge")
-        x = acc.vec
-        j = next(i for i in range(len(x)) if target[i] < x[i])
-        i = max(i for i in range(j) if target[i] > x[i])
-        t = min(target[i] - x[i], x[j] - target[j])
-        acc.transfer(i, j, t)
+        acc.transfer(*first_transfer(acc.vec, target))
 
 
 def build_witness(x, y) -> DoublyStochasticWitness:

@@ -34,6 +34,7 @@ class PencilSample:
 
 
 def pencil_coeffs(p: HyperbolicPoly, lam: Scalar) -> tuple:
+    """P - lam P' by coefficients, low degree first, in P's scalar mode."""
     c = p.coefficients()
     lam = c[0] * 0 + lam
     return tuple(c[i] - lam * (i + 1) * c[i + 1] for i in range(len(c) - 1)

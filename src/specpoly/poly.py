@@ -98,11 +98,6 @@ def to_coefficients(p: HyperbolicPoly) -> tuple:
     return p.coefficients()
 
 
-def real_roots(coeffs: Sequence, tol: float | None = None) -> tuple[float, ...]:
-    """Root tuple of a real-rooted coefficient vector (float mode)."""
-    return _rootfind.real_roots(coeffs, tol)
-
-
 def hyperbolic_from_coeffs(coeffs: Sequence, tol: float | None = None,
                            ) -> HyperbolicPoly:
     """Extract roots from a real-rooted coefficient vector.

@@ -72,6 +72,7 @@ def test_report_file_is_json_lines(tmp_path):
     summary = json.loads(lines[-1])
     assert summary["suite"] == "deriv" and summary["passed"] is True
     assert "wall_time" not in summary
+    assert summary["info"] == {}
 
 
 def test_failure_records_are_self_contained():
@@ -145,14 +146,14 @@ def test_hunt_flags_genuine_order_violation():
     # a diagonal map with a negative low term is not admissible, but on
     # this particular pair it produces real-rooted images that violate the
     # order; the checker must confirm and report it
-    from specpoly.harness import _HUNTS
+    from specpoly.harness import HUNTS
     inputs = {
         "gammas": ["-1", "1", "1"],
         "p": {"mode": "rational", "roots": ["0", "4"]},      # x^2 - 4x
         "q": {"mode": "rational", "roots": ["1", "3"]},      # x^2 - 4x + 3
         "rel_tol": 1e-7,
     }
-    ok, margin, details = _HUNTS["pb2"](inputs)
+    ok, margin, details = HUNTS["pb2"][1](inputs)
     assert not ok and details.get("confirmed") is True
     assert margin < -0.1
     assert recheck_failure({"suite": "pb2", "trial": 0, "inputs": inputs,
@@ -176,6 +177,21 @@ def test_hunt_reports_deterministic(tmp_path):
         hunt_counterexamples("pb2", cfg)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+    info = json.loads(outs[0].splitlines()[-1])["info"]
+    assert list(info) == ["evidence"] and isinstance(info["evidence"], int)
+
+
+def test_skipped_hunt_trial_has_no_margin():
+    # gammas (1, 0, 1) keep x^2 - 4x real-rooted but send x^2 - 4x + 3 to
+    # x^2 + 3, so the trial is skipped; a 0.0 margin would clamp worst_slack
+    from specpoly.harness import HUNTS
+    p = {"mode": "rational", "roots": ["0", "4"]}
+    q = {"mode": "rational", "roots": ["1", "3"]}
+    pb2 = {"gammas": ["1", "0", "1"], "p": p, "q": q, "rel_tol": 1e-7}
+    pb3 = {"gammas": ["1", "0", "1"], "drift": "0", "pairs": [[p, q]] * 3,
+           "rel_tol": 1e-7}
+    assert HUNTS["pb2"][1](pb2) == (True, float("inf"), {})
+    assert HUNTS["pb3"][1](pb3) == (True, float("inf"), {})
 
 
 def test_suite_worst_slack_reported():
