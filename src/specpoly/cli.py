@@ -74,9 +74,10 @@ def _build_config(args, suite) -> ExperimentConfig:
 
 
 def _report_outcome(report) -> int:
+    slack = report.worst_slack
     print(f"{report.suite}: {report.trials} trials, "
           f"{len(report.failures)} failure(s), "
-          f"worst slack {report.worst_slack:.3g}, "
+          f"worst slack {'none' if slack is None else format(slack, '.3g')}, "
           f"{report.wall_time:.2f}s")
     for rec in report.failures[:5]:
         print(f"  trial {rec['trial']}: {json.dumps(rec['details'])[:200]}")

@@ -8,10 +8,14 @@ through ``recheck_failure`` and the violation recurs.
 
 ``SUITES`` and ``HUNTS`` map a name to a ``(generate, check)`` pair:
 ``generate(config, rng)`` returns a JSON-able input dict and
-``check(inputs)`` returns ``(ok, margin, details)``.  A margin of
-``inf`` marks a skipped trial.  Suites and hunts run through the same
-trial loop and write the same report format; a hunt's report adds
-``info["evidence"]``, the number of passing trials that returned details.
+``check(inputs)`` returns ``(ok, margin, details)``.  The margin is the
+distance to failing, so a suite trial passes exactly when it is >= 0; a
+hunt trial also passes when its violation is not confirmed exactly.  A
+margin of ``inf`` marks a skipped trial.  A report's ``worst_slack`` is
+the smallest margin, or None when no trial measured one.  Suites and hunts
+run through the same trial loop and write the same report format; a
+hunt's report adds ``info["evidence"]``, the number of passing trials that
+returned details.
 
 Reports are deterministic: identical config gives byte-identical report
 files (wall time is kept out of the canonical serialization).
@@ -37,7 +41,7 @@ from .lpops import (DiffOperator, LPFunction, appell, deformation_leq,
                     multiplier_apply, shift_pencil_coeffs)
 from .majorize import (check_majorization, hinge, power, probe_valid,
                        scaled_tol, schur_eval, signed_power, xlogx)
-from .pencil import default_grid, pencil_coeffs, scan_monotonicity
+from .pencil import default_grid, pencil_at, scan_monotonicity
 from .poly import HyperbolicPoly, derivative, from_roots, taylor_shift
 from .roots import real_roots
 from .scalars import FLOAT, RATIONAL, Scalar, parse_scalar
@@ -84,7 +88,7 @@ class SuiteReport:
     suite: str
     trials: int
     failures: tuple
-    worst_slack: float
+    worst_slack: Optional[float]    # None: no trial measured a margin
     wall_time: float
     config: dict = field(default_factory=dict)
     info: dict = field(default_factory=dict)
@@ -175,9 +179,10 @@ def _image_roots(coeffs) -> tuple:
 
 
 def _cert_margin(cert) -> float:
+    # a slack fails only below -tol, so its distance to failing is slack + tol
     margin = float(cert.tol) - abs(float(cert.sum_residual))
     if cert.slacks:
-        margin = min(margin, float(cert.min_slack))
+        margin = min(margin, float(cert.min_slack) + float(cert.tol))
     return margin
 
 
@@ -233,8 +238,8 @@ def _check_main1(inputs):
     rel = inputs["rel_tol"]
     worst = float("inf")
     for lam in inputs["lambdas"]:
-        xq = _image_roots(pencil_coeffs(q, lam))
-        xp = _image_roots(pencil_coeffs(p, lam))
+        xq = pencil_at(q, lam, ROOT_TOL).roots
+        xp = pencil_at(p, lam, ROOT_TOL).roots
         ok, margin, details = _check_order(xq, xp, rel)
         worst = min(worst, margin)
         if not ok:
@@ -561,7 +566,7 @@ def _run(name: str, generate: Callable, check: Callable,
     cfg = config.to_json()
     cfg["suite"] = name
     report = SuiteReport(name, config.trials, tuple(failures),
-                         worst if worst != float("inf") else 0.0,
+                         worst if worst != float("inf") else None,
                          time.perf_counter() - begin, cfg)
     return report, evidence
 

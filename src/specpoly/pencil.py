@@ -6,27 +6,72 @@ f_m(lam) = sum_{i<=m} (x_i(lam) - lam).  For 1 <= m <= n-1 these are
 nondecreasing left of 0 and nonincreasing right of 0, while f_n is
 constant; the scanner samples a grid and reports the worst violation.
 
-Trajectory continuity across lam is enforced by sorting, which is valid
-because the roots stay real along the whole pencil.
+Roots come from fixed brackets.  Between consecutive critical points of a
+strictly hyperbolic P the ratio P/P' increases from -inf to +inf, so for
+every lam the i-th root of P - lam P' is the one root in the i-th bracket
+cut by the roots of P'.  Those brackets do not depend on lam: they are
+computed once per polynomial and tolerance and cached on the polynomial,
+and each sample refines only its n brackets, so x_i(lam) is the
+continuous i-th trajectory by construction.  The same holds one level
+down (P' - lam P'' between the roots of P''), which gives the critical
+points; they are computed only when ``PencilSample.criticals`` is first
+read.  The root finder uses the brackets only after checking that the
+values at their ends alternate in sign.  A multiple root of P is a root
+of every pencil and sits on a bracket end, where that check can fail; the
+sample then falls back to the full interlacing recursion of
+``real_roots``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DegreeMismatch
 from .majorize import MajorizationCertificate, check_majorization
-from .poly import HyperbolicPoly
-from .roots import real_roots_with_criticals
+from .poly import HyperbolicPoly, coeff_derivative
+from .roots import real_roots, real_roots_separated, real_roots_with_criticals
 from .scalars import Scalar
+
+
+def _separators(pf: HyperbolicPoly, tol: float | None) -> tuple:
+    """The roots of P' and of P'' for a float-mode P, cached on it per tol.
+
+    They are found to the tolerance the pencil's roots are asked for.  With
+    an explicit tol, the brackets at lam = 0 are then the ones
+    ``real_roots`` uses for P itself, and the roots agree bit for bit.
+    """
+    cache = pf.__dict__.setdefault("_separators", {})
+    if tol not in cache:
+        cache[tol] = ((), ()) if pf.degree == 1 else real_roots_with_criticals(
+            coeff_derivative(pf.coefficients()), tol)
+    return cache[tol]
+
+
+def _bracketed_roots(coeffs, separators, tol) -> tuple:
+    roots = real_roots_separated(coeffs, separators, tol)
+    return real_roots(coeffs, tol) if roots is None else roots
 
 
 @dataclass(frozen=True)
 class PencilSample:
     lam: float
     roots: tuple
-    criticals: tuple
     partial_sums: tuple  # f_1 .. f_n
+    # what the critical points are computed from on first read: the
+    # pencil's coefficients (low degree first), the roots of P'' and the
+    # root tolerance
+    coeffs: tuple = field(repr=False, compare=False)
+    critical_separators: tuple = field(repr=False, compare=False)
+    tol: float | None = field(repr=False, compare=False)
+
+    @cached_property
+    def criticals(self) -> tuple:
+        """The roots of P' - lam P'', from the brackets cut by P''."""
+        if len(self.coeffs) <= 2:
+            return ()
+        return _bracketed_roots(coeff_derivative(self.coeffs),
+                                self.critical_separators, self.tol)
 
     def interlaces(self) -> bool:
         x, w = self.roots, self.criticals
@@ -46,13 +91,15 @@ def pencil_at(p: HyperbolicPoly, lam: float,
     """Sample the pencil at one lam (float computation throughout)."""
     lam = float(lam)
     pf = p.to_float()
-    roots, crits = real_roots_with_criticals(pencil_coeffs(pf, lam), tol)
+    first, second = _separators(pf, tol)
+    coeffs = pencil_coeffs(pf, lam)
+    roots = _bracketed_roots(coeffs, first, tol)
     sums = []
     acc = 0.0
     for r in roots:
         acc += r - lam
         sums.append(acc)
-    return PencilSample(lam, roots, crits, tuple(sums))
+    return PencilSample(lam, roots, tuple(sums), coeffs, second, tol)
 
 
 def default_grid(p: HyperbolicPoly, points: int = 201) -> tuple:

@@ -49,9 +49,14 @@ class HyperbolicPoly:
         return max(abs(self.roots[0]), abs(self.roots[-1]))
 
     def to_float(self) -> "HyperbolicPoly":
+        """The float-mode twin, cached so that its own caches are reused."""
         if self.mode == FLOAT:
             return self
-        return HyperbolicPoly(tuple(float(r) for r in self.roots), FLOAT)
+        cached = self.__dict__.get("_float")
+        if cached is None:
+            cached = HyperbolicPoly(tuple(float(r) for r in self.roots), FLOAT)
+            self.__dict__["_float"] = cached
+        return cached
 
     def __str__(self) -> str:
         return f"HyperbolicPoly(deg={self.degree}, roots={self.roots})"

@@ -13,6 +13,14 @@ Horner evaluation is accepted as a root of multiplicity >= 2 (a cluster);
 a bracket with no sign change whose endpoint values are clearly nonzero
 means the input was not real-rooted and raises ``NotRealRooted``.
 
+A caller that already knows n-1 points separating the n roots (the pencil
+P - lam P', whose roots the critical points of P separate for every lam)
+skips the recursion with ``real_roots_separated``, which refines only
+those n brackets.  It trusts them only when the values at the bracket
+ends alternate strictly in sign, clear of roundoff, so that each bracket
+provably holds one root; otherwise it returns None and the caller falls
+back to ``real_roots``.
+
 All computations here are in double precision.  Exact-rational callers
 never enter this module; root extraction is the one-way door from exact
 coefficients to float root tuples.
@@ -108,8 +116,9 @@ def _roots_monic(rev: list[float], n: int, tol: float) -> list[float]:
     return _roots_between(rev, n, crit, tol)
 
 
-def _roots_between(rev: list[float], n: int, crit: list[float],
-                   tol: float) -> list[float]:
+def _bracket_points(rev: list[float], n: int, crit) -> tuple:
+    # [-B, crit..., B] clamped to the root bound B, with the value at each
+    # point and whether it is zero within Horner roundoff
     bound = root_bound(list(reversed(rev)))
     pts = [-bound]
     for w in crit:
@@ -123,7 +132,12 @@ def _roots_between(rev: list[float], n: int, crit: list[float],
         v, mag = _eval_with_mag(rev, p)
         vals.append(v)
         zeros.append(_is_zero(v, mag, n))
+    return pts, vals, zeros
 
+
+def _roots_between(rev: list[float], n: int, crit: list[float],
+                   tol: float) -> list[float]:
+    pts, vals, zeros = _bracket_points(rev, n, crit)
     roots = []
     for i in range(n):
         lo, hi = pts[i], pts[i + 1]
@@ -174,24 +188,59 @@ def real_roots(coeffs: Sequence, tol: float | None = None) -> tuple[float, ...]:
     return roots
 
 
-def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
-                              ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Like ``real_roots`` but also returns the critical points.
-
-    The derivative roots are a byproduct of the interlacing recursion, so
-    callers that need both (pencil sampling) get them for free.
-    """
+def _monic_rev(coeffs: Sequence, tol: float | None,
+               ) -> tuple[list[float], int, float]:
+    # monic high-to-low coefficients, the degree, and the tolerance
     c = _strip(coeffs)
     n = len(c) - 1
     if n <= 0:
         raise DegreeZero("degree must be at least 1")
     an = c[-1]
-    rev = [v / an for v in reversed(c)]  # monic, high-to-low
+    rev = [v / an for v in reversed(c)]
     if tol is None:
         tol = default_tol([v / an for v in c])
+    return rev, n, tol
+
+
+def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
+                              ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Like ``real_roots`` but also returns the critical points.
+
+    The derivative roots are a byproduct of the interlacing recursion, so
+    callers that need both get them for free.
+    """
+    rev, n, tol = _monic_rev(coeffs, tol)
     if n == 1:
         return (-rev[1],), ()
     drev = _monic_derivative(rev, n)
     crit = _roots_monic(drev, n - 1, tol)
     roots = _roots_between(rev, n, crit, tol)
     return tuple(roots), tuple(crit)
+
+
+def real_roots_separated(coeffs: Sequence, separators: Sequence[float],
+                         tol: float | None = None,
+                         ) -> tuple[float, ...] | None:
+    """The n roots of a degree-n polynomial, given n-1 points between them.
+
+    ``separators`` are sorted points that the caller expects to put exactly
+    one root in each of the n brackets they cut from the root bound; only
+    those brackets are refined, which skips the interlacing recursion.
+    The expectation is checked, not trusted: unless the values at the
+    bracket ends alternate strictly in sign, clear of Horner roundoff,
+    this returns None and the caller falls back to ``real_roots``.  That
+    happens when a separator is itself a root (a multiple root of the
+    polynomial the separators came from) or when the input is not
+    real-rooted.  Accuracy is that of ``real_roots`` with the same ``tol``.
+    """
+    rev, n, tol = _monic_rev(coeffs, tol)
+    if n == 1:
+        return (-rev[1],)
+    if len(separators) != n - 1:
+        raise ValueError(f"need {n - 1} separators, got {len(separators)}")
+    pts, vals, zeros = _bracket_points(rev, n, separators)
+    if any(zeros) or any((vals[i] < 0.0) == (vals[i + 1] < 0.0)
+                         for i in range(n)):
+        return None
+    return tuple(_bisect(rev, pts[i], pts[i + 1], vals[i] < 0.0, tol)
+                 for i in range(n))

@@ -149,3 +149,8 @@ def test_config_unknown_key_is_usage_error(files, tmp_path):
 def test_missing_file_is_usage_error(files):
     assert main(["majorize", "check", "--x", "/nonexistent.json",
                  "--y", files["y"]]) == 2
+
+
+def test_verify_without_trials_prints_no_slack(capsys):
+    assert main(["verify", "main1", "--trials", "0"]) == 0
+    assert "worst slack none" in capsys.readouterr().out

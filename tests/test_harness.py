@@ -200,3 +200,22 @@ def test_suite_worst_slack_reported():
     # comfortably inside tolerance: slack may be slightly negative but
     # never beyond the tolerance band
     assert report.worst_slack > -1e-6
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_passing_suite_reports_nonnegative_margin(suite):
+    # a margin is the distance to failing, so a passing report has
+    # worst_slack >= 0; main1 at seed 0 in float mode reported -2.4e-11
+    # when raw slacks in [-tol, 0) were taken as margins
+    cfg = ExperimentConfig(suite=suite, trials=5, seed=0, degree_min=2,
+                           degree_max=9, mode="float")
+    report = run_suite(cfg)
+    assert report.passed
+    assert report.worst_slack >= 0.0
+
+
+def test_no_measured_margin_reports_null(tmp_path):
+    out = tmp_path / "r.jsonl"
+    report = run_suite(ExperimentConfig(suite="main1", trials=0, out=str(out)))
+    assert report.passed and report.worst_slack is None
+    assert json.loads(out.read_text())["worst_slack"] is None

@@ -3,13 +3,21 @@
 import math
 import random
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import specpoly.pencil
 from specpoly import (Verdict, from_roots, pencil_at,
                       pencil_majorization_check, scan_monotonicity)
 from specpoly.errors import DegreeMismatch
 from specpoly.harness import random_hyperbolic
 from specpoly.pencil import default_grid, pencil_coeffs
+from specpoly.poly import coeff_derivative
+from specpoly.roots import (_EPS, _eval_with_mag, real_roots,
+                            real_roots_with_criticals)
 
 
 def test_pencil_coeffs_x_squared():
@@ -128,3 +136,114 @@ def test_pencil_majorization_equal_inputs():
 def test_pencil_majorization_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         pencil_majorization_check(from_roots([0.0]), from_roots([0.0, 1.0]), 1.0)
+
+
+# --- fixed brackets against the full interlacing recursion -------------------
+
+def _roundoff_zone(coeffs, root) -> float:
+    # half-width of the interval around a simple root where Horner's sign
+    # is not trustworthy: the roots module's zero test over |P'(root)|
+    value_bound = 8.0 * (len(coeffs) - 1) * _EPS * _eval_with_mag(
+        tuple(reversed(coeffs)), root)[1]
+    slope = _eval_with_mag(tuple(reversed(coeff_derivative(coeffs))), root)[0]
+    return value_bound / abs(slope)
+
+
+def _assert_close(got, want, coeffs, tol):
+    # Both answers bisect the same sign change to a bracket of width tol
+    # and return its midpoint, so each sits within tol/2 of the last point
+    # where Horner's sign flips; that point can move across the roundoff
+    # zone.  Hence tol + 2 * zone: sampling 1500 polynomials x 21 lambdas
+    # like this test gave at most 0.96 x tol, and zones up to 1.9e-9 at
+    # large |lambda|.  A root taken from a wrong bracket would be off by
+    # about a root gap (>= 1e-3 here), far above the bound.
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= tol + 2.0 * _roundoff_zone(coeffs, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 2 ** 32 - 1))
+def test_fixed_brackets_agree_with_full_recursion(n, seed):
+    tol = 1e-11
+    p = random_hyperbolic(random.Random(seed), n, bound=5, mode="float",
+                          min_gap=0.25)
+    for lam in default_grid(p, 21):
+        sample = pencil_at(p, lam, tol)
+        coeffs = pencil_coeffs(p, lam)
+        roots, crits = real_roots_with_criticals(coeffs, tol)
+        _assert_close(sample.roots, roots, coeffs, tol)
+        _assert_close(sample.criticals, crits, coeff_derivative(coeffs), tol)
+        assert sample.interlaces()
+
+
+def test_lambda_zero_roots_are_those_of_p_bit_for_bit():
+    # at lam = 0 the fixed brackets are the ones real_roots uses for P
+    rng = random.Random(31)
+    for _ in range(50):
+        p = random_hyperbolic(rng, rng.randint(1, 10), bound=8, mode="float",
+                              min_gap=0.5)
+        assert pencil_at(p, 0.0, 1e-11).roots == real_roots(
+            p.coefficients(), 1e-11)
+
+
+def _record_calls(monkeypatch, name):
+    # wrap a root finder as the pencil module calls it (positional args)
+    calls = []
+    real = getattr(specpoly.pencil, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(specpoly.pencil, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("lam", [-0.5, 0.5])
+def test_double_root_pencil(monkeypatch, lam):
+    # 1 is a double root of P, a critical point of P and a simple root of
+    # every pencil: it sits on a bracket end
+    fallback = _record_calls(monkeypatch, "real_roots")
+    p = from_roots([1.0, 1.0, -2.0, 3.0])
+    sample = pencil_at(p, lam, 1e-11)
+    roots, crits = real_roots_with_criticals(pencil_coeffs(p, lam), 1e-11)
+    assert sum(abs(r - 1.0) < 1e-6 for r in sample.roots) == 1
+    assert max(abs(a - b) for a, b in zip(sample.roots, roots)) < 1e-10
+    assert max(abs(a - b) for a, b in zip(sample.criticals, crits)) < 1e-10
+    assert sample.interlaces()
+    if lam > 0:
+        # the computed critical point sits just below 1, so the root 1
+        # shares the next bracket with another root and the brackets do
+        # not alternate in sign: the full recursion answers
+        assert fallback == [(pencil_coeffs(p, lam), 1e-11)]
+
+
+def test_double_root_falls_back_at_exact_separator(monkeypatch):
+    # P = x^2: the critical point 0 is exact and a root of every pencil
+    fallback = _record_calls(monkeypatch, "real_roots")
+    p = from_roots([0.0, 0.0])
+    sample = pencil_at(p, 1.5)
+    assert fallback == [(pencil_coeffs(p, 1.5), None)]
+    assert sample.roots == pytest.approx((0.0, 3.0), abs=1e-9)
+
+
+def test_rational_poly_reuses_float_twin_brackets(monkeypatch):
+    found = _record_calls(monkeypatch, "real_roots_with_criticals")
+    p = from_roots([Fraction(-3), Fraction(1, 2), Fraction(2), Fraction(5)])
+    assert p.to_float() is p.to_float()
+    first = pencil_at(p, -1.0)
+    second = pencil_at(p, 2.0)
+    scan_monotonicity(p, (-1.0, 0.0, 1.0))
+    assert len(found) == 1        # the roots of P' and P'', once
+    assert first.interlaces() and second.interlaces()
+
+
+def test_criticals_are_computed_on_first_read(monkeypatch):
+    fallback = _record_calls(monkeypatch, "real_roots")
+    refined = _record_calls(monkeypatch, "real_roots_separated")
+    sample = pencil_at(from_roots([-2.0, 0.5, 3.0]), 1.0)
+    assert [len(args[0]) for args in refined] == [4]    # the roots only
+    crits = sample.criticals
+    assert [len(args[0]) for args in refined] == [4, 3]
+    assert sample.criticals is crits
+    assert fallback == []

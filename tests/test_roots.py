@@ -6,7 +6,8 @@ import pytest
 
 from specpoly import from_roots, matching_distance, real_roots
 from specpoly.errors import DegreeZero, NotRealRooted
-from specpoly.roots import real_roots_with_criticals, root_bound
+from specpoly.roots import (real_roots_separated, real_roots_with_criticals,
+                            root_bound)
 
 
 def test_cubic_fixture():
@@ -64,6 +65,32 @@ def test_criticals_come_along():
     roots, crits = real_roots_with_criticals([-6, 11, -6, 1])
     assert len(crits) == 2
     assert roots[0] < crits[0] < roots[1] < crits[1] < roots[2]
+
+
+def test_separated_roots_match_recursion():
+    # (x-1)(x-2)(x-3) with separators 1.5 and 2.5
+    got = real_roots_separated([-6, 11, -6, 1], (1.5, 2.5), tol=1e-12)
+    assert matching_distance(got, (1, 2, 3)) < 1e-11
+    assert real_roots_separated([-3, 2], ()) == (1.5,)
+
+
+def test_separated_declines_a_root_on_a_separator():
+    # the pencil of (x-1)^2 (x+2)(x-3) at lam = 1/2 vanishes exactly at
+    # the critical point 1 of P: the brackets cannot be trusted
+    pencil = [-11.5, 14.0, 1.5, -5.0, 1.0]
+    assert real_roots_separated(pencil, (-1.2, 1.0, 2.4)) is None
+
+
+def test_separated_declines_brackets_without_alternation():
+    # two roots in one bracket, none in the next
+    assert real_roots_separated([-6, 11, -6, 1], (2.5, 2.7)) is None
+    # not real-rooted: x^2 + 1 has no sign change at all
+    assert real_roots_separated([1, 0, 1], (0.0,)) is None
+
+
+def test_separated_needs_n_minus_1_separators():
+    with pytest.raises(ValueError):
+        real_roots_separated([-6, 11, -6, 1], (1.5,))
 
 
 def test_round_trip_well_separated():
