@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DegreeTooSmall, ZeroTopTerm
+from .errors import DegreeTooSmall, NotRealRooted, ZeroTopTerm
 from .pencil import pencil_coeffs
 from .poly import (HyperbolicPoly, coeff_derivative, hyperbolic_from_coeffs,
                    taylor_shift)
+from .roots import is_real_rooted, real_roots
 from .scalars import RATIONAL, Scalar, infer_mode
 
 
@@ -324,6 +325,48 @@ class MultiplierSequence:
         g = list(self.gammas[:n + 1])
         g += [0] * (n + 1 - len(g))
         return g
+
+    def jensen_polynomial(self) -> tuple:
+        """Coefficients C(n, k) gamma_k of J(x), with n = len(gammas) - 1."""
+        n = len(self.gammas) - 1
+        return tuple(math.comb(n, k) * g for k, g in enumerate(self.gammas))
+
+    def preserves_real_rootedness(self) -> bool:
+        """Whether gamma_0..gamma_n maps every real-rooted polynomial of
+        degree <= n to a real-rooted one (the zero polynomial aside).
+
+        Finite Polya-Schur theorem (Craven-Csordas; Borcea-Branden, Ann. of
+        Math. 170, 2009): exactly when the Jensen polynomial J has only
+        real zeros, all <= 0 or all >= 0.  That covers the rank <= 2
+        diagonal operators too, e.g. (0, .., 0, g, 1) is accepted and
+        (1, 0, 1) is not.  Three steps, cheapest first: the float root
+        finder on J / x^k, where ``NotRealRooted`` rejects; then, exactly,
+        the coefficients of J / x^k must be all of one sign (zeros < 0) or
+        strictly alternating (zeros > 0); then the exact Sturm test
+        ``roots.is_real_rooted``.  Only the exact steps accept, so a True
+        is a proof.  The float step can only reject: a preserver whose J
+        the float finder cannot resolve would read False (not seen on the
+        hunt samplers' candidates).  The all-zero sequence reads False.
+        """
+        jensen = [Fraction(v) for v in self.jensen_polynomial()]
+        while jensen and jensen[-1] == 0:
+            jensen.pop()
+        if not jensen:
+            return False
+        low = next(k for k, v in enumerate(jensen) if v != 0)
+        core = jensen[low:]
+        if len(core) == 1:
+            return True
+        try:
+            real_roots(core)
+        except NotRealRooted:
+            return False
+        same_sign = all((v > 0) == (core[0] > 0) for v in core)
+        alternating = all((core[k] > 0) != (core[k + 1] > 0)
+                          for k in range(len(core) - 1))
+        if 0 in core or not (same_sign or alternating):
+            return False
+        return is_real_rooted(core)
 
 
 def _exact_div(num, den):

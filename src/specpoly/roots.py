@@ -21,13 +21,18 @@ ends alternate strictly in sign, clear of roundoff, so that each bracket
 provably holds one root; otherwise it returns None and the caller falls
 back to ``real_roots``.
 
-All computations here are in double precision.  Exact-rational callers
-never enter this module; root extraction is the one-way door from exact
-coefficients to float root tuples.
+Root extraction is in double precision: it is the one-way door from
+exact coefficients to float root tuples.
+
+``is_real_rooted`` is the exact counterpart for callers that must decide
+real-rootedness rather than assume it.  It counts sign variations of a
+Sturm sequence built on ``Fraction`` coefficients, so its verdict carries
+no rounding, multiple roots included.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegreeZero, NotRealRooted
@@ -244,3 +249,63 @@ def real_roots_separated(coeffs: Sequence, separators: Sequence[float],
         return None
     return tuple(_bisect(rev, pts[i], pts[i + 1], vals[i] < 0.0, tol)
                  for i in range(n))
+
+
+# --- exact real-rootedness ------------------------------------------------------
+
+def _remainder(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
+    # remainder of num / den, low-degree-first, exact
+    r = list(num)
+    top = len(den) - 1
+    while len(r) > top:
+        q = r[-1] / den[-1]
+        shift = len(r) - 1 - top
+        for i, d in enumerate(den):
+            r[shift + i] -= q * d
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def sturm_sequence(coeffs: Sequence) -> list[list[Fraction]]:
+    """P, P', then -rem of the two before, down to the last nonzero one.
+
+    Exact, low-degree-first; ``coeffs`` may hold ints, Fractions or floats
+    (a float is read as the rational it stores).  Each remainder is
+    divided by the absolute value of its leading coefficient, which keeps
+    the numbers small and every sign.  The last entry is gcd(P, P') up to
+    a constant factor.
+    """
+    p = [Fraction(v) for v in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
+        raise DegreeZero("the zero polynomial has no Sturm sequence")
+    seq = [p]
+    dp = [k * v for k, v in enumerate(p)][1:]
+    while dp:
+        seq.append(dp)
+        r = _remainder(seq[-2], seq[-1])
+        lead = abs(r[-1]) if r else 0
+        dp = [-v / lead for v in r]
+    return seq
+
+
+def _variations(signs: list[bool]) -> int:
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def is_real_rooted(coeffs: Sequence) -> bool:
+    """Exactly whether every complex root of P is real.
+
+    The Sturm sequence counts the distinct real roots as V(-inf) - V(+inf);
+    the last entry, gcd(P, P'), has degree n - (number of distinct roots),
+    so P is real-rooted exactly when the two counts agree, with any
+    multiplicities.  A nonzero constant has no roots and is real-rooted.
+    """
+    seq = sturm_sequence(coeffs)
+    at_plus = [s[-1] > 0 for s in seq]
+    at_minus = [(s[-1] > 0) == (len(s) % 2 == 1) for s in seq]
+    distinct = len(seq[0]) - len(seq[-1])
+    return _variations(at_minus) - _variations(at_plus) == distinct

@@ -5,12 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specpoly import random_hyperbolic
+from specpoly import multiplier_apply, random_hyperbolic
 from specpoly.errors import InfeasibleGap, UnknownSuite
 from specpoly.harness import (SUITES, ExperimentConfig, confirm_violation,
                               hunt_counterexamples, recheck_failure,
                               run_suite, trial_rng)
+from specpoly.roots import is_real_rooted
 
 
 def test_random_hyperbolic_gaps_and_bounds():
@@ -166,6 +169,27 @@ def test_generator_exhausted():
     cfg = ExperimentConfig(suite="pb2")
     with pytest.raises(GeneratorExhausted):
         _find_diagonal_operator(cfg, random.Random(0), 3, tries=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+def test_sampled_operators_keep_exact_images_real_rooted(n, seed):
+    from specpoly.harness import _find_diagonal_operator
+    rng = random.Random(seed)
+    gammas = _find_diagonal_operator(ExperimentConfig(suite="pb2"), rng, n)
+    for _ in range(3):
+        p = random_hyperbolic(rng, n, bound=10)
+        assert is_real_rooted(multiplier_apply(gammas, p.coefficients(), n))
+
+
+@pytest.mark.parametrize("problem,seed", [("pb2", 933979505),
+                                          ("pb3", 2685834399)])
+def test_hunt_seeds_that_once_drew_non_preservers(problem, seed):
+    # job seeds on which an incomplete preserver test accepted a
+    # non-preserver and reported a false counterexample at n = 3
+    cfg = ExperimentConfig(suite=problem, trials=10, seed=seed, degree_min=3,
+                           degree_max=3)
+    assert hunt_counterexamples(problem, cfg).passed
 
 
 def test_hunt_reports_deterministic(tmp_path):

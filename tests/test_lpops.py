@@ -12,8 +12,9 @@ from specpoly import (DiffOperator, LPFunction, appell, apply_operator,
                       matching_distance, multiplier_apply, shift_pencil)
 from specpoly.errors import DegreeTooSmall, NotRealRooted, ZeroTopTerm
 from specpoly.harness import random_hyperbolic, trial_rng
-from specpoly.lpops import gaussian_coeffs, shift_pencil_coeffs
-from specpoly.roots import real_roots
+from specpoly.lpops import (MultiplierSequence, gaussian_coeffs,
+                            shift_pencil_coeffs)
+from specpoly.roots import is_real_rooted, real_roots
 
 
 def test_prefix_exponential():
@@ -288,3 +289,70 @@ def test_laguerre_preserves_order():
         rp = real_roots(multiplier_apply(seq, p.coefficients(), n, normalized=True))
         rq = real_roots(multiplier_apply(seq, q.coefficients(), n, normalized=True))
         assert check_majorization(rq, rp, 1e-7 * (1 + 10)).comparable
+
+
+# --- the Jensen-polynomial preserver test ---------------------------------------
+
+def _preserves(gammas) -> bool:
+    return MultiplierSequence(tuple(gammas)).preserves_real_rootedness()
+
+
+def test_jensen_polynomial_coefficients():
+    assert MultiplierSequence((1, 1, 1)).jensen_polynomial() == (1, 2, 1)
+    assert MultiplierSequence((0, 1, 2, 3)).jensen_polynomial() == (0, 3, 6, 3)
+
+
+@pytest.mark.parametrize("gammas", [
+    (Fraction(-1, 4), 2, 2, 1),
+    (Fraction(1, 4), Fraction(3, 2), Fraction(-3, 2), 1),
+])
+def test_non_preservers_that_passed_probe_polynomials_are_rejected(gammas):
+    # a test that accepts when 28 probe images stay real-rooted let both
+    # through; each maps (x + 11/4)(x + 9/2)(x - 7/4) to a cubic with
+    # complex roots
+    assert not _preserves(gammas)
+    p = from_roots([Fraction(-11, 4), Fraction(-9, 2), Fraction(7, 4)])
+    assert not is_real_rooted(multiplier_apply(gammas, p.coefficients(), 3))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_preservers_with_multiple_jensen_zeros_are_accepted(n):
+    # gamma_k = k: J = n x (1 + x)^(n - 1)
+    assert MultiplierSequence(tuple(range(n + 1))).jensen_polynomial() == \
+        (0,) + tuple(n * math.comb(n - 1, k) for k in range(n))
+    assert _preserves(range(n + 1))
+    assert _preserves([1] * (n + 1))                    # the identity
+    for m in (1, 2, 3):
+        for p in (0, 1, 2):
+            seq = laguerre_ms(m, p, n + 1)
+            if any(seq.gammas):
+                assert seq.preserves_real_rootedness(), (m, p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rank_two_diagonal_operators(n):
+    # (0, .., 0, g, 1) maps P to x^(n-1) (g a_(n-1) + x): always real-rooted
+    for g in (-2, Fraction(-1, 2), 0, Fraction(1, 3), 2):
+        assert _preserves([0] * (n - 1) + [g, 1])
+    # two nonzero gammas two apart give x^i (g_i a_i + g_(i+2) a_(i+2) x^2),
+    # which some real-rooted P sends to complex roots, whatever the signs
+    for i in range(n - 1):
+        for gi, gj in ((1, 1), (1, -1), (-2, Fraction(1, 3))):
+            gammas = [0] * (n + 1)
+            gammas[i], gammas[i + 2] = gi, gj
+            assert not _preserves(gammas), (i, gi, gj)
+
+
+def test_non_preserver_below_float_resolution_is_rejected():
+    # J = (x + 1)^2 + 1e-20 rounds to (x + 1)^2 in floats, so the float
+    # finder accepts it; the operator sends (x + 1)^2 to a quadratic with
+    # negative discriminant, and only the exact Sturm step sees it
+    eps = Fraction(1, 10 ** 20)
+    gammas = (1 + eps, 1, 1)
+    real_roots([float(v) for v in MultiplierSequence(gammas).jensen_polynomial()])
+    assert not _preserves(gammas)
+    assert not is_real_rooted(multiplier_apply(gammas, (1, 2, 1)))
+
+
+def test_zero_sequence_is_not_a_preserver():
+    assert not _preserves([0, 0, 0])

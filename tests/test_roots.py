@@ -1,13 +1,17 @@
 """Interlacing-bisection root extraction."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specpoly import from_roots, matching_distance, real_roots
 from specpoly.errors import DegreeZero, NotRealRooted
-from specpoly.roots import (real_roots_separated, real_roots_with_criticals,
-                            root_bound)
+from specpoly.roots import (is_real_rooted, real_roots_separated,
+                            real_roots_with_criticals, root_bound,
+                            sturm_sequence)
 
 
 def test_cubic_fixture():
@@ -130,3 +134,56 @@ def test_scaling_insensitive():
     # non-monic input: same roots
     got = real_roots([12, -22, 12, -2])  # -2 (x-1)(x-2)(x-3)
     assert matching_distance(got, (1, 2, 3)) < 1e-9
+
+
+# --- exact real-rootedness ------------------------------------------------------
+
+def test_exact_real_rootedness_fixtures():
+    assert is_real_rooted([-1, 0, 1])             # (x - 1)(x + 1)
+    assert not is_real_rooted([1, 0, 1])          # x^2 + 1
+    assert is_real_rooted([1, -2, 1])             # (x - 1)^2
+    assert not is_real_rooted([1, 0, 2, 0, 1])    # (x^2 + 1)^2
+    assert is_real_rooted([0, 0, 0, 5])           # 5 x^3
+    assert is_real_rooted([7])                    # no roots at all
+    assert is_real_rooted([0.5, -1.5, 1.0])       # floats read exactly
+    with pytest.raises(DegreeZero):
+        is_real_rooted([0, 0])
+
+
+def test_sturm_sequence_ends_in_the_gcd_with_the_derivative():
+    # (x - 1)^2 (x + 2) = x^3 - 3x + 2: gcd(P, P') is x - 1, up to a factor
+    seq = sturm_sequence([2, -3, 0, 1])
+    last = seq[-1]
+    assert len(last) == 2 and last[0] == -last[1]
+    assert all(isinstance(v, Fraction) for s in seq for v in s)
+
+
+def _times(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+_small_fraction = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_small_fraction, st.integers(1, 3)), min_size=0,
+                max_size=4),
+       st.one_of(st.none(), st.tuples(_small_fraction, _small_fraction)),
+       _small_fraction.filter(lambda v: v != 0))
+def test_exact_test_knows_products_of_real_and_quadratic_factors(
+        factors, quadratic, scale):
+    # prod (x - r_i)^{m_i}, optionally times x^2 + bx + c with b^2 < 4c:
+    # real-rooted exactly when the irreducible quadratic is absent
+    poly = [scale]
+    for root, mult in factors:
+        for _ in range(mult):
+            poly = _times(poly, [-root, Fraction(1)])
+    if quadratic is not None:
+        b, d = quadratic
+        c = b * b / 4 + d * d + Fraction(1, 64)
+        poly = _times(poly, [c, b, Fraction(1)])
+    assert is_real_rooted(poly) == (quadratic is None)
