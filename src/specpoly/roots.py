@@ -1,17 +1,36 @@
 """Real-root extraction for polynomials promised to be real-rooted.
 
-Method: recursive interlacing bisection.  The roots of the derivative are
-computed first; by Rolle's theorem they split the line into brackets that
-each contain exactly one root of the original polynomial (a root of
-multiplicity m sits at a critical point and is shared by m adjacent
-brackets).  Each bracket is then bisected.  The scheme is provably
+Method: recursive interlacing with certified bracket refinement.  The
+roots of the derivative are computed first; by Rolle's theorem they split
+the line into brackets that each contain exactly one root of the original
+polynomial (a root of multiplicity m sits at a critical point and is
+shared by m adjacent brackets).  Each bracket with a sign change is then
+refined by safeguarded Newton (rtsafe): P and P' come from one Horner
+pass, and a bisection step replaces a Newton step that leaves the
+bracket or converges slower than halving.  The scheme is provably
 bracketed, exploits guaranteed real-rootedness, and needs no linear
 algebra.
 
-A bracket endpoint whose value is below the running roundoff bound of
-Horner evaluation is accepted as a root of multiplicity >= 2 (a cluster);
-a bracket with no sign change whose endpoint values are clearly nonzero
-means the input was not real-rooted and raises ``NotRealRooted``.
+Every sign the refinement acts on is the true sign of P at that point,
+for the double coefficients as given (not rescaled).  Plain Horner
+decides it where its value clears the roundoff bound
+8 n eps sum |a_k||x|^k.  Inside that bound the compensated Horner scheme
+of Graillat, Langlois and Louvet (2005/2009) decides it, barring
+underflow; it is built on a Veltkamp split rather than ``math.fma``, so
+it runs on Python 3.10.  Exact rational arithmetic decides what is left.
+The root of P in a refined bracket therefore never leaves it, and the
+root returned, the midpoint once the bracket is at most ``tol`` wide, is
+within tol/2 of it.  Below float spacing the bracket stops at two
+neighbouring doubles, one spacing from the root.
+
+A bracket endpoint whose value is below the roundoff bound is accepted as
+a root of multiplicity >= 2 (a cluster), unless its true sign is opposite
+to the signs on both sides, as between two close roots, so that both of
+its brackets are refined.  A bracket with no sign change whose endpoint
+values are clearly nonzero means the input was not real-rooted and raises
+``NotRealRooted``, unless a root within tol of an endpoint explains the
+smaller value.  These two branches are heuristics; their roots carry no
+certificate.
 
 A caller that already knows n-1 points separating the n roots (the pencil
 P - lam P', whose roots the critical points of P separate for every lam)
@@ -32,6 +51,7 @@ no rounding, multiple roots included.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -82,48 +102,147 @@ def _eval_with_mag(rev: Sequence[float], x: float) -> tuple[float, float]:
     return acc, mag
 
 
-def _horner(rev: Sequence[float], x: float) -> float:
+def _roundoff(mag: float, n: int) -> float:
+    # a bound on the error of Horner's value at a point where
+    # sum |a_k||x|^k is at most mag
+    return 8.0 * n * _EPS * mag + 1e-300
+
+
+def _eval_with_slope(rev: Sequence[float], x: float) -> tuple[float, float]:
+    # P(x) and P'(x) in one Horner pass on high-to-low coefficients
     acc = 0.0
+    slope = 0.0
     for c in rev:
+        slope = slope * x + acc
         acc = acc * x + c
-    return acc
+    return acc, slope
 
 
-def _is_zero(value: float, mag: float, n: int) -> bool:
-    return abs(value) <= 8.0 * n * _EPS * mag + 1e-300
+_SPLIT = 134217729.0    # 2**27 + 1: Veltkamp's split of a double in halves
 
 
-def _bisect(rev: Sequence[float], lo: float, hi: float, lo_negative: bool,
-            tol: float) -> float:
+def _compensated(rev: Sequence[float], x: float) -> float:
+    # Compensated Horner (Graillat, Langlois and Louvet): each product and
+    # sum of the plain recurrence is made exact as value + error (Dekker's
+    # TwoProduct on Veltkamp halves, Knuth's TwoSum), and the errors are
+    # run through Horner beside it.  The result is as accurate as Horner
+    # in twice the working precision: off from P(x) by at most
+    # eps |P(x)| + (2n eps)^2 sum |a_k||x|^k, barring underflow.
+    t = _SPLIT * x
+    xh = t - (t - x)
+    xl = x - xh
+    acc = 0.0
+    err = 0.0
+    for c in rev:
+        prod = acc * x
+        t = _SPLIT * acc
+        ah = t - (t - acc)
+        al = acc - ah
+        prod_err = al * xl - (((prod - ah * xh) - al * xh) - ah * xl)
+        total = prod + c
+        back = total - prod
+        sum_err = (prod - (total - back)) + (c - back)
+        acc = total
+        err = err * x + (prod_err + sum_err)
+    return acc + err
+
+
+def _certified(rev: Sequence[float], x: float) -> float:
+    """P(x), or a value with the true sign of P(x) and about its size.
+
+    Plain Horner decides where its value clears the roundoff bound at x,
+    compensated Horner where its value clears its own, much smaller bound,
+    and exact rational arithmetic otherwise.  Returns 0.0 only at an exact
+    root.
+    """
+    value, mag = _eval_with_mag(rev, x)
+    n = len(rev) - 1
+    bound = _roundoff(mag, n)
+    if abs(value) > bound:
+        return value
+    value = _compensated(rev, x)
+    if abs(value) > 8.0 * n * _EPS * bound:
+        return value
+    xq = Fraction(x)
+    exact = Fraction(0)
+    for c in rev:
+        exact = exact * xq + Fraction(c)
+    if exact == 0:
+        return 0.0
+    size = max(abs(value), 5e-324)   # keeps the Newton step meaningful
+    return size if exact > 0 else -size
+
+
+def _refine(rev: Sequence[float], lo: float, hi: float, f_lo: float,
+            f_hi: float, tol: float, bound: float) -> float:
+    """The root of P in [lo, hi], where P has the signs of f_lo and f_hi.
+
+    Safeguarded Newton (rtsafe), from the secant point of the two ends:
+    each step evaluates P and P' at one point in the same Horner pass,
+    moves the bracket end of the same sign there, and goes on from it by
+    Newton, or by bisection when the Newton point leaves the bracket or
+    the step is over half the step before last.  A value within ``bound``
+    (Horner's roundoff anywhere in the bracket) has its sign decided by
+    ``_certified``, so the root of the given coefficients never leaves the
+    bracket, and the midpoint returned once the width is at most tol is
+    within tol/2 of it.  Newton closes in on a root from one side, which
+    leaves the far end where it was; so a long step stops 0.4 tol short
+    of the predicted root and a short one lands 0.4 tol past it.  The last
+    two points then straddle the root at most tol apart, with values far
+    enough from zero that plain Horner can usually sign them.  The other
+    stops are float resolution (the midpoint is an end) and a cap of 240
+    evaluations.
+    """
+    lo_negative = f_lo < 0.0
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    older = last = hi - lo
+    offset = 0.4 * tol
     for _ in range(240):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol or mid <= lo or mid >= hi:
             return mid
-        f = _horner(rev, mid)
-        if f == 0.0:
-            return mid
+        f, slope = _eval_with_slope(rev, x)
+        if -bound <= f <= bound:
+            f = _certified(rev, x)
+            if f == 0.0:
+                return x
         if (f < 0.0) == lo_negative:
-            lo = mid
+            lo = x
         else:
-            hi = mid
+            hi = x
+        step = f / slope if slope else math.inf
+        size = step if step > 0.0 else -step
+        if lo < x - step < hi and size <= 0.5 * older:
+            older, last = last, size
+            back = offset if step > 0.0 else -offset    # toward x
+            x -= step
+            x += back if size > 2.0 * offset else -back
+            if lo < x < hi:
+                continue
+        older, last = last, 0.5 * (hi - lo)
+        x = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 
-def _monic_derivative(monic_rev: list[float], n: int) -> list[float]:
-    # derivative of a monic degree-n poly, renormalized monic (same roots)
-    return [monic_rev[k] * (n - k) / n for k in range(n)]
+def _derivative(rev: list[float], n: int) -> list[float]:
+    # P' of a degree-n poly, high-to-low like P; the same products as
+    # poly.coeff_derivative, so a caller that passes the derivative's
+    # coefficients gets the brackets the recursion would use
+    return [rev[k] * (n - k) for k in range(n)]
 
 
-def _roots_monic(rev: list[float], n: int, tol: float) -> list[float]:
+def _roots_rev(rev: list[float], n: int, tol: float) -> list[float]:
     if n == 1:
-        return [-rev[1]]
-    crit = _roots_monic(_monic_derivative(rev, n), n - 1, tol)
+        return [-rev[1] / rev[0]]
+    crit = _roots_rev(_derivative(rev, n), n - 1, tol)
     return _roots_between(rev, n, crit, tol)
 
 
 def _bracket_points(rev: list[float], n: int, crit) -> tuple:
-    # [-B, crit..., B] clamped to the root bound B, with the value at each
-    # point and whether it is zero within Horner roundoff
+    # [-B, crit..., B] clamped to the root bound B, with the value and the
+    # Horner roundoff bound at each point
     bound = root_bound(list(reversed(rev)))
     pts = [-bound]
     for w in crit:
@@ -132,17 +251,42 @@ def _bracket_points(rev: list[float], n: int, crit) -> tuple:
     pts.sort()
 
     vals = []
-    zeros = []
+    bounds = []
     for p in pts:
         v, mag = _eval_with_mag(rev, p)
         vals.append(v)
-        zeros.append(_is_zero(v, mag, n))
-    return pts, vals, zeros
+        bounds.append(_roundoff(mag, n))
+    return pts, vals, bounds
+
+
+def _alternate(vals: list[float]) -> bool:
+    # nonzero values whose signs alternate from each one to the next
+    return 0.0 not in vals and all((a < 0.0) != (b < 0.0)
+                                   for a, b in zip(vals, vals[1:]))
+
+
+def _refine_bracket(rev, pts, vals, bounds, i, tol) -> float:
+    # the root in bracket i, whose end values have opposite true signs;
+    # sum |a_k||x|^k grows with |x|, so the larger end bound covers the
+    # whole bracket
+    return _refine(rev, pts[i], pts[i + 1], vals[i], vals[i + 1], tol,
+                   max(bounds[i], bounds[i + 1]))
 
 
 def _roots_between(rev: list[float], n: int, crit: list[float],
                    tol: float) -> list[float]:
-    pts, vals, zeros = _bracket_points(rev, n, crit)
+    pts, vals, bounds = _bracket_points(rev, n, crit)
+    zeros = [abs(v) <= b for v, b in zip(vals, bounds)]
+    if any(zeros):
+        # A value inside Horner's roundoff, as between two close roots, is
+        # no root when its true sign is opposite to the signs beside it:
+        # both of its brackets then hold a sign change and are refined.
+        signs = [_certified(rev, p) if z else v
+                 for p, v, z in zip(pts, vals, zeros)]
+        for i, zero in enumerate(zeros):
+            if zero and _alternate(signs[max(i - 1, 0):i + 2]):
+                vals[i] = signs[i]
+                zeros[i] = False
     roots = []
     for i in range(n):
         lo, hi = pts[i], pts[i + 1]
@@ -156,7 +300,7 @@ def _roots_between(rev: list[float], n: int, crit: list[float],
         elif zeros[i + 1]:
             roots.append(hi)
         elif (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            roots.append(_bisect(rev, lo, hi, vals[i] < 0.0, tol))
+            roots.append(_refine_bracket(rev, pts, vals, bounds, i, tol))
         else:
             # Same strict sign at both ends: for a real-rooted input the
             # bracket's root must sit at an endpoint (a multiple root at a
@@ -184,27 +328,32 @@ def default_tol(coeffs: Sequence[float]) -> float:
 def real_roots(coeffs: Sequence, tol: float | None = None) -> tuple[float, ...]:
     """All n real roots of a real-rooted polynomial, sorted nondecreasing.
 
-    ``coeffs`` is low-degree-first with nonzero leading coefficient.  Each
-    returned root is within ``tol`` (optimal matching distance) of the true
-    root tuple.  Raises ``NotRealRooted`` if the promise fails beyond
+    ``coeffs`` is low-degree-first with nonzero leading coefficient.  A
+    root refined in a sign-change bracket is within tol/2 (or one float
+    spacing, if that is more) of the one root of the given coefficients
+    in that bracket; when every bracket is refined, that makes the tuple
+    within tol of the true root tuple (optimal matching distance).  Roots
+    from the cluster and same-sign branches (see the module docstring) are
+    heuristic.  Raises ``NotRealRooted`` if the promise fails beyond
     numerical tolerance, ``DegreeZero`` on constants.
     """
     roots, _ = real_roots_with_criticals(coeffs, tol)
     return roots
 
 
-def _monic_rev(coeffs: Sequence, tol: float | None,
+def _float_rev(coeffs: Sequence, tol: float | None,
                ) -> tuple[list[float], int, float]:
-    # monic high-to-low coefficients, the degree, and the tolerance
+    # the float coefficients high-to-low, unscaled so that every sign the
+    # refiner certifies is one of the given polynomial; the degree; the
+    # tolerance
     c = _strip(coeffs)
     n = len(c) - 1
     if n <= 0:
         raise DegreeZero("degree must be at least 1")
-    an = c[-1]
-    rev = [v / an for v in reversed(c)]
     if tol is None:
+        an = c[-1]
         tol = default_tol([v / an for v in c])
-    return rev, n, tol
+    return c[::-1], n, tol
 
 
 def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
@@ -214,11 +363,10 @@ def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
     The derivative roots are a byproduct of the interlacing recursion, so
     callers that need both get them for free.
     """
-    rev, n, tol = _monic_rev(coeffs, tol)
+    rev, n, tol = _float_rev(coeffs, tol)
     if n == 1:
-        return (-rev[1],), ()
-    drev = _monic_derivative(rev, n)
-    crit = _roots_monic(drev, n - 1, tol)
+        return (-rev[1] / rev[0],), ()
+    crit = _roots_rev(_derivative(rev, n), n - 1, tol)
     roots = _roots_between(rev, n, crit, tol)
     return tuple(roots), tuple(crit)
 
@@ -236,18 +384,18 @@ def real_roots_separated(coeffs: Sequence, separators: Sequence[float],
     this returns None and the caller falls back to ``real_roots``.  That
     happens when a separator is itself a root (a multiple root of the
     polynomial the separators came from) or when the input is not
-    real-rooted.  Accuracy is that of ``real_roots`` with the same ``tol``.
+    real-rooted.  Otherwise every bracket is refined, and each root is
+    within tol/2 (or one float spacing) of the one root in its bracket.
     """
-    rev, n, tol = _monic_rev(coeffs, tol)
+    rev, n, tol = _float_rev(coeffs, tol)
     if n == 1:
-        return (-rev[1],)
+        return (-rev[1] / rev[0],)
     if len(separators) != n - 1:
         raise ValueError(f"need {n - 1} separators, got {len(separators)}")
-    pts, vals, zeros = _bracket_points(rev, n, separators)
-    if any(zeros) or any((vals[i] < 0.0) == (vals[i + 1] < 0.0)
-                         for i in range(n)):
+    pts, vals, bounds = _bracket_points(rev, n, separators)
+    if any(abs(v) <= b for v, b in zip(vals, bounds)) or not _alternate(vals):
         return None
-    return tuple(_bisect(rev, pts[i], pts[i + 1], vals[i] < 0.0, tol)
+    return tuple(_refine_bracket(rev, pts, vals, bounds, i, tol)
                  for i in range(n))
 
 

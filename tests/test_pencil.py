@@ -211,11 +211,20 @@ def test_double_root_pencil(monkeypatch, lam):
     assert max(abs(a - b) for a, b in zip(sample.roots, roots)) < 1e-10
     assert max(abs(a - b) for a, b in zip(sample.criticals, crits)) < 1e-10
     assert sample.interlaces()
-    if lam > 0:
-        # the computed critical point sits just below 1, so the root 1
-        # shares the next bracket with another root and the brackets do
-        # not alternate in sign: the full recursion answers
+    # The pencil's root that leaves the double root 1 moves to the side of
+    # 1 that the sign of lam gives.  When the computed critical point w
+    # near 1 lies on the other side, the bracket w cuts on that side holds
+    # both 1 and the moving root, the brackets do not alternate in sign,
+    # and the full recursion answers; otherwise the fixed brackets do.  If
+    # w is 1 exactly, the pencil vanishes on a bracket end and the
+    # recursion answers for both signs.
+    w = min(specpoly.pencil._separators(p.to_float(), 1e-11)[0],
+            key=lambda v: abs(v - 1.0))
+    assert abs(w - 1.0) < 1e-10
+    if (w - 1.0) * lam <= 0.0:
         assert fallback == [(pencil_coeffs(p, lam), 1e-11)]
+    else:
+        assert fallback == []
 
 
 def test_double_root_falls_back_at_exact_separator(monkeypatch):

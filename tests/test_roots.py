@@ -1,14 +1,18 @@
-"""Interlacing-bisection root extraction."""
+"""Interlacing root extraction with certified bracket refinement."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specpoly import from_roots, matching_distance, real_roots
+import specpoly.roots as roots_module
+from specpoly import from_roots, matching_distance, pencil_at, real_roots
 from specpoly.errors import DegreeZero, NotRealRooted
+from specpoly.pencil import pencil_coeffs
+from specpoly.poly import coeff_derivative
 from specpoly.roots import (is_real_rooted, real_roots_separated,
                             real_roots_with_criticals, root_bound,
                             sturm_sequence)
@@ -187,3 +191,183 @@ def test_exact_test_knows_products_of_real_and_quadratic_factors(
         c = b * b / 4 + d * d + Fraction(1, 64)
         poly = _times(poly, [c, b, Fraction(1)])
     assert is_real_rooted(poly) == (quadratic is None)
+
+
+# --- the refiner's contract, checked exactly ------------------------------------
+
+def _sturm_value(poly: list, x: Fraction) -> Fraction:
+    value = Fraction(0)
+    for c in reversed(poly):
+        value = value * x + c
+    return value
+
+
+def _roots_up_to(seq: list, x: Fraction) -> int:
+    # distinct real roots <= x: Sturm's count from below every root
+    bound = 1 + max(abs(c / seq[0][-1]) for c in seq[0][:-1])
+
+    def variations(at):
+        signs = [v > 0 for v in (_sturm_value(s, at) for s in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return variations(-bound) - variations(x)
+
+
+def _assert_each_within_tol(coeffs, got, tol):
+    # the i-th smallest returned root has the i-th exact root of the given
+    # coefficients within tol: at least i roots up to z + tol and fewer
+    # than i below z - tol
+    seq = sturm_sequence(coeffs)
+    assert len(got) == len(seq[0]) - 1
+    for i, z in enumerate(sorted(got), start=1):
+        above = Fraction(z) + Fraction(tol)
+        below = Fraction(z) - Fraction(tol)
+        under = _roots_up_to(seq, below) - (_sturm_value(seq[0], below) == 0)
+        assert _roots_up_to(seq, above) >= i and under <= i - 1, (i, z)
+
+
+def _strictly_real_rooted(coeffs) -> bool:
+    return len(sturm_sequence(coeffs)[-1]) == 1 and is_real_rooted(coeffs)
+
+
+_root_value = st.one_of(st.integers(-20, 20).map(float),
+                        st.floats(-20, 20, allow_subnormal=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_root_value, st.booleans()), min_size=1,
+                max_size=10, unique_by=lambda pick: pick[0]),
+       st.sampled_from([1.0, -3.0, 0.1]),
+       st.sampled_from([1e-12, 1e-11, 1e-9]))
+def test_every_root_is_within_tol_of_an_exact_root(picks, scale, tol):
+    # the roots of the double coefficients as given, pairs 1e-7 apart
+    # included; the exact roots are counted by a Sturm sequence
+    roots = []
+    for value, paired in picks:
+        roots += [value, value + 1e-7] if paired else [value]
+    roots = roots[:10]
+    assume(len(roots) >= 2)
+    coeffs = [scale * c for c in from_roots(roots).coefficients()]
+    assume(_strictly_real_rooted(coeffs))
+    _assert_each_within_tol(coeffs, real_roots(coeffs, tol), tol)
+    separators = real_roots(coeff_derivative(coeffs), tol)
+    got = real_roots_separated(coeffs, separators, tol)
+    if got is not None:
+        _assert_each_within_tol(coeffs, got, tol)
+
+
+# Pencils on which bench/workloads.pencil_oracle caught an earlier finder
+# more than tol = 1e-11 off the roots of the coefficients it was given:
+# the roots of P, lambda, and the pencil's coefficients, low degree first.
+_ORACLE_PENCILS = {
+    "seed131": (
+        (-4.951044368538703, -4.434983541833224, -4.112582795006927,
+         -3.8189295579598763, -3.5021310450697003, -3.0199822402525065,
+         -1.6385677453739178, -1.2535770721726402, -0.357501003198077,
+         0.2826652338679265),
+        0.7174239299892768,
+        (446.85643484720174, -10828.161317438286, -41663.073204033,
+         -58209.14757797057, -40300.730015170775, -14528.414679729693,
+         -2174.1837492959285, 215.81829121278474, 135.44794929052682,
+         19.632394835644877, 1.0)),
+    "seed196": (
+        (-3.0499391594444223, -1.1260804697238607, 1.6349347252725748,
+         2.0070049293560963, 2.684658630594117, 3.3317438860390274,
+         3.7885145236447837, 4.074522308539948, 4.450633302618948,
+         4.7682921079787475),
+        2.2533518757634994,
+        (145410.74380221448, -72917.12985338081, -217728.1006743201,
+         261171.6453396641, -98075.30836915111, -2660.6560713963845,
+         13345.424967985104, -4409.291236078212, 657.6416866898506,
+         -45.09780354251096, 1.0)),
+    "seed206": (
+        (-4.898257073684987, -4.530133650700156, -4.102733019187694,
+         -3.8486649701450544, -3.482924082207872, -3.035828955107421,
+         -2.433104375752386, -1.4983170644453105, 2.0799720303676406,
+         4.8194825227645435),
+        0.048912073274442136,
+        (122573.21271157467, 245782.7224802175, 164275.2548901156,
+         16842.92487717388, -31869.360842529735, -16827.690511453868,
+         -2920.5403887737607, 175.5492833226741, 143.21663602385198,
+         20.441387905354272, 1.0)),
+    "seed1218": (
+        (-4.4988265178197855, -4.109281122066557, -3.6383681956345457,
+         -3.3167143689409055, -2.8144516274441336, -2.4718364355054243,
+         -1.8773218724732175, -1.6045808573589686, -0.7647124273988117,
+         2.0256653247015315),
+        -2.4036892166557617,
+        (-72899.06831456635, -219412.38983864256, -239619.02701771166,
+         -92038.50213029803, 32642.80157450794, 49094.350687240934,
+         22485.010165012056, 5436.295147914396, 722.1184874434798,
+         47.107320266498434, 1.0)),
+}
+
+
+@pytest.mark.parametrize("roots, lam, coeffs", _ORACLE_PENCILS.values(),
+                         ids=_ORACLE_PENCILS.keys())
+def test_oracle_pencils_are_within_tol(roots, lam, coeffs):
+    p = from_roots(roots)
+    assert pencil_coeffs(p, lam) == coeffs
+    _assert_each_within_tol(coeffs, pencil_at(p, lam, 1e-11).roots, 1e-11)
+    _assert_each_within_tol(coeffs, real_roots(coeffs, 1e-11), 1e-11)
+
+
+# --- termination and cost of the refiner ----------------------------------------
+
+def test_tol_below_float_spacing_stops_at_adjacent_floats():
+    # no bracket gets narrower than two neighbouring doubles (spacing
+    # 1.1e-13 near 1e3); the refiner stops there, one spacing from a root
+    coeffs = from_roots([1000.0, 1000.5, 1001.25]).coefficients()
+    spacing = math.ulp(1001.25)
+    _assert_each_within_tol(coeffs, real_roots(coeffs, 1e-300), spacing)
+    separators = real_roots(coeff_derivative(coeffs), 1e-300)
+    got = real_roots_separated(coeffs, separators, 1e-300)
+    _assert_each_within_tol(coeffs, got, spacing)
+
+
+def _bound_over(rev, lo, hi) -> float:
+    return roots_module._roundoff(
+        roots_module._eval_with_mag(rev, max(abs(lo), abs(hi)))[1],
+        len(rev) - 1)
+
+
+def test_triple_root_inside_a_bracket():
+    # (x - 1)^3: P' vanishes at the root, where Newton only crawls
+    rev = [1.0, -3.0, 3.0, -1.0]
+    for lo, hi in ((0.0, 3.0), (-5.0, 2.5), (0.0, 2.0)):
+        f_lo, f_hi = (lo - 1.0) ** 3, (hi - 1.0) ** 3
+        got = roots_module._refine(rev, lo, hi, f_lo, f_hi, 1e-12,
+                                   _bound_over(rev, lo, hi))
+        assert abs(got - 1.0) <= 0.5e-12
+
+
+def test_newton_step_at_a_critical_point_bisects():
+    # x^3 - 3x - 1 on [0, 2]: equal and opposite end values put the first
+    # point at the midpoint 1, where P' = 0; the root is 2 cos(pi/9)
+    rev = [1.0, 0.0, -3.0, -1.0]
+    got = roots_module._refine(rev, 0.0, 2.0, -1.0, 1.0, 1e-12,
+                               _bound_over(rev, 0.0, 2.0))
+    assert abs(got - 2.0 * math.cos(math.pi / 9.0)) <= 0.5e-12 + 1e-15
+
+
+def test_refinement_costs_few_evaluations(monkeypatch):
+    # bisection to tol = 1e-11 from brackets a few units wide takes about
+    # 40 evaluations each; safeguarded Newton needs far fewer
+    counts = {"brackets": 0, "evaluations": 0}
+
+    def counted(name, key):
+        real = getattr(roots_module, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+        monkeypatch.setattr(roots_module, name, wrapper)
+    counted("_refine", "brackets")
+    counted("_eval_with_slope", "evaluations")
+    counted("_certified", "evaluations")
+    p = from_roots([-7.0, -4.5, -2.25, -0.5, 1.0, 2.75, 4.5, 6.0])
+    coeffs = p.coefficients()
+    real_roots(coeffs, 1e-11)
+    real_roots_separated(coeffs, real_roots(coeff_derivative(coeffs), 1e-11),
+                         1e-11)
+    assert counts["brackets"] > 0
+    assert counts["evaluations"] <= 20 * counts["brackets"]
