@@ -1,0 +1,62 @@
+"""Exact polynomials as integer numerators over one common denominator.
+
+A ``QPoly`` stands for sum nums[k] x^k / den, low degree first, with
+integer ``nums`` and a positive integer ``den`` kept canonical:
+gcd(nums..., den) == 1, so every rational polynomial has one
+representation (the content/primitive form of FLINT's ``fmpq_poly``).
+
+Rational-mode coefficient work runs the library's scalar-generic loops
+(products, derivatives, sums of multiples) on the integer ``nums`` alone
+and carries the denominator beside them.  Each step is then a product of
+machine-sized integers, where ``Fraction`` arithmetic would reduce by a
+gcd after every operation; the kernel reduces once, when a result is
+made canonical.  ``Fraction`` values are built only where a public
+function hands coefficients back.  A float taken of a coefficient,
+``num / den``, is correctly rounded, so it is the same double as
+``float(Fraction(num, den))``.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterable
+
+
+class QPoly:
+    """sum nums[k] x^k / den in canonical form."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: list, den: int = 1):
+        if den < 0:
+            nums = [-v for v in nums]
+            den = -den
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums = [v // g for v in nums]
+            den //= g
+        self.nums = nums
+        self.den = den
+
+    @classmethod
+    def of(cls, values: Iterable) -> "QPoly":
+        """The exact polynomial with these coefficients (ints, Fractions,
+        or floats read as the rationals they store)."""
+        ratios = [v.as_integer_ratio() for v in values]
+        den = math.lcm(*(d for _, d in ratios))
+        # over the lcm of reduced denominators the form is already canonical
+        q = cls.__new__(cls)
+        q.nums = [n * (den // d) for n, d in ratios]
+        q.den = den
+        return q
+
+    def fractions(self) -> tuple:
+        """The coefficients as a tuple of ``Fraction``."""
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.nums)
+
+
+def is_exact_all(values: Iterable) -> bool:
+    """Whether every value is an int or a Fraction (no float)."""
+    return all(isinstance(v, (int, Fraction)) for v in values)

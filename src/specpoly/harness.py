@@ -34,8 +34,8 @@ from . import serialize
 from .contract import (DEFAULT_STEP_CAP, apply_contraction,
                        decompose_majorization, discrepancy,
                        random_comparable_pair)
-from .errors import (ChainTooLong, GeneratorExhausted, InfeasibleGap,
-                     NotRealRooted, UnknownSuite)
+from .errors import (ChainTooLong, ConfigError, GeneratorExhausted,
+                     InfeasibleGap, NotRealRooted, UnknownSuite)
 from .lpops import (DiffOperator, LPFunction, MultiplierSequence, appell,
                     deformation_leq, gaussian_coeffs, laguerre_closed_form,
                     laguerre_ms, multiplier_apply, shift_pencil_coeffs)
@@ -369,7 +369,9 @@ def _check_deform(inputs):
     phi = serialize.lp_from_json(inputs["phi"])
     s = [parse_scalar(v) for v in inputs["s"]]
     t = [parse_scalar(v) for v in inputs["t"]]
-    assert deformation_leq(s, t)
+    if not deformation_leq(s, t):
+        raise ConfigError(f"deform trial needs s <= t coordinatewise, got "
+                          f"s = {inputs['s']}, t = {inputs['t']}")
     op_s = DiffOperator.from_function(phi.deform(s), p.degree)
     op_t = DiffOperator.from_function(phi.deform(t), p.degree)
     img_s = _image_roots(op_s.apply_coeffs(p.coefficients()))

@@ -8,6 +8,14 @@ machinery controls the truncation error empirically).  Maclaurin prefixes
 are computed exactly by truncated series multiplication when the
 parameters are rational.
 
+Exact coefficient work runs on integer numerators over one denominator
+(``_qpoly.QPoly``): series products, f(D) sums, Gaussian flows,
+multiplier sequences and the Laguerre closed form feed integers through
+the same scalar-generic loops that float mode runs on doubles, carry the
+denominator beside them, and reduce once.  Exact inputs (ints and
+Fractions) give ``Fraction`` tuples; any float input keeps float
+arithmetic exactly as written.
+
 A ``DiffOperator`` is a Maclaurin prefix a_m..a_N acting by
 f(D)[P] = sum a_k P^(k), optionally rescaled so monic degree-n inputs map
 to monic degree-(n-m) outputs.
@@ -20,12 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._qpoly import QPoly, is_exact_all
 from .errors import DegreeTooSmall, NotRealRooted, ZeroTopTerm
 from .pencil import pencil_coeffs
 from .poly import (HyperbolicPoly, coeff_derivative, hyperbolic_from_coeffs,
                    taylor_shift)
 from .roots import is_real_rooted, real_roots
-from .scalars import RATIONAL, Scalar, infer_mode
+from .scalars import RATIONAL, Scalar, coerce, infer_mode
 
 
 def _mul_trunc(a: list, b: list, n: int) -> list:
@@ -64,36 +73,37 @@ class LPFunction:
     def maclaurin_prefix(self, n: int) -> tuple:
         """Maclaurin coefficients a_0..a_N; exact for rational parameters.
 
-        The first m entries vanish and a_m = c.
+        The first m entries vanish and a_m = c.  Rational parameters run
+        the series products on integer numerators (``_exp_series``).
         """
         if n < self.m:
             raise DegreeTooSmall(f"prefix length {n} below vanishing order {self.m}")
         exact = self.mode == RATIONAL
-        one = Fraction(1) if exact else 1.0
         k = n - self.m
-        series = [one]
-
+        factors = []
         if self.b != 0:
-            b = Fraction(self.b) if exact else float(self.b)
-            expb = [b ** i / math.factorial(i) for i in range(k + 1)]
-            series = _mul_trunc(series, expb, k)
+            factors.append(_exp_series(_param(self.b, exact), k, exact))
         if self.a != 0:
-            a2 = (Fraction(self.a) if exact else float(self.a)) ** 2
-            gauss = [one * 0] * (k + 1)
-            for i in range(0, k + 1, 2):
-                gauss[i] = (-a2) ** (i // 2) / math.factorial(i // 2)
-            series = _mul_trunc(series, gauss, k)
+            factors.append(_exp_series(-_param(self.a, exact) ** 2, k, exact,
+                                       step=2))
         for alpha in self.alphas:
-            if alpha == 0:
-                continue
-            al = Fraction(alpha) if exact else float(alpha)
-            fac = [one] + [one * 0] + [
-                al ** i * (1 - i) / math.factorial(i) for i in range(2, k + 1)]
-            series = _mul_trunc(series, fac, k)
+            if alpha != 0:
+                factors.append(_exp_series(_param(alpha, exact), k, exact,
+                                           weight=lambda i: 1 - i))
+        series, den = [1 if exact else 1.0], 1
+        for values, factor_den in factors:
+            series = _mul_trunc(series, values, k)
+            den *= factor_den
+        return self._graded(series, den, exact)
 
-        c = Fraction(self.c) if exact else float(self.c)
-        prefix = [one * 0] * self.m + [c * v for v in series]
-        return tuple(prefix[:n + 1])
+    def _graded(self, series: list, den: int, exact: bool) -> tuple:
+        # c x^m series / den as a coefficient tuple in the function's mode
+        if exact:
+            cn, cd = self.c.as_integer_ratio()
+            return QPoly([0] * self.m + [cn * v for v in series],
+                         den * cd).fractions()
+        c = float(self.c)
+        return tuple([0.0] * self.m + [c * v for v in series])
 
     def deform(self, s) -> "LPFunction":
         """The s-deformation: s_0 rescales the Gaussian decay, s_k rescales
@@ -127,28 +137,67 @@ class LPFunction:
         if j < 1 or n_j < 1:
             raise ValueError("approximant needs j >= 1 and n_j >= 1")
         exact = self.mode == RATIONAL
-        one = Fraction(1) if exact else 1.0
-        alphas = [Fraction(a) if exact else float(a) for a in self.alphas[:j]]
-        tau = (Fraction(self.b) if exact else float(self.b)) + sum(alphas)
+        alphas = [_param(a, exact) for a in self.alphas[:j]]
+        tau = _param(self.b, exact) + sum(alphas)
 
-        poly = [one]
+        one = 1 if exact else 1.0
+        poly, den = [one], 1
         if self.a != 0:
-            a2j = (Fraction(self.a) if exact else float(self.a)) ** 2 / j
+            step, step_den = _binomial(-_param(self.a, exact) ** 2 / j, 2,
+                                       exact)
             quad = [one]
             for _ in range(j):
-                quad = _mul_trunc(quad, [one, one * 0, -a2j], len(quad) + 1)
+                quad = _mul_trunc(quad, step, len(quad) + 1)
             poly = _mul_trunc(poly, quad, len(poly) + len(quad))
+            den *= step_den ** j
         if tau != 0:
-            lin = [one, tau / n_j]
+            lin, lin_den = _binomial(tau / n_j, 1, exact)
             for _ in range(n_j):
                 poly = _mul_trunc(poly, lin, len(poly))
+            den *= lin_den ** n_j
         for al in alphas:
             if al != 0:
-                poly = _mul_trunc(poly, [one, -al], len(poly))
+                lin, lin_den = _binomial(-al, 1, exact)
+                poly = _mul_trunc(poly, lin, len(poly))
+                den *= lin_den
         while len(poly) > 1 and poly[-1] == 0:
             poly.pop()
-        c = Fraction(self.c) if exact else float(self.c)
-        return tuple([one * 0] * self.m + [c * v for v in poly])
+        return self._graded(poly, den, exact)
+
+
+def _param(value: Scalar, exact: bool) -> Scalar:
+    return Fraction(value) if exact else float(value)
+
+
+def _exp_series(t: Scalar, k: int, exact: bool, step: int = 1,
+                weight=lambda i: 1) -> tuple[list, int]:
+    """sum_i weight(i) t^i / i! x^(step i) up to degree k, as (values, den).
+
+    Floats come with denominator 1.  A rational t = p/q comes as integer
+    numerators over q^I I!, with I the top index: the i-th numerator is
+    weight(i) p^i q^(I-i) I!/i!.
+    """
+    top = k // step
+    values = [0 if exact else 0.0] * (k + 1)
+    if not exact:
+        values[::step] = [weight(i) * t ** i / math.factorial(i)
+                          for i in range(top + 1)]
+        return values, 1
+    p, q = t.as_integer_ratio()
+    den = num = q ** top * math.factorial(top)
+    for i in range(top + 1):
+        values[step * i] = weight(i) * num
+        num = num * p // (q * (i + 1))     # exact: the next numerator
+    return values, den
+
+
+def _binomial(t: Scalar, power: int, exact: bool) -> tuple[list, int]:
+    """1 + t x^power as (values, den): integers [q, 0.., p] over q for a
+    rational t = p/q, floats [1, 0.., t] over 1."""
+    if exact:
+        p, q = t.as_integer_ratio()
+        return [q] + [0] * (power - 1) + [p], q
+    return [1.0] + [0.0] * (power - 1) + [t], 1
 
 
 @dataclass(frozen=True)
@@ -209,35 +258,63 @@ class DiffOperator:
         if self.norm_degree is None:
             return 1
         am = self.coeffs[0]
-        denom = math.comb(self.norm_degree, self.order) * math.factorial(self.order)
+        denom = self._monic_scale()
         if isinstance(am, float):
             return 1.0 / (denom * am)
         return Fraction(1, denom) / am
+
+    def _monic_scale(self) -> int:
+        # C(n, m) m!: the normalizer is 1 / (C(n, m) m! a_m)
+        return math.comb(self.norm_degree, self.order) * math.factorial(
+            self.order)
 
     def apply_coeffs(self, pc: Sequence) -> tuple:
         """sum_k a_k P^(k) on a low-first coefficient vector.
 
         Degree n input gives degree n - m output; n = m collapses to a
-        constant and n < m to the zero polynomial.
+        constant and n < m to the zero polynomial.  With an exact operator
+        and input (ints, Fractions) the sum runs on integer numerators and
+        returns Fractions; otherwise it runs on the given scalars.
         """
-        d = list(pc)
-        zero = d[0] * 0 if d else 0
-        for _ in range(self.order):
-            d = coeff_derivative(d)
+        if not (is_exact_all(self.coeffs) and is_exact_all(pc)):
+            zero = pc[0] * 0 if len(pc) else 0
+            out = _derivative_sum(self.coeffs, list(pc), self.order, zero)
+            if out is None:
+                return (zero,)
+            k = self.normalizer
+            if k != 1:
+                out = [k * v for v in out]
+            return tuple(out)
+        ops = QPoly.of(self.coeffs)
+        poly = QPoly.of(pc)
+        out = _derivative_sum(ops.nums, poly.nums, self.order, 0)
+        if out is None:
+            return (Fraction(0),)
+        if self.norm_degree is None:
+            return QPoly(out, poly.den * ops.den).fractions()
+        # the normalizer is ops.den / (C(n, m) m! nums[0]); its ops.den
+        # cancels the one of the coefficients
+        return QPoly(out, poly.den * self._monic_scale()
+                     * ops.nums[0]).fractions()
+
+
+def _derivative_sum(coeffs: Sequence, d: list, order: int,
+                    zero: Scalar) -> list | None:
+    # sum_k coeffs[k] D^(order + k) d, low degree first, in the scalars
+    # given; None when D^order d is already the zero polynomial
+    for _ in range(order):
+        d = coeff_derivative(d)
+    if not d:
+        return None
+    out = [zero] * len(d)
+    for a in coeffs:
+        if a != 0:
+            for i, v in enumerate(d):
+                out[i] += a * v
+        d = coeff_derivative(d)
         if not d:
-            return (zero,)
-        out = [zero] * len(d)
-        for a in self.coeffs:
-            if a != 0:
-                for i, v in enumerate(d):
-                    out[i] += a * v
-            d = coeff_derivative(d)
-            if not d:
-                break
-        k = self.normalizer
-        if k != 1:
-            out = [k * v for v in out]
-        return tuple(out)
+            break
+    return out
 
 
 def apply_operator(op: DiffOperator, p: HyperbolicPoly,
@@ -258,9 +335,8 @@ def appell(phi: LPFunction, n: int, normalized: bool = True) -> tuple:
     """Coefficients of phi(D)[x^n] (the n-th Appell polynomial of phi)."""
     if n < phi.m + 1:
         raise DegreeTooSmall(f"appell needs n >= m + 1 = {phi.m + 1}")
-    exact = phi.mode == RATIONAL
-    one = Fraction(1) if exact else 1.0
-    xn = [one * 0] * n + [one]
+    one = 1 if phi.mode == RATIONAL else 1.0
+    xn = (one * 0,) * n + (one,)
     return DiffOperator.from_function(phi, n, normalized).apply_coeffs(xn)
 
 
@@ -278,21 +354,24 @@ def shift_pencil(p: HyperbolicPoly, lam: Scalar,
 
 
 def gaussian_coeffs(p: HyperbolicPoly, a: Scalar) -> tuple:
-    """e^{-a D^2} P = sum (-a)^k P^(2k) / k!, a finite sum."""
-    c = list(p.coefficients())
-    a = c[0] * 0 + a
-    out = list(c)
-    d = c
-    k = 0
-    while True:
-        k += 1
+    """e^{-a D^2} P = sum (-a)^k P^(2k) / k!, a finite sum, in P's mode."""
+    a = coerce(a, p.mode)
+    c = p.coefficients()
+    exact = p.mode == RATIONAL
+    series, den = _exp_series(-a, len(c) - 1, exact, step=2)
+    weights = series[::2]
+    if exact:
+        poly = QPoly.of(c)
+        d = poly.nums
+        out = [weights[0] * v for v in d]
+    else:
+        d = list(c)
+        out = list(c)      # weights[0] is 1
+    for w in weights[1:]:
         d = coeff_derivative(coeff_derivative(d))
-        if not d:
-            break
-        factor = (-a) ** k / math.factorial(k)
         for i, v in enumerate(d):
-            out[i] += factor * v
-    return tuple(out)
+            out[i] += w * v
+    return QPoly(out, poly.den * den).fractions() if exact else tuple(out)
 
 
 def gaussian_op(p: HyperbolicPoly, a: Scalar,
@@ -377,16 +456,30 @@ def _exact_div(num, den):
 
 def multiplier_apply(seq, pc: Sequence, n: Optional[int] = None,
                      normalized: bool = False) -> tuple:
-    """Coefficientwise scaling of a polynomial by a multiplier sequence."""
+    """Coefficientwise scaling of a polynomial by a multiplier sequence.
+
+    Exact gammas and coefficients give Fractions, through the integer
+    kernel; any float runs the scaling on the given scalars.
+    """
     gammas = seq.gammas if isinstance(seq, MultiplierSequence) else tuple(seq)
     ms = MultiplierSequence(gammas)
     if n is None:
         n = len(pc) - 1
-    if normalized:
-        ms = ms.normalized_truncation(n)
-    g = ms._padded(n)
-    return tuple(g[k] * pc[k] if k < len(pc) else g[k] * 0
-                 for k in range(n + 1))
+    if not (is_exact_all(gammas[:n + 1]) and is_exact_all(pc)):
+        if normalized:
+            ms = ms.normalized_truncation(n)
+        g = ms._padded(n)
+        return tuple(g[k] * pc[k] if k < len(pc) else g[k] * 0
+                     for k in range(n + 1))
+    g = QPoly.of(ms._padded(n))
+    poly = QPoly.of(list(pc[:n + 1]) + [0] * (n + 1 - len(pc)))
+    nums = [u * v for u, v in zip(g.nums, poly.nums)]
+    if not normalized:
+        return QPoly(nums, g.den * poly.den).fractions()
+    if g.nums[n] == 0:
+        raise ZeroTopTerm(f"gamma_{n} vanishes; cannot normalize")
+    # gamma_k / gamma_n = g.nums[k] / g.nums[n]: g.den cancels
+    return QPoly(nums, g.nums[n] * poly.den).fractions()
 
 
 def falling_product(m: int) -> "callable":
@@ -411,9 +504,19 @@ def laguerre_ms(m: int, p: int, length: int) -> MultiplierSequence:
 
 
 def laguerre_closed_form(m: int, p: int, pc: Sequence) -> tuple:
-    """x^{m-p} [x^p P]^{(m)} evaluated on coefficients, exactly."""
-    zero = pc[0] * 0 if len(pc) else 0
-    work = [zero] * p + list(pc)
+    """x^{m-p} [x^p P]^{(m)} evaluated on coefficients, exactly.
+
+    Exact coefficients are differentiated as integer numerators and come
+    back as Fractions.
+    """
+    if not is_exact_all(pc):
+        return _closed_form(m, p, list(pc), pc[0] * 0 if len(pc) else 0)
+    poly = QPoly.of(pc)
+    return QPoly(list(_closed_form(m, p, poly.nums, 0)), poly.den).fractions()
+
+
+def _closed_form(m: int, p: int, work: list, zero: Scalar) -> tuple:
+    work = [zero] * p + work
     for _ in range(m):
         work = list(coeff_derivative(work)) or [zero]
     if m >= p:

@@ -31,7 +31,7 @@ from .errors import DegreeMismatch
 from .majorize import MajorizationCertificate, check_majorization
 from .poly import HyperbolicPoly, coeff_derivative
 from .roots import real_roots, real_roots_separated, real_roots_with_criticals
-from .scalars import Scalar
+from .scalars import Scalar, coerce
 
 
 def _separators(pf: HyperbolicPoly, tol: float | None) -> tuple:
@@ -81,7 +81,7 @@ class PencilSample:
 def pencil_coeffs(p: HyperbolicPoly, lam: Scalar) -> tuple:
     """P - lam P' by coefficients, low degree first, in P's scalar mode."""
     c = p.coefficients()
-    lam = c[0] * 0 + lam
+    lam = coerce(lam, p.mode)
     return tuple(c[i] - lam * (i + 1) * c[i + 1] for i in range(len(c) - 1)
                  ) + (c[-1],)
 

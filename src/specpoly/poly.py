@@ -4,15 +4,24 @@ The sorted root tuple is the primary representation; the monic coefficient
 vector is derived on demand and cached.  Everything a theorem in this
 domain says is said about root tuples, so coefficient form exists only to
 feed differential operators and the root finder.
+
+In rational mode the coefficients are expanded on integers: the roots
+are put over their least common denominator L, the loop multiplies out
+prod (y - L r_j) with y = L x, and the result is rescaled and reduced
+once, in the canonical numerator/denominator form of ``_qpoly.QPoly``.
+They are handed out as ``Fraction`` values; float mode runs the same
+loop on doubles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import roots as _rootfind
+from ._qpoly import QPoly
 from .errors import DegreeTooSmall, EmptyTuple, NonPositiveEps
 from .scalars import (FLOAT, RATIONAL, Scalar, check_finite, coerce,
                       coerce_all, infer_mode)
@@ -85,18 +94,33 @@ def from_roots(root_values: Sequence[Scalar], mode: str | None = None,
 
 
 def expand_from_roots(root_values: Sequence[Scalar], mode: str) -> tuple:
-    """Coefficients of prod (x - r), low degree first, leading term exactly 1."""
-    zero = Fraction(0) if mode == RATIONAL else 0.0
-    one = Fraction(1) if mode == RATIONAL else 1.0
+    """Coefficients of prod (x - r), low degree first, leading term exactly 1.
+
+    Rational mode puts the roots over their least common denominator L
+    and expands prod (y - L r) on integers, y = L x; the coefficient of
+    x^k is then e_k L^k / L^n, reduced once by the integer kernel.
+    """
+    if mode == RATIONAL:
+        ratios = [r.as_integer_ratio() for r in root_values]
+        scale = math.lcm(*(b for _, b in ratios))
+        coeffs = _expand(1, [a * (scale // b) for a, b in ratios])
+        return QPoly([v * scale ** k for k, v in enumerate(coeffs)],
+                     scale ** len(ratios)).fractions()
+    coeffs = _expand(1.0, root_values)
+    coeffs[-1] = 1.0
+    return tuple(coeffs)
+
+
+def _expand(one, root_values) -> list:
+    # prod (x - r), low degree first, in the scalars of one and the roots
     coeffs = [one]
     for r in root_values:
-        nxt = [zero] * (len(coeffs) + 1)
+        nxt = [one * 0] * (len(coeffs) + 1)
         for i, a in enumerate(coeffs):
             nxt[i] -= r * a
             nxt[i + 1] += a
         coeffs = nxt
-    coeffs[-1] = one
-    return tuple(coeffs)
+    return coeffs
 
 
 def to_coefficients(p: HyperbolicPoly) -> tuple:

@@ -45,8 +45,10 @@ exact coefficients to float root tuples.
 
 ``is_real_rooted`` is the exact counterpart for callers that must decide
 real-rootedness rather than assume it.  It counts sign variations of a
-Sturm sequence built on ``Fraction`` coefficients, so its verdict carries
-no rounding, multiple roots included.
+Sturm sequence built on integers: each entry is a primitive integer
+polynomial and a positive multiple of the classical one (remainders
+scaled by powers of the divisor's |leading coefficient|), so every sign
+is kept and the verdict carries no rounding, multiple roots included.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from ._qpoly import QPoly
 from .errors import DegreeZero, NotRealRooted
 
 _EPS = 2.0 ** -52
@@ -401,19 +404,46 @@ def real_roots_separated(coeffs: Sequence, separators: Sequence[float],
 
 # --- exact real-rootedness ------------------------------------------------------
 
-def _remainder(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    # remainder of num / den, low-degree-first, exact
+def _primitive(poly: list[int]) -> list[int]:
+    # poly over the gcd of its coefficients, a positive factor
+    g = math.gcd(*poly)
+    return [v // g for v in poly] if g > 1 else poly
+
+
+def _remainder(num: list[int], den: list[int]) -> list[int]:
+    # a positive multiple of the remainder of num / den, on integers,
+    # low-degree-first: each step scales by |lead(den)| > 0 before it
+    # cancels the top term, so every sign is the remainder's
     r = list(num)
     top = len(den) - 1
+    lead = den[-1]
+    scale = abs(lead)
     while len(r) > top:
-        q = r[-1] / den[-1]
+        q = r[-1] if lead > 0 else -r[-1]
         shift = len(r) - 1 - top
+        r = [scale * v for v in r]
         for i, d in enumerate(den):
             r[shift + i] -= q * d
         r.pop()
         while r and r[-1] == 0:
             r.pop()
     return r
+
+
+def _sturm_chain(nums: list[int]) -> list[list[int]]:
+    # P, P', then -rem of the two before, each a primitive integer
+    # polynomial and a positive multiple of the Sturm sequence entry
+    while nums and nums[-1] == 0:
+        nums = nums[:-1]
+    if not nums:
+        raise DegreeZero("the zero polynomial has no Sturm sequence")
+    seq = [nums]
+    dp = _primitive([k * v for k, v in enumerate(nums)][1:])
+    while dp:
+        seq.append(dp)
+        r = _remainder(seq[-2], seq[-1])
+        dp = _primitive([-v for v in r]) if r else []
+    return seq
 
 
 def sturm_sequence(coeffs: Sequence) -> list[list[Fraction]]:
@@ -423,21 +453,18 @@ def sturm_sequence(coeffs: Sequence) -> list[list[Fraction]]:
     (a float is read as the rational it stores).  Each remainder is
     divided by the absolute value of its leading coefficient, which keeps
     the numbers small and every sign.  The last entry is gcd(P, P') up to
-    a constant factor.
+    a constant factor.  The sequence is computed on integers (pseudo-
+    remainders scaled by positive factors, see ``_remainder``) and turned
+    into Fractions here.
     """
-    p = [Fraction(v) for v in coeffs]
-    while p and p[-1] == 0:
-        p.pop()
-    if not p:
-        raise DegreeZero("the zero polynomial has no Sturm sequence")
-    seq = [p]
-    dp = [k * v for k, v in enumerate(p)][1:]
-    while dp:
-        seq.append(dp)
-        r = _remainder(seq[-2], seq[-1])
-        lead = abs(r[-1]) if r else 0
-        dp = [-v / lead for v in r]
-    return seq
+    p = QPoly.of(coeffs)
+    chain = _sturm_chain(p.nums)
+    head = [Fraction(v, p.den) for v in chain[0]]
+    seq = [head, [k * v for k, v in enumerate(head)][1:]]
+    for s in chain[2:]:
+        lead = abs(s[-1])
+        seq.append([Fraction(v, lead) for v in s])
+    return seq[:len(chain)]
 
 
 def _variations(signs: list[bool]) -> int:
@@ -452,7 +479,7 @@ def is_real_rooted(coeffs: Sequence) -> bool:
     so P is real-rooted exactly when the two counts agree, with any
     multiplicities.  A nonzero constant has no roots and is real-rooted.
     """
-    seq = sturm_sequence(coeffs)
+    seq = _sturm_chain(QPoly.of(coeffs).nums)
     at_plus = [s[-1] > 0 for s in seq]
     at_minus = [(s[-1] > 0) == (len(s) % 2 == 1) for s in seq]
     distinct = len(seq[0]) - len(seq[-1])

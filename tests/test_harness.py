@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specpoly import multiplier_apply, random_hyperbolic
-from specpoly.errors import InfeasibleGap, UnknownSuite
+from specpoly.errors import ConfigError, InfeasibleGap, UnknownSuite
 from specpoly.harness import (SUITES, ExperimentConfig, confirm_violation,
                               hunt_counterexamples, recheck_failure,
                               run_suite, trial_rng)
@@ -94,6 +94,17 @@ def test_failure_records_are_self_contained():
               "details": details}
     assert recheck_failure(record)
     assert json.loads(json.dumps(record))  # fully serializable
+
+
+def test_deform_record_with_s_not_below_t_raises():
+    # the deform check's precondition s <= t is checked explicitly, so a
+    # hand-written record that breaks it is refused under python -O too
+    record = {"suite": "deform", "trial": 0, "details": {}, "inputs": {
+        "p": {"mode": "rational", "roots": ["-1", "1", "3"]},
+        "phi": {"c": 1, "m": 0, "a": "1/2", "b": 0, "alphas": ["1/2"]},
+        "s": ["1", "1/2"], "t": ["1/2", "1/2"], "rel_tol": 1e-7}}
+    with pytest.raises(ConfigError):
+        recheck_failure(record)
 
 
 def test_confirm_violation_thresholds():

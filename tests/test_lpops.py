@@ -12,6 +12,7 @@ from specpoly import (DiffOperator, LPFunction, appell, apply_operator,
                       matching_distance, multiplier_apply, shift_pencil)
 from specpoly.errors import DegreeTooSmall, NotRealRooted, ZeroTopTerm
 from specpoly.harness import random_hyperbolic, trial_rng
+from specpoly.pencil import pencil_coeffs
 from specpoly.lpops import (MultiplierSequence, gaussian_coeffs,
                             shift_pencil_coeffs)
 from specpoly.roots import is_real_rooted, real_roots
@@ -154,6 +155,18 @@ def test_gaussian_fixtures():
     assert gaussian_coeffs(p, 0) == p.coefficients()
     img = gaussian_op(from_roots([0.0, 0.0]), 0.5)
     assert matching_distance(img.roots, (-1, 1)) < 1e-9
+
+
+@pytest.mark.parametrize("coeffs", [gaussian_coeffs, shift_pencil_coeffs,
+                                    pencil_coeffs])
+def test_coefficient_maps_keep_the_polynomial_mode(coeffs):
+    # the parameter is coerced into P's mode: no tuple mixes Fraction and
+    # float, whichever type the parameter comes in
+    exact = coeffs(from_roots([1, 2, 3]), 0.5)
+    assert all(type(v) is Fraction for v in exact)
+    assert exact == coeffs(from_roots([1, 2, 3]), Fraction(1, 2))
+    floats = coeffs(from_roots([1.0, 2.0, 3.0]), Fraction(1, 2))
+    assert all(type(v) is float for v in floats)
 
 
 def test_gaussian_negative_coefficient_may_fail_rootedness():
