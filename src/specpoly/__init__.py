@@ -21,7 +21,7 @@ from .majorize import (ConvexProbeReport, DoublyStochasticWitness,
                        matching_distance, power, schur_eval, signed_power,
                        xlogx)
 from .pencil import (PencilSample, pencil_at, pencil_majorization_check,
-                     scan_monotonicity)
+                     pencil_path, scan_monotonicity)
 from .poly import (HyperbolicPoly, StrictnessReport, derivative, from_roots,
                    hyperbolic_from_coeffs, is_strict, strict_perturb,
                    strictness, taylor_shift, to_coefficients)

@@ -18,7 +18,7 @@ from .harness import (HUNTS, SUITES, ExperimentConfig, hunt_counterexamples,
 from .lpops import (DiffOperator, appell, gaussian_op, laguerre_ms,
                     multiplier_apply, apply_operator, shift_pencil)
 from .majorize import build_witness, check_majorization
-from .pencil import pencil_at
+from .pencil import pencil_path
 from .poly import hyperbolic_from_coeffs
 from .scalars import parse_scalar
 
@@ -299,9 +299,9 @@ def _pencil_command(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(["lambda"] + [f"x{i}" for i in range(1, n + 1)]
                         + [f"f{m}" for m in range(1, n + 1)])
-        for lam in lams:
-            sample = pencil_at(poly, lam)
-            writer.writerow([repr(lam)] + [repr(v) for v in sample.roots]
+        for sample in pencil_path(poly, lams):
+            writer.writerow([repr(sample.lam)]
+                            + [repr(v) for v in sample.roots]
                             + [repr(v) for v in sample.partial_sums])
 
     if args.out:

@@ -41,9 +41,9 @@ from .lpops import (DiffOperator, LPFunction, MultiplierSequence, appell,
                     laguerre_ms, multiplier_apply, shift_pencil_coeffs)
 from .majorize import (check_majorization, hinge, power, probe_valid,
                        scaled_tol, schur_eval, signed_power, xlogx)
-from .pencil import default_grid, pencil_at, scan_monotonicity
+from .pencil import default_grid, pencil_path, scan_monotonicity
 from .poly import HyperbolicPoly, derivative, from_roots, taylor_shift
-from .roots import real_roots
+from .roots import real_roots, real_roots_bracketed
 from .scalars import FLOAT, RATIONAL, Scalar, parse_scalar
 
 ROOT_TOL = 1e-11          # absolute root extraction tolerance inside suites
@@ -236,11 +236,11 @@ def _check_main1(inputs):
     p = serialize.poly_from_json(inputs["p"]).to_float()
     q = serialize.poly_from_json(inputs["q"]).to_float()
     rel = inputs["rel_tol"]
+    lams = inputs["lambdas"]
     worst = float("inf")
-    for lam in inputs["lambdas"]:
-        xq = pencil_at(q, lam, ROOT_TOL).roots
-        xp = pencil_at(p, lam, ROOT_TOL).roots
-        ok, margin, details = _check_order(xq, xp, rel)
+    for lam, sq, sp in zip(lams, pencil_path(q, lams, ROOT_TOL),
+                           pencil_path(p, lams, ROOT_TOL)):
+        ok, margin, details = _check_order(sq.roots, sp.roots, rel)
         worst = min(worst, margin)
         if not ok:
             details["lambda"] = lam
@@ -259,11 +259,30 @@ def _gen_main2(cfg, rng):
             "gauss1": a1, "gauss2": a2, "rel_tol": cfg.rel_tol}
 
 
+def _shift_pencil_roots(p: HyperbolicPoly, lam: float) -> tuple:
+    # P(x + lam) - lam P'(x + lam) is the pencil of P at lam moved left by
+    # lam.  Each pencil root x_i(lam) moves up from the root r_i of P as
+    # lam grows, staying below r_{i+1}, and down as lam falls, staying
+    # above r_{i-1}; the roots sum to sum(r) + n lam, so none moves by more
+    # than n |lam|.  So the roots of P moved by -lam, with an outer end
+    # 2 n |lam| past them on the side the roots move to, put one root in
+    # each bracket; real_roots_bracketed checks that before it refines.
+    coeffs = shift_pencil_coeffs(p, lam)
+    shifted = [float(r) - lam for r in p.roots]
+    reach = 2.0 * len(shifted) * lam
+    if lam > 0.0:
+        points = shifted + [shifted[-1] + reach]
+    else:
+        points = [shifted[0] + reach] + shifted
+    roots = real_roots_bracketed(coeffs, points, None, ROOT_TOL)
+    return _image_roots(coeffs) if roots is None else roots
+
+
 def _check_main2(inputs):
     p = serialize.poly_from_json(inputs["p"])
     rel = inputs["rel_tol"]
-    small = _image_roots(shift_pencil_coeffs(p, inputs["lam1"]))
-    large = _image_roots(shift_pencil_coeffs(p, inputs["lam2"]))
+    small = _shift_pencil_roots(p, inputs["lam1"])
+    large = _shift_pencil_roots(p, inputs["lam2"])
     ok1, m1, d1 = _check_order(small, large, rel)
     if not ok1:
         d1["part"] = "shift-pencil"

@@ -94,6 +94,7 @@ class LPFunction:
         for values, factor_den in factors:
             series = _mul_trunc(series, values, k)
             den *= factor_den
+        series += [series[0] * 0] * (k + 1 - len(series))    # no factors
         return self._graded(series, den, exact)
 
     def _graded(self, series: list, den: int, exact: bool) -> tuple:

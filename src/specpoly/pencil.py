@@ -20,31 +20,91 @@ values at their ends alternate in sign.  A multiple root of P is a root
 of every pencil and sits on a bracket end, where that check can fail; the
 sample then falls back to the full interlacing recursion of
 ``real_roots``.
+
+``pencil_at`` samples one lam on its own.  ``pencil_path`` samples many
+by continuation, since each x_i(lam) increases with lam (the paper's
+global monotony).  The value of the pencil at a root w of P' is
+P(w) - lam P'(w), affine in lam, so P(w), P'(w) and the magnitude sums of
+Horner's roundoff bound are cached beside the brackets, and the sign at
+each separator is decided for any lam without a Horner pass, by an
+enclosure that also covers the rounding of ``pencil_coeffs``.  The two
+outer brackets end at the last sample's outer root on the side it left
+and at a bound on how far a root can move on the other side; those two
+ends are evaluated and checked.  Newton starts from an extrapolation of
+the last samples.  The contract is the one of ``pencil_at``: each root is
+within tol/2 of a root of the rounded coefficients ``pencil_coeffs``
+gives at that lam.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DegreeMismatch
 from .majorize import MajorizationCertificate, check_majorization
 from .poly import HyperbolicPoly, coeff_derivative
-from .roots import real_roots, real_roots_separated, real_roots_with_criticals
+from .roots import (_eval_with_mag, _roundoff, real_roots,
+                    real_roots_bracketed, real_roots_separated,
+                    real_roots_with_criticals)
 from .scalars import Scalar, coerce
 
 
-def _separators(pf: HyperbolicPoly, tol: float | None) -> tuple:
-    """The roots of P' and of P'' for a float-mode P, cached on it per tol.
+class _Brackets(NamedTuple):
+    """What a float P's pencils share at one root tolerance."""
 
-    They are found to the tolerance the pencil's roots are asked for.  With
-    an explicit tol, the brackets at lam = 0 are then the ones
+    first: tuple     # the roots of P', which separate every pencil's roots
+    second: tuple    # the roots of P'', which separate its critical points
+    # per root w of P': P(w), P'(w), sum |c_k||w|^k, sum (k+1)|c_{k+1}||w|^k
+    at_first: tuple
+
+    def enclosures(self, lam: float) -> list:
+        """(value, bound) of the pencil at each separator.
+
+        ``pencil_coeffs`` rounds each c_k - lam (k+1) c_{k+1} at most
+        three times, which moves the value at w by at most
+        eps (M0 + 2 |lam| M1), with M0 and M1 the magnitude sums cached
+        above.  The cached Horner values are within 8 n eps M0 and
+        8 n eps M1 of P(w) and P'(w) (the derivative's coefficients round
+        once more), and forming P(w) - lam P'(w) rounds twice.  All of it
+        is below the roundoff bound of degree n + 1 at M0 + |lam| M1, so
+        the value returned is within its bound of the value at w of the
+        rounded coefficients, and the bound also covers Horner's roundoff
+        on those coefficients there.
+        """
+        degree = len(self.first) + 1
+        scale = abs(lam)
+        return [(value - lam * slope, _roundoff(mag0 + scale * mag1,
+                                                degree + 1))
+                for value, slope, mag0, mag1 in self.at_first]
+
+    def known(self, lam: float) -> list:
+        # the enclosures that decide a sign; None where the separator must
+        # be evaluated on the rounded coefficients instead
+        return [pair if abs(pair[0]) > pair[1] else None
+                for pair in self.enclosures(lam)]
+
+
+def _separators(pf: HyperbolicPoly, tol: float | None) -> _Brackets:
+    """The brackets of a float-mode P's pencils, cached on it per tol.
+
+    The separators are found to the tolerance the pencil's roots are asked
+    for.  With an explicit tol, the brackets at lam = 0 are then the ones
     ``real_roots`` uses for P itself, and the roots agree bit for bit.
     """
     cache = pf.__dict__.setdefault("_separators", {})
     if tol not in cache:
-        cache[tol] = ((), ()) if pf.degree == 1 else real_roots_with_criticals(
-            coeff_derivative(pf.coefficients()), tol)
+        coeffs = pf.coefficients()
+        derivative = coeff_derivative(coeffs)
+        first, second = ((), ()) if pf.degree == 1 else (
+            real_roots_with_criticals(derivative, tol))
+        at_first = []
+        for w in first:
+            value, mag0 = _eval_with_mag(coeffs[::-1], w)
+            slope, mag1 = _eval_with_mag(derivative[::-1], w)
+            at_first.append((value, slope, mag0, mag1))
+        cache[tol] = _Brackets(first, second, tuple(at_first))
     return cache[tol]
 
 
@@ -86,20 +146,107 @@ def pencil_coeffs(p: HyperbolicPoly, lam: Scalar) -> tuple:
                  ) + (c[-1],)
 
 
-def pencil_at(p: HyperbolicPoly, lam: float,
-              tol: float | None = None) -> PencilSample:
-    """Sample the pencil at one lam (float computation throughout)."""
-    lam = float(lam)
-    pf = p.to_float()
-    first, second = _separators(pf, tol)
-    coeffs = pencil_coeffs(pf, lam)
-    roots = _bracketed_roots(coeffs, first, tol)
+def _sample(lam: float, roots: tuple, coeffs: tuple, brackets: _Brackets,
+            tol: float | None) -> PencilSample:
     sums = []
     acc = 0.0
     for r in roots:
         acc += r - lam
         sums.append(acc)
-    return PencilSample(lam, roots, tuple(sums), coeffs, second, tol)
+    return PencilSample(lam, roots, tuple(sums), coeffs, brackets.second, tol)
+
+
+def _extrapolated(lam: float, recent: list) -> list:
+    # Each root at lam on a curve through its last samples (at most three):
+    # the sample itself, the line through two, or through three Thiele's
+    # rational interpolant x0 + (lam - l0) / (r1 + (lam - l1) q / (l2 - l1)),
+    # a Moebius map of lam.  Its finite limit follows a root that levels
+    # off toward a root of P' as |lam| grows, where a parabola overshoots.
+    # A start that lands outside its bracket is not used.
+    if len(recent) == 1:
+        return recent[0].roots
+    if len(recent) == 2:
+        (l0, xs0), (l1, xs1) = ((s.lam, s.roots) for s in recent)
+        ratio = (lam - l1) / (l1 - l0)
+        return [x1 + (x1 - x0) * ratio for x0, x1 in zip(xs0, xs1)]
+    a, b, c = recent
+    out = []
+    for x0, x1, x2 in zip(a.roots, b.roots, c.roots):
+        if x1 == x0 or x2 == x0:
+            out.append(x2)
+            continue
+        r1 = (b.lam - a.lam) / (x1 - x0)
+        q = (c.lam - a.lam) / (x2 - x0) - r1
+        den = r1 + (lam - b.lam) * q / (c.lam - b.lam)
+        out.append(x0 + (lam - a.lam) / den if den else x2)
+    return out
+
+
+def _continued(coeffs: tuple, lam: float, brackets: _Brackets, recent: list,
+               tol: float | None) -> tuple | None:
+    # The roots of the last sample, moved on to lam.  Every root moves
+    # toward the sign of lam - last.lam, and the roots of P' keep
+    # separating them; the outer brackets end at the old outer root on the
+    # side it left and, on the side it moves to, 2 n |lam - last.lam|
+    # beyond it (the roots sum to a constant plus n lam and none moves
+    # back, so no root moves by more than n |lam - last.lam|).  Those two
+    # ends are checked like every other; None when they fail.  Newton
+    # starts from the extrapolation of the recent samples of each root.
+    last = recent[-1]
+    x = last.roots
+    step = lam - last.lam
+    n = len(x)
+    if step > 0.0:
+        low, high = x[0], x[-1] + 2.0 * n * step
+    else:
+        low, high = x[0] + 2.0 * n * step, x[-1]
+    return real_roots_bracketed(
+        coeffs, (low,) + brackets.first + (high,),
+        [None] + brackets.known(lam) + [None], tol,
+        _extrapolated(lam, recent))
+
+
+def pencil_at(p: HyperbolicPoly, lam: float,
+              tol: float | None = None) -> PencilSample:
+    """Sample the pencil at one lam (float computation throughout)."""
+    lam = float(lam)
+    pf = p.to_float()
+    brackets = _separators(pf, tol)
+    coeffs = pencil_coeffs(pf, lam)
+    return _sample(lam, _bracketed_roots(coeffs, brackets.first, tol), coeffs,
+                   brackets, tol)
+
+
+def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
+    """``pencil_at`` at each lam in turn, following the root trajectories.
+
+    The lams may come in any order and repeat.  Each sample after the
+    first continues the one before it (see ``_continued``); the first, and
+    any whose brackets fail the sign check, come from ``pencil_at``.  A lam
+    equal to the one before it repeats that sample.  Every root carries
+    the contract of ``pencil_at``: within tol/2 of a root of the rounded
+    coefficients ``pencil_coeffs`` gives at that lam.
+    """
+    pf = p.to_float()
+    brackets = _separators(pf, tol)
+    samples = []
+    recent = []
+    for lam in lams:
+        lam = float(lam)
+        if recent and lam == recent[-1].lam:
+            samples.append(recent[-1])
+            continue
+        sample = None
+        if recent:
+            coeffs = pencil_coeffs(pf, lam)
+            roots = _continued(coeffs, lam, brackets, recent, tol)
+            if roots is not None:
+                sample = _sample(lam, roots, coeffs, brackets, tol)
+        if sample is None:
+            sample = pencil_at(pf, lam, tol)
+        recent = recent[-2:] + [sample]
+        samples.append(sample)
+    return tuple(samples)
 
 
 def default_grid(p: HyperbolicPoly, points: int = 201) -> tuple:
@@ -133,7 +280,8 @@ def scan_monotonicity(p: HyperbolicPoly, grid, tol: float | None = None,
                       ) -> MonotonicityReport:
     """Check the up-down monotonicity of every f_m over a sorted grid.
 
-    The grid must be sorted and contain 0 (the turning point).  Reports,
+    The grid, sampled by ``pencil_path``, must be sorted and contain 0
+    (the turning point).  Reports,
     for each m in 1..n-1, the largest increase of f_m across adjacent grid
     points on the wrong side of 0, and the drift of f_n from its value at
     lam = 0.
@@ -144,7 +292,7 @@ def scan_monotonicity(p: HyperbolicPoly, grid, tol: float | None = None,
     if not any(g == 0.0 for g in grid):
         raise ValueError("grid must contain 0")
     n = p.degree
-    samples = [pencil_at(p, g, tol) for g in grid]
+    samples = pencil_path(p, grid, tol)
     base = next(s for s in samples if s.lam == 0.0)
 
     worst = [0.0] * (n - 1)

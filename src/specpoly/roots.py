@@ -14,14 +14,18 @@ algebra.
 Every sign the refinement acts on is the true sign of P at that point,
 for the double coefficients as given (not rescaled).  Plain Horner
 decides it where its value clears the roundoff bound
-8 n eps sum |a_k||x|^k.  Inside that bound the compensated Horner scheme
-of Graillat, Langlois and Louvet (2005/2009) decides it, barring
-underflow; it is built on a Veltkamp split rather than ``math.fma``, so
-it runs on Python 3.10.  Exact rational arithmetic decides what is left.
-The root of P in a refined bracket therefore never leaves it, and the
-root returned, the midpoint once the bracket is at most ``tol`` wide, is
-within tol/2 of it.  Below float spacing the bracket stops at two
-neighbouring doubles, one spacing from the root.
+8 n eps sum |a_k||x|^k.  That bound is convex and increasing in |x|, so
+the refiner bounds it at each point by the chord from its value at 0 to
+its value at the bracket end farther from 0, and takes the exact bound at
+the point only when the value falls inside that chord.  Inside the bound
+the compensated Horner scheme of Graillat, Langlois and Louvet
+(2005/2009) decides it, barring underflow; it is built on a Veltkamp
+split rather than ``math.fma``, so it runs on Python 3.10.  Exact
+rational arithmetic decides what is left.  The root of P in a refined
+bracket therefore never leaves it, and the root returned, the midpoint
+once the bracket is at most ``tol`` wide, is within tol/2 of it.  Below
+float spacing the bracket stops at two neighbouring doubles, one spacing
+from the root.
 
 A bracket endpoint whose value is below the roundoff bound is accepted as
 a root of multiplicity >= 2 (a cluster), unless its true sign is opposite
@@ -38,7 +42,11 @@ skips the recursion with ``real_roots_separated``, which refines only
 those n brackets.  It trusts them only when the values at the bracket
 ends alternate strictly in sign, clear of roundoff, so that each bracket
 provably holds one root; otherwise it returns None and the caller falls
-back to ``real_roots``.
+back to ``real_roots``.  ``real_roots_bracketed`` is the same for n
+brackets whose ends the caller chooses, with the values at some of them
+already known within a stated bound, and a Newton start in each: the
+pencil continuation of ``pencil.pencil_path`` uses it with its cached
+separator values.
 
 Root extraction is in double precision: it is the one-way door from
 exact coefficients to float root tuples.
@@ -150,15 +158,30 @@ def _compensated(rev: Sequence[float], x: float) -> float:
     return acc + err
 
 
-def _certified(rev: Sequence[float], x: float) -> float:
+def _magnitude(rev: Sequence[float], x: float) -> float:
+    # sum |a_k||x|^k, the same recurrence as in _eval_with_mag
+    mag = 0.0
+    ax = abs(x)
+    for c in rev:
+        mag = mag * ax + abs(c)
+    return mag
+
+
+def _certified(rev: Sequence[float], x: float,
+               value: float | None = None) -> float:
     """P(x), or a value with the true sign of P(x) and about its size.
 
     Plain Horner decides where its value clears the roundoff bound at x,
     compensated Horner where its value clears its own, much smaller bound,
     and exact rational arithmetic otherwise.  Returns 0.0 only at an exact
-    root.
+    root.  A caller that has plain Horner's value at x already (the
+    refiner's Newton pass computes the same recurrence) passes it as
+    ``value``, and only the magnitude sum is computed.
     """
-    value, mag = _eval_with_mag(rev, x)
+    if value is None:
+        value, mag = _eval_with_mag(rev, x)
+    else:
+        mag = _magnitude(rev, x)
     n = len(rev) - 1
     bound = _roundoff(mag, n)
     if abs(value) > bound:
@@ -177,16 +200,22 @@ def _certified(rev: Sequence[float], x: float) -> float:
 
 
 def _refine(rev: Sequence[float], lo: float, hi: float, f_lo: float,
-            f_hi: float, tol: float, bound: float) -> float:
+            f_hi: float, tol: float, bound: float,
+            start: float | None = None) -> float:
     """The root of P in [lo, hi], where P has the signs of f_lo and f_hi.
 
-    Safeguarded Newton (rtsafe), from the secant point of the two ends:
-    each step evaluates P and P' at one point in the same Horner pass,
-    moves the bracket end of the same sign there, and goes on from it by
-    Newton, or by bisection when the Newton point leaves the bracket or
-    the step is over half the step before last.  A value within ``bound``
-    (Horner's roundoff anywhere in the bracket) has its sign decided by
-    ``_certified``, so the root of the given coefficients never leaves the
+    Safeguarded Newton (rtsafe), from ``start`` when it lies inside the
+    bracket and from the secant point of the two ends otherwise: each step
+    evaluates P and P' at one point in the same Horner pass, moves the
+    bracket end of the same sign there, and goes on from it by Newton, or
+    by bisection when the Newton point leaves the bracket or the step is
+    over half the step before last.  ``bound`` is Horner's roundoff bound
+    at the bracket end farther from 0.  The bound at a point x is
+    8 n eps sum |a_k||x|^k, convex and increasing in |x|, so the chord
+    from its value at 0 to ``bound`` covers it at every point of the
+    bracket; a value inside that chord has its sign decided by
+    ``_certified``, which returns the value itself when it clears the
+    bound at x.  So the root of the given coefficients never leaves the
     bracket, and the midpoint returned once the width is at most tol is
     within tol/2 of it.  Newton closes in on a root from one side, which
     leaves the far end where it was; so a long step stops 0.4 tol short
@@ -197,9 +226,13 @@ def _refine(rev: Sequence[float], lo: float, hi: float, f_lo: float,
     evaluations.
     """
     lo_negative = f_lo < 0.0
-    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
+    reach = hi if hi > -lo else -lo     # |x| at the end farther from 0
+    if start is not None and lo < start < hi:
+        x = start
+    else:
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
     older = last = hi - lo
     offset = 0.4 * tol
     for _ in range(240):
@@ -208,9 +241,12 @@ def _refine(rev: Sequence[float], lo: float, hi: float, f_lo: float,
             return mid
         f, slope = _eval_with_slope(rev, x)
         if -bound <= f <= bound:
-            f = _certified(rev, x)
-            if f == 0.0:
-                return x
+            floor = _roundoff(abs(rev[-1]), len(rev) - 1)   # the bound at 0
+            at = floor + (bound - floor) * (x if x > 0.0 else -x) / reach
+            if -at <= f <= at:
+                f = _certified(rev, x, f)
+                if f == 0.0:
+                    return x
         if (f < 0.0) == lo_negative:
             lo = x
         else:
@@ -268,12 +304,25 @@ def _alternate(vals: list[float]) -> bool:
                                    for a, b in zip(vals, vals[1:]))
 
 
-def _refine_bracket(rev, pts, vals, bounds, i, tol) -> float:
+def _refine_bracket(rev, pts, vals, bounds, i, tol, start=None) -> float:
     # the root in bracket i, whose end values have opposite true signs;
-    # sum |a_k||x|^k grows with |x|, so the larger end bound covers the
-    # whole bracket
+    # sum |a_k||x|^k grows with |x|, so the larger end bound is the one at
+    # the end farther from 0
     return _refine(rev, pts[i], pts[i + 1], vals[i], vals[i + 1], tol,
-                   max(bounds[i], bounds[i + 1]))
+                   max(bounds[i], bounds[i + 1]), start)
+
+
+def _refine_alternating(rev, n, pts, vals, bounds, tol, starts=None):
+    # the n roots when every end value clears its bound and the signs
+    # alternate, which proves one root in each bracket; else None
+    negative = vals[0] < 0.0
+    for v, b in zip(vals, bounds):
+        if not (v < -b if negative else v > b):
+            return None
+        negative = not negative
+    return tuple(_refine_bracket(rev, pts, vals, bounds, i, tol,
+                                 starts[i] if starts else None)
+                 for i in range(n))
 
 
 def _roots_between(rev: list[float], n: int, crit: list[float],
@@ -396,10 +445,45 @@ def real_roots_separated(coeffs: Sequence, separators: Sequence[float],
     if len(separators) != n - 1:
         raise ValueError(f"need {n - 1} separators, got {len(separators)}")
     pts, vals, bounds = _bracket_points(rev, n, separators)
-    if any(abs(v) <= b for v, b in zip(vals, bounds)) or not _alternate(vals):
+    return _refine_alternating(rev, n, pts, vals, bounds, tol)
+
+
+def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
+                         known: Sequence | None = None,
+                         tol: float | None = None,
+                         starts: Sequence | None = None,
+                         ) -> tuple[float, ...] | None:
+    """The n roots of a degree-n polynomial, one in each bracket given.
+
+    ``points`` are n+1 increasing bracket ends.  ``known[i]``, where not
+    None, is a pair (value, bound): a value of the polynomial at
+    ``points[i]``, for the coefficients as given, and a bound on its
+    error, which also bounds Horner's roundoff there.  Every other end is
+    evaluated here by Horner, with its roundoff bound.  As in
+    ``real_roots_separated``, the brackets are trusted only when every
+    value clears its bound and the signs alternate, which proves exactly
+    one root in each; otherwise this returns None.  ``starts[i]``, where
+    not None and inside bracket i, is the point the refinement of that
+    bracket starts from, instead of the secant point of its ends.  Each
+    root is within tol/2 (or one float spacing) of the one root in its
+    bracket.
+    """
+    rev, n, tol = _float_rev(coeffs, tol)
+    if n == 1:
+        return (-rev[1] / rev[0],)
+    if len(points) != n + 1 or known is not None and len(known) != n + 1:
+        raise ValueError(f"need {n + 1} bracket ends and known entries")
+    if any(a >= b for a, b in zip(points, points[1:])):
         return None
-    return tuple(_refine_bracket(rev, pts, vals, bounds, i, tol)
-                 for i in range(n))
+    vals = []
+    bounds = []
+    for x, pair in zip(points, known or (None,) * (n + 1)):
+        if pair is None:
+            value, mag = _eval_with_mag(rev, x)
+            pair = value, _roundoff(mag, n)
+        vals.append(pair[0])
+        bounds.append(pair[1])
+    return _refine_alternating(rev, n, points, vals, bounds, tol, starts)
 
 
 # --- exact real-rootedness ------------------------------------------------------

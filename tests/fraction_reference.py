@@ -45,7 +45,7 @@ def maclaurin_prefix(c, m, a, b, alphas, n: int, exact: bool) -> tuple:
     scalar = Fraction if exact else float
     one = scalar(1)
     k = n - m
-    series = [one]
+    series = [one] + [one * 0] * k
     if b != 0:
         b = scalar(b)
         series = mul_trunc(series, [b ** i / math.factorial(i)

@@ -1,10 +1,14 @@
 """CLI surface: verbs, exit codes, config precedence."""
 
+import csv
 import json
 
 import pytest
 
+from specpoly import from_roots, pencil_at
 from specpoly.cli import main
+from specpoly.pencil import pencil_coeffs
+from specpoly.roots import default_tol
 
 
 def _write(tmp_path, name, obj):
@@ -119,6 +123,24 @@ def test_pencil_scan_csv(files, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "lambda,x1,x2,f1,f2"
     assert len(lines) == 6
+
+
+def test_pencil_scan_follows_pencil_at(capsys, tmp_path):
+    # the scan continues each root along its sorted grid; every root must
+    # agree with the one-shot sample at its lambda to within the finder's
+    # default tolerance (each is within half of it of the same root)
+    poly = _write(tmp_path, "p.json", {"mode": "float",
+                                       "roots": [-3.5, -1.0, 0.25, 2.0, 4.5]})
+    assert main(["pencil", "scan", "--poly", poly, "--grid", "12", "41"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+    p = from_roots([-3.5, -1.0, 0.25, 2.0, 4.5])
+    assert len(rows) == 42
+    for row in rows[1:]:
+        lam = float(row[0])
+        roots = [float(v) for v in row[1:6]]
+        tol = default_tol(pencil_coeffs(p, lam))
+        want = pencil_at(p, lam).roots
+        assert max(abs(a - b) for a, b in zip(roots, want)) <= tol
 
 
 def test_verify_and_exit_codes(files):

@@ -65,8 +65,16 @@ def test_prefix_matches_the_fraction_loop(params):
     c, m, a, b, alphas, extra = params
     n = m + extra
     got = LPFunction(c, m, a, b, alphas).maclaurin_prefix(n)
+    assert len(got) == n + 1
     assert got == ref.maclaurin_prefix(c, m, a, b, alphas, n, exact=True)
     assert _fractions(got)
+
+
+def test_prefix_pads_to_the_requested_length():
+    # no exponential, Gaussian or alpha factor: a_{m+1}..a_N are zeros
+    assert LPFunction(1, 0).maclaurin_prefix(1) == (1, 0)
+    assert LPFunction(2, 1).maclaurin_prefix(3) == (0, 2, 0, 0)
+    assert LPFunction(2.0, 1).maclaurin_prefix(2) == (0.0, 2.0, 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -77,6 +85,7 @@ def test_prefix_keeps_float_arithmetic(params):
     alphas = [float(v) for v in alphas]
     n = m + extra
     got = LPFunction(c, m, a, b, alphas).maclaurin_prefix(n)
+    assert len(got) == n + 1
     assert _bits(got) == _bits(ref.maclaurin_prefix(c, m, a, b, alphas, n,
                                                     exact=False))
 

@@ -13,8 +13,9 @@ import specpoly.pencil
 from specpoly import (Verdict, from_roots, pencil_at,
                       pencil_majorization_check, scan_monotonicity)
 from specpoly.errors import DegreeMismatch
-from specpoly.harness import random_hyperbolic
-from specpoly.pencil import default_grid, pencil_coeffs
+from specpoly.harness import ROOT_TOL, _shift_pencil_roots, random_hyperbolic
+from specpoly.lpops import shift_pencil_coeffs
+from specpoly.pencil import default_grid, pencil_coeffs, pencil_path
 from specpoly.poly import coeff_derivative
 from specpoly.roots import (_EPS, _eval_with_mag, real_roots,
                             real_roots_with_criticals)
@@ -256,3 +257,128 @@ def test_criticals_are_computed_on_first_read(monkeypatch):
     assert [len(args[0]) for args in refined] == [4, 3]
     assert sample.criticals is crits
     assert fallback == []
+
+
+# --- continuation along lambda ---------------------------------------------------
+
+def _ordered(grid, order, rng):
+    lams = list(grid)
+    if order == "decreasing":
+        lams.reverse()
+    elif order == "unsorted":
+        rng.shuffle(lams)
+    elif order == "repeated":
+        lams = [lam for lam in lams for _ in range(rng.randint(1, 3))]
+    return lams
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["increasing", "decreasing", "unsorted", "repeated"]))
+def test_path_agrees_with_one_shot_samples(n, seed, order):
+    # both are within tol/2 of the same root of the rounded coefficients
+    tol = 1e-11
+    rng = random.Random(seed)
+    p = random_hyperbolic(rng, n, bound=5, mode="float", min_gap=0.25)
+    lams = _ordered(default_grid(p, 21), order, rng)
+    samples = pencil_path(p, lams, tol)
+    assert [s.lam for s in samples] == lams
+    for sample in samples:
+        want = pencil_at(p, sample.lam, tol)
+        assert len(sample.roots) == n
+        assert max(abs(a - b) for a, b in zip(sample.roots, want.roots)) <= tol
+        assert sample.partial_sums[-1] == pytest.approx(
+            want.partial_sums[-1], abs=n * tol)
+
+
+def test_path_continues_from_one_sample_to_the_next(monkeypatch):
+    # a strictly hyperbolic P samples one-shot once, at the first lam
+    one_shot = _record_calls(monkeypatch, "_bracketed_roots")
+    fallback = _record_calls(monkeypatch, "real_roots")
+    p = from_roots([-4.0, -1.5, 0.5, 2.0, 3.25, 6.0])
+    for lams in (default_grid(p, 41), default_grid(p, 41)[::-1],
+                 (3.0, -2.0, 0.5, 7.0, -9.0, 0.5)):
+        one_shot.clear()
+        pencil_path(p, lams, 1e-11)
+        assert len(one_shot) == 1
+    assert fallback == []
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "unsorted"])
+def test_path_with_a_double_root_of_p(order):
+    # 1 is a root of every pencil and sits on a separator, where the sign
+    # check can fail and the sample falls back to pencil_at; every sample
+    # must match pencil_at either way
+    p = from_roots([1.0, 1.0, -2.0, 3.0])
+    lams = _ordered(default_grid(p, 21), order, random.Random(5))
+    for sample in pencil_path(p, lams, 1e-11):
+        want = pencil_at(p, sample.lam, 1e-11)
+        assert max(abs(a - b) for a, b in zip(sample.roots, want.roots)) < 1e-9
+        if sample.lam != 0.0:
+            assert sum(abs(r - 1.0) < 1e-6 for r in sample.roots) == 1
+
+
+def test_path_of_degree_one():
+    p = from_roots([2.5])
+    lams = (1.0, -3.0, -3.0, 0.0)
+    assert [s.roots for s in pencil_path(p, lams)] == [
+        pencil_at(p, lam).roots for lam in lams] == [(3.5,), (-0.5,),
+                                                     (-0.5,), (2.5,)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["increasing", "decreasing", "unsorted"]))
+def test_path_roots_are_within_half_tol_at_50_digits(n, seed, order):
+    # the reference solves the same rounded pencil coefficients, whose
+    # roots are simple, so polyroots converges
+    mpmath = pytest.importorskip("mpmath")
+    tol = 1e-11
+    rng = random.Random(seed)
+    p = random_hyperbolic(rng, n, bound=5, mode="float", min_gap=0.25)
+    lams = _ordered(default_grid(p, 31), order, rng)
+    for sample in rng.sample(pencil_path(p, lams, tol), 4):
+        coeffs = pencil_coeffs(p, sample.lam)
+        with mpmath.workdps(50):
+            ref = sorted(mpmath.re(z) for z in mpmath.polyroots(
+                [mpmath.mpf(c) for c in reversed(coeffs)], maxsteps=200,
+                extraprec=200))
+            for got, want in zip(sample.roots, ref):
+                assert abs(got - want) <= tol / 2 + math.ulp(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
+       st.floats(-12.0, 12.0))
+def test_shift_pencil_brackets_agree_with_full_recursion(n, seed, lam):
+    # the main2 suite brackets the shift pencil by the moved roots of P;
+    # lam = 0 and tiny lam fail the sign check and fall back
+    p = random_hyperbolic(random.Random(seed), n, bound=8, mode="float",
+                          min_gap=0.25)
+    coeffs = shift_pencil_coeffs(p, lam)
+    got = _shift_pencil_roots(p, lam)
+    want = real_roots(coeffs, ROOT_TOL)
+    assert len(got) == n
+    assert max(abs(a - b) for a, b in zip(got, want)) <= ROOT_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=9,
+                unique=True),
+       st.floats(-40.0, 40.0), st.booleans())
+def test_cached_separator_values_enclose_the_rounded_pencil(roots, lam,
+                                                           cluster):
+    # the value known at a root w of P' must be within its bound of the
+    # exact value at w of the coefficients pencil_coeffs rounds to, also
+    # where a close pair puts w inside Horner's roundoff
+    if cluster:
+        roots = roots + [roots[0] + 1e-7]
+    p = from_roots(sorted(roots))
+    brackets = specpoly.pencil._separators(p, 1e-11)
+    coeffs = [Fraction(c) for c in pencil_coeffs(p, lam)]
+    enclosures = brackets.enclosures(lam)
+    for w, (value, bound) in zip(brackets.first, enclosures):
+        exact = sum(c * Fraction(w) ** k for k, c in enumerate(coeffs))
+        assert abs(Fraction(value) - exact) <= Fraction(bound)
+    for pair, (value, bound) in zip(brackets.known(lam), enclosures):
+        assert pair == ((value, bound) if abs(value) > bound else None)

@@ -1,12 +1,16 @@
-"""One pinned digest over the canonical report bytes of every suite and hunt.
+"""Pinned digests over the canonical report bytes of every suite and hunt.
 
 Each run's ``summary_json()`` and then each of its failure records, as
-``json.dumps(..., sort_keys=True)``, feed one sha256, for every suite and
-hunt (``sorted(SUITES)`` then ``sorted(HUNTS)``), seeds 0-1 and degrees
-2-8, two trials each: float mode for main1, main2 and allincr, rational
-mode for the rest.  Any change to a verdict, a margin, a failure record
-or the order of a trial's random draws changes the digest.  A change that
-alters the report bytes on purpose updates the pinned value and says why.
+``json.dumps(..., sort_keys=True)``, feed a sha256, for seeds 0-1 and
+degrees 2-8, two trials each.  There are two digests.  The exact one
+covers every suite run in rational mode and every hunt
+(``sorted(SUITES)`` without the float suites, then ``sorted(HUNTS)``);
+the float one covers main1, main2 and allincr in float mode, whose
+margins carry float root noise.  Any change to a verdict, a margin, a
+failure record or the order of a trial's random draws changes a digest.
+A change that alters the report bytes on purpose updates the pinned
+value and says why; a change to the float root finder alone should move
+only the float digest.
 """
 
 import hashlib
@@ -15,23 +19,34 @@ import json
 from specpoly.harness import (HUNTS, SUITES, ExperimentConfig,
                               hunt_counterexamples, run_suite)
 
-PINNED = "4051b072df387e8f975fe7f28b6ea53bc4bc484a77b8c757909dee917085a954"
-FLOAT_SUITES = ("main1", "main2", "allincr")
+FLOAT_SUITES = ("allincr", "main1", "main2")
+EXACT_PINNED = (
+    "bb41b8866f890ce1590c49ce705799189478baa4e0d693680dd0ffd861a24d71")
+FLOAT_PINNED = (
+    "e55559be2686f873d265e6ebe6cc66cd0657d1264f0f086b6b17370cf22cefaf")
 
 
-def test_report_digest_is_pinned():
+def _digest(names, mode) -> str:
     digest = hashlib.sha256()
-    for name in sorted(SUITES) + sorted(HUNTS):
+    for name in names:
         for seed in (0, 1):
             for degree in range(2, 9):
                 config = ExperimentConfig(
                     suite=name, trials=2, seed=seed, degree_min=degree,
-                    degree_max=degree,
-                    mode="float" if name in FLOAT_SUITES else "rational")
+                    degree_max=degree, mode=mode)
                 report = (run_suite(config) if name in SUITES
                           else hunt_counterexamples(name, config))
                 digest.update(json.dumps(report.summary_json(),
                                          sort_keys=True).encode())
                 for record in report.failures:
                     digest.update(json.dumps(record, sort_keys=True).encode())
-    assert digest.hexdigest() == PINNED
+    return digest.hexdigest()
+
+
+def test_report_digest_is_pinned():
+    exact = [name for name in sorted(SUITES) if name not in FLOAT_SUITES]
+    assert _digest(exact + sorted(HUNTS), "rational") == EXACT_PINNED
+
+
+def test_float_report_digest_is_pinned():
+    assert _digest(FLOAT_SUITES, "float") == FLOAT_PINNED

@@ -13,7 +13,8 @@ from specpoly import from_roots, matching_distance, pencil_at, real_roots
 from specpoly.errors import DegreeZero, NotRealRooted
 from specpoly.pencil import pencil_coeffs
 from specpoly.poly import coeff_derivative
-from specpoly.roots import (is_real_rooted, real_roots_separated,
+from specpoly.roots import (is_real_rooted, real_roots_bracketed,
+                            real_roots_separated,
                             real_roots_with_criticals, root_bound,
                             sturm_sequence)
 
@@ -94,6 +95,27 @@ def test_separated_declines_brackets_without_alternation():
     assert real_roots_separated([-6, 11, -6, 1], (2.5, 2.7)) is None
     # not real-rooted: x^2 + 1 has no sign change at all
     assert real_roots_separated([1, 0, 1], (0.0,)) is None
+
+
+def test_bracketed_roots_use_known_values_and_starts():
+    # (x-1)(x-2)(x-3): values -6, 0.375, -0.375, 6 at 0, 1.5, 2.5, 4
+    cubic = [-6, 11, -6, 1]
+    points = (0.0, 1.5, 2.5, 4.0)
+    known = [None, (0.375, 1e-12), (-0.375, 1e-12), None]
+    got = real_roots_bracketed(cubic, points, known, 1e-12,
+                               [1.1, None, 99.0])
+    assert matching_distance(got, (1, 2, 3)) <= 0.5e-12
+    # a known value whose bound covers it decides nothing: no brackets
+    assert real_roots_bracketed(cubic, points, [None, (0.375, 0.5), None,
+                                                None], 1e-12) is None
+    # a wrong sign breaks the alternation
+    assert real_roots_bracketed(cubic, points, [None, (-0.375, 1e-12),
+                                                None, None], 1e-12) is None
+    assert real_roots_bracketed(cubic, (0.0, 2.5, 1.5, 4.0)) is None
+    with pytest.raises(ValueError):
+        real_roots_bracketed(cubic, points, [None] * 3)
+    with pytest.raises(ValueError):
+        real_roots_bracketed(cubic, points[:3])
 
 
 def test_separated_needs_n_minus_1_separators():
