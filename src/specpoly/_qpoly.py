@@ -1,4 +1,5 @@
-"""Exact polynomials as integer numerators over one common denominator.
+"""Exact polynomials and root tuples as integer numerators over one
+common denominator.
 
 A ``QPoly`` stands for sum nums[k] x^k / den, low degree first, with
 integer ``nums`` and a positive integer ``den`` kept canonical:
@@ -14,6 +15,13 @@ made canonical.  ``Fraction`` values are built only where a public
 function hands coefficients back.  A float taken of a coefficient,
 ``num / den``, is correctly rounded, so it is the same double as
 ``float(Fraction(num, den))``.
+
+Rational-mode root-tuple work (majorization, hinge probes, contraction
+chains, doubly stochastic witnesses, random pair draws) does the same:
+``numerators`` puts the tuples of one call over their least common
+denominator L, the loops compare and add the integers value * L, and a
+``Fraction`` is built only for a scalar that is handed back.  Float mode
+runs the same loops on its doubles with L = 1.
 """
 
 from __future__ import annotations
@@ -43,18 +51,31 @@ class QPoly:
     def of(cls, values: Iterable) -> "QPoly":
         """The exact polynomial with these coefficients (ints, Fractions,
         or floats read as the rationals they store)."""
-        ratios = [v.as_integer_ratio() for v in values]
-        den = math.lcm(*(d for _, d in ratios))
         # over the lcm of reduced denominators the form is already canonical
         q = cls.__new__(cls)
-        q.nums = [n * (den // d) for n, d in ratios]
-        q.den = den
+        (q.nums,), q.den = numerators(values)
         return q
 
     def fractions(self) -> tuple:
         """The coefficients as a tuple of ``Fraction``."""
         den = self.den
         return tuple(Fraction(v, den) for v in self.nums)
+
+
+def numerators(*tuples, exact: bool = True) -> tuple:
+    """The tuples as lists of numerators over one denominator: ``(lists, L)``.
+
+    Exact tuples (ints, Fractions, or floats read as the rationals they
+    store) go over the least common denominator L of their entries, as
+    integers value * L.  With ``exact=False`` the values are kept as
+    they are and L is 1.
+    """
+    if not exact:
+        return [list(t) for t in tuples], 1
+    ratios = [[v.as_integer_ratio() for v in t] for t in tuples]
+    # star-args from a list: a generator here grows the tuple free lists
+    den = math.lcm(*[d for r in ratios for _, d in r])
+    return [[n * (den // d) for n, d in r] for r in ratios], den
 
 
 def is_exact_all(values: Iterable) -> bool:

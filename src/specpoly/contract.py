@@ -10,7 +10,16 @@ two-point transfers through the doubling sweep.
 
 Everything in this module demands exact rational mode: the branch
 predicates of the induction compare exact differences, and float noise
-would corrupt it.
+would corrupt it.  Those differences are taken on integers: a ``_Walk``
+holds the sorted roots, the step coefficients and the target over one
+common denominator (``_qpoly.numerators``), so applying a step, replaying
+or auditing a chain and the doubling sweep of ``expand_transfer`` and
+``decompose_majorization`` add and compare integers.  All steps of one
+sweep share one ``Fraction`` t; roots come back as ``Fraction`` values
+only when a polynomial is handed back, and a root no step moved comes
+back as the object it was.  ``apply_contraction`` and
+``ContractionChain.replay`` also take float polynomials and then walk
+their doubles.
 """
 
 from __future__ import annotations
@@ -24,9 +33,10 @@ from .errors import (ChainTooLong, CoefficientTooLarge, DegreeMismatch,
                      EqualRoots, FloatModeUnsupported, InvalidIndices,
                      NotDistinct, NotMajorized, NotStrict, PreconditionViolated,
                      SigmaTooLarge)
+from ._qpoly import numerators
 from .majorize import (Verdict, check_majorization, default_tol,
                        first_transfer)
-from .poly import HyperbolicPoly, is_strict, strict_perturb
+from .poly import HyperbolicPoly, strict_numerators, strict_perturb
 from .scalars import FLOAT, RATIONAL, Scalar, coerce
 
 DEFAULT_STEP_CAP = 10 ** 6
@@ -59,43 +69,126 @@ class ContractionChain:
     stage_lengths: tuple = field(default=(), compare=False)
 
     def replay(self) -> HyperbolicPoly:
-        cur = self.source
-        for step in self.steps:
-            cur = apply_contraction(cur, step)
-        return cur
+        if not self.steps:
+            return self.source
+        return HyperbolicPoly(self._walk().roots(), self.source.mode)
 
     def verify(self) -> None:
         """Replay must reproduce the target exactly; raises on failure."""
-        got = self.replay()
-        if got.roots != self.target.roots:
+        walk = self._walk(self.target.roots)
+        if walk.x != walk.others[0]:
             raise NotMajorized("chain replay does not reproduce the target")
 
+    def audit(self) -> Optional[str]:
+        """What is wrong with the chain as a decomposition, or None.
+
+        Every step must be simple and nondegenerate (2t below the gap),
+        the discrepancy to the target must drop with every stage of
+        ``stage_lengths``, and the replay must end at the target.
+        """
+        walk = _Walk(self.source, self.steps, self.target.roots)
+        x, y = walk.x, walk.others[0]
+        consumed = 0
+        prev = _differ(x, y, 0)
+        for length in self.stage_lengths:
+            for step, t in zip(self.steps[consumed:consumed + length],
+                               walk.t[consumed:consumed + length]):
+                if not step.simple:
+                    return "non-simple step"
+                if not 2 * t < x[step.l - 1] - x[step.k - 1]:
+                    return "degenerate step"
+                walk.move(step.k - 1, step.l - 1, t, step.t)
+            consumed += length
+            disc = _differ(x, y, 0)
+            if disc >= prev:
+                return "discrepancy did not drop"
+            prev = disc
+        if x != y:
+            return "replay mismatch"
+        return None
+
     def intermediates(self):
-        cur = self.source
-        yield cur
-        for step in self.steps:
-            cur = apply_contraction(cur, step)
-            yield cur
+        walk = _Walk(self.source, self.steps)
+        yield self.source
+        for step, t in zip(self.steps, walk.t):
+            walk.move(step.k - 1, step.l - 1, t, step.t)
+            yield HyperbolicPoly(walk.roots(), self.source.mode)
+
+    def _walk(self, *others) -> "_Walk":
+        walk = _Walk(self.source, self.steps, *others)
+        for step, t in zip(self.steps, walk.t):
+            walk.move(step.k - 1, step.l - 1, t, step.t)
+        return walk
+
+
+class _Walk:
+    """Sorted roots moved by contractions, on numerators.
+
+    In rational mode the roots, the step coefficients and any further
+    tuples go over one denominator ``den`` (``_qpoly.numerators``), so a
+    step is two integer additions; float mode walks the doubles with
+    ``den`` 1.  A root keeps its own object until a step moves it, so an
+    unmoved root is handed back as it came in.
+    """
+
+    def __init__(self, p: HyperbolicPoly, steps=(), *others):
+        self.exact = p.mode == RATIONAL
+        ts = [coerce(step.t, p.mode) for step in steps]
+        (self.x, self.t, *self.others), self.den = numerators(
+            p.roots, ts, *others, exact=self.exact)
+        self.objs = list(p.roots)
+
+    def value(self, num) -> Scalar:
+        return Fraction(num, self.den) if self.exact else num
+
+    def holds_fraction(self, i: int) -> bool:
+        """Whether position i holds a Fraction: a moved root, or an
+        unmoved root that is one."""
+        obj = self.objs[i]
+        return obj is None or isinstance(obj, Fraction)
+
+    def move(self, k: int, l: int, t, shown) -> None:
+        """Move x[k] up and x[l] down by t (0-based); ``shown`` is the
+        coefficient as the step states it, for messages."""
+        x = self.x
+        if l >= len(x):
+            raise InvalidIndices(f"index l={l + 1} exceeds degree {len(x)}")
+        if x[k] == x[l]:
+            raise EqualRoots(f"roots at positions {k + 1} and {l + 1} coincide")
+        if 2 * t > x[l] - x[k]:
+            raise CoefficientTooLarge(
+                f"t={shown} exceeds half the gap {self.value(x[l] - x[k])}/2")
+        x[k] += t
+        x[l] -= t
+        objs = self.objs
+        objs[k] = objs[l] = None
+        if l > k + 1:
+            # roots in between may be overtaken; a stable sort, as before
+            order = sorted(range(len(x)), key=x.__getitem__)
+            x[:] = [x[i] for i in order]
+            objs[:] = [objs[i] for i in order]
+
+    def rescale(self, up: int = 1, down: int = 1) -> None:
+        """Put every tuple over den * up / down; down must divide them all."""
+        for nums in (self.x, *self.others):
+            nums[:] = [v * up // down for v in nums]
+        self.den = self.den * up // down
+
+    def roots(self) -> tuple:
+        value = self.value
+        return tuple([value(v) if obj is None else obj
+                      for v, obj in zip(self.x, self.objs)])
 
 
 def apply_contraction(p: HyperbolicPoly, step: ContractionStep) -> HyperbolicPoly:
     """Move roots x_k, x_l toward each other by t; preserves the root sum."""
-    x = p.roots
-    n = len(x)
-    if step.l > n:
-        raise InvalidIndices(f"index l={step.l} exceeds degree {n}")
-    k, l = step.k - 1, step.l - 1
-    if x[k] == x[l]:
-        raise EqualRoots(f"roots at positions {step.k} and {step.l} coincide")
-    t = coerce(step.t, p.mode)
-    if 2 * t > x[l] - x[k]:
-        raise CoefficientTooLarge(
-            f"t={step.t} exceeds half the gap {(x[l] - x[k])}/2")
-    moved = list(x)
-    moved[k] = x[k] + t
-    moved[l] = x[l] - t
-    moved.sort()
-    return HyperbolicPoly(tuple(moved), p.mode)
+    walk = _Walk(p, (step,))
+    walk.move(step.k - 1, step.l - 1, walk.t[0], step.t)
+    return HyperbolicPoly(walk.roots(), p.mode)
+
+
+def _differ(xs, ys, tol) -> int:
+    return sum(1 for a, b in zip(xs, ys) if abs(a - b) > tol)
 
 
 def discrepancy(p: HyperbolicPoly, q: HyperbolicPoly,
@@ -104,10 +197,11 @@ def discrepancy(p: HyperbolicPoly, q: HyperbolicPoly,
     if p.degree != q.degree:
         raise DegreeMismatch(f"degrees differ: {p.degree} vs {q.degree}")
     if p.mode == RATIONAL and q.mode == RATIONAL:
-        return sum(1 for a, b in zip(p.roots, q.roots) if a != b)
+        (x, y), _ = numerators(p.roots, q.roots)
+        return _differ(x, y, 0)
     if tol is None:
         tol = default_tol(p.roots, q.roots)
-    return sum(1 for a, b in zip(p.roots, q.roots) if abs(a - b) > tol)
+    return _differ(p.roots, q.roots, tol)
 
 
 def _require_exact(p: HyperbolicPoly, what: str) -> None:
@@ -128,35 +222,44 @@ def expand_transfer(p: HyperbolicPoly, i: int, j: int, sigma: Scalar,
     single simple step.
     """
     _require_exact(p, "expand_transfer")
-    x = p.roots
-    n = len(x)
+    n = len(p.roots)
     if not (1 <= i < j <= n):
         raise InvalidIndices(f"need 1 <= i < j <= n, got i={i}, j={j}")
-    if not is_strict(p):
-        raise NotStrict("expand_transfer needs a strictly hyperbolic source")
-    sigma = Fraction(sigma)
-    a, b = x[i - 1], x[j - 1]
-    if not (0 < 2 * sigma < b - a):
-        raise SigmaTooLarge(f"need 0 < sigma < ({b} - {a})/2, got {sigma}")
+    walk = _Walk(p, (), (Fraction(sigma),))
+    steps = _sweep(walk, i - 1, j - 1, walk.others.pop()[0], step_cap)
+    return ContractionChain(p, tuple(steps),
+                            HyperbolicPoly(walk.roots(), p.mode))
 
-    interior = x[i:j - 1]
+
+def _sweep(walk: _Walk, i: int, j: int, s: int, step_cap: int) -> list:
+    """The sweep of ``expand_transfer`` on a walk, for 0-based i < j and
+    the numerator s of sigma; moves the walk and returns the steps."""
+    x = walk.x
+    if not strict_numerators(x):
+        raise NotStrict("expand_transfer needs a strictly hyperbolic source")
+    a, b = x[i], x[j]
+    if not (0 < 2 * s < b - a):
+        raise SigmaTooLarge(f"need 0 < sigma < ({walk.value(b)} - "
+                            f"{walk.value(a)})/2, got {walk.value(s)}")
+    interior = x[i + 1:j]
     p_count = j - i - 1
-    if any(not (a + sigma < z < b - sigma) for z in interior):
+    if any(not (a + s < z < b - s) for z in interior):
         raise PreconditionViolated(
             "every root between positions i and j must lie strictly inside "
             "(x_i + sigma, x_j - sigma)")
 
     if p_count == 0:
-        steps = (ContractionStep(i, j, sigma),)
-        return ContractionChain(p, steps, apply_contraction(p, steps[0]))
+        sigma = walk.value(s)
+        walk.move(i, j, s, sigma)
+        return [ContractionStep(i + 1, j + 1, sigma)]
 
-    margin = min(interior[0] - a - sigma, b - interior[-1] - sigma)
+    margin = min(interior[0] - a - s, b - interior[-1] - s)
     if p_count >= 2:
         margin = min(margin,
                      min(interior[v + 1] - interior[v]
                          for v in range(p_count - 1)))
     d = 1
-    while sigma >= 2 ** (d - 1) * margin:
+    while s >= 2 ** (d - 1) * margin:
         d += 1
         if (p_count + 1) * 2 ** d > step_cap:
             raise ChainTooLong(
@@ -165,15 +268,15 @@ def expand_transfer(p: HyperbolicPoly, i: int, j: int, sigma: Scalar,
     if total > step_cap:
         raise ChainTooLong(f"sweep needs {total} steps, cap is {step_cap}")
 
-    t = sigma / 2 ** d
-    steps = []
-    cur = p
+    # over den * 2^d the step t = sigma / 2^d has numerator s; every step
+    # of the sweep shares one Fraction t
+    walk.rescale(up=2 ** d)
+    t = Fraction(s, walk.den)
     for _ in range(2 ** d):
-        for offset in range(p_count + 1):
-            step = ContractionStep(i + offset, i + offset + 1, t)
-            cur = apply_contraction(cur, step)
-            steps.append(step)
-    return ContractionChain(p, tuple(steps), cur)
+        for k in range(i, j):
+            walk.move(k, k + 1, s, t)
+    walk.rescale(down=2 ** d)
+    return [ContractionStep(k + 1, k + 2, t) for k in range(i, j)] * 2 ** d
 
 
 def decompose_majorization(p: HyperbolicPoly, q: HyperbolicPoly,
@@ -197,38 +300,42 @@ def decompose_majorization(p: HyperbolicPoly, q: HyperbolicPoly,
     _require_exact(q, "decompose_majorization")
     if p.degree != q.degree:
         raise DegreeMismatch(f"degrees differ: {p.degree} vs {q.degree}")
-    if p.roots == q.roots:
+    walk = _Walk(p, (), q.roots)
+    if walk.x == walk.others[0]:
         raise NotDistinct("source and target coincide")
-    if not (is_strict(p) and is_strict(q)):
+    if not (strict_numerators(walk.x) and strict_numerators(walk.others[0])):
         if perturb_eps is None:
             raise NotStrict(
                 "both polynomials must be strictly hyperbolic; perturb "
                 "multiple roots first (strict_perturb / perturb_eps)")
         p = strict_perturb(p, perturb_eps)
         q = strict_perturb(q, perturb_eps)
-        if p.roots == q.roots:
+        walk = _Walk(p, (), q.roots)
+        if walk.x == walk.others[0]:
             raise NotDistinct("perturbed source and target coincide")
     cert = check_majorization(q, p)
     if cert.verdict is not Verdict.LESS:
         raise NotMajorized(f"target is not strictly below source "
                            f"(verdict {cert.verdict.value})")
 
-    y = q.roots
+    x, y = walk.x, walk.others[0]
     steps: list[ContractionStep] = []
     stage_lengths: list[int] = []
-    cur = p
-    while cur.roots != y:
-        i, j, amount = first_transfer(cur.roots, y)
+    while x != y:
+        i, j, amount = first_transfer(x, y)
         before = len(steps)
         if j == i + 1:
-            step = ContractionStep(i + 1, j + 1, amount)
-            cur = apply_contraction(cur, step)
+            # amount = min(y_i - x_i, x_j - y_j) is a Fraction when the
+            # difference it comes from involves one
+            at = j if x[j] - y[j] < y[i] - x[i] else i
+            fraction = (walk.holds_fraction(at)
+                        or isinstance(q.roots[at], Fraction))
+            t = Fraction(amount, walk.den) if fraction else amount // walk.den
+            step = ContractionStep(i + 1, j + 1, t)
+            walk.move(i, j, amount, t)
             steps.append(step)
         else:
-            sub = expand_transfer(cur, i + 1, j + 1, amount,
-                                  step_cap=step_cap - len(steps))
-            steps.extend(sub.steps)
-            cur = sub.target
+            steps.extend(_sweep(walk, i, j, amount, step_cap - len(steps)))
         stage_lengths.append(len(steps) - before)
         if len(steps) > step_cap:
             raise ChainTooLong(f"chain exceeds the {step_cap}-step cap")

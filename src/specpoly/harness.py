@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import serialize
-from .contract import (DEFAULT_STEP_CAP, apply_contraction,
-                       decompose_majorization, discrepancy,
+from ._qpoly import numerators
+from .contract import (DEFAULT_STEP_CAP, decompose_majorization,
                        random_comparable_pair)
 from .errors import (ChainTooLong, ConfigError, GeneratorExhausted,
                      InfeasibleGap, NotRealRooted, UnknownSuite)
@@ -131,13 +131,15 @@ def random_hyperbolic(rng: random.Random, n: int, bound: Scalar = 10,
     if mode == RATIONAL:
         grid = 64
         raw = sorted(rng.randint(0, grid) for _ in range(n))
-        base = [-Fraction(bound) + Fraction(span) * Fraction(r, grid)
-                for r in raw]
-        roots = [base[i] + i * Fraction(min_gap) for i in range(n)]
-    else:
-        raw = sorted(rng.random() for _ in range(n))
-        base = [-float(bound) + float(span) * r for r in raw]
-        roots = [base[i] + i * float(min_gap) for i in range(n)]
+        # root i = -bound + span * raw[i] / grid + i * min_gap, on the
+        # numerators b, s, g of bound, span and min_gap over one L
+        ((b, s, g),), den = numerators((bound, span, min_gap))
+        nums = sorted(grid * (i * g - b) + s * r for i, r in enumerate(raw))
+        return HyperbolicPoly(tuple(Fraction(v, grid * den) for v in nums),
+                              mode)
+    raw = sorted(rng.random() for _ in range(n))
+    base = [-float(bound) + float(span) * r for r in raw]
+    roots = [base[i] + i * float(min_gap) for i in range(n)]
     return from_roots(roots, mode)
 
 
@@ -527,24 +529,9 @@ def _check_chain(inputs):
     except ChainTooLong as exc:
         return False, float("-inf"), {"part": "chain too long",
                                       "error": str(exc)}
-    cur = chain.source
-    consumed = 0
-    prev_disc = discrepancy(p, q)
-    for length in chain.stage_lengths:
-        for step in chain.steps[consumed:consumed + length]:
-            if not step.simple:
-                return False, float("-inf"), {"part": "non-simple step"}
-            gap = cur.roots[step.l - 1] - cur.roots[step.k - 1]
-            if not 2 * step.t < gap:
-                return False, float("-inf"), {"part": "degenerate step"}
-            cur = apply_contraction(cur, step)
-        consumed += length
-        disc = discrepancy(cur, q)
-        if disc >= prev_disc:
-            return False, float("-inf"), {"part": "discrepancy did not drop"}
-        prev_disc = disc
-    if cur.roots != q.roots:
-        return False, float("-inf"), {"part": "replay mismatch"}
+    part = chain.audit()
+    if part is not None:
+        return False, float("-inf"), {"part": part}
     return True, float(len(chain.steps)), {}
 
 

@@ -6,6 +6,15 @@ corresponding sum of Y.  A certificate records the full partial-sum
 ledger.  The independent hinge-probe oracle and the doubly stochastic
 witness construction give the two classical equivalent characterizations,
 kept separate so they can check each other.
+
+In rational mode each call puts its tuples over their least common
+denominator L (``_qpoly.numerators``) and runs its loops on the integer
+numerators: partial sums, hinge values and the witness's T-transform
+product, whose rows each carry their own denominator.  ``Fraction``
+values are built only for what is handed back, and a returned scalar is
+a ``Fraction`` exactly when the plain scalar loop would give one (all-int
+tuples give int partial sums).  Float mode runs the same loops on the
+doubles with L = 1.
 """
 
 from __future__ import annotations
@@ -16,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (DomainViolation, FloatModeUnsupported, LengthMismatch,
-                     NotMajorized)
-from .poly import HyperbolicPoly
+from ._qpoly import numerators
+from .errors import (DomainViolation, EmptyTuple, FloatModeUnsupported,
+                     LengthMismatch, NotMajorized)
+from .poly import HyperbolicPoly, strict_numerators
 from .scalars import RATIONAL, Scalar, infer_mode, require_same_mode
 
 
@@ -48,6 +58,9 @@ class MajorizationCertificate:
         return min(self.slacks) if self.slacks else 0
 
 
+_ZERO = Fraction(0)
+
+
 def _tuple_of(x) -> tuple:
     if isinstance(x, HyperbolicPoly):
         return x.roots
@@ -70,16 +83,28 @@ def scaled_tol(rel: float, *tuples) -> float:
 
 
 def _prepare(x, y, tol):
+    """Both tuples, their sorted numerators over one denominator L (the
+    values themselves and L = 1 in float mode), the mode and the tolerance."""
     xs = _tuple_of(x)
     ys = _tuple_of(y)
     if len(xs) != len(ys):
         raise LengthMismatch(f"tuple lengths differ: {len(xs)} vs {len(ys)}")
-    mode = require_same_mode(infer_mode(xs), infer_mode(ys))
-    if mode == RATIONAL:
-        tol = Fraction(0)
+    exact = require_same_mode(infer_mode(xs), infer_mode(ys)) == RATIONAL
+    if exact:
+        tol = _ZERO
     elif tol is None:
         tol = default_tol(xs, ys)
-    return tuple(sorted(xs)), tuple(sorted(ys)), mode, tol
+    (nx, ny), den = numerators(xs, ys, exact=exact)
+    nx.sort()
+    ny.sort()
+    return xs, ys, nx, ny, den, exact, tol
+
+
+def _handed_back(v, den: int, fraction: bool) -> Scalar:
+    # a Fraction where the plain scalar loop gives one, else int or float
+    if fraction:
+        return Fraction(v, den)
+    return v if den == 1 else v // den
 
 
 def check_majorization(x, y, tol: Optional[Scalar] = None,
@@ -90,28 +115,32 @@ def check_majorization(x, y, tol: Optional[Scalar] = None,
     forced to zero.  Slacks in [-tol, 0) are absorbed into a Less verdict
     (operator images computed through root finding carry that much noise).
     """
-    xs, ys, mode, tol = _prepare(x, y, tol)
-    n = len(xs)
-    residual = sum(xs) - sum(ys)
+    xs, ys, nx, ny, den, exact, tol = _prepare(x, y, tol)
+    lim = 0 if exact else tol
+    n = len(nx)
+    residual = sum(nx) - sum(ny)
 
     slacks = []
     tx = 0 * residual
     ty = tx
     for k in range(1, n):
-        tx = tx + xs[n - k]
-        ty = ty + ys[n - k]
+        tx = tx + nx[n - k]
+        ty = ty + ny[n - k]
         slacks.append(ty - tx)
-    slacks = tuple(slacks)
 
-    if abs(residual) > tol:
+    if abs(residual) > lim:
         verdict = Verdict.SUM_MISMATCH
-    elif any(s < -tol for s in slacks):
+    elif any(s < -lim for s in slacks):
         verdict = Verdict.INCOMPARABLE
-    elif all(abs(xs[i] - ys[i]) <= tol for i in range(n)):
+    elif all(abs(nx[i] - ny[i]) <= lim for i in range(n)):
         verdict = Verdict.EQUAL
     else:
         verdict = Verdict.LESS
-    return MajorizationCertificate(verdict, residual, slacks, tol)
+    # in rational mode every entry is an int or a Fraction
+    if exact and not all(isinstance(v, int) for v in xs + ys):
+        residual = Fraction(residual, den)
+        slacks = [Fraction(s, den) for s in slacks]
+    return MajorizationCertificate(verdict, residual, tuple(slacks), tol)
 
 
 # --- hinge-probe oracle -----------------------------------------------------
@@ -133,6 +162,35 @@ class ConvexProbeReport:
         return all(p.satisfied for p in self.probes)
 
 
+def _hinge_kinds(xs, ys, exact: bool):
+    """Which hinge values the scalar loop gives as Fractions.
+
+    A sum is a Fraction when a Fraction enters it: the term of x >= t is
+    x - t, a Fraction when x or t is one, and the term of x < t is the
+    zero, which has the type of sum(X).  The kink t is the first entry
+    of X, then of Y, with its value.  Returns the kinds of sum(X) and
+    sum(Y) and a function of the kink numerator giving the kinds of its
+    two values.  Float mode has no Fractions to give.
+    """
+    # in rational mode every entry is an int or a Fraction
+    fx = [exact and not isinstance(v, int) for v in xs]
+    fy = [exact and not isinstance(v, int) for v in ys]
+    fzero = any(fx)
+    if not (fzero or any(fy)) or (all(fx) and all(fy)):
+        return fzero, fzero, lambda t: (fzero, fzero)
+    (nx, ny), _ = numerators(xs, ys)
+    px, py = list(zip(nx, fx)), list(zip(ny, fy))
+    first = {}
+    for v, f in px + py:
+        first.setdefault(v, f)
+
+    def kinds(t):
+        ft = first[t]
+        return tuple(any((f or ft) if v >= t else fzero for v, f in pairs)
+                     for pairs in (px, py))
+    return fzero, any(fy), kinds
+
+
 def hinge_oracle(x, y, tol: Optional[Scalar] = None) -> ConvexProbeReport:
     """Independent majorization check via convex probes.
 
@@ -141,17 +199,26 @@ def hinge_oracle(x, y, tol: Optional[Scalar] = None) -> ConvexProbeReport:
     family of convex functions is decisive, because the slack function of
     t is piecewise linear with kinks only at those points.
     """
-    xs, ys, mode, tol = _prepare(x, y, tol)
+    xs, ys, nx, ny, den, exact, tol = _prepare(x, y, tol)
+    lim = 0 if exact else tol
+    fsx, fsy, kinds = _hinge_kinds(xs, ys, exact)
     results = []
 
-    sx, sy = sum(xs), sum(ys)
-    results.append(ProbeResult("sum", sx, sy, abs(sx - sy) <= tol))
+    sx, sy = sum(nx), sum(ny)
+    results.append(ProbeResult("sum", _handed_back(sx, den, fsx),
+                               _handed_back(sy, den, fsy),
+                               abs(sx - sy) <= lim))
 
     zero = sx * 0
-    for t in sorted(set(xs) | set(ys)):
-        vx = sum(max(v - t, zero) for v in xs)
-        vy = sum(max(v - t, zero) for v in ys)
-        results.append(ProbeResult(f"hinge(t={t})", vx, vy, vx <= vy + tol))
+    for t in sorted(set(nx) | set(ny)):
+        # each term is max(v - t, zero), spelled out without the call
+        vx = sum([zero if zero > (d := v - t) else d for v in nx])
+        vy = sum([zero if zero > (d := v - t) else d for v in ny])
+        fvx, fvy = kinds(t)
+        results.append(ProbeResult(
+            f"hinge(t={t if den == 1 else Fraction(t, den)})",
+            _handed_back(vx, den, fvx), _handed_back(vy, den, fvy),
+            vx <= vy + lim))
     return ConvexProbeReport(tuple(results))
 
 
@@ -167,6 +234,8 @@ def matching_distance(x, y) -> Scalar:
     ys = tuple(sorted(_tuple_of(y)))
     if len(xs) != len(ys):
         raise LengthMismatch(f"tuple lengths differ: {len(xs)} vs {len(ys)}")
+    if not xs:
+        raise EmptyTuple("matching distance needs at least one root")
     return max(abs(a - b) for a, b in zip(xs, ys))
 
 
@@ -177,44 +246,80 @@ class DoublyStochasticWitness:
     matrix: tuple  # rows of Fraction entries
 
     def validate(self, x, y) -> None:
-        """Exact soundness check: doubly stochastic and maps sorted Y to sorted X."""
-        a = self.matrix
-        n = len(a)
-        one = Fraction(1)
-        for row in a:
-            if any(v < 0 or v > 1 for v in row):
+        """Exact soundness check: an n x n doubly stochastic matrix, with
+        n = len(X) = len(Y), that maps sorted Y to sorted X.
+
+        Each row is checked on integer numerators over its own
+        denominator D_i: entries in [0, D_i], summing to D_i, and
+        sum_j a_ij y_j = D_i x_i with X and Y over their own denominator.
+        """
+        xs = _tuple_of(x)
+        ys = _tuple_of(y)
+        if len(xs) != len(ys):
+            raise LengthMismatch(
+                f"tuple lengths differ: {len(xs)} vs {len(ys)}")
+        n = len(xs)
+        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+            raise NotMajorized(f"witness is not a {n} x {n} matrix")
+        rows, dens = [], []
+        for row in self.matrix:
+            (nums,), den = numerators(row)
+            if any(v < 0 or v > den for v in nums):
                 raise NotMajorized("witness entry outside [0, 1]")
-            if sum(row) != one:
+            if sum(nums) != den:
                 raise NotMajorized("witness row sum differs from 1")
+            rows.append(nums)
+            dens.append(den)
+        common = math.lcm(*dens)
+        scales = [common // d for d in dens]
         for j in range(n):
-            if sum(a[i][j] for i in range(n)) != one:
+            if sum(row[j] * f for row, f in zip(rows, scales)) != common:
                 raise NotMajorized("witness column sum differs from 1")
-        xs = sorted(Fraction(v) for v in _tuple_of(x))
-        ys = sorted(Fraction(v) for v in _tuple_of(y))
-        for i in range(n):
-            if sum(a[i][j] * ys[j] for j in range(n)) != xs[i]:
+        (nx, ny), _ = numerators(xs, ys)
+        nx.sort()
+        ny.sort()
+        for row, den, v in zip(rows, dens, nx):
+            if sum(a * b for a, b in zip(row, ny)) != den * v:
                 raise NotMajorized("witness does not map Y to X")
 
 
-class _TransformAccumulator:
-    """Running product of T-transform matrices, applied to a sorted vector."""
+class _TransformProduct:
+    """Running product of T-transforms, applied to a sorted integer vector.
 
-    def __init__(self, start: Sequence[Fraction]):
+    Row i of the product is rows[i] / dens[i] on integers, kept reduced
+    by one gcd per row and transfer.
+    """
+
+    def __init__(self, start: list):
         n = len(start)
-        self.vec = list(start)
-        self.rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        self.vec = start
+        self.rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        self.dens = [1] * n
 
-    def transfer(self, k: int, l: int, t: Fraction) -> None:
-        # moves vec[k] up by t and vec[l] down by t (0-based, vec[k] < vec[l])
-        gap = self.vec[l] - self.vec[k]
-        mu = 1 - Fraction(t, gap)
-        rk, rl = self.rows[k], self.rows[l]
-        for j in range(len(rk)):
-            a, b = rk[j], rl[j]
-            rk[j] = mu * a + (1 - mu) * b
-            rl[j] = (1 - mu) * a + mu * b
-        self.vec[k] += t
-        self.vec[l] -= t
+    def transfer(self, k: int, l: int, t: int) -> None:
+        # moves vec[k] up by t and vec[l] down by t (0-based, vec[k] < vec[l]);
+        # with w = t / gap, row k becomes (1 - w) row k + w row l and
+        # row l becomes w row k + (1 - w) row l
+        vec, rows, dens = self.vec, self.rows, self.dens
+        gap = vec[l] - vec[k]
+        g = math.gcd(t, gap)
+        w, m = t // g, gap // g
+        dk, dl = dens[k], dens[l]
+        den = math.lcm(dk, dl)
+        a = [v * (den // dk) for v in rows[k]]
+        b = [v * (den // dl) for v in rows[l]]
+        rows[k] = [(m - w) * u + w * v for u, v in zip(a, b)]
+        rows[l] = [w * u + (m - w) * v for u, v in zip(a, b)]
+        for i in (k, l):
+            g = math.gcd(m * den, *rows[i])
+            rows[i] = [v // g for v in rows[i]]
+            dens[i] = m * den // g
+        vec[k] += t
+        vec[l] -= t
+
+    def matrix(self) -> tuple:
+        return tuple(tuple(Fraction(v, den) for v in row)
+                     for row, den in zip(self.rows, self.dens))
 
 
 def first_transfer(x: Sequence, y: Sequence) -> tuple:
@@ -223,13 +328,14 @@ def first_transfer(x: Sequence, y: Sequence) -> tuple:
     j is the leftmost position where x exceeds y, i the nearest position to
     its left that must still rise (everything between agrees), and t the
     largest amount that overshoots neither: x_i rises by t, x_j drops by t.
+    The library calls it on numerators over one denominator.
     """
     j = next(idx for idx in range(len(x)) if y[idx] < x[idx])
     i = max(idx for idx in range(j) if y[idx] > x[idx])
     return i, j, min(y[i] - x[i], x[j] - y[j])
 
 
-def _direct_transfers(acc: _TransformAccumulator, target: list[Fraction]) -> None:
+def _direct_transfers(acc: _TransformProduct, target: list) -> None:
     # Robin Hood loop: repeatedly fix the leftmost coordinate that is still
     # too large, transferring from it... (transfers may be non-adjacent and
     # may merge coordinates; fine for matrices, unlike polynomial chains).
@@ -244,14 +350,14 @@ def _direct_transfers(acc: _TransformAccumulator, target: list[Fraction]) -> Non
 def build_witness(x, y) -> DoublyStochasticWitness:
     """A doubly stochastic matrix mapping sorted Y onto sorted X, exactly.
 
-    Built as a product of T-transforms.  When both tuples are strict the
-    factors come one-to-one from the simple nondegenerate contraction
-    chain; tied tuples fall back to direct two-point transfers (a chain of
-    nondegenerate contractions cannot terminate at a multiple root).
-    Rational mode only.
+    Built as a product of T-transforms on integer rows.  When both tuples
+    are strict the factors come one-to-one from the simple nondegenerate
+    contraction chain; tied tuples fall back to direct two-point transfers
+    (a chain of nondegenerate contractions cannot terminate at a multiple
+    root).  Rational mode only.
     """
-    xs = tuple(sorted(_tuple_of(x)))
-    ys = tuple(sorted(_tuple_of(y)))
+    xs = _tuple_of(x)
+    ys = _tuple_of(y)
     if len(xs) != len(ys):
         raise LengthMismatch(f"tuple lengths differ: {len(xs)} vs {len(ys)}")
     mode = require_same_mode(infer_mode(xs), infer_mode(ys))
@@ -261,22 +367,27 @@ def build_witness(x, y) -> DoublyStochasticWitness:
     if not cert.comparable:
         raise NotMajorized(f"verdict {cert.verdict.value}")
 
-    xs = tuple(Fraction(v) for v in xs)
-    ys = tuple(Fraction(v) for v in ys)
-    acc = _TransformAccumulator(ys)
-    if xs != ys:
-        strict = (all(ys[i] < ys[i + 1] for i in range(len(ys) - 1))
-                  and all(xs[i] < xs[i + 1] for i in range(len(xs) - 1)))
-        if strict:
-            from .contract import decompose_majorization
-            from .poly import from_roots
-            chain = decompose_majorization(from_roots(ys), from_roots(xs))
-            for step in chain.steps:
-                acc.transfer(step.k - 1, step.l - 1, Fraction(step.t))
-        else:
-            _direct_transfers(acc, list(xs))
+    (nx, ny), den = numerators(xs, ys)
+    nx.sort()
+    ny.sort()
+    steps = ()
+    if nx != ny and strict_numerators(nx) and strict_numerators(ny):
+        from .contract import decompose_majorization
+        steps = decompose_majorization(
+            HyperbolicPoly(tuple(Fraction(v, den) for v in ny), RATIONAL),
+            HyperbolicPoly(tuple(Fraction(v, den) for v in nx), RATIONAL),
+        ).steps
+    # a sweep's t has denominator den * 2^d: put it all over one
+    (nx, ny, ts), _ = numerators(xs, ys, [s.t for s in steps])
+    nx.sort()
+    ny.sort()
+    acc = _TransformProduct(ny)
+    for step, t in zip(steps, ts):
+        acc.transfer(step.k - 1, step.l - 1, t)
+    # tied tuples; after a chain there is nothing left to transfer
+    _direct_transfers(acc, nx)
 
-    witness = DoublyStochasticWitness(tuple(tuple(r) for r in acc.rows))
+    witness = DoublyStochasticWitness(acc.matrix())
     witness.validate(xs, ys)
     return witness
 

@@ -15,13 +15,12 @@ loop on doubles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import roots as _rootfind
-from ._qpoly import QPoly
+from ._qpoly import QPoly, numerators
 from .errors import DegreeTooSmall, EmptyTuple, NonPositiveEps
 from .scalars import (FLOAT, RATIONAL, Scalar, check_finite, coerce,
                       coerce_all, infer_mode)
@@ -101,11 +100,10 @@ def expand_from_roots(root_values: Sequence[Scalar], mode: str) -> tuple:
     x^k is then e_k L^k / L^n, reduced once by the integer kernel.
     """
     if mode == RATIONAL:
-        ratios = [r.as_integer_ratio() for r in root_values]
-        scale = math.lcm(*(b for _, b in ratios))
-        coeffs = _expand(1, [a * (scale // b) for a, b in ratios])
+        (nums,), scale = numerators(root_values)
+        coeffs = _expand(1, nums)
         return QPoly([v * scale ** k for k, v in enumerate(coeffs)],
-                     scale ** len(ratios)).fractions()
+                     scale ** len(nums)).fractions()
     coeffs = _expand(1.0, root_values)
     coeffs[-1] = 1.0
     return tuple(coeffs)
@@ -178,15 +176,34 @@ def strict_perturb(p: HyperbolicPoly, eps: Scalar) -> HyperbolicPoly:
     return HyperbolicPoly(tuple(shifted), p.mode)
 
 
+def _gaps(nums) -> list:
+    return [nums[i + 1] - nums[i] for i in range(len(nums) - 1)]
+
+
+def strict_numerators(nums) -> bool:
+    """Whether sorted roots, as numerators over one denominator (or as
+    doubles), are pairwise distinct."""
+    return len(nums) == 1 or min(_gaps(nums)) > 0
+
+
 def strictness(p: HyperbolicPoly) -> StrictnessReport:
     if p.degree == 1:
         return StrictnessReport(True, None)
-    gap = min(p.roots[i + 1] - p.roots[i] for i in range(p.degree - 1))
+    exact = p.mode == RATIONAL
+    (nums,), den = numerators(p.roots, exact=exact)
+    gaps = _gaps(nums)
+    gap = min(gaps)
+    if exact:
+        # the first smallest difference, a Fraction if either root is one
+        i = gaps.index(gap)
+        gap = (Fraction(gap, den) if isinstance(p.roots[i], Fraction)
+               or isinstance(p.roots[i + 1], Fraction) else gap // den)
     return StrictnessReport(gap > 0, gap)
 
 
 def is_strict(p: HyperbolicPoly) -> bool:
-    return strictness(p).is_strict
+    (nums,), _ = numerators(p.roots, exact=p.mode == RATIONAL)
+    return strict_numerators(nums)
 
 
 def eval_poly(coeffs: Sequence, x: Scalar) -> Scalar:

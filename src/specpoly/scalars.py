@@ -29,7 +29,7 @@ def infer_mode(values: Iterable[Scalar]) -> str:
     for v in values:
         if isinstance(v, float):
             mode = FLOAT
-        elif not is_exact(v):
+        elif type(v) is not int and type(v) is not Fraction and not is_exact(v):
             raise TypeError(f"unsupported scalar type {type(v).__name__}")
     return mode
 

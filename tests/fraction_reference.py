@@ -145,3 +145,170 @@ def sturm_sequence(coeffs) -> list:
         lead = abs(r[-1]) if r else 0
         dp = [-v / lead for v in r]
     return seq
+
+
+# --- root tuples: majorization, contraction chains, witnesses, pair draws ---
+#
+# The plain loops of the spectral-order layer, one Fraction operation at a
+# time.  ``test_root_kernel.py`` holds the library to them: equal values,
+# the same scalar type for every returned value, equal JSON bytes.
+
+def partial_sums(xs, ys, tol=None):
+    """check_majorization's (verdict value, residual, slacks); exact when
+    ``tol`` is None."""
+    xs, ys = tuple(sorted(xs)), tuple(sorted(ys))
+    if tol is None:
+        tol = Fraction(0)
+    n = len(xs)
+    residual = sum(xs) - sum(ys)
+    slacks = []
+    tx = 0 * residual
+    ty = tx
+    for k in range(1, n):
+        tx = tx + xs[n - k]
+        ty = ty + ys[n - k]
+        slacks.append(ty - tx)
+    if abs(residual) > tol:
+        verdict = "NotComparable_SumMismatch"
+    elif any(s < -tol for s in slacks):
+        verdict = "Incomparable"
+    elif all(abs(xs[i] - ys[i]) <= tol for i in range(n)):
+        verdict = "Equal"
+    else:
+        verdict = "Less"
+    return verdict, residual, tuple(slacks)
+
+
+def hinge_values(xs, ys, tol=None):
+    """hinge_oracle's rows (description, value on X, value on Y, satisfied)."""
+    xs, ys = tuple(sorted(xs)), tuple(sorted(ys))
+    if tol is None:
+        tol = Fraction(0)
+    sx, sy = sum(xs), sum(ys)
+    rows = [("sum", sx, sy, abs(sx - sy) <= tol)]
+    zero = sx * 0
+    for t in sorted(set(xs) | set(ys)):
+        vx = sum(max(v - t, zero) for v in xs)
+        vy = sum(max(v - t, zero) for v in ys)
+        rows.append((f"hinge(t={t})", vx, vy, vx <= vy + tol))
+    return rows
+
+
+def first_transfer(x, y):
+    j = next(idx for idx in range(len(x)) if y[idx] < x[idx])
+    i = max(idx for idx in range(j) if y[idx] > x[idx])
+    return i, j, min(y[i] - x[i], x[j] - y[j])
+
+
+def apply_contraction(roots, k, l, t):
+    """Roots k and l (1-based) move toward each other by t; t is already in
+    the scalars of the mode (a Fraction in rational mode)."""
+    x = list(roots)
+    k, l = k - 1, l - 1
+    assert x[k] != x[l] and not 2 * t > x[l] - x[k]
+    x[k] = x[k] + t
+    x[l] = x[l] - t
+    x.sort()
+    return tuple(x)
+
+
+def expand_transfer(roots, i, j, sigma):
+    """(steps, target) of the doubling sweep; steps are (k, l, t)."""
+    sigma = Fraction(sigma)
+    a, b = roots[i - 1], roots[j - 1]
+    interior = roots[i:j - 1]
+    p = j - i - 1
+    if p == 0:
+        return [(i, j, sigma)], apply_contraction(roots, i, j, sigma)
+    margin = min(interior[0] - a - sigma, b - interior[-1] - sigma)
+    if p >= 2:
+        margin = min(margin, min(interior[v + 1] - interior[v]
+                                 for v in range(p - 1)))
+    d = 1
+    while sigma >= 2 ** (d - 1) * margin:
+        d += 1
+    t = sigma / 2 ** d
+    steps, cur = [], tuple(roots)
+    for _ in range(2 ** d):
+        for offset in range(p + 1):
+            step = (i + offset, i + offset + 1, t)
+            cur = apply_contraction(cur, *step)
+            steps.append(step)
+    return steps, cur
+
+
+def decompose(p_roots, q_roots):
+    """(steps, stage_lengths) of the chain carrying sorted P onto sorted Q."""
+    cur, y = tuple(p_roots), tuple(q_roots)
+    steps, stages = [], []
+    while cur != y:
+        i, j, amount = first_transfer(cur, y)
+        before = len(steps)
+        if j == i + 1:
+            steps.append((i + 1, j + 1, amount))
+            cur = apply_contraction(cur, i + 1, j + 1, Fraction(amount))
+        else:
+            sub, cur = expand_transfer(cur, i + 1, j + 1, amount)
+            steps.extend(sub)
+        stages.append(len(steps) - before)
+    return steps, stages
+
+
+def witness(xs, ys):
+    """The doubly stochastic matrix of build_witness, on Fraction rows."""
+    xs = tuple(Fraction(v) for v in sorted(xs))
+    ys = tuple(Fraction(v) for v in sorted(ys))
+    n = len(ys)
+    vec = list(ys)
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def transfer(k, l, t):
+        mu = 1 - Fraction(t, vec[l] - vec[k])
+        rk, rl = rows[k], rows[l]
+        for c in range(n):
+            a, b = rk[c], rl[c]
+            rk[c] = mu * a + (1 - mu) * b
+            rl[c] = (1 - mu) * a + mu * b
+        vec[k] += t
+        vec[l] -= t
+
+    if xs != ys:
+        if (all(ys[i] < ys[i + 1] for i in range(n - 1))
+                and all(xs[i] < xs[i + 1] for i in range(n - 1))):
+            for k, l, t in decompose(ys, xs)[0]:
+                transfer(k - 1, l - 1, Fraction(t))
+        else:
+            while vec != list(xs):
+                transfer(*first_transfer(vec, list(xs)))
+    return tuple(tuple(r) for r in rows)
+
+
+def random_hyperbolic(rng, n, bound, min_gap, exact):
+    span = 2 * bound - (n - 1) * min_gap
+    if exact:
+        grid = 64
+        raw = sorted(rng.randint(0, grid) for _ in range(n))
+        base = [-Fraction(bound) + Fraction(span) * Fraction(r, grid)
+                for r in raw]
+        roots = [base[i] + i * Fraction(min_gap) for i in range(n)]
+    else:
+        raw = sorted(rng.random() for _ in range(n))
+        base = [-float(bound) + float(span) * r for r in raw]
+        roots = [base[i] + i * float(min_gap) for i in range(n)]
+    return tuple(sorted(roots))
+
+
+def random_comparable_pair(rng, n, budget, exact, bound=10, min_gap=None):
+    """The roots (P, Q) of the pair draw, Q from P by random contractions."""
+    if min_gap is None:
+        min_gap = Fraction(1, 2) if exact else 0.5
+    p = random_hyperbolic(rng, n, bound, min_gap, exact)
+    q = p
+    for _ in range(budget):
+        k = rng.randrange(1, n)
+        gap = q[k] - q[k - 1]
+        if gap <= 0:
+            continue
+        t = gap * Fraction(rng.randint(1, 7), 16)
+        q = apply_contraction(q, k, k + 1, Fraction(t) if exact else float(t))
+    return p, q

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specpoly import (Verdict, build_witness, check_majorization, hinge,
-                      hinge_oracle, matching_distance, power, schur_eval,
-                      signed_power, xlogx)
-from specpoly.errors import (DomainViolation, FloatModeUnsupported,
-                             LengthMismatch, ModeMismatch, NotMajorized)
+from specpoly import (DoublyStochasticWitness, Verdict, build_witness,
+                      check_majorization, hinge, hinge_oracle,
+                      matching_distance, power, schur_eval, signed_power,
+                      xlogx)
+from specpoly.errors import (DomainViolation, EmptyTuple,
+                             FloatModeUnsupported, LengthMismatch,
+                             ModeMismatch, NotMajorized)
 from specpoly.majorize import probe_valid
 
 
@@ -114,6 +116,13 @@ def test_matching_distance_fixtures():
     assert matching_distance((0,), (7,)) == 7
 
 
+def test_matching_distance_of_empty_tuples():
+    with pytest.raises(EmptyTuple):
+        matching_distance((), ())
+    with pytest.raises(LengthMismatch):
+        matching_distance((), (1,))
+
+
 def test_matching_distance_is_metric():
     rng = random.Random(31)
     for _ in range(300):
@@ -165,6 +174,52 @@ def test_witness_errors():
         build_witness((0, 4), (1, 3))
     with pytest.raises(FloatModeUnsupported):
         build_witness((1.0, 3.0), (0.0, 4.0))
+
+
+def test_witness_of_the_wrong_size_is_rejected():
+    # a 2 x 2 identity must not "prove" that (1, 2, 5) maps onto (1, 2, 99)
+    identity = DoublyStochasticWitness(((1, 0), (0, 1)))
+    with pytest.raises(NotMajorized):
+        identity.validate((1, 2, 99), (1, 2, 5))
+    with pytest.raises(NotMajorized):
+        identity.validate((1,), (1,))
+    three = build_witness((1, 2, 3), (0, 2, 4))
+    with pytest.raises(NotMajorized):
+        three.validate((1, 3), (0, 4))
+
+
+def test_witness_with_ragged_rows_is_rejected():
+    one = Fraction(1)
+    for rows in (((one, 0), (0,)), ((one,), (0, one)),
+                 ((one, 0, 0), (0, one))):
+        with pytest.raises(NotMajorized):
+            DoublyStochasticWitness(rows).validate((1, 2), (1, 2))
+
+
+def test_witness_length_clash_between_tuples():
+    w = build_witness((1, 3), (0, 4))
+    with pytest.raises(LengthMismatch):
+        w.validate((1, 3), (0, 4, 5))
+    with pytest.raises(LengthMismatch):
+        DoublyStochasticWitness(()).validate((), (1,))
+
+
+def test_witness_validate_catches_each_defect():
+    good = build_witness((1, 3), (0, 4))
+    good.validate((1, 3), (0, 4))
+    cases = {
+        "entry": ((Fraction(5, 4), Fraction(-1, 4)),
+                  (Fraction(-1, 4), Fraction(5, 4))),
+        "row": ((Fraction(3, 4), Fraction(1, 2)),
+                (Fraction(1, 4), Fraction(1, 2))),
+        "column": ((Fraction(3, 4), Fraction(1, 4)),
+                   (Fraction(3, 4), Fraction(1, 4))),
+        "map": ((Fraction(1, 2), Fraction(1, 2)),
+                (Fraction(1, 2), Fraction(1, 2))),
+    }
+    for word, rows in cases.items():
+        with pytest.raises(NotMajorized, match=word):
+            DoublyStochasticWitness(rows).validate((1, 3), (0, 4))
 
 
 def test_witness_existence_matches_partial_sum_criterion():

@@ -7,7 +7,7 @@ import pytest
 
 from specpoly import (LPFunction, build_witness, check_majorization,
                       decompose_majorization, from_roots)
-from specpoly.errors import ConfigError
+from specpoly.errors import ConfigError, NotMajorized
 from specpoly.serialize import (certificate_to_json, chain_from_json,
                                 chain_to_json, lp_from_json, lp_to_json,
                                 poly_from_json, poly_to_json,
@@ -65,6 +65,15 @@ def test_witness_round_trip():
     back = witness_from_json(json.loads(json.dumps(rows)))
     assert back.matrix == w.matrix
     back.validate((1, 3), (0, 4))
+
+
+def test_witness_from_ragged_rows_fails_validation():
+    back = witness_from_json([["3/4", "1/4"], ["1"]])
+    with pytest.raises(NotMajorized):
+        back.validate((1, 3), (0, 4))
+    back = witness_from_json([["1", "0"], ["0", "1"]])
+    with pytest.raises(NotMajorized):
+        back.validate((1, 2, 99), (1, 2, 5))
 
 
 def test_chain_round_trip():
