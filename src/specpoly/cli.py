@@ -8,11 +8,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import serialize
 from .contract import decompose_majorization, random_comparable_pair
-from .errors import SpecPolyError
+from .errors import ConfigError, SpecPolyError
 from .harness import (HUNTS, SUITES, ExperimentConfig, hunt_counterexamples,
                       run_suite)
 from .lpops import (DiffOperator, appell, gaussian_op, laguerre_ms,
@@ -54,12 +55,17 @@ def _add_harness_flags(sub):
                      metavar="KEY=VALUE")
 
 
+_INT_KEYS = ("trials", "seed", "degree_min", "degree_max", "step_cap")
+
+
 def _build_config(args, suite) -> ExperimentConfig:
     cfg = ExperimentConfig(suite=suite)
     if args.config:
         for key, value in _read_json(args.config).items():
             if not hasattr(cfg, key):
                 raise SpecPolyError(f"unknown config key {key!r}")
+            if key in _INT_KEYS and type(value) is not int:
+                raise ConfigError(f"config key {key!r} needs an integer")
             setattr(cfg, key, value)
     for name in ("trials", "seed", "degree_min", "degree_max", "mode",
                  "tol", "out"):
@@ -170,10 +176,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _dispatch(args)
-    except SpecPolyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SpecPolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -278,6 +281,8 @@ def _op_command(args) -> int:
             gammas = [parse_scalar(v) for v in _read_json(args.gamma)]
         else:
             m, p = args.laguerre
+            if m < 1 or p < 0:
+                raise ConfigError("--laguerre needs M >= 1 and P >= 0")
             gammas = laguerre_ms(m, p, n + 1).gammas
         coeffs = multiplier_apply(gammas, poly.coefficients(), n,
                                   normalized=args.normalized)
@@ -288,10 +293,12 @@ def _op_command(args) -> int:
 
 def _pencil_command(args) -> int:
     poly = _load_poly(args.poly)
-    span = float(args.grid[0])
-    count = int(args.grid[1])
-    if count < 2 or span <= 0:
-        raise SpecPolyError("grid needs L > 0 and N >= 2")
+    try:
+        span, count = float(args.grid[0]), int(args.grid[1])
+    except ValueError:
+        raise ConfigError("grid needs a number L and an integer N") from None
+    if count < 2 or not 0 < span < math.inf:
+        raise ConfigError("grid needs L > 0 and N >= 2")
     lams = [-span + 2 * span * k / (count - 1) for k in range(count)]
     n = poly.degree
 

@@ -36,7 +36,8 @@ from .errors import (ChainTooLong, CoefficientTooLarge, DegreeMismatch,
 from ._qpoly import numerators
 from .majorize import (Verdict, check_majorization, default_tol,
                        first_transfer)
-from .poly import HyperbolicPoly, strict_numerators, strict_perturb
+from .poly import (HyperbolicPoly, random_hyperbolic, strict_numerators,
+                   strict_perturb)
 from .scalars import FLOAT, RATIONAL, Scalar, coerce
 
 DEFAULT_STEP_CAP = 10 ** 6
@@ -351,12 +352,12 @@ def random_comparable_pair(seed, n: int, budget: int, mode: str = RATIONAL,
     ``budget`` random nondegenerate simple contractions, each of which
     preserves the root sum and tightens the top partial sums.
     """
-    from .harness import random_hyperbolic
-
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     if min_gap is None:
         min_gap = Fraction(1, 2) if mode == RATIONAL else 0.5
     p = random_hyperbolic(rng, n, bound=bound, min_gap=min_gap, mode=mode)
+    if n == 1:
+        return p, p         # one root admits no contraction
     q = p
     for _ in range(budget):
         k = rng.randrange(1, n)

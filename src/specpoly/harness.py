@@ -35,14 +35,14 @@ from ._qpoly import numerators
 from .contract import (DEFAULT_STEP_CAP, decompose_majorization,
                        random_comparable_pair)
 from .errors import (ChainTooLong, ConfigError, GeneratorExhausted,
-                     InfeasibleGap, NotRealRooted, UnknownSuite)
+                     NotRealRooted, UnknownSuite)
 from .lpops import (DiffOperator, LPFunction, MultiplierSequence, appell,
                     deformation_leq, gaussian_coeffs, laguerre_closed_form,
                     laguerre_ms, multiplier_apply, shift_pencil_coeffs)
 from .majorize import (check_majorization, hinge, power, probe_valid,
                        scaled_tol, schur_eval, signed_power, xlogx)
 from .pencil import default_grid, pencil_path, scan_monotonicity
-from .poly import HyperbolicPoly, derivative, from_roots, taylor_shift
+from .poly import HyperbolicPoly, derivative, random_hyperbolic, taylor_shift
 from .roots import real_roots, real_roots_bracketed
 from .scalars import FLOAT, RATIONAL, Scalar, parse_scalar
 
@@ -117,30 +117,6 @@ class SuiteReport:
 def trial_rng(seed: int, trial: int) -> random.Random:
     # string seeding hashes with sha512: deterministic across platforms
     return random.Random(f"{seed}:{trial}")
-
-
-def random_hyperbolic(rng: random.Random, n: int, bound: Scalar = 10,
-                      min_gap: Scalar = Fraction(1, 2), mode: str = RATIONAL,
-                      ) -> HyperbolicPoly:
-    """Strictly hyperbolic polynomial with consecutive gaps >= min_gap."""
-    if n < 1:
-        raise InfeasibleGap("need n >= 1")
-    if n * min_gap > 2 * bound:
-        raise InfeasibleGap(f"n * min_gap = {n * min_gap} exceeds 2 * bound")
-    span = 2 * bound - (n - 1) * min_gap
-    if mode == RATIONAL:
-        grid = 64
-        raw = sorted(rng.randint(0, grid) for _ in range(n))
-        # root i = -bound + span * raw[i] / grid + i * min_gap, on the
-        # numerators b, s, g of bound, span and min_gap over one L
-        ((b, s, g),), den = numerators((bound, span, min_gap))
-        nums = sorted(grid * (i * g - b) + s * r for i, r in enumerate(raw))
-        return HyperbolicPoly(tuple(Fraction(v, grid * den) for v in nums),
-                              mode)
-    raw = sorted(rng.random() for _ in range(n))
-    base = [-float(bound) + float(span) * r for r in raw]
-    roots = [base[i] + i * float(min_gap) for i in range(n)]
-    return from_roots(roots, mode)
 
 
 # --- shared generator helpers -------------------------------------------------

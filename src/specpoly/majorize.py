@@ -5,7 +5,9 @@ when the sums agree and every top-k partial sum of X is bounded by the
 corresponding sum of Y.  A certificate records the full partial-sum
 ledger.  The independent hinge-probe oracle and the doubly stochastic
 witness construction give the two classical equivalent characterizations,
-kept separate so they can check each other.
+kept separate so they can check each other: the witness is the product
+of the T-transforms of the ``first_transfer`` stages, built without
+``contract`` and its chains.
 
 In rational mode each call puts its tuples over their least common
 denominator L (``_qpoly.numerators``) and runs its loops on the integer
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 from ._qpoly import numerators
 from .errors import (DomainViolation, EmptyTuple, FloatModeUnsupported,
                      LengthMismatch, NotMajorized)
-from .poly import HyperbolicPoly, strict_numerators
+from .poly import HyperbolicPoly
 from .scalars import RATIONAL, Scalar, infer_mode, require_same_mode
 
 
@@ -337,8 +339,9 @@ def first_transfer(x: Sequence, y: Sequence) -> tuple:
 
 def _direct_transfers(acc: _TransformProduct, target: list) -> None:
     # Robin Hood loop: repeatedly fix the leftmost coordinate that is still
-    # too large, transferring from it... (transfers may be non-adjacent and
-    # may merge coordinates; fine for matrices, unlike polynomial chains).
+    # too large, transferring from it to the nearest too-small one on its
+    # left; each transfer settles one of the two for good (transfers may be
+    # non-adjacent and may merge coordinates; fine for matrices).
     guard = 0
     while acc.vec != target:
         guard += 1
@@ -350,41 +353,19 @@ def _direct_transfers(acc: _TransformProduct, target: list) -> None:
 def build_witness(x, y) -> DoublyStochasticWitness:
     """A doubly stochastic matrix mapping sorted Y onto sorted X, exactly.
 
-    Built as a product of T-transforms on integer rows.  When both tuples
-    are strict the factors come one-to-one from the simple nondegenerate
-    contraction chain; tied tuples fall back to direct two-point transfers
-    (a chain of nondegenerate contractions cannot terminate at a multiple
-    root).  Rational mode only.
+    The product of one T-transform per ``first_transfer`` stage, on
+    integer rows; every stage settles a coordinate, so there are at most
+    n - 1 factors.  Independent of the chains of ``contract``; the result
+    is validated before it is returned.  Rational mode only.
     """
-    xs = _tuple_of(x)
-    ys = _tuple_of(y)
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"tuple lengths differ: {len(xs)} vs {len(ys)}")
-    mode = require_same_mode(infer_mode(xs), infer_mode(ys))
-    if mode != RATIONAL:
+    xs, ys, nx, ny, _, exact, _ = _prepare(x, y, None)
+    if not exact:
         raise FloatModeUnsupported("witness construction requires exact mode")
     cert = check_majorization(xs, ys)
     if not cert.comparable:
         raise NotMajorized(f"verdict {cert.verdict.value}")
 
-    (nx, ny), den = numerators(xs, ys)
-    nx.sort()
-    ny.sort()
-    steps = ()
-    if nx != ny and strict_numerators(nx) and strict_numerators(ny):
-        from .contract import decompose_majorization
-        steps = decompose_majorization(
-            HyperbolicPoly(tuple(Fraction(v, den) for v in ny), RATIONAL),
-            HyperbolicPoly(tuple(Fraction(v, den) for v in nx), RATIONAL),
-        ).steps
-    # a sweep's t has denominator den * 2^d: put it all over one
-    (nx, ny, ts), _ = numerators(xs, ys, [s.t for s in steps])
-    nx.sort()
-    ny.sort()
     acc = _TransformProduct(ny)
-    for step, t in zip(steps, ts):
-        acc.transfer(step.k - 1, step.l - 1, t)
-    # tied tuples; after a chain there is nothing left to transfer
     _direct_transfers(acc, nx)
 
     witness = DoublyStochasticWitness(acc.matrix())

@@ -15,13 +15,14 @@ loop on doubles.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import roots as _rootfind
 from ._qpoly import QPoly, numerators
-from .errors import DegreeTooSmall, EmptyTuple, NonPositiveEps
+from .errors import DegreeTooSmall, EmptyTuple, InfeasibleGap, NonPositiveEps
 from .scalars import (FLOAT, RATIONAL, Scalar, check_finite, coerce,
                       coerce_all, infer_mode)
 
@@ -204,6 +205,30 @@ def strictness(p: HyperbolicPoly) -> StrictnessReport:
 def is_strict(p: HyperbolicPoly) -> bool:
     (nums,), _ = numerators(p.roots, exact=p.mode == RATIONAL)
     return strict_numerators(nums)
+
+
+def random_hyperbolic(rng: random.Random, n: int, bound: Scalar = 10,
+                      min_gap: Scalar = Fraction(1, 2), mode: str = RATIONAL,
+                      ) -> HyperbolicPoly:
+    """Strictly hyperbolic polynomial with consecutive gaps >= min_gap."""
+    if n < 1:
+        raise InfeasibleGap("need n >= 1")
+    span = 2 * bound - (n - 1) * min_gap
+    if span < 0:
+        raise InfeasibleGap(f"(n - 1) * min_gap exceeds 2 * bound by {-span}")
+    if mode == RATIONAL:
+        grid = 64
+        raw = sorted(rng.randint(0, grid) for _ in range(n))
+        # root i = -bound + span * raw[i] / grid + i * min_gap, on the
+        # numerators b, s, g of bound, span and min_gap over one L
+        ((b, s, g),), den = numerators((bound, span, min_gap))
+        nums = sorted(grid * (i * g - b) + s * r for i, r in enumerate(raw))
+        return HyperbolicPoly(tuple(Fraction(v, grid * den) for v in nums),
+                              mode)
+    raw = sorted(rng.random() for _ in range(n))
+    base = [-float(bound) + float(span) * r for r in raw]
+    roots = [base[i] + i * float(min_gap) for i in range(n)]
+    return from_roots(roots, mode)
 
 
 def eval_poly(coeffs: Sequence, x: Scalar) -> Scalar:

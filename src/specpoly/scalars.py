@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ModeMismatch, NonFinite
+from .errors import ConfigError, ModeMismatch, NonFinite
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -72,7 +72,10 @@ def parse_scalar(text) -> Scalar:
     if isinstance(text, (int, float)):
         return text
     if isinstance(text, str):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"cannot parse scalar from {text!r}") from None
     raise TypeError(f"cannot parse scalar from {text!r}")
 
 

@@ -86,10 +86,13 @@ def lp_to_json(phi: LPFunction) -> dict:
 
 
 def lp_from_json(obj) -> LPFunction:
-    return LPFunction(
-        c=parse_scalar(obj.get("c", 1)),
-        m=int(obj.get("m", 0)),
-        a=parse_scalar(obj.get("a", 0)),
-        b=parse_scalar(obj.get("b", 0)),
-        alphas=tuple(parse_scalar(v) for v in obj.get("alphas", ())),
-    )
+    try:
+        return LPFunction(
+            c=parse_scalar(obj.get("c", 1)),
+            m=int(obj.get("m", 0)),
+            a=parse_scalar(obj.get("a", 0)),
+            b=parse_scalar(obj.get("b", 0)),
+            alphas=tuple(parse_scalar(v) for v in obj.get("alphas", ())),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid LP function: {exc}") from None

@@ -272,14 +272,8 @@ def witness(xs, ys):
         vec[k] += t
         vec[l] -= t
 
-    if xs != ys:
-        if (all(ys[i] < ys[i + 1] for i in range(n - 1))
-                and all(xs[i] < xs[i + 1] for i in range(n - 1))):
-            for k, l, t in decompose(ys, xs)[0]:
-                transfer(k - 1, l - 1, Fraction(t))
-        else:
-            while vec != list(xs):
-                transfer(*first_transfer(vec, list(xs)))
+    while vec != list(xs):
+        transfer(*first_transfer(vec, list(xs)))
     return tuple(tuple(r) for r in rows)
 
 
@@ -303,6 +297,8 @@ def random_comparable_pair(rng, n, budget, exact, bound=10, min_gap=None):
     if min_gap is None:
         min_gap = Fraction(1, 2) if exact else 0.5
     p = random_hyperbolic(rng, n, bound, min_gap, exact)
+    if n == 1:
+        return p, p
     q = p
     for _ in range(budget):
         k = rng.randrange(1, n)

@@ -77,6 +77,12 @@ def test_chain_random_pair(files, capsys):
     assert len(obj["p"]["roots"]) == 4
 
 
+def test_chain_random_pair_of_one_root(capsys):
+    assert main(["chain", "random-pair", "--n", "1", "--budget", "3"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert len(obj["p"]["roots"]) == 1 and obj["q"] == obj["p"]
+
+
 def test_chain_decompose_not_majorized_is_error(files):
     assert main(["chain", "decompose", "--p", files["q"], "--q", files["p"]]) == 2
 
@@ -176,3 +182,31 @@ def test_missing_file_is_usage_error(files):
 def test_verify_without_trials_prints_no_slack(capsys):
     assert main(["verify", "main1", "--trials", "0"]) == 0
     assert "worst slack none" in capsys.readouterr().out
+
+
+# each builds an argument list from the fixture files and a writer of one
+# malformed JSON input
+MALFORMED = [
+    pytest.param(lambda f, w: ["op", "apply", "--phi", w({"c": 0}),
+                               "--poly", f["p"]], id="phi-zero-c"),
+    pytest.param(lambda f, w: ["majorize", "check", "--x", w(["1/0", 2]),
+                               "--y", f["y"]], id="root-zero-denominator"),
+    pytest.param(lambda f, w: ["majorize", "check", "--x", w(["abc", 2]),
+                               "--y", f["y"]], id="root-not-a-number"),
+    pytest.param(lambda f, w: ["op", "multiplier", "--poly", f["p"],
+                               "--laguerre", "0", "0"], id="laguerre-m-zero"),
+    pytest.param(lambda f, w: ["pencil", "scan", "--poly", f["x"],
+                               "--grid", "x", "5"], id="grid-not-a-number"),
+    pytest.param(lambda f, w: ["op", "shift-pencil", "--poly", f["p"],
+                               "--lambda", "zz"], id="lambda-not-a-number"),
+    pytest.param(lambda f, w: ["verify", "iso", "--config",
+                               w({"trials": "3"})], id="config-trials-string"),
+]
+
+
+@pytest.mark.parametrize("build", MALFORMED)
+def test_malformed_input_is_usage_error(build, files, tmp_path, capsys):
+    argv = build(files, lambda obj: _write(tmp_path, "in.json", obj))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

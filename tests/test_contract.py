@@ -209,3 +209,11 @@ def test_random_pair_reproducible():
     a = random_comparable_pair(123, n=6, budget=4)
     b = random_comparable_pair(123, n=6, budget=4)
     assert a[0].roots == b[0].roots and a[1].roots == b[1].roots
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_random_pair_of_one_root(mode):
+    # one root admits no contraction, whatever the budget
+    for budget in (0, 1, 5):
+        p, q = random_comparable_pair(7, n=1, budget=budget, mode=mode)
+        assert p.degree == 1 and q.roots == p.roots

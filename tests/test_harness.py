@@ -35,6 +35,20 @@ def test_random_hyperbolic_reproducible():
 def test_random_hyperbolic_infeasible_gap():
     with pytest.raises(InfeasibleGap):
         random_hyperbolic(random.Random(0), 8, bound=1, min_gap=1)
+    with pytest.raises(InfeasibleGap):
+        random_hyperbolic(random.Random(0), 4, bound=1, min_gap=1, mode="float")
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_random_hyperbolic_at_the_feasibility_boundary(mode):
+    # n roots with gaps >= min_gap fit in [-bound, bound] exactly when
+    # (n - 1) * min_gap <= 2 * bound
+    p = random_hyperbolic(random.Random(0), 3, bound=1, min_gap=1, mode=mode)
+    assert p.roots == (-1, 0, 1)
+    for seed in range(20):
+        q = random_hyperbolic(random.Random(seed), 1, bound=1, min_gap=3,
+                              mode=mode)
+        assert q.degree == 1 and -1 <= q.roots[0] <= 1
 
 
 def test_trial_rng_streams_are_independent():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specpoly.contract
 from specpoly import (DoublyStochasticWitness, Verdict, build_witness,
                       check_majorization, hinge, hinge_oracle,
                       matching_distance, power, schur_eval, signed_power,
@@ -14,7 +15,7 @@ from specpoly import (DoublyStochasticWitness, Verdict, build_witness,
 from specpoly.errors import (DomainViolation, EmptyTuple,
                              FloatModeUnsupported, LengthMismatch,
                              ModeMismatch, NotMajorized)
-from specpoly.majorize import probe_valid
+from specpoly.majorize import _TransformProduct, probe_valid
 
 
 def test_less_fixture():
@@ -148,9 +149,8 @@ def test_witness_identity():
 
 
 def test_witness_tied_target():
-    # a nondegenerate contraction chain cannot end at a triple root, so
-    # this goes through the direct-transfer fallback; soundness is what
-    # matters and validate() checks it exactly
+    # a nondegenerate contraction chain cannot end at a triple root, but
+    # the stage T-transforms can; validate() checks the result exactly
     w = build_witness((1, 1, 1), (0, 1, 2))
     w.validate((1, 1, 1), (0, 1, 2))
     assert sum(w.matrix[0]) == 1
@@ -159,6 +159,40 @@ def test_witness_tied_target():
 def test_witness_through_chain():
     w = build_witness((1, 2, 3), (0, 2, 4))
     w.validate((1, 2, 3), (0, 2, 4))
+
+
+def test_witness_needs_no_chain_and_at_most_n_minus_1_transfers(
+        monkeypatch):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("build_witness must not build a chain")
+
+    monkeypatch.setattr(specpoly.contract, "decompose_majorization", no_chain)
+    transfer = _TransformProduct.transfer
+    calls = []
+
+    def counted(self, k, l, t):
+        calls.append((k, l, t))
+        transfer(self, k, l, t)
+
+    monkeypatch.setattr(_TransformProduct, "transfer", counted)
+    rng = random.Random(63)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        y = sorted(Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+                   for _ in range(n))
+        if rng.random() < 0.3:
+            x = [sum(y) / n] * n
+        else:
+            x = list(y)
+            for _ in range(rng.randint(0, 5)):
+                i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+                t = (x[j] - x[i]) * Fraction(rng.randint(0, 4), 8)
+                x[i] += t
+                x[j] -= t
+        calls.clear()
+        w = build_witness(x, y)
+        w.validate(x, y)
+        assert len(calls) <= n - 1
 
 
 def test_witness_random_soundness():

@@ -150,9 +150,6 @@ def test_witness_matches_the_transform_product(ys, seed, budget, tied):
         xs = [Fraction(sum(ys), len(ys))] * len(ys)
     else:
         xs = _contract_randomly(rng, ys, budget) if len(ys) > 1 else ys
-    if sorted(xs) != ys and _strict(xs) and _strict(ys):
-        _assume_short_chain(HyperbolicPoly(tuple(ys), RATIONAL),
-                            HyperbolicPoly(tuple(sorted(xs)), RATIONAL))
     witness = build_witness(xs, ys)
     want = ref.witness(xs, ys)
     assert _same(witness.matrix, want)
@@ -231,7 +228,7 @@ def test_strictness_and_discrepancy_match(roots, other):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 32), st.integers(2, 10), st.integers(0, 6),
+@given(st.integers(0, 2 ** 32), st.integers(1, 10), st.integers(0, 6),
        st.booleans())
 def test_pair_draws_match(seed, n, budget, exact):
     mode = RATIONAL if exact else FLOAT
