@@ -26,7 +26,10 @@ from .scalars import parse_scalar
 
 def _read_json(path):
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _load_poly(path, tol=None):
@@ -61,7 +64,10 @@ _INT_KEYS = ("trials", "seed", "degree_min", "degree_max", "step_cap")
 def _build_config(args, suite) -> ExperimentConfig:
     cfg = ExperimentConfig(suite=suite)
     if args.config:
-        for key, value in _read_json(args.config).items():
+        config = _read_json(args.config)
+        if not isinstance(config, dict):
+            raise ConfigError("--config needs a JSON object")
+        for key, value in config.items():
             if not hasattr(cfg, key):
                 raise SpecPolyError(f"unknown config key {key!r}")
             if key in _INT_KEYS and type(value) is not int:

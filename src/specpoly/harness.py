@@ -31,20 +31,19 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import serialize
-from ._qpoly import numerators
 from .contract import (DEFAULT_STEP_CAP, decompose_majorization,
                        random_comparable_pair)
 from .errors import (ChainTooLong, ConfigError, GeneratorExhausted,
                      NotRealRooted, UnknownSuite)
 from .lpops import (DiffOperator, LPFunction, MultiplierSequence, appell,
                     deformation_leq, gaussian_coeffs, laguerre_closed_form,
-                    laguerre_ms, multiplier_apply, shift_pencil_coeffs)
+                    laguerre_ms, multiplier_apply, shift_pencil)
 from .majorize import (check_majorization, hinge, power, probe_valid,
                        scaled_tol, schur_eval, signed_power, xlogx)
 from .pencil import default_grid, pencil_path, scan_monotonicity
-from .poly import HyperbolicPoly, derivative, random_hyperbolic, taylor_shift
-from .roots import real_roots, real_roots_bracketed
-from .scalars import FLOAT, RATIONAL, Scalar, parse_scalar
+from .poly import derivative, random_hyperbolic, taylor_shift
+from .roots import real_roots
+from .scalars import FLOAT, RATIONAL, parse_scalar
 
 ROOT_TOL = 1e-11          # absolute root extraction tolerance inside suites
 DEFAULT_REL_TOL = 1e-7    # relative slack for float-mode image comparisons
@@ -237,30 +236,11 @@ def _gen_main2(cfg, rng):
             "gauss1": a1, "gauss2": a2, "rel_tol": cfg.rel_tol}
 
 
-def _shift_pencil_roots(p: HyperbolicPoly, lam: float) -> tuple:
-    # P(x + lam) - lam P'(x + lam) is the pencil of P at lam moved left by
-    # lam.  Each pencil root x_i(lam) moves up from the root r_i of P as
-    # lam grows, staying below r_{i+1}, and down as lam falls, staying
-    # above r_{i-1}; the roots sum to sum(r) + n lam, so none moves by more
-    # than n |lam|.  So the roots of P moved by -lam, with an outer end
-    # 2 n |lam| past them on the side the roots move to, put one root in
-    # each bracket; real_roots_bracketed checks that before it refines.
-    coeffs = shift_pencil_coeffs(p, lam)
-    shifted = [float(r) - lam for r in p.roots]
-    reach = 2.0 * len(shifted) * lam
-    if lam > 0.0:
-        points = shifted + [shifted[-1] + reach]
-    else:
-        points = [shifted[0] + reach] + shifted
-    roots = real_roots_bracketed(coeffs, points, None, ROOT_TOL)
-    return _image_roots(coeffs) if roots is None else roots
-
-
 def _check_main2(inputs):
     p = serialize.poly_from_json(inputs["p"])
     rel = inputs["rel_tol"]
-    small = _shift_pencil_roots(p, inputs["lam1"])
-    large = _shift_pencil_roots(p, inputs["lam2"])
+    small = shift_pencil(p, inputs["lam1"], ROOT_TOL).roots
+    large = shift_pencil(p, inputs["lam2"], ROOT_TOL).roots
     ok1, m1, d1 = _check_order(small, large, rel)
     if not ok1:
         d1["part"] = "shift-pencil"

@@ -30,11 +30,11 @@ from typing import Optional, Sequence
 
 from ._qpoly import QPoly, is_exact_all
 from .errors import DegreeTooSmall, NotRealRooted, ZeroTopTerm
-from .pencil import pencil_coeffs
+from .pencil import _far_end, pencil_coeffs
 from .poly import (HyperbolicPoly, coeff_derivative, hyperbolic_from_coeffs,
                    taylor_shift)
-from .roots import is_real_rooted, real_roots
-from .scalars import RATIONAL, Scalar, coerce, infer_mode
+from .roots import is_real_rooted, real_roots, real_roots_bracketed
+from .scalars import FLOAT, RATIONAL, Scalar, coerce, infer_mode
 
 
 def _mul_trunc(a: list, b: list, n: int) -> list:
@@ -349,9 +349,23 @@ def shift_pencil_coeffs(p: HyperbolicPoly, lam: Scalar) -> tuple:
 
 def shift_pencil(p: HyperbolicPoly, lam: Scalar,
                  tol: float | None = None) -> HyperbolicPoly:
+    """Root form of the shift pencil, the pencil of P at lam moved by -lam.
+
+    Each pencil root x_i(lam) moves up from the root r_i of P as lam
+    grows, staying below r_{i+1}, and down as lam falls, staying above
+    r_{i-1}.  So the roots of P moved by -lam, with ``pencil._far_end``
+    past them on the side the roots move to, put one root in each bracket;
+    ``real_roots_bracketed`` checks that before it refines, and answers by
+    the full recursion where it fails (lam = 0, a multiple root of P).
+    """
     if p.degree < 1:
         raise DegreeTooSmall("shift pencil needs degree >= 1")
-    return hyperbolic_from_coeffs(shift_pencil_coeffs(p, lam), tol)
+    coeffs = shift_pencil_coeffs(p, lam)
+    moved = [float(r - lam) for r in p.roots]
+    far = _far_end(moved, float(lam))
+    points = moved + [far] if lam > 0 else [far] + moved
+    return HyperbolicPoly(real_roots_bracketed(coeffs, points, None, tol),
+                          FLOAT)
 
 
 def gaussian_coeffs(p: HyperbolicPoly, a: Scalar) -> tuple:

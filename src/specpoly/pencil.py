@@ -15,11 +15,11 @@ and each sample refines only its n brackets, so x_i(lam) is the
 continuous i-th trajectory by construction.  The same holds one level
 down (P' - lam P'' between the roots of P''), which gives the critical
 points; they are computed only when ``PencilSample.criticals`` is first
-read.  The root finder uses the brackets only after checking that the
-values at their ends alternate in sign.  A multiple root of P is a root
-of every pencil and sits on a bracket end, where that check can fail; the
-sample then falls back to the full interlacing recursion of
-``real_roots``.
+read.  The outer brackets end at the root bound of the pencil.  The root
+finder uses the brackets only after checking that the values at their
+ends alternate in sign.  A multiple root of P is a root of every pencil
+and sits on a bracket end, where that check can fail; the finder then
+answers by the full interlacing recursion of ``real_roots``.
 
 ``pencil_at`` samples one lam on its own.  ``pencil_path`` samples many
 by continuation, since each x_i(lam) increases with lam (the paper's
@@ -29,10 +29,13 @@ Horner's roundoff bound are cached beside the brackets, and the sign at
 each separator is decided for any lam without a Horner pass, by an
 enclosure that also covers the rounding of ``pencil_coeffs``.  The two
 outer brackets end at the last sample's outer root on the side it left
-and at a bound on how far a root can move on the other side; those two
-ends are evaluated and checked.  Newton starts from an extrapolation of
-the last samples.  The contract is the one of ``pencil_at``: each root is
-within tol/2 of a root of the rounded coefficients ``pencil_coeffs``
+and, on the other side, at ``_far_end``: no root moves by more than
+n |lam - lam'| from one sample to the next, so twice that past the last
+outer root bounds it (``lpops.shift_pencil`` brackets by the same rule).
+Those two ends are evaluated and checked; a failed check answers by the
+full recursion, as in ``pencil_at``.  Newton starts from an extrapolation
+of the last samples.  The contract is the one of ``pencil_at``: each root
+is within tol/2 of a root of the rounded coefficients ``pencil_coeffs``
 gives at that lam.
 """
 
@@ -45,9 +48,8 @@ from typing import NamedTuple
 from .errors import DegreeMismatch
 from .majorize import MajorizationCertificate, check_majorization
 from .poly import HyperbolicPoly, coeff_derivative
-from .roots import (_eval_with_mag, _roundoff, real_roots,
-                    real_roots_bracketed, real_roots_separated,
-                    real_roots_with_criticals)
+from .roots import (_eval_with_mag, _roundoff, real_roots_bracketed,
+                    real_roots_with_criticals, root_bound)
 from .scalars import Scalar, coerce
 
 
@@ -109,8 +111,10 @@ def _separators(pf: HyperbolicPoly, tol: float | None) -> _Brackets:
 
 
 def _bracketed_roots(coeffs, separators, tol) -> tuple:
-    roots = real_roots_separated(coeffs, separators, tol)
-    return real_roots(coeffs, tol) if roots is None else roots
+    # the roots in the brackets the separators cut from the root bound
+    bound = root_bound(coeffs)
+    return real_roots_bracketed(coeffs, (-bound, *separators, bound), None,
+                                tol)
 
 
 @dataclass(frozen=True)
@@ -182,28 +186,32 @@ def _extrapolated(lam: float, recent: list) -> list:
     return out
 
 
+def _far_end(roots, step: float) -> float:
+    # An outer bracket end for the roots of a pencil moved on by step in
+    # lam.  Every root moves toward the sign of step, and the roots sum to
+    # a constant plus n lam, so none moves by more than n |step|; the end
+    # is 2 n |step| beyond the outer root on the side they move to.
+    return (roots[-1] if step > 0.0 else roots[0]) + 2.0 * len(roots) * step
+
+
 def _continued(coeffs: tuple, lam: float, brackets: _Brackets, recent: list,
-               tol: float | None) -> tuple | None:
-    # The roots of the last sample, moved on to lam.  Every root moves
-    # toward the sign of lam - last.lam, and the roots of P' keep
+               tol: float | None) -> tuple:
+    # The roots of the last sample, moved on to lam.  The roots of P' keep
     # separating them; the outer brackets end at the old outer root on the
-    # side it left and, on the side it moves to, 2 n |lam - last.lam|
-    # beyond it (the roots sum to a constant plus n lam and none moves
-    # back, so no root moves by more than n |lam - last.lam|).  Those two
-    # ends are checked like every other; None when they fail.  Newton
-    # starts from the extrapolation of the recent samples of each root.
+    # side it left and at ``_far_end`` on the side it moves to.  Those two
+    # ends are checked like every other.  Newton starts from the
+    # extrapolation of the recent samples of each root.
     last = recent[-1]
     x = last.roots
     step = lam - last.lam
-    n = len(x)
+    far = _far_end(x, step)
     if step > 0.0:
-        low, high = x[0], x[-1] + 2.0 * n * step
+        points = (x[0],) + brackets.first + (far,)
     else:
-        low, high = x[0] + 2.0 * n * step, x[-1]
-    return real_roots_bracketed(
-        coeffs, (low,) + brackets.first + (high,),
-        [None] + brackets.known(lam) + [None], tol,
-        _extrapolated(lam, recent))
+        points = (far,) + brackets.first + (x[-1],)
+    return real_roots_bracketed(coeffs, points,
+                                [None] + brackets.known(lam) + [None], tol,
+                                _extrapolated(lam, recent))
 
 
 def pencil_at(p: HyperbolicPoly, lam: float,
@@ -221,11 +229,11 @@ def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
     """``pencil_at`` at each lam in turn, following the root trajectories.
 
     The lams may come in any order and repeat.  Each sample after the
-    first continues the one before it (see ``_continued``); the first, and
-    any whose brackets fail the sign check, come from ``pencil_at``.  A lam
-    equal to the one before it repeats that sample.  Every root carries
-    the contract of ``pencil_at``: within tol/2 of a root of the rounded
-    coefficients ``pencil_coeffs`` gives at that lam.
+    first continues the one before it (see ``_continued``); the first comes
+    from ``pencil_at``.  A lam equal to the one before it repeats that
+    sample.  Every root carries the contract of ``pencil_at``: within tol/2
+    of a root of the rounded coefficients ``pencil_coeffs`` gives at that
+    lam.
     """
     pf = p.to_float()
     brackets = _separators(pf, tol)
@@ -236,13 +244,11 @@ def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
         if recent and lam == recent[-1].lam:
             samples.append(recent[-1])
             continue
-        sample = None
         if recent:
             coeffs = pencil_coeffs(pf, lam)
             roots = _continued(coeffs, lam, brackets, recent, tol)
-            if roots is not None:
-                sample = _sample(lam, roots, coeffs, brackets, tol)
-        if sample is None:
+            sample = _sample(lam, roots, coeffs, brackets, tol)
+        else:
             sample = pencil_at(pf, lam, tol)
         recent = recent[-2:] + [sample]
         samples.append(sample)

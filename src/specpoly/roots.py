@@ -36,17 +36,16 @@ values are clearly nonzero means the input was not real-rooted and raises
 smaller value.  These two branches are heuristics; their roots carry no
 certificate.
 
-A caller that already knows n-1 points separating the n roots (the pencil
+A caller that already knows n brackets with one root in each (the pencil
 P - lam P', whose roots the critical points of P separate for every lam)
-skips the recursion with ``real_roots_separated``, which refines only
-those n brackets.  It trusts them only when the values at the bracket
-ends alternate strictly in sign, clear of roundoff, so that each bracket
-provably holds one root; otherwise it returns None and the caller falls
-back to ``real_roots``.  ``real_roots_bracketed`` is the same for n
-brackets whose ends the caller chooses, with the values at some of them
-already known within a stated bound, and a Newton start in each: the
-pencil continuation of ``pencil.pencil_path`` uses it with its cached
-separator values.
+skips the recursion with ``real_roots_bracketed``, which refines only
+those brackets, from the values at some ends that the caller may already
+know within a stated bound and from a Newton start in each.  It trusts
+the brackets only when their ends increase strictly and the values there
+alternate in sign, clear of their bounds, so that each bracket provably
+holds one root; otherwise it answers by ``real_roots``.  A separator that
+is itself a root (a multiple root of the polynomial the separators came
+from) or an input that is not real-rooted makes the check fail.
 
 Root extraction is in double precision: it is the one-way door from
 exact coefficients to float root tuples.
@@ -312,19 +311,6 @@ def _refine_bracket(rev, pts, vals, bounds, i, tol, start=None) -> float:
                    max(bounds[i], bounds[i + 1]), start)
 
 
-def _refine_alternating(rev, n, pts, vals, bounds, tol, starts=None):
-    # the n roots when every end value clears its bound and the signs
-    # alternate, which proves one root in each bracket; else None
-    negative = vals[0] < 0.0
-    for v, b in zip(vals, bounds):
-        if not (v < -b if negative else v > b):
-            return None
-        negative = not negative
-    return tuple(_refine_bracket(rev, pts, vals, bounds, i, tol,
-                                 starts[i] if starts else None)
-                 for i in range(n))
-
-
 def _roots_between(rev: list[float], n: int, crit: list[float],
                    tol: float) -> list[float]:
     pts, vals, bounds = _bracket_points(rev, n, crit)
@@ -423,50 +409,25 @@ def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
     return tuple(roots), tuple(crit)
 
 
-def real_roots_separated(coeffs: Sequence, separators: Sequence[float],
-                         tol: float | None = None,
-                         ) -> tuple[float, ...] | None:
-    """The n roots of a degree-n polynomial, given n-1 points between them.
-
-    ``separators`` are sorted points that the caller expects to put exactly
-    one root in each of the n brackets they cut from the root bound; only
-    those brackets are refined, which skips the interlacing recursion.
-    The expectation is checked, not trusted: unless the values at the
-    bracket ends alternate strictly in sign, clear of Horner roundoff,
-    this returns None and the caller falls back to ``real_roots``.  That
-    happens when a separator is itself a root (a multiple root of the
-    polynomial the separators came from) or when the input is not
-    real-rooted.  Otherwise every bracket is refined, and each root is
-    within tol/2 (or one float spacing) of the one root in its bracket.
-    """
-    rev, n, tol = _float_rev(coeffs, tol)
-    if n == 1:
-        return (-rev[1] / rev[0],)
-    if len(separators) != n - 1:
-        raise ValueError(f"need {n - 1} separators, got {len(separators)}")
-    pts, vals, bounds = _bracket_points(rev, n, separators)
-    return _refine_alternating(rev, n, pts, vals, bounds, tol)
-
-
 def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
                          known: Sequence | None = None,
                          tol: float | None = None,
                          starts: Sequence | None = None,
-                         ) -> tuple[float, ...] | None:
+                         ) -> tuple[float, ...]:
     """The n roots of a degree-n polynomial, one in each bracket given.
 
-    ``points`` are n+1 increasing bracket ends.  ``known[i]``, where not
-    None, is a pair (value, bound): a value of the polynomial at
+    ``points`` are n+1 bracket ends, expected to increase.  ``known[i]``,
+    where not None, is a pair (value, bound): a value of the polynomial at
     ``points[i]``, for the coefficients as given, and a bound on its
     error, which also bounds Horner's roundoff there.  Every other end is
-    evaluated here by Horner, with its roundoff bound.  As in
-    ``real_roots_separated``, the brackets are trusted only when every
-    value clears its bound and the signs alternate, which proves exactly
-    one root in each; otherwise this returns None.  ``starts[i]``, where
-    not None and inside bracket i, is the point the refinement of that
-    bracket starts from, instead of the secant point of its ends.  Each
-    root is within tol/2 (or one float spacing) of the one root in its
-    bracket.
+    evaluated here by Horner, with its roundoff bound.  The brackets are
+    trusted only when the ends increase strictly, every value clears its
+    bound and the signs alternate, which proves exactly one root in each;
+    otherwise this returns ``real_roots(coeffs, tol)``.  ``starts[i]``,
+    where not None and inside bracket i, is the point the refinement of
+    that bracket starts from, instead of the secant point of its ends.
+    Each refined root is within tol/2 (or one float spacing) of the one
+    root in its bracket.
     """
     rev, n, tol = _float_rev(coeffs, tol)
     if n == 1:
@@ -474,7 +435,7 @@ def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
     if len(points) != n + 1 or known is not None and len(known) != n + 1:
         raise ValueError(f"need {n + 1} bracket ends and known entries")
     if any(a >= b for a, b in zip(points, points[1:])):
-        return None
+        return real_roots(coeffs, tol)
     vals = []
     bounds = []
     for x, pair in zip(points, known or (None,) * (n + 1)):
@@ -483,7 +444,14 @@ def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
             pair = value, _roundoff(mag, n)
         vals.append(pair[0])
         bounds.append(pair[1])
-    return _refine_alternating(rev, n, points, vals, bounds, tol, starts)
+    negative = vals[0] < 0.0
+    for v, b in zip(vals, bounds):
+        if not (v < -b if negative else v > b):
+            return real_roots(coeffs, tol)
+        negative = not negative
+    return tuple(_refine_bracket(rev, points, vals, bounds, i, tol,
+                                 starts[i] if starts else None)
+                 for i in range(n))
 
 
 # --- exact real-rootedness ------------------------------------------------------

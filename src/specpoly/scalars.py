@@ -68,7 +68,7 @@ def check_finite(values: Iterable[Scalar]) -> None:
 def parse_scalar(text) -> Scalar:
     """Parse a JSON scalar: numbers pass through, ``"p/q"`` strings are exact."""
     if isinstance(text, bool):
-        raise TypeError("booleans are not scalars")
+        raise ConfigError("booleans are not scalars")
     if isinstance(text, (int, float)):
         return text
     if isinstance(text, str):
@@ -76,7 +76,7 @@ def parse_scalar(text) -> Scalar:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"cannot parse scalar from {text!r}") from None
-    raise TypeError(f"cannot parse scalar from {text!r}")
+    raise ConfigError(f"cannot parse scalar from {text!r}")
 
 
 def scalar_to_json(value: Scalar):

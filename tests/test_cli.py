@@ -11,10 +11,14 @@ from specpoly.pencil import pencil_coeffs
 from specpoly.roots import default_tol
 
 
-def _write(tmp_path, name, obj):
+def _write_text(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(text)
     return str(path)
+
+
+def _write(tmp_path, name, obj):
+    return _write_text(tmp_path, name, json.dumps(obj))
 
 
 @pytest.fixture
@@ -201,6 +205,13 @@ MALFORMED = [
                                "--lambda", "zz"], id="lambda-not-a-number"),
     pytest.param(lambda f, w: ["verify", "iso", "--config",
                                w({"trials": "3"})], id="config-trials-string"),
+    pytest.param(lambda f, w: ["majorize", "check", "--x",
+                               _write_text(f["dir"], "bad.json", "[1, 2"),
+                               "--y", f["y"]], id="file-not-json"),
+    pytest.param(lambda f, w: ["majorize", "check", "--x", w([True, 2]),
+                               "--y", f["y"]], id="root-boolean"),
+    pytest.param(lambda f, w: ["verify", "iso", "--config",
+                               w([["trials", 3]])], id="config-list"),
 ]
 
 

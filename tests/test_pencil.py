@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specpoly.pencil
+import specpoly.roots
 from specpoly import (Verdict, from_roots, pencil_at,
                       pencil_majorization_check, scan_monotonicity)
 from specpoly.errors import DegreeMismatch
-from specpoly.harness import ROOT_TOL, _shift_pencil_roots, random_hyperbolic
-from specpoly.lpops import shift_pencil_coeffs
+from specpoly.harness import ROOT_TOL, random_hyperbolic
+from specpoly.lpops import shift_pencil, shift_pencil_coeffs
 from specpoly.pencil import default_grid, pencil_coeffs, pencil_path
 from specpoly.poly import coeff_derivative
 from specpoly.roots import (_EPS, _eval_with_mag, real_roots,
@@ -188,23 +189,28 @@ def test_lambda_zero_roots_are_those_of_p_bit_for_bit():
             p.coefficients(), 1e-11)
 
 
-def _record_calls(monkeypatch, name):
-    # wrap a root finder as the pencil module calls it (positional args)
+def _record_calls(monkeypatch, module, name):
+    # wrap a root finder as the module calls it (positional args)
     calls = []
-    real = getattr(specpoly.pencil, name)
+    real = getattr(module, name)
 
     def recorded(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(specpoly.pencil, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return calls
+
+
+def _record_fallbacks(monkeypatch):
+    # the full recursion as real_roots_bracketed falls back on it
+    return _record_calls(monkeypatch, specpoly.roots, "real_roots")
 
 
 @pytest.mark.parametrize("lam", [-0.5, 0.5])
 def test_double_root_pencil(monkeypatch, lam):
     # 1 is a double root of P, a critical point of P and a simple root of
     # every pencil: it sits on a bracket end
-    fallback = _record_calls(monkeypatch, "real_roots")
+    fallback = _record_fallbacks(monkeypatch)
     p = from_roots([1.0, 1.0, -2.0, 3.0])
     sample = pencil_at(p, lam, 1e-11)
     roots, crits = real_roots_with_criticals(pencil_coeffs(p, lam), 1e-11)
@@ -230,15 +236,16 @@ def test_double_root_pencil(monkeypatch, lam):
 
 def test_double_root_falls_back_at_exact_separator(monkeypatch):
     # P = x^2: the critical point 0 is exact and a root of every pencil
-    fallback = _record_calls(monkeypatch, "real_roots")
+    fallback = _record_fallbacks(monkeypatch)
     p = from_roots([0.0, 0.0])
     sample = pencil_at(p, 1.5)
-    assert fallback == [(pencil_coeffs(p, 1.5), None)]
+    assert [args[0] for args in fallback] == [pencil_coeffs(p, 1.5)]
     assert sample.roots == pytest.approx((0.0, 3.0), abs=1e-9)
 
 
 def test_rational_poly_reuses_float_twin_brackets(monkeypatch):
-    found = _record_calls(monkeypatch, "real_roots_with_criticals")
+    found = _record_calls(monkeypatch, specpoly.pencil,
+                          "real_roots_with_criticals")
     p = from_roots([Fraction(-3), Fraction(1, 2), Fraction(2), Fraction(5)])
     assert p.to_float() is p.to_float()
     first = pencil_at(p, -1.0)
@@ -249,8 +256,9 @@ def test_rational_poly_reuses_float_twin_brackets(monkeypatch):
 
 
 def test_criticals_are_computed_on_first_read(monkeypatch):
-    fallback = _record_calls(monkeypatch, "real_roots")
-    refined = _record_calls(monkeypatch, "real_roots_separated")
+    fallback = _record_fallbacks(monkeypatch)
+    refined = _record_calls(monkeypatch, specpoly.pencil,
+                            "real_roots_bracketed")
     sample = pencil_at(from_roots([-2.0, 0.5, 3.0]), 1.0)
     assert [len(args[0]) for args in refined] == [4]    # the roots only
     crits = sample.criticals
@@ -292,15 +300,19 @@ def test_path_agrees_with_one_shot_samples(n, seed, order):
 
 
 def test_path_continues_from_one_sample_to_the_next(monkeypatch):
-    # a strictly hyperbolic P samples one-shot once, at the first lam
-    one_shot = _record_calls(monkeypatch, "_bracketed_roots")
-    fallback = _record_calls(monkeypatch, "real_roots")
+    # a strictly hyperbolic P samples one-shot once, at the first lam: a
+    # one-shot sample knows no values at its bracket ends, a continued one
+    # knows those at the separators
+    bracketed = _record_calls(monkeypatch, specpoly.pencil,
+                              "real_roots_bracketed")
+    fallback = _record_fallbacks(monkeypatch)
     p = from_roots([-4.0, -1.5, 0.5, 2.0, 3.25, 6.0])
     for lams in (default_grid(p, 41), default_grid(p, 41)[::-1],
                  (3.0, -2.0, 0.5, 7.0, -9.0, 0.5)):
-        one_shot.clear()
+        bracketed.clear()
         pencil_path(p, lams, 1e-11)
-        assert len(one_shot) == 1
+        assert [args[2] is None for args in bracketed] == [True] + [False] * (
+            len(bracketed) - 1)
     assert fallback == []
 
 
@@ -347,18 +359,28 @@ def test_path_roots_are_within_half_tol_at_50_digits(n, seed, order):
                 assert abs(got - want) <= tol / 2 + math.ulp(got)
 
 
-@settings(max_examples=80, deadline=None)
+_SHIFT_LAMBDAS = st.one_of(
+    st.floats(-12.0, 12.0),
+    st.sampled_from([0.0, 5e-324, -1e-300, 1e-15, -2e-12]),
+    st.fractions(-12, 12, max_denominator=64))
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
-       st.floats(-12.0, 12.0))
-def test_shift_pencil_brackets_agree_with_full_recursion(n, seed, lam):
-    # the main2 suite brackets the shift pencil by the moved roots of P;
-    # lam = 0 and tiny lam fail the sign check and fall back
-    p = random_hyperbolic(random.Random(seed), n, bound=8, mode="float",
-                          min_gap=0.25)
-    coeffs = shift_pencil_coeffs(p, lam)
-    got = _shift_pencil_roots(p, lam)
-    want = real_roots(coeffs, ROOT_TOL)
-    assert len(got) == n
+       st.sampled_from(["float", "rational"]), _SHIFT_LAMBDAS, st.booleans())
+def test_shift_pencil_brackets_agree_with_full_recursion(n, seed, mode, lam,
+                                                         repeat):
+    # shift_pencil brackets the shift pencil by the moved roots of P, for
+    # the main2 suite and the CLI alike (a rational P with a Fraction lam);
+    # lam = 0, tiny lam and a repeated root of P fail the sign check and
+    # fall back
+    rng = random.Random(seed)
+    p = random_hyperbolic(rng, n, bound=8, mode=mode, min_gap=0.25)
+    if repeat:
+        p = from_roots(p.roots + (rng.choice(p.roots),))
+    got = shift_pencil(p, lam, ROOT_TOL).roots
+    want = real_roots(shift_pencil_coeffs(p, lam), ROOT_TOL)
+    assert len(got) == p.degree
     assert max(abs(a - b) for a, b in zip(got, want)) <= ROOT_TOL
 
 

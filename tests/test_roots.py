@@ -14,7 +14,6 @@ from specpoly.errors import DegreeZero, NotRealRooted
 from specpoly.pencil import pencil_coeffs
 from specpoly.poly import coeff_derivative
 from specpoly.roots import (is_real_rooted, real_roots_bracketed,
-                            real_roots_separated,
                             real_roots_with_criticals, root_bound,
                             sturm_sequence)
 
@@ -76,25 +75,38 @@ def test_criticals_come_along():
     assert roots[0] < crits[0] < roots[1] < crits[1] < roots[2]
 
 
+def _separated(coeffs, separators, tol=None):
+    # the roots in the brackets the separators cut from the root bound
+    bound = root_bound([float(c) for c in coeffs])
+    return real_roots_bracketed(coeffs, (-bound, *separators, bound), None,
+                                tol)
+
+
 def test_separated_roots_match_recursion():
     # (x-1)(x-2)(x-3) with separators 1.5 and 2.5
-    got = real_roots_separated([-6, 11, -6, 1], (1.5, 2.5), tol=1e-12)
+    got = _separated([-6, 11, -6, 1], (1.5, 2.5), tol=1e-12)
     assert matching_distance(got, (1, 2, 3)) < 1e-11
-    assert real_roots_separated([-3, 2], ()) == (1.5,)
+    assert real_roots_bracketed([-3, 2], (0.0, 2.0)) == (1.5,)
 
 
 def test_separated_declines_a_root_on_a_separator():
     # the pencil of (x-1)^2 (x+2)(x-3) at lam = 1/2 vanishes exactly at
-    # the critical point 1 of P: the brackets cannot be trusted
+    # the critical point 1 of P: the brackets cannot be trusted, and the
+    # full recursion answers
     pencil = [-11.5, 14.0, 1.5, -5.0, 1.0]
-    assert real_roots_separated(pencil, (-1.2, 1.0, 2.4)) is None
+    assert _separated(pencil, (-1.2, 1.0, 2.4)) == real_roots(pencil)
 
 
 def test_separated_declines_brackets_without_alternation():
-    # two roots in one bracket, none in the next
-    assert real_roots_separated([-6, 11, -6, 1], (2.5, 2.7)) is None
+    # two roots in one bracket, none in the next; misplaced and
+    # coincident separators
+    cubic = [-6, 11, -6, 1]
+    for separators in ((2.5, 2.7), (0.5, 1.5), (1.5, 1.5), (2.5, 1.5)):
+        assert _separated(cubic, separators, 1e-12) == real_roots(cubic,
+                                                                  1e-12)
     # not real-rooted: x^2 + 1 has no sign change at all
-    assert real_roots_separated([1, 0, 1], (0.0,)) is None
+    with pytest.raises(NotRealRooted):
+        _separated([1, 0, 1], (0.0,))
 
 
 def test_bracketed_roots_use_known_values_and_starts():
@@ -105,13 +117,16 @@ def test_bracketed_roots_use_known_values_and_starts():
     got = real_roots_bracketed(cubic, points, known, 1e-12,
                                [1.1, None, 99.0])
     assert matching_distance(got, (1, 2, 3)) <= 0.5e-12
-    # a known value whose bound covers it decides nothing: no brackets
+    # a known value whose bound covers it decides nothing, a wrong sign
+    # breaks the alternation, and ends out of order are no brackets: the
+    # full recursion answers
+    want = real_roots(cubic, 1e-12)
     assert real_roots_bracketed(cubic, points, [None, (0.375, 0.5), None,
-                                                None], 1e-12) is None
-    # a wrong sign breaks the alternation
+                                                None], 1e-12) == want
     assert real_roots_bracketed(cubic, points, [None, (-0.375, 1e-12),
-                                                None, None], 1e-12) is None
-    assert real_roots_bracketed(cubic, (0.0, 2.5, 1.5, 4.0)) is None
+                                                None, None], 1e-12) == want
+    assert real_roots_bracketed(cubic, (0.0, 2.5, 1.5, 4.0)) == real_roots(
+        cubic)
     with pytest.raises(ValueError):
         real_roots_bracketed(cubic, points, [None] * 3)
     with pytest.raises(ValueError):
@@ -120,7 +135,7 @@ def test_bracketed_roots_use_known_values_and_starts():
 
 def test_separated_needs_n_minus_1_separators():
     with pytest.raises(ValueError):
-        real_roots_separated([-6, 11, -6, 1], (1.5,))
+        _separated([-6, 11, -6, 1], (1.5,))
 
 
 def test_round_trip_well_separated():
@@ -272,9 +287,7 @@ def test_every_root_is_within_tol_of_an_exact_root(picks, scale, tol):
     assume(_strictly_real_rooted(coeffs))
     _assert_each_within_tol(coeffs, real_roots(coeffs, tol), tol)
     separators = real_roots(coeff_derivative(coeffs), tol)
-    got = real_roots_separated(coeffs, separators, tol)
-    if got is not None:
-        _assert_each_within_tol(coeffs, got, tol)
+    _assert_each_within_tol(coeffs, _separated(coeffs, separators, tol), tol)
 
 
 # Pencils on which bench/workloads.pencil_oracle caught an earlier finder
@@ -342,7 +355,7 @@ def test_tol_below_float_spacing_stops_at_adjacent_floats():
     spacing = math.ulp(1001.25)
     _assert_each_within_tol(coeffs, real_roots(coeffs, 1e-300), spacing)
     separators = real_roots(coeff_derivative(coeffs), 1e-300)
-    got = real_roots_separated(coeffs, separators, 1e-300)
+    got = _separated(coeffs, separators, 1e-300)
     _assert_each_within_tol(coeffs, got, spacing)
 
 
@@ -389,7 +402,6 @@ def test_refinement_costs_few_evaluations(monkeypatch):
     p = from_roots([-7.0, -4.5, -2.25, -0.5, 1.0, 2.75, 4.5, 6.0])
     coeffs = p.coefficients()
     real_roots(coeffs, 1e-11)
-    real_roots_separated(coeffs, real_roots(coeff_derivative(coeffs), 1e-11),
-                         1e-11)
+    _separated(coeffs, real_roots(coeff_derivative(coeffs), 1e-11), 1e-11)
     assert counts["brackets"] > 0
     assert counts["evaluations"] <= 20 * counts["brackets"]
