@@ -42,7 +42,7 @@ from .majorize import (check_majorization, hinge, power, probe_valid,
                        scaled_tol, schur_eval, signed_power, xlogx)
 from .pencil import default_grid, pencil_path, scan_monotonicity
 from .poly import derivative, random_hyperbolic, taylor_shift
-from .roots import real_roots
+from .roots import real_roots, real_roots_near
 from .scalars import FLOAT, RATIONAL, parse_scalar
 
 ROOT_TOL = 1e-11          # absolute root extraction tolerance inside suites
@@ -151,8 +151,13 @@ def _pair(cfg: ExperimentConfig, rng: random.Random, n: int,
                                   min_gap=gap)
 
 
-def _image_roots(coeffs) -> tuple:
-    return real_roots(coeffs, ROOT_TOL)
+def _image_roots(coeffs, near=None) -> tuple:
+    # the roots of an image; ``near``, when given, is the root tuple the
+    # image came from (or the roots of a sibling image), which seeds
+    # ``real_roots_near``
+    if near is None:
+        return real_roots(coeffs, ROOT_TOL)
+    return real_roots_near(coeffs, near, ROOT_TOL)
 
 
 def _cert_margin(cert) -> float:
@@ -245,8 +250,8 @@ def _check_main2(inputs):
     if not ok1:
         d1["part"] = "shift-pencil"
         return False, m1, d1
-    gs = _image_roots(gaussian_coeffs(p, inputs["gauss1"]))
-    gl = _image_roots(gaussian_coeffs(p, inputs["gauss2"]))
+    gs = _image_roots(gaussian_coeffs(p, inputs["gauss1"]), p.roots)
+    gl = _image_roots(gaussian_coeffs(p, inputs["gauss2"]), gs)
     ok2, m2, d2 = _check_order(gs, gl, rel)
     if not ok2:
         d2["part"] = "gaussian"
@@ -281,8 +286,8 @@ def _check_iso(inputs):
     q = serialize.poly_from_json(inputs["q"])
     phi = serialize.lp_from_json(inputs["phi"])
     op = DiffOperator.from_function(phi, p.degree)
-    img_p = _image_roots(op.apply_coeffs(p.coefficients()))
-    img_q = _image_roots(op.apply_coeffs(q.coefficients()))
+    img_p = _image_roots(op.apply_coeffs(p.coefficients()), p.roots)
+    img_q = _image_roots(op.apply_coeffs(q.coefficients()), img_p)
     return _check_order(img_q, img_p, inputs["rel_tol"])
 
 
@@ -307,7 +312,7 @@ def _check_appell_min(inputs):
             "certificate": serialize.certificate_to_json(origin)}
     ap = _image_roots(appell(phi, n, normalized=True))
     op = DiffOperator.from_function(phi, n)
-    img = _image_roots(op.apply_coeffs(p.coefficients()))
+    img = _image_roots(op.apply_coeffs(p.coefficients()), p.roots)
     ok, margin, details = _check_order(ap, img, inputs["rel_tol"])
     return ok, min(margin, _cert_margin(origin)), details
 
@@ -324,7 +329,7 @@ def _check_extensive(inputs):
     p = serialize.poly_from_json(inputs["p"])
     phi = serialize.lp_from_json(inputs["phi"])
     op = DiffOperator.from_function(phi, p.degree)
-    img = _image_roots(op.apply_coeffs(p.coefficients()))
+    img = _image_roots(op.apply_coeffs(p.coefficients()), p.roots)
     return _check_order(tuple(float(r) for r in p.roots), img,
                         inputs["rel_tol"])
 
@@ -351,8 +356,8 @@ def _check_deform(inputs):
                           f"s = {inputs['s']}, t = {inputs['t']}")
     op_s = DiffOperator.from_function(phi.deform(s), p.degree)
     op_t = DiffOperator.from_function(phi.deform(t), p.degree)
-    img_s = _image_roots(op_s.apply_coeffs(p.coefficients()))
-    img_t = _image_roots(op_t.apply_coeffs(p.coefficients()))
+    img_s = _image_roots(op_s.apply_coeffs(p.coefficients()), p.roots)
+    img_t = _image_roots(op_t.apply_coeffs(p.coefficients()), img_s)
     return _check_order(img_s, img_t, inputs["rel_tol"])
 
 
@@ -373,8 +378,8 @@ def _check_scaled(inputs):
     t = parse_scalar(inputs["t"])
     op_s = DiffOperator.from_function(phi.scale_argument(s), p.degree)
     op_t = DiffOperator.from_function(phi.scale_argument(t), p.degree)
-    img_s = _image_roots(op_s.apply_coeffs(p.coefficients()))
-    img_t = _image_roots(op_t.apply_coeffs(p.coefficients()))
+    img_s = _image_roots(op_s.apply_coeffs(p.coefficients()), p.roots)
+    img_t = _image_roots(op_t.apply_coeffs(p.coefficients()), img_s)
     return _check_order(img_s, img_t, inputs["rel_tol"])
 
 
@@ -416,8 +421,8 @@ def _check_schur(inputs):
     phi = serialize.lp_from_json(inputs["phi"])
     rel = inputs["rel_tol"]
     op = DiffOperator.from_function(phi, p.degree)
-    img_p = _image_roots(op.apply_coeffs(p.coefficients()))
-    img_q = _image_roots(op.apply_coeffs(q.coefficients()))
+    img_p = _image_roots(op.apply_coeffs(p.coefficients()), p.roots)
+    img_q = _image_roots(op.apply_coeffs(q.coefficients()), img_p)
     probes = [power(1), power(2), power(3), xlogx(),
               signed_power(0.5), signed_power(2.5), signed_power(-1.0)]
     probes.extend(hinge(t) for t in img_p[:3])
@@ -463,9 +468,10 @@ def _check_lag_ms(inputs):
     q = serialize.poly_from_json(inputs["q"])
     seq_n = laguerre_ms(m, p_shift, p.degree + 1)
     img_p = _image_roots(multiplier_apply(seq_n, p.coefficients(),
-                                          p.degree, normalized=True))
+                                          p.degree, normalized=True),
+                         p.roots)
     img_q = _image_roots(multiplier_apply(seq_n, q.coefficients(),
-                                          q.degree, normalized=True))
+                                          q.degree, normalized=True), img_p)
     return _check_order(img_q, img_p, inputs["rel_tol"])
 
 
@@ -606,9 +612,9 @@ def _check_pb1(inputs):
     q = serialize.poly_from_json(inputs["q"])
     n = p.degree
     img_p = _image_roots(multiplier_apply(gammas, p.coefficients(), n,
-                                          normalized=True))
+                                          normalized=True), p.roots)
     img_q = _image_roots(multiplier_apply(gammas, q.coefficients(), n,
-                                          normalized=True))
+                                          normalized=True), img_p)
     return _confirmed_order(img_q, img_p, inputs["rel_tol"])
 
 
@@ -654,9 +660,9 @@ def _check_pb2(inputs):
     q = serialize.poly_from_json(inputs["q"])
     try:
         img_p = _image_roots(multiplier_apply(gammas, p.coefficients(),
-                                              p.degree))
+                                              p.degree), p.roots)
         img_q = _image_roots(multiplier_apply(gammas, q.coefficients(),
-                                              q.degree))
+                                              q.degree), img_p)
     except NotRealRooted:
         # the sampler draws only proven preservers, so this fires only on
         # inputs it did not draw (a replayed or hand-written record naming
@@ -693,8 +699,8 @@ def _check_pb3(inputs):
         try:
             img_p = multiplier_apply(gammas, p.coefficients(), p.degree)
             img_q = multiplier_apply(gammas, q.coefficients(), q.degree)
-            roots_p = _image_roots(img_p)
-            roots_q = _image_roots(img_q)
+            roots_p = _image_roots(img_p, p.roots)
+            roots_q = _image_roots(img_q, roots_p)
         except NotRealRooted:
             # only on inputs the sampler did not draw, as in _check_pb2
             continue

@@ -433,14 +433,19 @@ class MultiplierSequence:
         Math. 170, 2009): exactly when the Jensen polynomial J has only
         real zeros, all <= 0 or all >= 0.  That covers the rank <= 2
         diagonal operators too, e.g. (0, .., 0, g, 1) is accepted and
-        (1, 0, 1) is not.  Three steps, cheapest first: the float root
-        finder on J / x^k, where ``NotRealRooted`` rejects; then, exactly,
-        the coefficients of J / x^k must be all of one sign (zeros < 0) or
-        strictly alternating (zeros > 0); then the exact Sturm test
-        ``roots.is_real_rooted``.  Only the exact steps accept, so a True
-        is a proof.  The float step can only reject: a preserver whose J
-        the float finder cannot resolve would read False (not seen on the
-        hunt samplers' candidates).  The all-zero sequence reads False.
+        (1, 0, 1) is not.  Four steps in order of cost, on the coefficients
+        c_0..c_d of J / x^k (as integer numerators over one denominator):
+        the O(d) sign pattern, all of one sign (zeros < 0) or strictly
+        alternating (zeros > 0); Newton's inequalities
+        c_j^2 j (d - j) >= c_{j-1} c_{j+1} (j + 1)(d - j + 1), which every
+        real-rooted polynomial of degree d satisfies; the float root finder,
+        where ``NotRealRooted`` rejects; then the exact Sturm test
+        ``roots.is_real_rooted``.  Only the Sturm test accepts, so a True is
+        a proof.  Real-rootedness implies Newton's inequalities, so that
+        step never changes a verdict.  The float step can only reject: a
+        preserver whose J the float finder cannot resolve would read False
+        (not seen on the hunt samplers' candidates).  The all-zero sequence
+        reads False.
         """
         jensen = [Fraction(v) for v in self.jensen_polynomial()]
         while jensen and jensen[-1] == 0:
@@ -451,16 +456,22 @@ class MultiplierSequence:
         core = jensen[low:]
         if len(core) == 1:
             return True
+        nums = QPoly.of(core).nums      # a positive multiple of J / x^k
+        d = len(nums) - 1
+        same_sign = all((v > 0) == (nums[0] > 0) for v in nums)
+        alternating = all((nums[j] > 0) != (nums[j + 1] > 0)
+                          for j in range(d))
+        if 0 in nums or not (same_sign or alternating):
+            return False
+        if any(nums[j] * nums[j] * j * (d - j)
+               < nums[j - 1] * nums[j + 1] * (j + 1) * (d - j + 1)
+               for j in range(1, d)):
+            return False
         try:
             real_roots(core)
         except NotRealRooted:
             return False
-        same_sign = all((v > 0) == (core[0] > 0) for v in core)
-        alternating = all((core[k] > 0) != (core[k + 1] > 0)
-                          for k in range(len(core) - 1))
-        if 0 in core or not (same_sign or alternating):
-            return False
-        return is_real_rooted(core)
+        return is_real_rooted(nums)
 
 
 def _exact_div(num, den):

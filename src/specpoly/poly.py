@@ -144,13 +144,18 @@ def derivative(p: HyperbolicPoly, tol: float | None = None) -> HyperbolicPoly:
     """The monic normalization P'/n of the derivative.
 
     Root extraction is numeric, so the result is float mode regardless of
-    the input mode; the roots interlace those of P by Rolle's theorem.
+    the input mode.  By Rolle's theorem the roots of P'/n interlace those
+    of P, so the roots of P are its bracket ends; ``real_roots_bracketed``
+    checks them (a multiple root of P fails the check) and otherwise
+    answers by the full recursion.
     """
     n = p.degree
     if n < 2:
         raise DegreeTooSmall("derivative needs degree >= 2")
     dc = [float(c) * k / n for k, c in enumerate(p.coefficients()) if k >= 1]
-    return hyperbolic_from_coeffs(dc, tol)
+    return HyperbolicPoly(
+        _rootfind.real_roots_bracketed(dc, p.to_float().roots, None, tol),
+        FLOAT)
 
 
 def taylor_shift(p: HyperbolicPoly, lam: Scalar) -> HyperbolicPoly:

@@ -47,6 +47,14 @@ holds one root; otherwise it answers by ``real_roots``.  A separator that
 is itself a root (a multiple root of the polynomial the separators came
 from) or an input that is not real-rooted makes the check fail.
 
+A caller that knows only a tuple near the roots (the roots of p, for an
+image T p under an operator near the identity) uses ``real_roots_near``.
+It polishes the tuple by a few sweeps of Aberth's simultaneous iteration,
+cuts brackets at the midpoints of the polished values, and hands them to
+``real_roots_bracketed`` with the polished values as Newton starts.  The
+seeds only choose the brackets and the starts; the certificate and the
+fallback are those of the bracketed path.
+
 Root extraction is in double precision: it is the one-way door from
 exact coefficients to float root tuples.
 
@@ -220,9 +228,12 @@ def _refine(rev: Sequence[float], lo: float, hi: float, f_lo: float,
     leaves the far end where it was; so a long step stops 0.4 tol short
     of the predicted root and a short one lands 0.4 tol past it.  The last
     two points then straddle the root at most tol apart, with values far
-    enough from zero that plain Horner can usually sign them.  The other
-    stops are float resolution (the midpoint is an end) and a cap of 240
-    evaluations.
+    enough from zero that plain Horner can usually sign them.  The point
+    a step lands on, offset included, is what must lie inside the bracket:
+    from a start within float resolution of the root, the bare Newton
+    point rounds onto the bracket end, and the offset point still
+    straddles the root.  The other stops are float resolution (the
+    midpoint is an end) and a cap of 240 evaluations.
     """
     lo_negative = f_lo < 0.0
     reach = hi if hi > -lo else -lo     # |x| at the end farther from 0
@@ -252,12 +263,12 @@ def _refine(rev: Sequence[float], lo: float, hi: float, f_lo: float,
             hi = x
         step = f / slope if slope else math.inf
         size = step if step > 0.0 else -step
-        if lo < x - step < hi and size <= 0.5 * older:
-            older, last = last, size
+        if size <= 0.5 * older:
             back = offset if step > 0.0 else -offset    # toward x
-            x -= step
-            x += back if size > 2.0 * offset else -back
-            if lo < x < hi:
+            target = x - step + (back if size > 2.0 * offset else -back)
+            if lo < target < hi:
+                older, last = last, size
+                x = target
                 continue
         older, last = last, 0.5 * (hi - lo)
         x = 0.5 * (lo + hi)
@@ -452,6 +463,69 @@ def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
     return tuple(_refine_bracket(rev, points, vals, bounds, i, tol,
                                  starts[i] if starts else None)
                  for i in range(n))
+
+
+_SWEEPS = 8     # Aberth sweeps at most; near seeds take three or four
+
+
+def _aberth(rev: list[float], z: list[float]) -> list[float]:
+    # Aberth's simultaneous iteration (Math. Comp. 27, 1973) in real
+    # arithmetic, each new value used at once: z_i -= w / (1 - w S_i), with
+    # w = P(z_i)/P'(z_i) and S_i = sum over j != i of 1/(z_i - z_j).  Stops
+    # after the first sweep whose steps are all at most
+    # 1e-6 (1 + max |seed|).  A zero denominator (tied values, or P' = 0
+    # at a value) raises ZeroDivisionError.
+    limit = 1e-6 * (1.0 + max(abs(v) for v in z))
+    for _ in range(_SWEEPS):
+        largest = 0.0
+        for i, x in enumerate(z):
+            f, slope = _eval_with_slope(rev, x)
+            w = f / slope
+            pull = 0.0
+            for j, v in enumerate(z):
+                if j != i:
+                    pull += 1.0 / (x - v)
+            step = w / (1.0 - w * pull)
+            z[i] = x - step
+            size = step if step > 0.0 else -step
+            if not size <= largest:     # a NaN step counts as large
+                largest = size
+        if largest <= limit:
+            break
+    return z
+
+
+def real_roots_near(coeffs: Sequence, seeds: Sequence,
+                    tol: float | None = None) -> tuple[float, ...]:
+    """The n roots of a degree-n polynomial, found from n nearby seeds.
+
+    For a polynomial whose roots are close to a known tuple, such as the
+    image T p of p, whose roots are the seeds, under an operator near the
+    identity.  The sorted seeds are polished by at most 8 sweeps of
+    Aberth's iteration; the midpoints of consecutive polished values and
+    the root bound cut n brackets, and ``real_roots_bracketed`` refines
+    them from the polished values, which certifies one root in each by
+    strict sign alternation or otherwise answers by ``real_roots``.  So
+    the contract and the ``NotRealRooted`` behaviour are those of the
+    bracketed path, however poor the seeds (a value that is not finite
+    fails the check).  A seed count other than the degree, and tied values
+    or another zero denominator in the iteration, go to ``real_roots``
+    directly.
+    """
+    rev, n, tol = _float_rev(coeffs, tol)
+    if n == 1:
+        return (-rev[1] / rev[0],)
+    if len(seeds) != n:
+        return real_roots(coeffs, tol)
+    try:
+        polished = sorted(_aberth(rev, sorted(float(v) for v in seeds)))
+    except ZeroDivisionError:
+        return real_roots(coeffs, tol)
+    bound = root_bound(rev[::-1])
+    points = [-bound]
+    points.extend(0.5 * (a + b) for a, b in zip(polished, polished[1:]))
+    points.append(bound)
+    return real_roots_bracketed(coeffs, points, None, tol, polished)
 
 
 # --- exact real-rootedness ------------------------------------------------------

@@ -66,13 +66,23 @@ def check_finite(values: Iterable[Scalar]) -> None:
 
 
 def parse_scalar(text) -> Scalar:
-    """Parse a JSON scalar: numbers pass through, ``"p/q"`` strings are exact."""
+    """Parse a JSON scalar: numbers pass through, ``"p/q"`` strings are exact.
+
+    The form the library writes, ASCII ``[-]digits[/digits]``, is split
+    and handed to ``Fraction`` as integers; any other string goes to
+    ``Fraction(text)`` whole, with the same result.
+    """
     if isinstance(text, bool):
         raise ConfigError("booleans are not scalars")
     if isinstance(text, (int, float)):
         return text
     if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
         try:
+            if (digits.isascii() and digits.isdigit()
+                    and (not slash or den.isascii() and den.isdigit())):
+                return Fraction(int(num), int(den) if slash else 1)
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"cannot parse scalar from {text!r}") from None

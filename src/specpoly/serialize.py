@@ -16,6 +16,14 @@ from .poly import HyperbolicPoly, from_roots, hyperbolic_from_coeffs
 from .scalars import FLOAT, RATIONAL, parse_scalar, scalar_to_json
 
 
+def _entries(obj: dict, key: str) -> list:
+    # the list a JSON object holds under key, or ConfigError
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
 def poly_to_json(p: HyperbolicPoly) -> dict:
     return {"mode": p.mode, "roots": [scalar_to_json(r) for r in p.roots]}
 
@@ -32,13 +40,13 @@ def poly_from_json(obj, tol: float | None = None) -> HyperbolicPoly:
         raise ConfigError(f"cannot read a polynomial from {obj!r}")
     if "coeffs" in obj:
         return hyperbolic_from_coeffs(
-            [float(parse_scalar(v)) for v in obj["coeffs"]], tol)
+            [float(parse_scalar(v)) for v in _entries(obj, "coeffs")], tol)
     if "roots" not in obj:
         raise ConfigError("polynomial JSON needs 'roots' or 'coeffs'")
     mode = obj.get("mode")
     if mode is not None and mode not in (RATIONAL, FLOAT):
         raise ConfigError(f"unknown mode {mode!r}")
-    return from_roots([parse_scalar(v) for v in obj["roots"]], mode)
+    return from_roots([parse_scalar(v) for v in _entries(obj, "roots")], mode)
 
 
 def certificate_to_json(cert: MajorizationCertificate) -> dict:
@@ -68,9 +76,20 @@ def chain_to_json(chain: ContractionChain) -> dict:
     }
 
 
+def _step_from_json(obj) -> ContractionStep:
+    k, l = (obj.get(key) if isinstance(obj, dict) else None
+            for key in ("k", "l"))
+    if type(k) is not int or type(l) is not int or "t" not in obj:
+        raise ConfigError(f"a chain step needs integers 'k', 'l' and a 't', "
+                          f"got {obj!r}")
+    return ContractionStep(k, l, parse_scalar(obj["t"]))
+
+
 def chain_from_json(obj) -> ContractionChain:
-    steps = tuple(ContractionStep(s["k"], s["l"], parse_scalar(s["t"]))
-                  for s in obj["steps"])
+    if not (isinstance(obj, dict)
+            and {"source", "steps", "target"} <= set(obj)):
+        raise ConfigError("chain JSON needs 'source', 'steps' and 'target'")
+    steps = tuple(_step_from_json(s) for s in _entries(obj, "steps"))
     return ContractionChain(poly_from_json(obj["source"]), steps,
                             poly_from_json(obj["target"]))
 

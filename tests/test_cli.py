@@ -212,6 +212,11 @@ MALFORMED = [
                                "--y", f["y"]], id="root-boolean"),
     pytest.param(lambda f, w: ["verify", "iso", "--config",
                                w([["trials", 3]])], id="config-list"),
+    pytest.param(lambda f, w: ["majorize", "check", "--x", w({"roots": 5}),
+                               "--y", f["y"]], id="roots-not-a-list"),
+    pytest.param(lambda f, w: ["chain", "verify", "--chain", w({
+        "source": ["0", "4"], "steps": [{"k": 1, "t": "1/4"}],
+        "target": ["1", "3"]})], id="chain-step-without-l"),
 ]
 
 

@@ -4,10 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specpoly import (LPFunction, build_witness, check_majorization,
                       decompose_majorization, from_roots)
 from specpoly.errors import ConfigError, NotMajorized
+from specpoly.scalars import parse_scalar
 from specpoly.serialize import (certificate_to_json, chain_from_json,
                                 chain_to_json, lp_from_json, lp_to_json,
                                 poly_from_json, poly_to_json,
@@ -46,6 +49,10 @@ def test_poly_bad_payloads():
         poly_from_json({"mode": "decimal", "roots": [1]})
     with pytest.raises(ConfigError):
         poly_from_json("x^2-1")
+    with pytest.raises(ConfigError):
+        poly_from_json({"roots": 5})
+    with pytest.raises(ConfigError):
+        poly_from_json({"coeffs": "1 2 1"})
 
 
 def test_certificate_json_shape():
@@ -85,6 +92,22 @@ def test_chain_round_trip():
     assert back.target.roots == chain.target.roots
 
 
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj.pop("target"),
+    lambda obj: obj.update(steps={"k": 1}),
+    lambda obj: obj["steps"][0].pop("l"),
+    lambda obj: obj["steps"][0].update(k="1"),
+    lambda obj: obj["steps"].append(3),
+], ids=["no-target", "steps-not-a-list", "step-without-l", "k-a-string",
+        "step-not-an-object"])
+def test_chain_bad_payloads(edit):
+    obj = chain_to_json(decompose_majorization(from_roots([0, 2, 4]),
+                                               from_roots([1, 2, 3])))
+    edit(obj)
+    with pytest.raises(ConfigError):
+        chain_from_json(obj)
+
+
 def test_lp_round_trip():
     phi = LPFunction(c=Fraction(1, 2), m=1, a=Fraction(2, 3), b=-2,
                      alphas=(Fraction(1, 4), 1))
@@ -94,3 +117,29 @@ def test_lp_round_trip():
 
 def test_lp_defaults():
     assert lp_from_json({}) == LPFunction()
+
+
+_SCALAR_TEXT = st.one_of(
+    st.integers().map(str),
+    st.fractions().map(str),
+    st.from_regex(r"\A\s?[-+]?[0-9_]{0,5}(\.[0-9]{0,3})?([eE][-+]?[0-9]{1,2})?"
+                  r"(/[-0-9_]{0,4})?\s?\Z"),
+    st.text(alphabet="0123456789-+/._eE \u0661\u0662\u00b3\uff11", max_size=8),
+    st.sampled_from(["1/0", "-0", "-0/7", "0/5", "-", "", "/2", "1/", "1/-2",
+                     "\u0661/\u0662", "\u00b2", "\uff11", "1_000/3", "1e3",
+                     " 3/4 ", "+5", "--1", "-7/0", "1.5/2", "12/0003"]),
+)
+
+
+@given(_SCALAR_TEXT)
+def test_parse_scalar_agrees_with_fraction(text):
+    # the split fast path and Fraction(text) give the same value, or both
+    # refuse the text
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ConfigError):
+            parse_scalar(text)
+        return
+    got = parse_scalar(text)
+    assert type(got) is Fraction and got == want
