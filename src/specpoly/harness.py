@@ -11,11 +11,15 @@ through ``recheck_failure`` and the violation recurs.
 ``check(inputs)`` returns ``(ok, margin, details)``.  The margin is the
 distance to failing, so a suite trial passes exactly when it is >= 0; a
 hunt trial also passes when its violation is not confirmed exactly.  A
-margin of ``inf`` marks a skipped trial.  A report's ``worst_slack`` is
-the smallest margin, or None when no trial measured one.  Suites and hunts
-run through the same trial loop and write the same report format; a
-hunt's report adds ``info["evidence"]``, the number of passing trials that
-returned details.
+report's ``worst_slack`` is the smallest margin, or None when no trial
+measured one.  Suites and hunts run through the same trial loop and write
+the same report format; a hunt's report adds ``info["evidence"]``, the
+number of passing trials that returned details.
+
+Every operator check takes its image roots from ``_image_roots`` and
+compares through ``_check_order``.  ``_check_isotone`` (T q <= T p: iso,
+lag-ms and the hunts) is the one place a hunt skips an image that is not
+real-rooted, with a margin of ``inf``; in a suite it raises.
 
 Reports are deterministic: identical config gives byte-identical report
 files (wall time is kept out of the canonical serialization).
@@ -28,6 +32,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from . import serialize
@@ -151,13 +156,15 @@ def _pair(cfg: ExperimentConfig, rng: random.Random, n: int,
                                   min_gap=gap)
 
 
-def _image_roots(coeffs, near=None) -> tuple:
-    # the roots of an image; ``near``, when given, is the root tuple the
-    # image came from (or the roots of a sibling image), which seeds
-    # ``real_roots_near``
-    if near is None:
-        return real_roots(coeffs, ROOT_TOL)
-    return real_roots_near(coeffs, near, ROOT_TOL)
+def _image_roots(roots, *images) -> list:
+    # the root tuples of the coefficient tuples ``images``: the first is
+    # seeded by ``roots``, the roots it came from, each later one by the
+    # image before it
+    found = []
+    for coeffs in images:
+        roots = real_roots_near(coeffs, roots, ROOT_TOL)
+        found.append(roots)
+    return found
 
 
 def _cert_margin(cert) -> float:
@@ -168,11 +175,18 @@ def _cert_margin(cert) -> float:
     return margin
 
 
-def _check_order(x_roots, y_roots, rel) -> tuple[bool, float, dict]:
+def _check_order(x_roots, y_roots, rel,
+                 hunt: bool = False) -> tuple[bool, float, dict]:
+    # a hunt fails only on a violation that confirm_violation confirms
     tol = scaled_tol(rel, x_roots, y_roots)
     cert = check_majorization(x_roots, y_roots, tol)
+    margin = _cert_margin(cert)
+    if hunt and (cert.comparable or not confirm_violation(x_roots, y_roots)):
+        return True, margin, {}
     details = {"certificate": serialize.certificate_to_json(cert)}
-    return cert.comparable, _cert_margin(cert), details
+    if hunt:
+        details["confirmed"] = True
+    return cert.comparable, margin, details
 
 
 def confirm_violation(x_roots, y_roots) -> bool:
@@ -192,13 +206,23 @@ def confirm_violation(x_roots, y_roots) -> bool:
             or any(s < -gap for s in cert.slacks))
 
 
-def _confirmed_order(x_roots, y_roots, rel) -> tuple[bool, float, dict]:
-    """``_check_order`` where only an exact-confirmed violation fails."""
-    ok, margin, details = _check_order(x_roots, y_roots, rel)
-    if ok or not confirm_violation(x_roots, y_roots):
-        return True, margin, {}
-    details["confirmed"] = True
-    return False, margin, details
+def _check_isotone(image, p, q, rel, hunt: bool = False,
+                   drift=0) -> tuple[bool, float, dict]:
+    # T q <= T p, T's image roots moved by -drift; ``image`` maps
+    # coefficients to coefficients.  Hunts draw only proven preservers, so
+    # an image that is not real-rooted comes from a record they did not
+    # draw and is skipped; in a suite it is an operator or theorem fault
+    images = image(p.coefficients()), image(q.coefficients())
+    try:
+        img_p, img_q = _image_roots(p.roots, *images)
+    except NotRealRooted:
+        if not hunt:
+            raise
+        return True, float("inf"), {}
+    if drift:
+        img_p, img_q = (tuple(r - float(drift) for r in img)
+                        for img in (img_p, img_q))
+    return _check_order(img_q, img_p, rel, hunt)
 
 
 # --- suite generators and checks ----------------------------------------------
@@ -250,8 +274,8 @@ def _check_main2(inputs):
     if not ok1:
         d1["part"] = "shift-pencil"
         return False, m1, d1
-    gs = _image_roots(gaussian_coeffs(p, inputs["gauss1"]), p.roots)
-    gl = _image_roots(gaussian_coeffs(p, inputs["gauss2"]), gs)
+    gs, gl = _image_roots(p.roots, gaussian_coeffs(p, inputs["gauss1"]),
+                          gaussian_coeffs(p, inputs["gauss2"]))
     ok2, m2, d2 = _check_order(gs, gl, rel)
     if not ok2:
         d2["part"] = "gaussian"
@@ -286,9 +310,7 @@ def _check_iso(inputs):
     q = serialize.poly_from_json(inputs["q"])
     phi = serialize.lp_from_json(inputs["phi"])
     op = DiffOperator.from_function(phi, p.degree)
-    img_p = _image_roots(op.apply_coeffs(p.coefficients()), p.roots)
-    img_q = _image_roots(op.apply_coeffs(q.coefficients()), img_p)
-    return _check_order(img_q, img_p, inputs["rel_tol"])
+    return _check_isotone(op.apply_coeffs, p, q, inputs["rel_tol"])
 
 
 def _gen_appell_min(cfg, rng):
@@ -310,9 +332,9 @@ def _check_appell_min(inputs):
         return False, _cert_margin(origin), {
             "part": "x^n below P",
             "certificate": serialize.certificate_to_json(origin)}
-    ap = _image_roots(appell(phi, n, normalized=True))
+    ap = real_roots(appell(phi, n, normalized=True), ROOT_TOL)
     op = DiffOperator.from_function(phi, n)
-    img = _image_roots(op.apply_coeffs(p.coefficients()), p.roots)
+    [img] = _image_roots(p.roots, op.apply_coeffs(p.coefficients()))
     ok, margin, details = _check_order(ap, img, inputs["rel_tol"])
     return ok, min(margin, _cert_margin(origin)), details
 
@@ -329,7 +351,7 @@ def _check_extensive(inputs):
     p = serialize.poly_from_json(inputs["p"])
     phi = serialize.lp_from_json(inputs["phi"])
     op = DiffOperator.from_function(phi, p.degree)
-    img = _image_roots(op.apply_coeffs(p.coefficients()), p.roots)
+    [img] = _image_roots(p.roots, op.apply_coeffs(p.coefficients()))
     return _check_order(tuple(float(r) for r in p.roots), img,
                         inputs["rel_tol"])
 
@@ -356,8 +378,8 @@ def _check_deform(inputs):
                           f"s = {inputs['s']}, t = {inputs['t']}")
     op_s = DiffOperator.from_function(phi.deform(s), p.degree)
     op_t = DiffOperator.from_function(phi.deform(t), p.degree)
-    img_s = _image_roots(op_s.apply_coeffs(p.coefficients()), p.roots)
-    img_t = _image_roots(op_t.apply_coeffs(p.coefficients()), img_s)
+    img_s, img_t = _image_roots(p.roots, op_s.apply_coeffs(p.coefficients()),
+                                op_t.apply_coeffs(p.coefficients()))
     return _check_order(img_s, img_t, inputs["rel_tol"])
 
 
@@ -378,8 +400,8 @@ def _check_scaled(inputs):
     t = parse_scalar(inputs["t"])
     op_s = DiffOperator.from_function(phi.scale_argument(s), p.degree)
     op_t = DiffOperator.from_function(phi.scale_argument(t), p.degree)
-    img_s = _image_roots(op_s.apply_coeffs(p.coefficients()), p.roots)
-    img_t = _image_roots(op_t.apply_coeffs(p.coefficients()), img_s)
+    img_s, img_t = _image_roots(p.roots, op_s.apply_coeffs(p.coefficients()),
+                                op_t.apply_coeffs(p.coefficients()))
     return _check_order(img_s, img_t, inputs["rel_tol"])
 
 
@@ -421,8 +443,8 @@ def _check_schur(inputs):
     phi = serialize.lp_from_json(inputs["phi"])
     rel = inputs["rel_tol"]
     op = DiffOperator.from_function(phi, p.degree)
-    img_p = _image_roots(op.apply_coeffs(p.coefficients()), p.roots)
-    img_q = _image_roots(op.apply_coeffs(q.coefficients()), img_p)
+    img_p, img_q = _image_roots(p.roots, op.apply_coeffs(p.coefficients()),
+                                op.apply_coeffs(q.coefficients()))
     probes = [power(1), power(2), power(3), xlogx(),
               signed_power(0.5), signed_power(2.5), signed_power(-1.0)]
     probes.extend(hinge(t) for t in img_p[:3])
@@ -467,12 +489,8 @@ def _check_lag_ms(inputs):
     p = serialize.poly_from_json(inputs["p"])
     q = serialize.poly_from_json(inputs["q"])
     seq_n = laguerre_ms(m, p_shift, p.degree + 1)
-    img_p = _image_roots(multiplier_apply(seq_n, p.coefficients(),
-                                          p.degree, normalized=True),
-                         p.roots)
-    img_q = _image_roots(multiplier_apply(seq_n, q.coefficients(),
-                                          q.degree, normalized=True), img_p)
-    return _check_order(img_q, img_p, inputs["rel_tol"])
+    return _check_isotone(partial(multiplier_apply, seq_n, normalized=True),
+                          p, q, inputs["rel_tol"])
 
 
 def _gen_chain(cfg, rng):
@@ -520,6 +538,11 @@ def _run(name: str, generate: Callable, check: Callable,
     Returns the report and the number of passing trials whose check
     returned details.
     """
+    if config.trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {config.trials}")
+    if config.degree_min > config.degree_max:
+        raise ConfigError(f"degree_min {config.degree_min} exceeds "
+                          f"degree_max {config.degree_max}")
     begin = time.perf_counter()
     failures = []
     evidence = 0
@@ -606,16 +629,13 @@ def _gen_pb1(cfg, rng):
             "rel_tol": cfg.rel_tol}
 
 
-def _check_pb1(inputs):
+def _check_diagonal(inputs, normalized: bool = False):
+    # pb2, and pb1 with its gammas normalized by the top one
     gammas = [parse_scalar(v) for v in inputs["gammas"]]
     p = serialize.poly_from_json(inputs["p"])
     q = serialize.poly_from_json(inputs["q"])
-    n = p.degree
-    img_p = _image_roots(multiplier_apply(gammas, p.coefficients(), n,
-                                          normalized=True), p.roots)
-    img_q = _image_roots(multiplier_apply(gammas, q.coefficients(), n,
-                                          normalized=True), img_p)
-    return _confirmed_order(img_q, img_p, inputs["rel_tol"])
+    image = partial(multiplier_apply, gammas, normalized=normalized)
+    return _check_isotone(image, p, q, inputs["rel_tol"], hunt=True)
 
 
 def _find_diagonal_operator(cfg, rng, n: int, tries: int = 400):
@@ -654,23 +674,6 @@ def _gen_pb2(cfg, rng):
             "rel_tol": cfg.rel_tol}
 
 
-def _check_pb2(inputs):
-    gammas = [parse_scalar(v) for v in inputs["gammas"]]
-    p = serialize.poly_from_json(inputs["p"])
-    q = serialize.poly_from_json(inputs["q"])
-    try:
-        img_p = _image_roots(multiplier_apply(gammas, p.coefficients(),
-                                              p.degree), p.roots)
-        img_q = _image_roots(multiplier_apply(gammas, q.coefficients(),
-                                              q.degree), img_p)
-    except NotRealRooted:
-        # the sampler draws only proven preservers, so this fires only on
-        # inputs it did not draw (a replayed or hand-written record naming
-        # a non-preserver); the trial is skipped and has no margin
-        return True, float("inf"), {}
-    return _confirmed_order(img_q, img_p, inputs["rel_tol"])
-
-
 def _gen_pb3(cfg, rng):
     n = cfg.degree(rng, low=2)
     gammas = _find_diagonal_operator(cfg, rng, n)
@@ -696,19 +699,9 @@ def _check_pb3(inputs):
     for pj, qj in inputs["pairs"]:
         p = serialize.poly_from_json(pj)
         q = serialize.poly_from_json(qj)
-        try:
-            img_p = multiplier_apply(gammas, p.coefficients(), p.degree)
-            img_q = multiplier_apply(gammas, q.coefficients(), q.degree)
-            roots_p = _image_roots(img_p, p.roots)
-            roots_q = _image_roots(img_q, roots_p)
-        except NotRealRooted:
-            # only on inputs the sampler did not draw, as in _check_pb2
-            continue
-        if drift != 0:
-            roots_p = tuple(r - float(drift) for r in roots_p)
-            roots_q = tuple(r - float(drift) for r in roots_q)
-        ok, margin, details = _confirmed_order(roots_q, roots_p,
-                                               inputs["rel_tol"])
+        ok, margin, details = _check_isotone(
+            partial(multiplier_apply, gammas), p, q, inputs["rel_tol"],
+            hunt=True, drift=drift)
         worst = min(worst, margin)
         if not ok:
             preserved = False
@@ -727,8 +720,8 @@ def _check_pb3(inputs):
 
 
 HUNTS: dict[str, tuple[Callable, Callable]] = {
-    "pb1": (_gen_pb1, _check_pb1),
-    "pb2": (_gen_pb2, _check_pb2),
+    "pb1": (_gen_pb1, partial(_check_diagonal, normalized=True)),
+    "pb2": (_gen_pb2, _check_diagonal),
     "pb3": (_gen_pb3, _check_pb3),
 }
 

@@ -105,6 +105,8 @@ def lp_to_json(phi: LPFunction) -> dict:
 
 
 def lp_from_json(obj) -> LPFunction:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"cannot read an LP function from {obj!r}")
     try:
         return LPFunction(
             c=parse_scalar(obj.get("c", 1)),

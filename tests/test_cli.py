@@ -217,6 +217,18 @@ MALFORMED = [
     pytest.param(lambda f, w: ["chain", "verify", "--chain", w({
         "source": ["0", "4"], "steps": [{"k": 1, "t": "1/4"}],
         "target": ["1", "3"]})], id="chain-step-without-l"),
+    pytest.param(lambda f, w: ["op", "apply", "--phi", w([1, 0, 1]),
+                               "--poly", f["p"]], id="phi-a-list"),
+    pytest.param(lambda f, w: ["op", "apply", "--phi", w("phi"),
+                               "--poly", f["p"]], id="phi-a-string"),
+    pytest.param(lambda f, w: ["verify", "iso", "--trials", "-1"],
+                 id="negative-trials"),
+    pytest.param(lambda f, w: ["hunt", "pb3", "--config", w({"trials": -1})],
+                 id="config-negative-trials"),
+    pytest.param(lambda f, w: ["verify", "iso", "--degree-min", "5",
+                               "--degree-max", "3"], id="degrees-reversed"),
+    pytest.param(lambda f, w: ["hunt", "pb2", "--degree-max", "1"],
+                 id="degree-max-below-default-min"),
 ]
 
 

@@ -3,13 +3,15 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specpoly import multiplier_apply, random_hyperbolic
-from specpoly.errors import ConfigError, InfeasibleGap, UnknownSuite
+from specpoly import from_roots, multiplier_apply, random_hyperbolic
+from specpoly.errors import (ConfigError, InfeasibleGap, NotRealRooted,
+                             UnknownSuite)
 from specpoly.harness import (SUITES, ExperimentConfig, confirm_violation,
                               hunt_counterexamples, recheck_failure,
                               run_suite, trial_rng)
@@ -237,10 +239,41 @@ def test_skipped_hunt_trial_has_no_margin():
     p = {"mode": "rational", "roots": ["0", "4"]}
     q = {"mode": "rational", "roots": ["1", "3"]}
     pb2 = {"gammas": ["1", "0", "1"], "p": p, "q": q, "rel_tol": 1e-7}
+    pb1 = {"gammas": ["1", "0", "1"], "meta": {}, "p": p, "q": q,
+           "rel_tol": 1e-7}
     pb3 = {"gammas": ["1", "0", "1"], "drift": "0", "pairs": [[p, q]] * 3,
            "rel_tol": 1e-7}
+    assert HUNTS["pb1"][1](pb1) == (True, float("inf"), {})
     assert HUNTS["pb2"][1](pb2) == (True, float("inf"), {})
     assert HUNTS["pb3"][1](pb3) == (True, float("inf"), {})
+    assert not recheck_failure({"suite": "pb1", "trial": 0, "inputs": pb1,
+                                "details": {}})
+
+
+def test_suite_image_that_is_not_real_rooted_raises():
+    # the skip belongs to the hunts: through the same isotone check, a
+    # suite reports a non-real-rooted image as an error, never as a skip
+    from specpoly.harness import _check_isotone
+    p = from_roots([0, 4])
+    q = from_roots([1, 3])
+    image = partial(multiplier_apply, [1, 0, 1])
+    with pytest.raises(NotRealRooted):
+        _check_isotone(image, p, q, 1e-7)
+    assert _check_isotone(image, p, q, 1e-7, hunt=True) == (
+        True, float("inf"), {})
+
+
+@pytest.mark.parametrize("run,kwargs", [
+    (run_suite, {"suite": "iso", "trials": -1}),
+    (run_suite, {"suite": "iso", "degree_min": 5, "degree_max": 3}),
+    (partial(hunt_counterexamples, "pb3"), {"trials": -1}),
+    (partial(hunt_counterexamples, "pb1"), {"degree_min": 4,
+                                            "degree_max": 2}),
+], ids=["suite-negative-trials", "suite-degrees-reversed",
+        "hunt-negative-trials", "hunt-degrees-reversed"])
+def test_impossible_config_is_refused(run, kwargs):
+    with pytest.raises(ConfigError):
+        run(ExperimentConfig(**kwargs))
 
 
 def test_suite_worst_slack_reported():

@@ -119,6 +119,12 @@ def test_lp_defaults():
     assert lp_from_json({}) == LPFunction()
 
 
+@pytest.mark.parametrize("obj", [[1, 0, 1], "phi", 3, None])
+def test_lp_from_non_object_is_config_error(obj):
+    with pytest.raises(ConfigError):
+        lp_from_json(obj)
+
+
 _SCALAR_TEXT = st.one_of(
     st.integers().map(str),
     st.fractions().map(str),
