@@ -31,9 +31,9 @@ from typing import Optional, Sequence
 from ._qpoly import QPoly, is_exact_all
 from .errors import DegreeTooSmall, NotRealRooted, ZeroTopTerm
 from .pencil import _far_end, pencil_coeffs
-from .poly import (HyperbolicPoly, coeff_derivative, hyperbolic_from_coeffs,
-                   taylor_shift)
-from .roots import is_real_rooted, real_roots, real_roots_bracketed
+from .poly import HyperbolicPoly, coeff_derivative, taylor_shift
+from .roots import (is_real_rooted, real_roots, real_roots_bracketed,
+                    real_roots_near)
 from .scalars import FLOAT, RATIONAL, Scalar, coerce, infer_mode
 
 
@@ -322,14 +322,16 @@ def apply_operator(op: DiffOperator, p: HyperbolicPoly,
                    tol: float | None = None) -> HyperbolicPoly:
     """Root form of op[P]; the image is hyperbolic, so extraction is safe.
 
-    A ``NotRealRooted`` escaping from here signals numerical failure,
-    never a failure of the theory.
+    The roots of P seed the image's (``real_roots_near``), an x^m factor
+    of phi included.  A ``NotRealRooted`` escaping from here signals
+    numerical failure, never a failure of the theory.
     """
     if p.degree <= op.order:
         raise DegreeTooSmall(
             f"degree {p.degree} input collapses under an order-{op.order} "
             "operator; root form needs degree >= order + 1")
-    return hyperbolic_from_coeffs(op.apply_coeffs(p.coefficients()), tol)
+    coeffs = op.apply_coeffs(p.coefficients())
+    return HyperbolicPoly(real_roots_near(coeffs, p.roots, tol), FLOAT)
 
 
 def appell(phi: LPFunction, n: int, normalized: bool = True) -> tuple:
@@ -391,10 +393,11 @@ def gaussian_coeffs(p: HyperbolicPoly, a: Scalar) -> tuple:
 
 def gaussian_op(p: HyperbolicPoly, a: Scalar,
                 tol: float | None = None) -> HyperbolicPoly:
-    """Root form of the Gaussian heat flow; a < 0 leaves the
-    Laguerre-Polya regime (images need not stay real-rooted), accepted
-    for experimentation."""
-    return hyperbolic_from_coeffs(gaussian_coeffs(p, a), tol)
+    """Root form of the Gaussian heat flow, seeded by the roots of P; a < 0
+    leaves the Laguerre-Polya regime (images need not stay real-rooted),
+    accepted for experimentation."""
+    return HyperbolicPoly(real_roots_near(gaussian_coeffs(p, a), p.roots, tol),
+                          FLOAT)
 
 
 # --- multiplier sequences -----------------------------------------------------

@@ -53,7 +53,11 @@ It polishes the tuple by a few sweeps of Aberth's simultaneous iteration,
 cuts brackets at the midpoints of the polished values, and hands them to
 ``real_roots_bracketed`` with the polished values as Newton starts.  The
 seeds only choose the brackets and the starts; the certificate and the
-fallback are those of the bracketed path.
+fallback are those of the bracketed path.  Two image shapes are reduced
+first, so that they stay on that path: an exact x^k factor of the double
+coefficients gives k exact zeros and a deflated polynomial, and m seeds
+more than the degree (an image p^(m), or phi(D) p with phi = x^m psi)
+are merged by iterated Rolle into one seed per root.
 
 Root extraction is in double precision: it is the one-way door from
 exact coefficients to float root tuples.
@@ -471,21 +475,25 @@ _SWEEPS = 8     # Aberth sweeps at most; near seeds take three or four
 def _aberth(rev: list[float], z: list[float]) -> list[float]:
     # Aberth's simultaneous iteration (Math. Comp. 27, 1973) in real
     # arithmetic, each new value used at once: z_i -= w / (1 - w S_i), with
-    # w = P(z_i)/P'(z_i) and S_i = sum over j != i of 1/(z_i - z_j).  Stops
+    # w = P(z_i)/P'(z_i) and S_i = sum over j != i of 1/(z_i - z_j); where
+    # P'(z_i) = 0 the step is its limit P / (P' - P S_i) = -1/S_i.  Stops
     # after the first sweep whose steps are all at most
-    # 1e-6 (1 + max |seed|).  A zero denominator (tied values, or P' = 0
-    # at a value) raises ZeroDivisionError.
+    # 1e-6 (1 + max |seed|).  A zero denominator (tied values, or S_i = 0
+    # where P' = 0) raises ZeroDivisionError.
     limit = 1e-6 * (1.0 + max(abs(v) for v in z))
     for _ in range(_SWEEPS):
         largest = 0.0
         for i, x in enumerate(z):
             f, slope = _eval_with_slope(rev, x)
-            w = f / slope
             pull = 0.0
             for j, v in enumerate(z):
                 if j != i:
                     pull += 1.0 / (x - v)
-            step = w / (1.0 - w * pull)
+            if slope:
+                w = f / slope
+                step = w / (1.0 - w * pull)
+            else:
+                step = -1.0 / pull if f else 0.0
             z[i] = x - step
             size = step if step > 0.0 else -step
             if not size <= largest:     # a NaN step counts as large
@@ -497,28 +505,52 @@ def _aberth(rev: list[float], z: list[float]) -> list[float]:
 
 def real_roots_near(coeffs: Sequence, seeds: Sequence,
                     tol: float | None = None) -> tuple[float, ...]:
-    """The n roots of a degree-n polynomial, found from n nearby seeds.
+    """The n roots of a degree-n polynomial, found from nearby seeds.
 
     For a polynomial whose roots are close to a known tuple, such as the
     image T p of p, whose roots are the seeds, under an operator near the
-    identity.  The sorted seeds are polished by at most 8 sweeps of
-    Aberth's iteration; the midpoints of consecutive polished values and
-    the root bound cut n brackets, and ``real_roots_bracketed`` refines
-    them from the polished values, which certifies one root in each by
-    strict sign alternation or otherwise answers by ``real_roots``.  So
-    the contract and the ``NotRealRooted`` behaviour are those of the
-    bracketed path, however poor the seeds (a value that is not finite
-    fails the check).  A seed count other than the degree, and tied values
-    or another zero denominator in the iteration, go to ``real_roots``
-    directly.
+    identity.  Two image shapes are reduced first:
+
+    - when the k lowest double coefficients are exactly 0.0, P = x^k Q:
+      k roots are returned as exact 0.0 and the roots of Q are found from
+      the seeds without the k nearest 0 (a multiplier sequence with
+      gamma_0 = ... = gamma_{k-1} = 0);
+    - when the seeds outnumber the degree by m, seed k becomes the mean of
+      the sorted seeds k..k+m: if the seeds are the roots r of p and the
+      polynomial is p^(m) (an operator phi(D) with phi = x^m psi), its
+      k-th root lies in [r_k, r_{k+m}] by iterated Rolle.
+
+    The n sorted seeds are polished by at most 8 sweeps of Aberth's
+    iteration; the midpoints of consecutive polished values and the root
+    bound cut n brackets, and ``real_roots_bracketed`` refines them from
+    the polished values, which certifies one root in each by strict sign
+    alternation or otherwise answers by ``real_roots``.  So the contract
+    and the ``NotRealRooted`` behaviour are those of the bracketed path,
+    however poor the seeds (a value that is not finite fails the check).
+    Fewer seeds than the degree, and tied values or another zero
+    denominator in the iteration, go to ``real_roots`` directly.
     """
     rev, n, tol = _float_rev(coeffs, tol)
+    seeds = sorted(float(v) for v in seeds)
+    k = 0
+    while k < n and rev[n - k] == 0.0:
+        k += 1
+    if k:
+        # P = x^k Q exactly, Q's coefficients low degree first being
+        # rev[n - k], ..., rev[0]
+        rest = sorted(seeds, key=abs)[k:]
+        inner = (real_roots_near(rev[n - k::-1], rest, tol) if k < n
+                 else ())
+        return tuple(sorted((0.0,) * k + inner))
     if n == 1:
         return (-rev[1] / rev[0],)
-    if len(seeds) != n:
+    m = len(seeds) - n
+    if m < 0:
         return real_roots(coeffs, tol)
+    if m:
+        seeds = [sum(seeds[i:i + m + 1]) / (m + 1) for i in range(n)]
     try:
-        polished = sorted(_aberth(rev, sorted(float(v) for v in seeds)))
+        polished = sorted(_aberth(rev, seeds))
     except ZeroDivisionError:
         return real_roots(coeffs, tol)
     bound = root_bound(rev[::-1])

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specpoly import from_roots, multiplier_apply, random_hyperbolic
+import specpoly.harness as harness
+import specpoly.roots as roots_module
+from specpoly import from_roots, multiplier_apply, random_hyperbolic, serialize
 from specpoly.errors import (ConfigError, InfeasibleGap, NotRealRooted,
                              UnknownSuite)
 from specpoly.harness import (SUITES, ExperimentConfig, confirm_violation,
@@ -301,3 +303,33 @@ def test_no_measured_margin_reports_null(tmp_path):
     report = run_suite(ExperimentConfig(suite="main1", trials=0, out=str(out)))
     assert report.passed and report.worst_slack is None
     assert json.loads(out.read_text())["worst_slack"] is None
+
+
+def test_lag_ms_second_image_is_seeded_through_exact_zeros(monkeypatch):
+    # m = 3, p_shift = 0: gamma_0 = gamma_1 = gamma_2 = 0, so both images
+    # are x^3 times a cubic with simple roots.  The first image's three
+    # exact zeros seed the second image, and neither takes the recursion
+    calls = []
+    seeded = harness.real_roots_near
+
+    def spy(coeffs, seeds, tol=None):
+        got = seeded(coeffs, seeds, tol)
+        calls.append((list(seeds), got))
+        return got
+
+    def recursion(*args):
+        raise AssertionError("real_roots_near fell back to real_roots")
+
+    monkeypatch.setattr(harness, "real_roots_near", spy)
+    monkeypatch.setattr(roots_module, "real_roots", recursion)
+    p = from_roots([Fraction(v) for v in (-3, -2, -1, 1, 2, 4)], "rational")
+    q = from_roots([Fraction(-5, 2), -2, -1, 1, 2, Fraction(7, 2)],
+                   "rational")
+    inputs = {"m": 3, "p_shift": 0, "coeffs": ["1", "-2", "1/2", "1"],
+              "p": serialize.poly_to_json(p), "q": serialize.poly_to_json(q),
+              "rel_tol": 1e-9}
+    ok, margin, _ = harness._check_lag_ms(inputs)
+    assert ok and margin >= 0.0
+    (_, first), (seeds, second) = calls
+    assert seeds == list(first)
+    assert first.count(0.0) == second.count(0.0) == 3

@@ -477,13 +477,26 @@ def test_seeded_roots_are_within_tol(picks, tol, data):
     # roots on a quarter grid, with multiplicities up to 3 or a partner
     # 1e-7 above.  Without partners the double coefficients are exact and
     # the grid values are their roots; otherwise the roots of the double
-    # coefficients are simple (checked exactly) and mpmath finds them.  No
-    # brackets certify a multiple root, so those inputs must get the
-    # answer of the full recursion
+    # coefficients are simple (checked exactly) and mpmath finds them.  A
+    # root at 0 of multiplicity k makes the k lowest double coefficients
+    # exactly 0.0: it must come back as k exact zeros, and the rest as the
+    # roots of the deflated coefficients.  No brackets certify any other
+    # multiple root, so those inputs must get the answer of the full
+    # recursion
     mpmath = pytest.importorskip("mpmath")
     roots = sorted(k / 4 + d for k, kind in picks for d in _KINDS[kind])[:12]
     coeffs = from_roots(roots).coefficients()
     got = real_roots_near(coeffs, data.draw(_seeds(roots)), tol)
+    zeros = roots.count(0.0)
+    if zeros:
+        assert got.count(0.0) == zeros, got
+        assert all(math.copysign(1.0, g) == 1.0 for g in got if g == 0.0)
+        assert all(c == 0.0 for c in coeffs[:zeros])
+        coeffs = coeffs[zeros:]
+        roots = [r for r in roots if r != 0.0]
+        got = tuple(g for g in got if g != 0.0)
+        if not roots:
+            return
     if len(set(roots)) < len(roots):
         assert got == real_roots(coeffs, tol)
         return
@@ -495,6 +508,55 @@ def test_seeded_roots_are_within_tol(picks, tol, data):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert abs(g - w) <= tol / 2 + math.ulp(w), (got, want)
+
+
+def _no_recursion(*args):
+    raise AssertionError("real_roots_near fell back to real_roots")
+
+
+def test_seeded_zero_roots_are_deflated_exactly(monkeypatch):
+    # x^k times a polynomial with simple roots: k exact zeros, and the
+    # other roots from their seeds, with no call to the full recursion
+    monkeypatch.setattr(roots_module, "real_roots", _no_recursion)
+    for zeros in (1, 2, 3):
+        others = [-2.5, -0.75, 1.5, 3.0]
+        coeffs = from_roots([0.0] * zeros + others).coefficients()
+        seeds = [r + 0.01 for r in [1e-3] * zeros + others]
+        got = real_roots_near(coeffs, seeds, 1e-12)
+        assert got[2:2 + zeros] == (0.0,) * zeros
+        for g, w in zip(got[:2] + got[2 + zeros:], others):
+            assert abs(g - w) <= 0.5e-12
+    assert real_roots_near([0.0, 0.0, 2.0], [0.5, -0.5]) == (0.0, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-80, 80), min_size=4, max_size=12, unique=True),
+       st.integers(1, 3), st.sampled_from([1e-12, 1e-11, 1e-9]))
+def test_seeded_derivative_roots_are_within_tol(grid, m, tol):
+    # D^m p seeded by the n roots of p: root k of D^m p lies in
+    # [r_k, r_{k+m}] by iterated Rolle, so the seeds fit though they
+    # outnumber the degree, and simple roots never take the recursion
+    mpmath = pytest.importorskip("mpmath")
+    roots = sorted(Fraction(k, 4) for k in grid)
+    coeffs = from_roots(roots, "rational").coefficients()
+    for _ in range(m):
+        coeffs = coeff_derivative(coeffs)
+    doubles = [float(c) for c in coeffs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots_module, "real_roots", _no_recursion)
+        got = real_roots_near(coeffs, roots, tol)
+    want = _polyroots(doubles, mpmath)
+    assert len(got) == len(want) == len(roots) - m
+    for g, w in zip(got, want):
+        assert abs(g - w) <= tol / 2 + math.ulp(w), (got, want)
+
+
+def test_seed_on_a_critical_point_is_polished(monkeypatch):
+    # P' = 0 at the seed -2 of (x + 1)(x + 3): the Aberth step there is
+    # its limit -1/S_i, not a division by zero that ends in the recursion
+    monkeypatch.setattr(roots_module, "real_roots", _no_recursion)
+    got = real_roots_near([3.0, 4.0, 1.0], [-3.5, -2.0], 1e-12)
+    assert got == pytest.approx((-3.0, -1.0), abs=0.5e-12)
 
 
 @pytest.mark.xfail(strict=True, reason="the recursion's cluster branch "
