@@ -20,8 +20,9 @@ from .lpops import (DiffOperator, appell, gaussian_op, laguerre_ms,
                     multiplier_apply, apply_operator, shift_pencil)
 from .majorize import build_witness, check_majorization
 from .pencil import pencil_path
-from .poly import hyperbolic_from_coeffs
-from .scalars import parse_scalar
+from .poly import HyperbolicPoly, hyperbolic_from_coeffs
+from .roots import real_roots_near
+from .scalars import FLOAT, parse_scalar
 
 
 def _read_json(path):
@@ -78,6 +79,8 @@ def _build_config(args, suite) -> ExperimentConfig:
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
+    if args.param and not isinstance(cfg.params, dict):
+        raise ConfigError("--param needs the config's params to be an object")
     for item in args.param:
         key, _, value = item.partition("=")
         cfg.params[key] = value
@@ -292,7 +295,8 @@ def _op_command(args) -> int:
             gammas = laguerre_ms(m, p, n + 1).gammas
         coeffs = multiplier_apply(gammas, poly.coefficients(), n,
                                   normalized=args.normalized)
-        _emit(serialize.poly_to_json(hyperbolic_from_coeffs(coeffs)), args.out)
+        image = HyperbolicPoly(real_roots_near(coeffs, poly.roots), FLOAT)
+        _emit(serialize.poly_to_json(image), args.out)
         return 0
     raise SpecPolyError(f"unhandled op action {args.action!r}")
 

@@ -28,6 +28,7 @@ files (wall time is kept out of the canonical serialization).
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -543,6 +544,13 @@ def _run(name: str, generate: Callable, check: Callable,
     if config.degree_min > config.degree_max:
         raise ConfigError(f"degree_min {config.degree_min} exceeds "
                           f"degree_max {config.degree_max}")
+    tol = config.tol
+    if tol is not None and (isinstance(tol, bool)
+                            or not isinstance(tol, (int, float))
+                            or not 0 <= tol < math.inf):
+        raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
+    if not isinstance(config.params, dict):
+        raise ConfigError(f"params must be an object, got {config.params!r}")
     begin = time.perf_counter()
     failures = []
     evidence = 0

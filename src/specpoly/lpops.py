@@ -366,8 +366,7 @@ def shift_pencil(p: HyperbolicPoly, lam: Scalar,
     moved = [float(r - lam) for r in p.roots]
     far = _far_end(moved, float(lam))
     points = moved + [far] if lam > 0 else [far] + moved
-    return HyperbolicPoly(real_roots_bracketed(coeffs, points, None, tol),
-                          FLOAT)
+    return HyperbolicPoly(real_roots_bracketed(coeffs, points, tol), FLOAT)
 
 
 def gaussian_coeffs(p: HyperbolicPoly, a: Scalar) -> tuple:

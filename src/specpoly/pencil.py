@@ -23,98 +23,52 @@ answers by the full interlacing recursion of ``real_roots``.
 
 ``pencil_at`` samples one lam on its own.  ``pencil_path`` samples many
 by continuation, since each x_i(lam) increases with lam (the paper's
-global monotony).  The value of the pencil at a root w of P' is
-P(w) - lam P'(w), affine in lam, so P(w), P'(w) and the magnitude sums of
-Horner's roundoff bound are cached beside the brackets, and the sign at
-each separator is decided for any lam without a Horner pass, by an
-enclosure that also covers the rounding of ``pencil_coeffs``.  The two
+global monotony).  The inner brackets are the same roots of P'; the two
 outer brackets end at the last sample's outer root on the side it left
 and, on the other side, at ``_far_end``: no root moves by more than
 n |lam - lam'| from one sample to the next, so twice that past the last
 outer root bounds it (``lpops.shift_pencil`` brackets by the same rule).
-Those two ends are evaluated and checked; a failed check answers by the
-full recursion, as in ``pencil_at``.  Newton starts from an extrapolation
-of the last samples.  The contract is the one of ``pencil_at``: each root
-is within tol/2 of a root of the rounded coefficients ``pencil_coeffs``
-gives at that lam.
+The root finder evaluates every end and checks the signs, as in
+``pencil_at``; a failed check answers by the full recursion.  Newton
+starts from an extrapolation of the last samples.  The contract is the
+one of ``pencil_at``: each root is within tol/2 of a root of the rounded
+coefficients ``pencil_coeffs`` gives at that lam.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import DegreeMismatch
 from .majorize import MajorizationCertificate, check_majorization
 from .poly import HyperbolicPoly, coeff_derivative
-from .roots import (_eval_with_mag, _roundoff, real_roots_bracketed,
-                    real_roots_with_criticals, root_bound)
+from .roots import (real_roots_bracketed, real_roots_with_criticals,
+                    root_bound)
 from .scalars import Scalar, coerce
 
 
-class _Brackets(NamedTuple):
-    """What a float P's pencils share at one root tolerance."""
+def _separators(pf: HyperbolicPoly, tol: float | None) -> tuple:
+    """The roots of P' and of P'' of a float-mode P, cached on it per tol.
 
-    first: tuple     # the roots of P', which separate every pencil's roots
-    second: tuple    # the roots of P'', which separate its critical points
-    # per root w of P': P(w), P'(w), sum |c_k||w|^k, sum (k+1)|c_{k+1}||w|^k
-    at_first: tuple
-
-    def enclosures(self, lam: float) -> list:
-        """(value, bound) of the pencil at each separator.
-
-        ``pencil_coeffs`` rounds each c_k - lam (k+1) c_{k+1} at most
-        three times, which moves the value at w by at most
-        eps (M0 + 2 |lam| M1), with M0 and M1 the magnitude sums cached
-        above.  The cached Horner values are within 8 n eps M0 and
-        8 n eps M1 of P(w) and P'(w) (the derivative's coefficients round
-        once more), and forming P(w) - lam P'(w) rounds twice.  All of it
-        is below the roundoff bound of degree n + 1 at M0 + |lam| M1, so
-        the value returned is within its bound of the value at w of the
-        rounded coefficients, and the bound also covers Horner's roundoff
-        on those coefficients there.
-        """
-        degree = len(self.first) + 1
-        scale = abs(lam)
-        return [(value - lam * slope, _roundoff(mag0 + scale * mag1,
-                                                degree + 1))
-                for value, slope, mag0, mag1 in self.at_first]
-
-    def known(self, lam: float) -> list:
-        # the enclosures that decide a sign; None where the separator must
-        # be evaluated on the rounded coefficients instead
-        return [pair if abs(pair[0]) > pair[1] else None
-                for pair in self.enclosures(lam)]
-
-
-def _separators(pf: HyperbolicPoly, tol: float | None) -> _Brackets:
-    """The brackets of a float-mode P's pencils, cached on it per tol.
-
-    The separators are found to the tolerance the pencil's roots are asked
-    for.  With an explicit tol, the brackets at lam = 0 are then the ones
-    ``real_roots`` uses for P itself, and the roots agree bit for bit.
+    The roots of P' separate the roots of every pencil of P, and those of
+    P'' its critical points.  They are found to the tolerance the pencil's
+    roots are asked for.  With an explicit tol, the brackets at lam = 0
+    are then the ones ``real_roots`` uses for P itself, and the roots
+    agree bit for bit.
     """
     cache = pf.__dict__.setdefault("_separators", {})
     if tol not in cache:
-        coeffs = pf.coefficients()
-        derivative = coeff_derivative(coeffs)
-        first, second = ((), ()) if pf.degree == 1 else (
-            real_roots_with_criticals(derivative, tol))
-        at_first = []
-        for w in first:
-            value, mag0 = _eval_with_mag(coeffs[::-1], w)
-            slope, mag1 = _eval_with_mag(derivative[::-1], w)
-            at_first.append((value, slope, mag0, mag1))
-        cache[tol] = _Brackets(first, second, tuple(at_first))
+        cache[tol] = ((), ()) if pf.degree == 1 else (
+            real_roots_with_criticals(coeff_derivative(pf.coefficients()),
+                                      tol))
     return cache[tol]
 
 
 def _bracketed_roots(coeffs, separators, tol) -> tuple:
     # the roots in the brackets the separators cut from the root bound
     bound = root_bound(coeffs)
-    return real_roots_bracketed(coeffs, (-bound, *separators, bound), None,
-                                tol)
+    return real_roots_bracketed(coeffs, (-bound, *separators, bound), tol)
 
 
 @dataclass(frozen=True)
@@ -150,14 +104,14 @@ def pencil_coeffs(p: HyperbolicPoly, lam: Scalar) -> tuple:
                  ) + (c[-1],)
 
 
-def _sample(lam: float, roots: tuple, coeffs: tuple, brackets: _Brackets,
+def _sample(lam: float, roots: tuple, coeffs: tuple, second: tuple,
             tol: float | None) -> PencilSample:
     sums = []
     acc = 0.0
     for r in roots:
         acc += r - lam
         sums.append(acc)
-    return PencilSample(lam, roots, tuple(sums), coeffs, brackets.second, tol)
+    return PencilSample(lam, roots, tuple(sums), coeffs, second, tol)
 
 
 def _extrapolated(lam: float, recent: list) -> list:
@@ -194,23 +148,22 @@ def _far_end(roots, step: float) -> float:
     return (roots[-1] if step > 0.0 else roots[0]) + 2.0 * len(roots) * step
 
 
-def _continued(coeffs: tuple, lam: float, brackets: _Brackets, recent: list,
+def _continued(coeffs: tuple, lam: float, first: tuple, recent: list,
                tol: float | None) -> tuple:
-    # The roots of the last sample, moved on to lam.  The roots of P' keep
-    # separating them; the outer brackets end at the old outer root on the
-    # side it left and at ``_far_end`` on the side it moves to.  Those two
-    # ends are checked like every other.  Newton starts from the
-    # extrapolation of the recent samples of each root.
+    # The roots of the last sample, moved on to lam.  The roots of P', in
+    # ``first``, keep separating them; the outer brackets end at the old
+    # outer root on the side it left and at ``_far_end`` on the side it
+    # moves to.  Newton starts from the extrapolation of the recent
+    # samples of each root.
     last = recent[-1]
     x = last.roots
     step = lam - last.lam
     far = _far_end(x, step)
     if step > 0.0:
-        points = (x[0],) + brackets.first + (far,)
+        points = (x[0],) + first + (far,)
     else:
-        points = (far,) + brackets.first + (x[-1],)
-    return real_roots_bracketed(coeffs, points,
-                                [None] + brackets.known(lam) + [None], tol,
+        points = (far,) + first + (x[-1],)
+    return real_roots_bracketed(coeffs, points, tol,
                                 _extrapolated(lam, recent))
 
 
@@ -219,10 +172,10 @@ def pencil_at(p: HyperbolicPoly, lam: float,
     """Sample the pencil at one lam (float computation throughout)."""
     lam = float(lam)
     pf = p.to_float()
-    brackets = _separators(pf, tol)
+    first, second = _separators(pf, tol)
     coeffs = pencil_coeffs(pf, lam)
-    return _sample(lam, _bracketed_roots(coeffs, brackets.first, tol), coeffs,
-                   brackets, tol)
+    return _sample(lam, _bracketed_roots(coeffs, first, tol), coeffs, second,
+                   tol)
 
 
 def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
@@ -236,7 +189,7 @@ def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
     lam.
     """
     pf = p.to_float()
-    brackets = _separators(pf, tol)
+    first, second = _separators(pf, tol)
     samples = []
     recent = []
     for lam in lams:
@@ -246,8 +199,8 @@ def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
             continue
         if recent:
             coeffs = pencil_coeffs(pf, lam)
-            roots = _continued(coeffs, lam, brackets, recent, tol)
-            sample = _sample(lam, roots, coeffs, brackets, tol)
+            roots = _continued(coeffs, lam, first, recent, tol)
+            sample = _sample(lam, roots, coeffs, second, tol)
         else:
             sample = pencil_at(pf, lam, tol)
         recent = recent[-2:] + [sample]

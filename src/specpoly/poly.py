@@ -154,8 +154,7 @@ def derivative(p: HyperbolicPoly, tol: float | None = None) -> HyperbolicPoly:
         raise DegreeTooSmall("derivative needs degree >= 2")
     dc = [float(c) * k / n for k, c in enumerate(p.coefficients()) if k >= 1]
     return HyperbolicPoly(
-        _rootfind.real_roots_bracketed(dc, p.to_float().roots, None, tol),
-        FLOAT)
+        _rootfind.real_roots_bracketed(dc, p.to_float().roots, tol), FLOAT)
 
 
 def taylor_shift(p: HyperbolicPoly, lam: Scalar) -> HyperbolicPoly:

@@ -39,13 +39,13 @@ certificate.
 A caller that already knows n brackets with one root in each (the pencil
 P - lam P', whose roots the critical points of P separate for every lam)
 skips the recursion with ``real_roots_bracketed``, which refines only
-those brackets, from the values at some ends that the caller may already
-know within a stated bound and from a Newton start in each.  It trusts
-the brackets only when their ends increase strictly and the values there
-alternate in sign, clear of their bounds, so that each bracket provably
-holds one root; otherwise it answers by ``real_roots``.  A separator that
-is itself a root (a multiple root of the polynomial the separators came
-from) or an input that is not real-rooted makes the check fail.
+those brackets, each from a Newton start the caller may give.  It
+evaluates every bracket end by Horner and trusts the brackets only when
+their ends increase strictly and the values there alternate in sign,
+clear of Horner's roundoff bound, so that each bracket provably holds one
+root; otherwise it answers by ``real_roots``.  A separator that is itself
+a root (a multiple root of the polynomial the separators came from) or an
+input that is not real-rooted makes the check fail.
 
 A caller that knows only a tuple near the roots (the roots of p, for an
 image T p under an operator near the identity) uses ``real_roots_near``.
@@ -293,6 +293,17 @@ def _roots_rev(rev: list[float], n: int, tol: float) -> list[float]:
     return _roots_between(rev, n, crit, tol)
 
 
+def _values(rev: list[float], n: int, pts) -> tuple[list, list]:
+    # Horner's value at each point and its roundoff bound there
+    vals = []
+    bounds = []
+    for x in pts:
+        v, mag = _eval_with_mag(rev, x)
+        vals.append(v)
+        bounds.append(_roundoff(mag, n))
+    return vals, bounds
+
+
 def _bracket_points(rev: list[float], n: int, crit) -> tuple:
     # [-B, crit..., B] clamped to the root bound B, with the value and the
     # Horner roundoff bound at each point
@@ -302,14 +313,7 @@ def _bracket_points(rev: list[float], n: int, crit) -> tuple:
         pts.append(min(max(w, -bound), bound))
     pts.append(bound)
     pts.sort()
-
-    vals = []
-    bounds = []
-    for p in pts:
-        v, mag = _eval_with_mag(rev, p)
-        vals.append(v)
-        bounds.append(_roundoff(mag, n))
-    return pts, vals, bounds
+    return (pts, *_values(rev, n, pts))
 
 
 def _alternate(vals: list[float]) -> bool:
@@ -425,17 +429,13 @@ def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
 
 
 def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
-                         known: Sequence | None = None,
                          tol: float | None = None,
                          starts: Sequence | None = None,
                          ) -> tuple[float, ...]:
     """The n roots of a degree-n polynomial, one in each bracket given.
 
-    ``points`` are n+1 bracket ends, expected to increase.  ``known[i]``,
-    where not None, is a pair (value, bound): a value of the polynomial at
-    ``points[i]``, for the coefficients as given, and a bound on its
-    error, which also bounds Horner's roundoff there.  Every other end is
-    evaluated here by Horner, with its roundoff bound.  The brackets are
+    ``points`` are n+1 bracket ends, expected to increase; each is
+    evaluated by Horner, with its roundoff bound.  The brackets are
     trusted only when the ends increase strictly, every value clears its
     bound and the signs alternate, which proves exactly one root in each;
     otherwise this returns ``real_roots(coeffs, tol)``.  ``starts[i]``,
@@ -447,18 +447,11 @@ def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
     rev, n, tol = _float_rev(coeffs, tol)
     if n == 1:
         return (-rev[1] / rev[0],)
-    if len(points) != n + 1 or known is not None and len(known) != n + 1:
-        raise ValueError(f"need {n + 1} bracket ends and known entries")
+    if len(points) != n + 1:
+        raise ValueError(f"need {n + 1} bracket ends")
     if any(a >= b for a, b in zip(points, points[1:])):
         return real_roots(coeffs, tol)
-    vals = []
-    bounds = []
-    for x, pair in zip(points, known or (None,) * (n + 1)):
-        if pair is None:
-            value, mag = _eval_with_mag(rev, x)
-            pair = value, _roundoff(mag, n)
-        vals.append(pair[0])
-        bounds.append(pair[1])
+    vals, bounds = _values(rev, n, points)
     negative = vals[0] < 0.0
     for v, b in zip(vals, bounds):
         if not (v < -b if negative else v > b):
@@ -557,7 +550,7 @@ def real_roots_near(coeffs: Sequence, seeds: Sequence,
     points = [-bound]
     points.extend(0.5 * (a + b) for a, b in zip(polished, polished[1:]))
     points.append(bound)
-    return real_roots_bracketed(coeffs, points, None, tol, polished)
+    return real_roots_bracketed(coeffs, points, tol, polished)
 
 
 # --- exact real-rootedness ------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import specpoly.roots
 from specpoly import from_roots, pencil_at
 from specpoly.cli import main
 from specpoly.pencil import pencil_coeffs
@@ -121,7 +122,12 @@ def test_op_deform(files, capsys, tmp_path):
     assert obj["a"] == "1/2"
 
 
-def test_op_multiplier_laguerre(files, capsys):
+def test_op_multiplier_laguerre(files, capsys, monkeypatch):
+    # the image x P'(x) / n is seeded by the roots of P: the full
+    # recursion is never taken
+    def recursion(*args):
+        raise AssertionError("real_roots called")
+    monkeypatch.setattr(specpoly.roots, "real_roots", recursion)
     assert main(["op", "multiplier", "--poly", files["p"], "--laguerre", "1", "0",
                  "--normalized"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -229,6 +235,19 @@ MALFORMED = [
                                "--degree-max", "3"], id="degrees-reversed"),
     pytest.param(lambda f, w: ["hunt", "pb2", "--degree-max", "1"],
                  id="degree-max-below-default-min"),
+    pytest.param(lambda f, w: ["verify", "iso", "--trials", "2", "--tol",
+                               "nan"], id="tol-nan"),
+    pytest.param(lambda f, w: ["verify", "iso", "--trials", "2", "--config",
+                               w({"tol": -1})], id="config-tol-negative"),
+    pytest.param(lambda f, w: ["hunt", "pb1", "--trials", "2", "--config",
+                               w({"tol": -1})], id="hunt-config-tol-negative"),
+    pytest.param(lambda f, w: ["verify", "iso", "--trials", "2", "--config",
+                               w({"tol": "x"})], id="config-tol-string"),
+    pytest.param(lambda f, w: ["hunt", "pb1", "--trials", "2", "--config",
+                               w({"params": 5})], id="config-params-not-a-dict"),
+    pytest.param(lambda f, w: ["hunt", "pb1", "--trials", "2", "--config",
+                               w({"params": 5}), "--param", "family=mixed"],
+                 id="param-into-params-not-a-dict"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Harness determinism, generators, suites, hunts, failure records."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -271,8 +272,11 @@ def test_suite_image_that_is_not_real_rooted_raises():
     (partial(hunt_counterexamples, "pb3"), {"trials": -1}),
     (partial(hunt_counterexamples, "pb1"), {"degree_min": 4,
                                             "degree_max": 2}),
+    (run_suite, {"suite": "iso", "tol": math.nan}),
+    (partial(hunt_counterexamples, "pb1"), {"params": 5}),
 ], ids=["suite-negative-trials", "suite-degrees-reversed",
-        "hunt-negative-trials", "hunt-degrees-reversed"])
+        "hunt-negative-trials", "hunt-degrees-reversed", "suite-tol-nan",
+        "hunt-params-not-a-dict"])
 def test_impossible_config_is_refused(run, kwargs):
     with pytest.raises(ConfigError):
         run(ExperimentConfig(**kwargs))

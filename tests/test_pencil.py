@@ -18,8 +18,7 @@ from specpoly.harness import ROOT_TOL, random_hyperbolic
 from specpoly.lpops import shift_pencil, shift_pencil_coeffs
 from specpoly.pencil import default_grid, pencil_coeffs, pencil_path
 from specpoly.poly import coeff_derivative
-from specpoly.roots import (_EPS, _eval_with_mag, real_roots,
-                            real_roots_with_criticals)
+from specpoly.roots import real_roots, real_roots_with_criticals
 
 
 def test_pencil_coeffs_x_squared():
@@ -145,9 +144,10 @@ def test_pencil_majorization_degree_mismatch():
 def _roundoff_zone(coeffs, root) -> float:
     # half-width of the interval around a simple root where Horner's sign
     # is not trustworthy: the roots module's zero test over |P'(root)|
-    value_bound = 8.0 * (len(coeffs) - 1) * _EPS * _eval_with_mag(
-        tuple(reversed(coeffs)), root)[1]
-    slope = _eval_with_mag(tuple(reversed(coeff_derivative(coeffs))), root)[0]
+    magnitude = sum(abs(c) * abs(root) ** k for k, c in enumerate(coeffs))
+    value_bound = 8.0 * (len(coeffs) - 1) * math.ulp(1.0) * magnitude
+    slope = sum(c * root ** k
+                for k, c in enumerate(coeff_derivative(coeffs)))
     return value_bound / abs(slope)
 
 
@@ -300,9 +300,9 @@ def test_path_agrees_with_one_shot_samples(n, seed, order):
 
 
 def test_path_continues_from_one_sample_to_the_next(monkeypatch):
-    # a strictly hyperbolic P samples one-shot once, at the first lam: a
-    # one-shot sample knows no values at its bracket ends, a continued one
-    # knows those at the separators
+    # a strictly hyperbolic P samples one-shot once, at the first lam, with
+    # no Newton starts; every continued sample passes a start per root, and
+    # no sample falls back to the full recursion
     bracketed = _record_calls(monkeypatch, specpoly.pencil,
                               "real_roots_bracketed")
     fallback = _record_fallbacks(monkeypatch)
@@ -311,8 +311,11 @@ def test_path_continues_from_one_sample_to_the_next(monkeypatch):
                  (3.0, -2.0, 0.5, 7.0, -9.0, 0.5)):
         bracketed.clear()
         pencil_path(p, lams, 1e-11)
-        assert [args[2] is None for args in bracketed] == [True] + [False] * (
-            len(bracketed) - 1)
+        assert len(bracketed) == len(lams)
+        assert len(bracketed[0]) == 3
+        for args in bracketed[1:]:
+            starts = args[3]
+            assert len(starts) == p.degree and None not in starts
     assert fallback == []
 
 
@@ -382,25 +385,3 @@ def test_shift_pencil_brackets_agree_with_full_recursion(n, seed, mode, lam,
     want = real_roots(shift_pencil_coeffs(p, lam), ROOT_TOL)
     assert len(got) == p.degree
     assert max(abs(a - b) for a, b in zip(got, want)) <= ROOT_TOL
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=9,
-                unique=True),
-       st.floats(-40.0, 40.0), st.booleans())
-def test_cached_separator_values_enclose_the_rounded_pencil(roots, lam,
-                                                           cluster):
-    # the value known at a root w of P' must be within its bound of the
-    # exact value at w of the coefficients pencil_coeffs rounds to, also
-    # where a close pair puts w inside Horner's roundoff
-    if cluster:
-        roots = roots + [roots[0] + 1e-7]
-    p = from_roots(sorted(roots))
-    brackets = specpoly.pencil._separators(p, 1e-11)
-    coeffs = [Fraction(c) for c in pencil_coeffs(p, lam)]
-    enclosures = brackets.enclosures(lam)
-    for w, (value, bound) in zip(brackets.first, enclosures):
-        exact = sum(c * Fraction(w) ** k for k, c in enumerate(coeffs))
-        assert abs(Fraction(value) - exact) <= Fraction(bound)
-    for pair, (value, bound) in zip(brackets.known(lam), enclosures):
-        assert pair == ((value, bound) if abs(value) > bound else None)

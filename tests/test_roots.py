@@ -78,8 +78,7 @@ def test_criticals_come_along():
 def _separated(coeffs, separators, tol=None):
     # the roots in the brackets the separators cut from the root bound
     bound = root_bound([float(c) for c in coeffs])
-    return real_roots_bracketed(coeffs, (-bound, *separators, bound), None,
-                                tol)
+    return real_roots_bracketed(coeffs, (-bound, *separators, bound), tol)
 
 
 def test_separated_roots_match_recursion():
@@ -109,26 +108,16 @@ def test_separated_declines_brackets_without_alternation():
         _separated([1, 0, 1], (0.0,))
 
 
-def test_bracketed_roots_use_known_values_and_starts():
-    # (x-1)(x-2)(x-3): values -6, 0.375, -0.375, 6 at 0, 1.5, 2.5, 4
+def test_bracketed_roots_use_starts_and_decline_misordered_ends():
+    # (x-1)(x-2)(x-3): values -6, 0.375, -0.375, 6 at 0, 1.5, 2.5, 4; a
+    # start outside its bracket is not used
     cubic = [-6, 11, -6, 1]
     points = (0.0, 1.5, 2.5, 4.0)
-    known = [None, (0.375, 1e-12), (-0.375, 1e-12), None]
-    got = real_roots_bracketed(cubic, points, known, 1e-12,
-                               [1.1, None, 99.0])
+    got = real_roots_bracketed(cubic, points, 1e-12, [1.1, None, 99.0])
     assert matching_distance(got, (1, 2, 3)) <= 0.5e-12
-    # a known value whose bound covers it decides nothing, a wrong sign
-    # breaks the alternation, and ends out of order are no brackets: the
-    # full recursion answers
-    want = real_roots(cubic, 1e-12)
-    assert real_roots_bracketed(cubic, points, [None, (0.375, 0.5), None,
-                                                None], 1e-12) == want
-    assert real_roots_bracketed(cubic, points, [None, (-0.375, 1e-12),
-                                                None, None], 1e-12) == want
+    # ends out of order are no brackets: the full recursion answers
     assert real_roots_bracketed(cubic, (0.0, 2.5, 1.5, 4.0)) == real_roots(
         cubic)
-    with pytest.raises(ValueError):
-        real_roots_bracketed(cubic, points, [None] * 3)
     with pytest.raises(ValueError):
         real_roots_bracketed(cubic, points[:3])
 
