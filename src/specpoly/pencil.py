@@ -28,10 +28,15 @@ outer brackets end at the last sample's outer root on the side it left
 and, on the other side, at ``_far_end``: no root moves by more than
 n |lam - lam'| from one sample to the next, so twice that past the last
 outer root bounds it (``lpops.shift_pencil`` brackets by the same rule).
-The root finder evaluates every end and checks the signs, as in
-``pencil_at``; a failed check answers by the full recursion.  Newton
-starts from an extrapolation of the last samples.  The contract is the
-one of ``pencil_at``: each root is within tol/2 of a root of the rounded
+Newton starts from an extrapolation of the last samples, and those
+starts usually make the brackets unnecessary: the root finder runs plain
+Newton from each and signs the pencil at 0.45 tol on either side of each
+point reached; n disjoint sign changes prove all n roots, and no bracket
+end is evaluated.  When that certificate fails (two starts that reach
+one root, two roots closer than tol, a multiple root), the root finder
+evaluates every end and checks the signs, as in ``pencil_at``; a failed
+check answers by the full recursion.  The contract is the one of
+``pencil_at``: each root is within tol/2 of a root of the rounded
 coefficients ``pencil_coeffs`` gives at that lam.
 """
 

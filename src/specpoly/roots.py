@@ -47,17 +47,32 @@ root; otherwise it answers by ``real_roots``.  A separator that is itself
 a root (a multiple root of the polynomial the separators came from) or an
 input that is not real-rooted makes the check fail.
 
+A caller that gives a start for every root usually needs no bracket at
+all.  ``real_roots_bracketed`` first runs plain Newton from each start,
+uncertified, and then signs P at 0.45 tol on either side of each point
+it reaches, by the certified signs above.  Opposite signs on n strictly
+increasing, disjoint intervals prove one root in each, and so every root
+of a degree-n polynomial (an a posteriori certificate in the sense of
+Rump, "Verification methods", Acta Numerica 19, 2010); the points are
+returned, each within tol/2 of its root, with no bracket end evaluated
+and no bracket refined.  A multiple root (no sign change), two starts
+that reach one root, tol within 32 float spacings of a root, a value
+that is not finite and Newton that has not settled after a few steps
+all fail the certificate, and the brackets answer as above.
+
 A caller that knows only a tuple near the roots (the roots of p, for an
 image T p under an operator near the identity) uses ``real_roots_near``.
 It polishes the tuple by a few sweeps of Aberth's simultaneous iteration,
 cuts brackets at the midpoints of the polished values, and hands them to
-``real_roots_bracketed`` with the polished values as Newton starts.  The
-seeds only choose the brackets and the starts; the certificate and the
-fallback are those of the bracketed path.  Two image shapes are reduced
-first, so that they stay on that path: an exact x^k factor of the double
-coefficients gives k exact zeros and a deflated polynomial, and m seeds
-more than the degree (an image p^(m), or phi(D) p with phi = x^m psi)
-are merged by iterated Rolle into one seed per root.
+``real_roots_bracketed`` with the polished values as Newton starts, so
+that the sign-change certificate usually proves the roots from the
+starts alone.  The seeds only choose the brackets and the starts; the
+certificates and the fallback are those of the bracketed path.  Two
+image shapes are reduced first, so that they stay on that path: an exact
+x^k factor of the double coefficients gives k exact zeros and a deflated
+polynomial, and m seeds more than the degree (an image p^(m), or
+phi(D) p with phi = x^m psi) are merged by iterated Rolle into one seed
+per root.
 
 Root extraction is in double precision: it is the one-way door from
 exact coefficients to float root tuples.
@@ -428,11 +443,82 @@ def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
     return tuple(roots), tuple(crit)
 
 
+_NEWTON = 8     # plain Newton steps per start at most; near starts take two
+
+
+def _straddled(rev: list[float], starts: Sequence,
+               tol: float) -> tuple[float, ...] | None:
+    # Plain Newton from each sorted start until a step is at most
+    # 0.05 tol or no smaller than the one before (Horner's rounding noise
+    # near the root), then the true signs of P at x - 0.45 tol and
+    # x + 0.45 tol.  Opposite signs on n strictly increasing, disjoint
+    # intervals with distinct double ends prove one root in each, so every
+    # root of a degree-n P, and each x is within tol/2 of its root (tol is
+    # at least 32 spacings at x, so the rounding of the ends stays inside
+    # tol/20).  None when any of that fails.
+    stop = 0.05 * tol
+    half = 0.45 * tol
+    found = []
+    edge = -math.inf
+    for x in sorted(float(v) for v in starts):
+        last = math.inf
+        for _ in range(_NEWTON):
+            f, slope = _eval_with_slope(rev, x)
+            if not slope:
+                return None
+            step = f / slope
+            x -= step
+            size = abs(step)
+            if size <= stop or not size < last:
+                break
+            last = size
+        else:
+            return None
+        lo = x - half
+        hi = x + half
+        # false for a NaN too
+        if not edge < lo < hi or tol < 32.0 * math.ulp(x):
+            return None
+        edge = hi
+        found.append(x)
+    # Both ends in one Horner pass, with sum |a_k||x|^k at the end farther
+    # from 0: it grows with |x|, so its roundoff bound covers both ends.
+    n = len(rev) - 1
+    sizes = [abs(c) for c in rev]
+    for x in found:
+        lo = x - half
+        hi = x + half
+        far = hi if hi > -lo else -lo
+        a = b = mag = 0.0
+        for c, size in zip(rev, sizes):
+            a = a * lo + c
+            b = b * hi + c
+            mag = mag * far + size
+        bound = _roundoff(mag, n)
+        if -bound <= a <= bound:
+            a = _certified(rev, lo)
+        if -bound <= b <= bound:
+            b = _certified(rev, hi)
+        if not (a < 0.0 < b or b < 0.0 < a):
+            return None
+    return tuple(found)
+
+
 def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
                          tol: float | None = None,
                          starts: Sequence | None = None,
                          ) -> tuple[float, ...]:
     """The n roots of a degree-n polynomial, one in each bracket given.
+
+    With a start for every root (``starts`` holds n numbers), the starts
+    are tried first: plain Newton from each, then the true signs of P at
+    0.45 tol on either side of each point it reaches.  Opposite signs on
+    n disjoint intervals prove every root, and those points are returned,
+    each within tol/2 of its root, with no bracket end evaluated.  Any
+    other outcome (no sign change, as at a multiple root; overlapping
+    intervals; tol within 32 float spacings; a value that is not finite;
+    no convergence in a few steps) goes on to the brackets, as without
+    starts.
 
     ``points`` are n+1 bracket ends, expected to increase; each is
     evaluated by Horner, with its roundoff bound.  The brackets are
@@ -442,13 +528,21 @@ def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
     where not None and inside bracket i, is the point the refinement of
     that bracket starts from, instead of the secant point of its ends.
     Each refined root is within tol/2 (or one float spacing) of the one
-    root in its bracket.
+    root in its bracket.  Raises ValueError unless there are n+1 points
+    and, when given, n starts.
     """
     rev, n, tol = _float_rev(coeffs, tol)
     if n == 1:
         return (-rev[1] / rev[0],)
     if len(points) != n + 1:
         raise ValueError(f"need {n + 1} bracket ends")
+    if starts is not None:
+        if len(starts) != n:
+            raise ValueError(f"need {n} starts")
+        if None not in starts:
+            roots = _straddled(rev, starts, tol)
+            if roots is not None:
+                return roots
     if any(a >= b for a, b in zip(points, points[1:])):
         return real_roots(coeffs, tol)
     vals, bounds = _values(rev, n, points)
@@ -515,13 +609,16 @@ def real_roots_near(coeffs: Sequence, seeds: Sequence,
 
     The n sorted seeds are polished by at most 8 sweeps of Aberth's
     iteration; the midpoints of consecutive polished values and the root
-    bound cut n brackets, and ``real_roots_bracketed`` refines them from
-    the polished values, which certifies one root in each by strict sign
-    alternation or otherwise answers by ``real_roots``.  So the contract
-    and the ``NotRealRooted`` behaviour are those of the bracketed path,
-    however poor the seeds (a value that is not finite fails the check).
-    Fewer seeds than the degree, and tied values or another zero
-    denominator in the iteration, go to ``real_roots`` directly.
+    bound cut n brackets, and ``real_roots_bracketed`` takes the polished
+    values as starts.  It proves the roots from the starts alone by n
+    disjoint sign changes after plain Newton when it can; otherwise it
+    refines the brackets from the starts, which certifies one root in
+    each by strict sign alternation, or answers by ``real_roots``.  So the
+    contract and the ``NotRealRooted`` behaviour are those of the
+    bracketed path, however poor the seeds (a value that is not finite
+    fails both checks).  Fewer seeds than the degree, and tied values or
+    another zero denominator in the iteration, go to ``real_roots``
+    directly.
     """
     rev, n, tol = _float_rev(coeffs, tol)
     seeds = sorted(float(v) for v in seeds)

@@ -574,3 +574,97 @@ def test_seeded_roots_keep_not_real_rooted(grid, centre, width, data):
                                      float(c + half)])))
     with pytest.raises(NotRealRooted):
         real_roots_near([float(v) for v in coeffs], seeds)
+
+
+# --- roots proven by n disjoint sign changes ------------------------------------
+
+def _noise_zone(coeffs, root) -> float:
+    # half-width of the interval around a simple root where Horner's value
+    # may have the wrong sign: its roundoff bound over |P'(root)|
+    magnitude = sum(abs(c) * abs(root) ** k for k, c in enumerate(coeffs))
+    slope = sum(k * c * root ** (k - 1) for k, c in enumerate(coeffs) if k)
+    return 8.0 * (len(coeffs) - 1) * math.ulp(1.0) * magnitude / abs(slope)
+
+
+def _no_brackets(*args):
+    raise AssertionError("a bracket end was evaluated or a bracket refined")
+
+
+def _points(coeffs, values) -> list:
+    # the root bound and the midpoints of consecutive values
+    bound = root_bound([float(c) for c in coeffs])
+    return [-bound, *(0.5 * (a + b) for a, b in zip(values, values[1:])),
+            bound]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=12, unique=True),
+       st.sampled_from([1e-12, 1e-11, 1e-9]), st.data())
+def test_straddled_roots_are_within_tol(grid, tol, data):
+    # roots at least a quarter apart, starts off by up to 1e-4 relative and
+    # in any order: Newton from every start and n disjoint sign changes
+    # prove every root of the double coefficients, so no bracket end is
+    # evaluated and no bracket refined.  tol stays 8 times above the widest
+    # zone where Horner's sign is noise, since plain Newton cannot settle
+    # inside it
+    mpmath = pytest.importorskip("mpmath")
+    roots = sorted(k / 4 for k in grid)
+    coeffs = from_roots(roots).coefficients()
+    assume(_strictly_real_rooted(coeffs))
+    want = _polyroots(coeffs, mpmath)
+    tol = max(tol, 8.0 * max(_noise_zone(coeffs, w) for w in want))
+    moves = data.draw(st.lists(st.floats(-1e-4, 1e-4), min_size=len(roots),
+                               max_size=len(roots)))
+    starts = data.draw(st.permutations(
+        [r * (1.0 + m) for r, m in zip(roots, moves)]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots_module, "_values", _no_brackets)
+        patch.setattr(roots_module, "_refine", _no_brackets)
+        got = real_roots_bracketed(coeffs, _points(coeffs, roots), tol,
+                                   starts)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= tol / 2, (got, want, tol)
+
+
+def _record_straddles(monkeypatch) -> list:
+    # what each straddle attempt returned (None: it fell back)
+    outcomes = []
+    real = roots_module._straddled
+
+    def recorded(*args):
+        outcomes.append(real(*args))
+        return outcomes[-1]
+    monkeypatch.setattr(roots_module, "_straddled", recorded)
+    return outcomes
+
+
+@pytest.mark.parametrize("roots, starts, tol", [
+    ((1.0, 2.0, 3.0), [1.0, 1.0, 3.0], 1e-12),          # two on one root
+    ((1.0, 2.0, 3.0), [1.1, math.nan, 2.9], 1e-12),
+    ((1.0, 2.0, 3.0), [1.1, 2.1, 1e9], 1e-12),          # far outside
+    ((-2.0, 1.0, 1.0), [-2.1, 0.9, 1.1], 1e-12),        # a double root
+    ((-1e6, 1e6), [-1e6 + 0.5, 1e6 - 0.5], 1e-11),      # below the spacing
+], ids=["two-on-one", "nan", "far", "double", "spacing"])
+def test_adversarial_starts_fall_back(monkeypatch, roots, starts, tol):
+    # each start set fails the straddle certificate, and the brackets (or,
+    # at the double root, the full recursion) answer: within tol/2 of the
+    # roots, or one spacing where tol is below it
+    outcomes = _record_straddles(monkeypatch)
+    coeffs = from_roots(roots).coefficients()
+    got = real_roots_bracketed(coeffs, _points(coeffs, roots), tol, starts)
+    assert outcomes == [None]
+    want = real_roots(coeffs, tol)
+    if len(set(roots)) < len(roots):
+        assert got == want
+    for g, w, r in zip(got, want, roots):
+        assert abs(g - r) <= max(tol / 2, math.ulp(r))
+        assert abs(w - r) <= max(tol / 2, math.ulp(r))
+
+
+def test_bracketed_roots_need_one_start_per_root():
+    cubic = [-6, 11, -6, 1]
+    points = (0.0, 1.5, 2.5, 4.0)
+    for starts in ([1.1, 2.1], [1.1, 2.1, 2.9, 3.5]):
+        with pytest.raises(ValueError):
+            real_roots_bracketed(cubic, points, 1e-12, starts)
