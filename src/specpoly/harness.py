@@ -1,13 +1,15 @@
 """Seeded verification suites and counterexample hunts.
 
 Every suite draws its trial inputs from a per-trial derived RNG stream
-(so trials are order-independent), serializes the inputs first, and then
-runs a pure check on the serialized form.  A failure record therefore
-contains everything needed to reproduce itself: feed its ``inputs`` back
-through ``recheck_failure`` and the violation recurs.
+(so trials are order-independent) and runs a pure check on them.  The
+inputs are typed: polynomials, LP functions, ``Fraction`` scalars and
+lists of them.  JSON is made only for a failure record, by
+``inputs_to_json``, and read back only to replay one: ``recheck_failure``
+feeds a record's ``inputs`` through ``inputs_from_json`` and the same
+check, and the violation recurs.
 
 ``SUITES`` and ``HUNTS`` map a name to a ``(generate, check)`` pair:
-``generate(config, rng)`` returns a JSON-able input dict and
+``generate(config, rng)`` returns a typed input dict and
 ``check(inputs)`` returns ``(ok, margin, details)``.  The margin is the
 distance to failing, so a suite trial passes exactly when it is >= 0; a
 hunt trial also passes when its violation is not confirmed exactly.  A
@@ -182,12 +184,12 @@ def _check_order(x_roots, y_roots, rel,
     tol = scaled_tol(rel, x_roots, y_roots)
     cert = check_majorization(x_roots, y_roots, tol)
     margin = _cert_margin(cert)
-    if hunt and (cert.comparable or not confirm_violation(x_roots, y_roots)):
+    if cert.comparable or (hunt and not confirm_violation(x_roots, y_roots)):
         return True, margin, {}
     details = {"certificate": serialize.certificate_to_json(cert)}
     if hunt:
         details["confirmed"] = True
-    return cert.comparable, margin, details
+    return False, margin, details
 
 
 def confirm_violation(x_roots, y_roots) -> bool:
@@ -228,20 +230,20 @@ def _check_isotone(image, p, q, rel, hunt: bool = False,
 
 # --- suite generators and checks ----------------------------------------------
 #
-# Each suite is a (generate, check) pair over JSON-able input dicts, so a
-# failure record replays through ``recheck_failure`` with no extra state.
+# Each suite is a (generate, check) pair over typed input dicts.  A check
+# never sees JSON: a failure record's inputs are made by ``inputs_to_json``
+# and replay through ``recheck_failure`` with no extra state.
 
 def _gen_main1(cfg, rng):
     n = cfg.degree(rng, low=2)
     p, q = _pair(cfg, rng, n)
-    return {"p": serialize.poly_to_json(p), "q": serialize.poly_to_json(q),
-            "lambdas": [-10.0 + 2.0 * k for k in range(11)],
+    return {"p": p, "q": q, "lambdas": [-10.0 + 2.0 * k for k in range(11)],
             "rel_tol": cfg.rel_tol}
 
 
 def _check_main1(inputs):
-    p = serialize.poly_from_json(inputs["p"]).to_float()
-    q = serialize.poly_from_json(inputs["q"]).to_float()
+    p = inputs["p"].to_float()
+    q = inputs["q"].to_float()
     rel = inputs["rel_tol"]
     lams = inputs["lambdas"]
     worst = float("inf")
@@ -262,12 +264,12 @@ def _gen_main2(cfg, rng):
     lam1 = lam2 * rng.random()
     a2 = rng.uniform(0.0, 4.0)
     a1 = a2 * rng.random()
-    return {"p": serialize.poly_to_json(p), "lam1": lam1, "lam2": lam2,
-            "gauss1": a1, "gauss2": a2, "rel_tol": cfg.rel_tol}
+    return {"p": p, "lam1": lam1, "lam2": lam2, "gauss1": a1, "gauss2": a2,
+            "rel_tol": cfg.rel_tol}
 
 
 def _check_main2(inputs):
-    p = serialize.poly_from_json(inputs["p"])
+    p = inputs["p"]
     rel = inputs["rel_tol"]
     small = shift_pencil(p, inputs["lam1"], ROOT_TOL).roots
     large = shift_pencil(p, inputs["lam2"], ROOT_TOL).roots
@@ -286,13 +288,12 @@ def _check_main2(inputs):
 def _gen_deriv(cfg, rng):
     n = cfg.degree(rng, low=2)
     p, q = _pair(cfg, rng, n)
-    return {"p": serialize.poly_to_json(p), "q": serialize.poly_to_json(q),
-            "rel_tol": cfg.rel_tol}
+    return {"p": p, "q": q, "rel_tol": cfg.rel_tol}
 
 
 def _check_deriv(inputs):
-    p = serialize.poly_from_json(inputs["p"]).to_float()
-    q = serialize.poly_from_json(inputs["q"]).to_float()
+    p = inputs["p"].to_float()
+    q = inputs["q"].to_float()
     dp = derivative(p, ROOT_TOL)
     dq = derivative(q, ROOT_TOL)
     return _check_order(dq.roots, dp.roots, inputs["rel_tol"])
@@ -302,14 +303,11 @@ def _gen_iso(cfg, rng):
     phi = _random_phi(rng)
     n = cfg.degree(rng, low=max(2, phi.m + 1))
     p, q = _pair(cfg, rng, n)
-    return {"p": serialize.poly_to_json(p), "q": serialize.poly_to_json(q),
-            "phi": serialize.lp_to_json(phi), "rel_tol": cfg.rel_tol}
+    return {"p": p, "q": q, "phi": phi, "rel_tol": cfg.rel_tol}
 
 
 def _check_iso(inputs):
-    p = serialize.poly_from_json(inputs["p"])
-    q = serialize.poly_from_json(inputs["q"])
-    phi = serialize.lp_from_json(inputs["phi"])
+    p, q, phi = inputs["p"], inputs["q"], inputs["phi"]
     op = DiffOperator.from_function(phi, p.degree)
     return _check_isotone(op.apply_coeffs, p, q, inputs["rel_tol"])
 
@@ -319,13 +317,11 @@ def _gen_appell_min(cfg, rng):
     n = cfg.degree(rng, low=max(2, phi.m + 1))
     p = random_hyperbolic(rng, n, bound=8, mode=cfg.mode)
     p = taylor_shift(p, p.barycenter())    # barycenter 0, exact in rational mode
-    return {"p": serialize.poly_to_json(p), "phi": serialize.lp_to_json(phi),
-            "rel_tol": cfg.rel_tol}
+    return {"p": p, "phi": phi, "rel_tol": cfg.rel_tol}
 
 
 def _check_appell_min(inputs):
-    p = serialize.poly_from_json(inputs["p"])
-    phi = serialize.lp_from_json(inputs["phi"])
+    p, phi = inputs["p"], inputs["phi"]
     n = p.degree
     zero = 0.0 if p.mode == FLOAT else Fraction(0)
     origin = check_majorization((zero,) * n, p.roots)
@@ -344,13 +340,11 @@ def _gen_extensive(cfg, rng):
     phi = _random_phi(rng, kind="monic_prime")
     n = cfg.degree(rng, low=1)
     p = random_hyperbolic(rng, n, bound=8, mode=cfg.mode)
-    return {"p": serialize.poly_to_json(p), "phi": serialize.lp_to_json(phi),
-            "rel_tol": cfg.rel_tol}
+    return {"p": p, "phi": phi, "rel_tol": cfg.rel_tol}
 
 
 def _check_extensive(inputs):
-    p = serialize.poly_from_json(inputs["p"])
-    phi = serialize.lp_from_json(inputs["phi"])
+    p, phi = inputs["p"], inputs["phi"]
     op = DiffOperator.from_function(phi, p.degree)
     [img] = _image_roots(p.roots, op.apply_coeffs(p.coefficients()))
     return _check_order(tuple(float(r) for r in p.roots), img,
@@ -364,19 +358,16 @@ def _gen_deform(cfg, rng):
     width = 1 + len(phi.alphas)
     t = [_frac(rng, -1, 1) * Fraction(3, 2) for _ in range(width)]
     s = [v * Fraction(rng.randint(0, 4), 4) for v in t]
-    return {"p": serialize.poly_to_json(p), "phi": serialize.lp_to_json(phi),
-            "s": [str(v) for v in s], "t": [str(v) for v in t],
-            "rel_tol": cfg.rel_tol}
+    return {"p": p, "phi": phi, "s": s, "t": t, "rel_tol": cfg.rel_tol}
 
 
 def _check_deform(inputs):
-    p = serialize.poly_from_json(inputs["p"])
-    phi = serialize.lp_from_json(inputs["phi"])
-    s = [parse_scalar(v) for v in inputs["s"]]
-    t = [parse_scalar(v) for v in inputs["t"]]
-    if not deformation_leq(s, t):
-        raise ConfigError(f"deform trial needs s <= t coordinatewise, got "
-                          f"s = {inputs['s']}, t = {inputs['t']}")
+    p, phi, s, t = inputs["p"], inputs["phi"], inputs["s"], inputs["t"]
+    if not (isinstance(s, list) and isinstance(t, list)
+            and deformation_leq(s, t)):
+        raise ConfigError(f"deform trial needs lists s <= t coordinatewise, "
+                          f"got s = {_scalars_to_json(s)}, "
+                          f"t = {_scalars_to_json(t)}")
     op_s = DiffOperator.from_function(phi.deform(s), p.degree)
     op_t = DiffOperator.from_function(phi.deform(t), p.degree)
     img_s, img_t = _image_roots(p.roots, op_s.apply_coeffs(p.coefficients()),
@@ -390,15 +381,11 @@ def _gen_scaled(cfg, rng):
     p = random_hyperbolic(rng, n, bound=8, mode=cfg.mode)
     t = _frac(rng, -2, 2)
     s = t * Fraction(rng.randint(0, 4), 4)
-    return {"p": serialize.poly_to_json(p), "phi": serialize.lp_to_json(phi),
-            "s": str(s), "t": str(t), "rel_tol": cfg.rel_tol}
+    return {"p": p, "phi": phi, "s": s, "t": t, "rel_tol": cfg.rel_tol}
 
 
 def _check_scaled(inputs):
-    p = serialize.poly_from_json(inputs["p"])
-    phi = serialize.lp_from_json(inputs["phi"])
-    s = parse_scalar(inputs["s"])
-    t = parse_scalar(inputs["t"])
+    p, phi, s, t = inputs["p"], inputs["phi"], inputs["s"], inputs["t"]
     op_s = DiffOperator.from_function(phi.scale_argument(s), p.degree)
     op_t = DiffOperator.from_function(phi.scale_argument(t), p.degree)
     img_s, img_t = _image_roots(p.roots, op_s.apply_coeffs(p.coefficients()),
@@ -409,12 +396,11 @@ def _check_scaled(inputs):
 def _gen_allincr(cfg, rng):
     n = cfg.degree(rng, low=2)
     p = random_hyperbolic(rng, n, bound=5, mode=FLOAT, min_gap=0.25)
-    return {"p": serialize.poly_to_json(p), "points": 201,
-            "slack": 1e-7}
+    return {"p": p, "points": 201, "slack": 1e-7}
 
 
 def _check_allincr(inputs):
-    p = serialize.poly_from_json(inputs["p"])
+    p = inputs["p"]
     grid = default_grid(p, inputs["points"])
     report = scan_monotonicity(p, grid, tol=ROOT_TOL)
     slack = inputs["slack"]
@@ -434,14 +420,11 @@ def _gen_schur(cfg, rng):
     lift = min(lift, q.roots[0] - 1)
     p = taylor_shift(p, lift)
     q = taylor_shift(q, lift)
-    return {"p": serialize.poly_to_json(p), "q": serialize.poly_to_json(q),
-            "phi": serialize.lp_to_json(phi), "rel_tol": cfg.rel_tol}
+    return {"p": p, "q": q, "phi": phi, "rel_tol": cfg.rel_tol}
 
 
 def _check_schur(inputs):
-    p = serialize.poly_from_json(inputs["p"])
-    q = serialize.poly_from_json(inputs["q"])
-    phi = serialize.lp_from_json(inputs["phi"])
+    p, q, phi = inputs["p"], inputs["q"], inputs["phi"]
     rel = inputs["rel_tol"]
     op = DiffOperator.from_function(phi, p.degree)
     img_p, img_q = _image_roots(p.roots, op.apply_coeffs(p.coefficients()),
@@ -469,16 +452,15 @@ def _gen_lag_ms(cfg, rng):
     p_shift = rng.randint(0, 2)
     n = cfg.degree(rng, low=max(2, m - p_shift))
     poly_p, poly_q = _pair(cfg, rng, n)
-    coeffs = [str(_frac(rng, -4, 4, den=8)) for _ in range(n)]
-    coeffs.append(str(_frac(rng, 1, 4, den=8)))
-    return {"m": m, "p_shift": p_shift, "coeffs": coeffs,
-            "p": serialize.poly_to_json(poly_p),
-            "q": serialize.poly_to_json(poly_q), "rel_tol": cfg.rel_tol}
+    coeffs = [_frac(rng, -4, 4, den=8) for _ in range(n)]
+    coeffs.append(_frac(rng, 1, 4, den=8))
+    return {"m": m, "p_shift": p_shift, "coeffs": coeffs, "p": poly_p,
+            "q": poly_q, "rel_tol": cfg.rel_tol}
 
 
 def _check_lag_ms(inputs):
     m, p_shift = inputs["m"], inputs["p_shift"]
-    pc = [parse_scalar(v) for v in inputs["coeffs"]]
+    pc = inputs["coeffs"]
     n = len(pc) - 1
     seq = laguerre_ms(m, p_shift, n + 1)
     via_seq = multiplier_apply(seq, pc, n)
@@ -487,8 +469,7 @@ def _check_lag_ms(inputs):
         return False, float("-inf"), {
             "part": "closed form", "via_sequence": [str(v) for v in via_seq],
             "closed_form": [str(v) for v in closed]}
-    p = serialize.poly_from_json(inputs["p"])
-    q = serialize.poly_from_json(inputs["q"])
+    p, q = inputs["p"], inputs["q"]
     seq_n = laguerre_ms(m, p_shift, p.degree + 1)
     return _check_isotone(partial(multiplier_apply, seq_n, normalized=True),
                           p, q, inputs["rel_tol"])
@@ -498,15 +479,13 @@ def _gen_chain(cfg, rng):
     # decomposition is exact-mode only; the suite ignores a float config
     n = cfg.degree(rng, low=2)
     p, q = _pair(cfg, rng, n, mode=RATIONAL)
-    return {"p": serialize.poly_to_json(p), "q": serialize.poly_to_json(q),
-            "step_cap": cfg.step_cap}
+    return {"p": p, "q": q, "step_cap": cfg.step_cap}
 
 
 def _check_chain(inputs):
-    p = serialize.poly_from_json(inputs["p"])
-    q = serialize.poly_from_json(inputs["q"])
     try:
-        chain = decompose_majorization(p, q, step_cap=inputs["step_cap"])
+        chain = decompose_majorization(inputs["p"], inputs["q"],
+                                       step_cap=inputs["step_cap"])
     except ChainTooLong as exc:
         return False, float("-inf"), {"part": "chain too long",
                                       "error": str(exc)}
@@ -530,6 +509,73 @@ SUITES: dict[str, tuple[Callable, Callable]] = {
     "lag-ms": (_gen_lag_ms, _check_lag_ms),
     "chain": (_gen_chain, _check_chain),
 }
+
+
+# --- trial inputs on the wire ---------------------------------------------------
+#
+# The one place trial inputs meet JSON, keyed by field: p and q are
+# polynomials, phi an LP function, pairs a list of (p, q), and gammas,
+# coeffs, s, t and drift exact scalars or lists of them, written as "p/q"
+# strings (an integer gamma too).  Every other field is JSON already.
+
+_SCALAR_FIELDS = ("gammas", "coeffs", "s", "t", "drift")
+_LIST_FIELDS = ("pairs", "gammas", "coeffs")
+
+
+def _scalars_to_json(value):
+    if isinstance(value, (list, tuple)):
+        return [str(v) for v in value]
+    return str(value)
+
+
+def inputs_to_json(inputs: dict) -> dict:
+    """The JSON form of typed trial inputs, as a failure record holds it."""
+    out = {}
+    for key, value in inputs.items():
+        if key in ("p", "q"):
+            value = serialize.poly_to_json(value)
+        elif key == "phi":
+            value = serialize.lp_to_json(value)
+        elif key == "pairs":
+            value = [[serialize.poly_to_json(p), serialize.poly_to_json(q)]
+                     for p, q in value]
+        elif key in _SCALAR_FIELDS:
+            value = _scalars_to_json(value)
+        out[key] = value
+    return out
+
+
+class _ReplayInputs(dict):
+    # a field the check reads and the record lacks makes a malformed
+    # record, not a KeyError from inside the check
+    def __missing__(self, key):
+        raise ConfigError(f"failure record inputs lack {key!r}")
+
+
+def inputs_from_json(obj) -> dict:
+    """The typed inputs of a failure record's JSON ``inputs``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"failure record inputs must be an object, "
+                          f"got {obj!r}")
+    out = _ReplayInputs()
+    for key, value in obj.items():
+        if key in _LIST_FIELDS and not isinstance(value, list):
+            raise ConfigError(f"{key!r} must be a list, got {value!r}")
+        if key in ("p", "q"):
+            value = serialize.poly_from_json(value)
+        elif key == "phi":
+            value = serialize.lp_from_json(value)
+        elif key == "pairs":
+            if not all(isinstance(pq, list) and len(pq) == 2 for pq in value):
+                raise ConfigError(f"'pairs' must hold [p, q] pairs, "
+                                  f"got {value!r}")
+            value = [(serialize.poly_from_json(p), serialize.poly_from_json(q))
+                     for p, q in value]
+        elif key in _SCALAR_FIELDS:
+            value = ([parse_scalar(v) for v in value]
+                     if isinstance(value, list) else parse_scalar(value))
+        out[key] = value
+    return out
 
 
 def _run(name: str, generate: Callable, check: Callable,
@@ -561,7 +607,8 @@ def _run(name: str, generate: Callable, check: Callable,
         worst = min(worst, slack)
         if not ok:
             failures.append({"suite": name, "trial": trial,
-                             "inputs": inputs, "details": details})
+                             "inputs": inputs_to_json(inputs),
+                             "details": details})
         elif details:
             evidence += 1
     cfg = config.to_json()
@@ -583,12 +630,22 @@ def run_suite(config: ExperimentConfig) -> SuiteReport:
 
 
 def recheck_failure(record: dict) -> bool:
-    """True when the recorded failure reproduces from its own inputs."""
-    suite = record["suite"]
+    """True when the recorded failure reproduces from its own inputs.
+
+    A record that is not an object with a ``suite`` name and an
+    ``inputs`` object, or whose inputs lack a field or have one of the
+    wrong shape, raises ``ConfigError``.
+    """
+    suite = record.get("suite") if isinstance(record, dict) else None
+    if not isinstance(suite, str):
+        raise ConfigError(f"a failure record needs a 'suite' name, "
+                          f"got {record!r}")
     entry = SUITES.get(suite) or HUNTS.get(suite)
     if entry is None:
         raise UnknownSuite(f"record names unknown suite {suite!r}")
-    ok, _, _ = entry[1](record["inputs"])
+    if "inputs" not in record:
+        raise ConfigError("a failure record needs its 'inputs'")
+    ok, _, _ = entry[1](inputs_from_json(record["inputs"]))
     return not ok
 
 
@@ -632,18 +689,15 @@ def _gen_pb1(cfg, rng):
         n = max(k for k, g in enumerate(gammas) if g != 0)
         gammas = gammas[:n + 1]
     p, q = _pair(cfg, rng, n, mode=RATIONAL)
-    return {"gammas": [str(g) for g in gammas], "meta": meta,
-            "p": serialize.poly_to_json(p), "q": serialize.poly_to_json(q),
+    return {"gammas": gammas, "meta": meta, "p": p, "q": q,
             "rel_tol": cfg.rel_tol}
 
 
 def _check_diagonal(inputs, normalized: bool = False):
     # pb2, and pb1 with its gammas normalized by the top one
-    gammas = [parse_scalar(v) for v in inputs["gammas"]]
-    p = serialize.poly_from_json(inputs["p"])
-    q = serialize.poly_from_json(inputs["q"])
-    image = partial(multiplier_apply, gammas, normalized=normalized)
-    return _check_isotone(image, p, q, inputs["rel_tol"], hunt=True)
+    image = partial(multiplier_apply, inputs["gammas"], normalized=normalized)
+    return _check_isotone(image, inputs["p"], inputs["q"], inputs["rel_tol"],
+                          hunt=True)
 
 
 def _find_diagonal_operator(cfg, rng, n: int, tries: int = 400):
@@ -677,9 +731,7 @@ def _gen_pb2(cfg, rng):
     n = cfg.degree(rng, low=2)
     gammas = _find_diagonal_operator(cfg, rng, n)
     p, q = _pair(cfg, rng, n, mode=RATIONAL)
-    return {"gammas": [str(g) for g in gammas],
-            "p": serialize.poly_to_json(p), "q": serialize.poly_to_json(q),
-            "rel_tol": cfg.rel_tol}
+    return {"gammas": gammas, "p": p, "q": q, "rel_tol": cfg.rel_tol}
 
 
 def _gen_pb3(cfg, rng):
@@ -689,24 +741,19 @@ def _gen_pb3(cfg, rng):
     if rng.random() < 0.5:
         drift = _frac(rng, -2, 2)
     pairs = [_pair(cfg, rng, n, mode=RATIONAL) for _ in range(3)]
-    return {"gammas": [str(g) for g in gammas], "drift": str(drift),
-            "pairs": [[serialize.poly_to_json(p), serialize.poly_to_json(q)]
-                      for p, q in pairs],
+    return {"gammas": gammas, "drift": drift, "pairs": pairs,
             "rel_tol": cfg.rel_tol}
 
 
 def _check_pb3(inputs):
-    gammas = [parse_scalar(v) for v in inputs["gammas"]]
-    drift = parse_scalar(inputs["drift"])
+    gammas, drift = inputs["gammas"], inputs["drift"]
     # a diagonal operator always maps the zero-barycenter slice into itself;
     # composing with a shift leaves the slice exactly when the drift is zero
     in_slice_monoid = drift == 0
     worst = float("inf")
     preserved = True
     evidence = {}
-    for pj, qj in inputs["pairs"]:
-        p = serialize.poly_from_json(pj)
-        q = serialize.poly_from_json(qj)
+    for p, q in inputs["pairs"]:
         ok, margin, details = _check_isotone(
             partial(multiplier_apply, gammas), p, q, inputs["rel_tol"],
             hunt=True, drift=drift)

@@ -15,9 +15,10 @@ import specpoly.roots as roots_module
 from specpoly import from_roots, multiplier_apply, random_hyperbolic, serialize
 from specpoly.errors import (ConfigError, InfeasibleGap, NotRealRooted,
                              UnknownSuite)
-from specpoly.harness import (SUITES, ExperimentConfig, confirm_violation,
-                              hunt_counterexamples, recheck_failure,
-                              run_suite, trial_rng)
+from specpoly.harness import (HUNTS, SUITES, ExperimentConfig,
+                              confirm_violation, hunt_counterexamples,
+                              inputs_from_json, inputs_to_json,
+                              recheck_failure, run_suite, trial_rng)
 from specpoly.roots import is_real_rooted
 
 
@@ -107,7 +108,7 @@ def test_failure_records_are_self_contained():
         "phi": {"c": 1, "m": 0, "a": 0, "b": 0, "alphas": []},
         "rel_tol": 1e-7,
     }
-    ok, slack, details = check(bad_inputs)
+    ok, slack, details = check(inputs_from_json(bad_inputs))
     assert not ok and "certificate" in details
     record = {"suite": "iso", "trial": 0, "inputs": bad_inputs,
               "details": details}
@@ -126,6 +127,66 @@ def test_deform_record_with_s_not_below_t_raises():
         recheck_failure(record)
 
 
+@pytest.mark.parametrize("name", sorted({**SUITES, **HUNTS}))
+def test_replayed_inputs_give_the_same_check_result(name):
+    # a failure record's inputs are written only when a trial fails, so
+    # the replay must see what the trial saw: the same verdict, margin
+    # and details from the typed inputs and from their JSON round trip
+    generate, check = {**SUITES, **HUNTS}[name]
+    for mode in ("rational", "float"):
+        for seed in (0, 1):
+            for degree in range(2, 9):
+                cfg = ExperimentConfig(suite=name, seed=seed, mode=mode,
+                                       degree_min=degree, degree_max=degree)
+                inputs = generate(cfg, trial_rng(seed, 0))
+                wire = inputs_to_json(inputs)
+                assert json.loads(json.dumps(wire)) == wire
+                replayed = inputs_from_json(wire)
+                assert inputs_to_json(replayed) == wire
+                assert check(replayed) == check(inputs), (mode, seed, degree)
+
+
+def test_failing_trial_records_its_inputs_in_json(monkeypatch):
+    # the trial loop writes JSON only for a failure; pb1's xp-prime gammas
+    # are ints, and the record writes them as strings
+    generate, _ = HUNTS["pb1"]
+    monkeypatch.setitem(HUNTS, "pb1",
+                        (generate, lambda inputs: (False, -1.0, {})))
+    cfg = ExperimentConfig(suite="pb1", trials=2, seed=3,
+                           params={"family": "xp-prime"})
+    report = hunt_counterexamples("pb1", cfg)
+    assert [rec["trial"] for rec in report.failures] == [0, 1]
+    for rec in report.failures:
+        gammas = rec["inputs"]["gammas"]
+        assert gammas == [str(k) for k in range(len(gammas))]
+        assert rec["inputs"] == inputs_to_json(
+            generate(cfg, trial_rng(3, rec["trial"])))
+
+
+_ISO_INPUTS = {"p": {"mode": "rational", "roots": ["0", "4"]},
+               "q": {"mode": "rational", "roots": ["-2", "2"]},
+               "phi": {"c": 1, "m": 0, "a": 0, "b": 0, "alphas": []},
+               "rel_tol": 1e-7}
+_DEFORM_INPUTS = {"p": {"mode": "rational", "roots": ["-1", "1", "3"]},
+                  "phi": {"c": 1, "m": 0, "a": "1/2", "b": 0,
+                          "alphas": []},
+                  "s": "1", "t": ["1"], "rel_tol": 1e-7}
+
+
+@pytest.mark.parametrize("record", [
+    {"trial": 0, "inputs": _ISO_INPUTS, "details": {}},
+    {"suite": "iso", "trial": 0, "details": {}},
+    {"suite": "iso", "trial": 0, "inputs": [], "details": {}},
+    {"suite": "iso", "trial": 0, "details": {},
+     "inputs": {k: v for k, v in _ISO_INPUTS.items() if k != "q"}},
+    {"suite": "deform", "trial": 0, "inputs": _DEFORM_INPUTS, "details": {}},
+], ids=["no-suite", "no-inputs", "inputs-not-an-object", "iso-without-q",
+        "deform-s-not-a-list"])
+def test_malformed_failure_record_is_refused(record):
+    with pytest.raises(ConfigError):
+        recheck_failure(record)
+
+
 def test_confirm_violation_thresholds():
     assert confirm_violation((0.0, 10.0), (4.0, 6.0))       # gross violation
     assert not confirm_violation((4.0, 6.0), (0.0, 10.0))   # honest majorization
@@ -137,7 +198,7 @@ def test_chain_suite_documented_instance():
     inputs = {"p": {"mode": "rational", "roots": ["0", "2", "4"]},
               "q": {"mode": "rational", "roots": ["1", "2", "3"]},
               "step_cap": 10 ** 6}
-    ok, steps, _ = check(inputs)
+    ok, steps, _ = check(inputs_from_json(inputs))
     assert ok and steps == 8.0
 
 
@@ -145,7 +206,7 @@ def test_allincr_suite_x_squared():
     _, check = SUITES["allincr"]
     inputs = {"p": {"mode": "float", "roots": [0.0, 0.0]},
               "points": 21, "slack": 1e-7}
-    ok, margin, _ = check(inputs)
+    ok, margin, _ = check(inputs_from_json(inputs))
     assert ok and margin > 0
 
 
@@ -179,14 +240,13 @@ def test_hunt_flags_genuine_order_violation():
     # a diagonal map with a negative low term is not admissible, but on
     # this particular pair it produces real-rooted images that violate the
     # order; the checker must confirm and report it
-    from specpoly.harness import HUNTS
     inputs = {
         "gammas": ["-1", "1", "1"],
         "p": {"mode": "rational", "roots": ["0", "4"]},      # x^2 - 4x
         "q": {"mode": "rational", "roots": ["1", "3"]},      # x^2 - 4x + 3
         "rel_tol": 1e-7,
     }
-    ok, margin, details = HUNTS["pb2"][1](inputs)
+    ok, margin, details = HUNTS["pb2"][1](inputs_from_json(inputs))
     assert not ok and details.get("confirmed") is True
     assert margin < -0.1
     assert recheck_failure({"suite": "pb2", "trial": 0, "inputs": inputs,
@@ -238,7 +298,6 @@ def test_hunt_reports_deterministic(tmp_path):
 def test_skipped_hunt_trial_has_no_margin():
     # gammas (1, 0, 1) keep x^2 - 4x real-rooted but send x^2 - 4x + 3 to
     # x^2 + 3, so the trial is skipped; a 0.0 margin would clamp worst_slack
-    from specpoly.harness import HUNTS
     p = {"mode": "rational", "roots": ["0", "4"]}
     q = {"mode": "rational", "roots": ["1", "3"]}
     pb2 = {"gammas": ["1", "0", "1"], "p": p, "q": q, "rel_tol": 1e-7}
@@ -246,9 +305,9 @@ def test_skipped_hunt_trial_has_no_margin():
            "rel_tol": 1e-7}
     pb3 = {"gammas": ["1", "0", "1"], "drift": "0", "pairs": [[p, q]] * 3,
            "rel_tol": 1e-7}
-    assert HUNTS["pb1"][1](pb1) == (True, float("inf"), {})
-    assert HUNTS["pb2"][1](pb2) == (True, float("inf"), {})
-    assert HUNTS["pb3"][1](pb3) == (True, float("inf"), {})
+    for name, inputs in (("pb1", pb1), ("pb2", pb2), ("pb3", pb3)):
+        assert HUNTS[name][1](inputs_from_json(inputs)) == (
+            True, float("inf"), {})
     assert not recheck_failure({"suite": "pb1", "trial": 0, "inputs": pb1,
                                 "details": {}})
 
@@ -332,7 +391,7 @@ def test_lag_ms_second_image_is_seeded_through_exact_zeros(monkeypatch):
     inputs = {"m": 3, "p_shift": 0, "coeffs": ["1", "-2", "1/2", "1"],
               "p": serialize.poly_to_json(p), "q": serialize.poly_to_json(q),
               "rel_tol": 1e-9}
-    ok, margin, _ = harness._check_lag_ms(inputs)
+    ok, margin, _ = harness._check_lag_ms(inputs_from_json(inputs))
     assert ok and margin >= 0.0
     (_, first), (seeds, second) = calls
     assert seeds == list(first)

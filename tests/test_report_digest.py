@@ -13,19 +13,28 @@ value and says why.  A change to the float root finder can move both
 digests: the rational-mode operator suites and the hunts take the roots
 of their images from it too, so their margins carry float root noise as
 well.
+
+A third digest pins the wire format of trial inputs, which the report
+digests never see while every run passes: ``inputs_to_json`` of seeded
+draws from every suite and hunt (sorted names, both modes, seeds 0-2,
+degrees 2-8, three trials each), as ``json.dumps(..., sort_keys=True)``.
+It is the form a failure record holds and ``recheck_failure`` reads.
 """
 
 import hashlib
 import json
 
 from specpoly.harness import (HUNTS, SUITES, ExperimentConfig,
-                              hunt_counterexamples, run_suite)
+                              hunt_counterexamples, inputs_to_json,
+                              run_suite, trial_rng)
 
 FLOAT_SUITES = ("allincr", "main1", "main2")
 EXACT_PINNED = (
     "14f3f3210939f4ecd62d5efdd53aee2860f1d2ea4a93bc7eb6dc9576f50be17e")
 FLOAT_PINNED = (
     "72fb486c5ac5ad6155805f26651657aa3c57d8c395155d96d5f34961f7dff601")
+WIRE_PINNED = (
+    "07fd7ec051bb4ebac1290105b9fbf99b2220c0ce3ccb2ec66a309a86a19ae17c")
 
 
 def _digest(names, mode) -> str:
@@ -52,3 +61,21 @@ def test_report_digest_is_pinned():
 
 def test_float_report_digest_is_pinned():
     assert _digest(FLOAT_SUITES, "float") == FLOAT_PINNED
+
+
+def test_input_wire_format_is_pinned():
+    entries = {**SUITES, **HUNTS}
+    digest = hashlib.sha256()
+    for name in sorted(entries):
+        generate = entries[name][0]
+        for mode in ("rational", "float"):
+            for seed in range(3):
+                for degree in range(2, 9):
+                    config = ExperimentConfig(
+                        suite=name, trials=3, seed=seed, degree_min=degree,
+                        degree_max=degree, mode=mode)
+                    for trial in range(3):
+                        inputs = generate(config, trial_rng(seed, trial))
+                        digest.update(json.dumps(inputs_to_json(inputs),
+                                                 sort_keys=True).encode())
+    assert digest.hexdigest() == WIRE_PINNED
