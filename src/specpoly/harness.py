@@ -386,6 +386,10 @@ def _gen_scaled(cfg, rng):
 
 def _check_scaled(inputs):
     p, phi, s, t = inputs["p"], inputs["phi"], inputs["s"], inputs["t"]
+    if isinstance(s, list) or isinstance(t, list):
+        raise ConfigError(f"scaled trial needs scalars s and t, "
+                          f"got s = {_scalars_to_json(s)}, "
+                          f"t = {_scalars_to_json(t)}")
     op_s = DiffOperator.from_function(phi.scale_argument(s), p.degree)
     op_t = DiffOperator.from_function(phi.scale_argument(t), p.degree)
     img_s, img_t = _image_roots(p.roots, op_s.apply_coeffs(p.coefficients()),
@@ -513,13 +517,14 @@ SUITES: dict[str, tuple[Callable, Callable]] = {
 
 # --- trial inputs on the wire ---------------------------------------------------
 #
-# The one place trial inputs meet JSON, keyed by field: p and q are
-# polynomials, phi an LP function, pairs a list of (p, q), and gammas,
-# coeffs, s, t and drift exact scalars or lists of them, written as "p/q"
-# strings (an integer gamma too).  Every other field is JSON already.
-
-_SCALAR_FIELDS = ("gammas", "coeffs", "s", "t", "drift")
-_LIST_FIELDS = ("pairs", "gammas", "coeffs")
+# The one place trial inputs meet JSON: ``_FIELDS`` gives each field its
+# writer and its reader.  p and q are polynomials, phi an LP function,
+# pairs a list of (p, q), and gammas, coeffs, s, t and drift exact scalars
+# or lists of them, written as "p/q" strings (an integer gamma too); the
+# rest are JSON numbers of the kind their generator writes.  A field the
+# table does not name (pb1's meta) passes through.  A reader refuses any
+# other shape with ``ConfigError``; whether s and t are scalars or lists
+# is the check's to say.
 
 
 def _scalars_to_json(value):
@@ -528,21 +533,73 @@ def _scalars_to_json(value):
     return str(value)
 
 
+def _pairs_to_json(pairs) -> list:
+    return [[serialize.poly_to_json(p), serialize.poly_to_json(q)]
+            for p, q in pairs]
+
+
+def _as_is(value):
+    return value
+
+
+def _number(value):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _integer(value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _nonempty(read: Callable) -> Callable:
+    # the reader of a nonempty list of what ``read`` reads
+    def read_list(value) -> list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"expected a nonempty list, got {value!r}")
+        return [read(v) for v in value]
+    return read_list
+
+
+def _pair_from_json(value) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"expected a [p, q] pair, got {value!r}")
+    return tuple(serialize.poly_from_json(v) for v in value)
+
+
+def _scalar_or_list(value):
+    if isinstance(value, list):
+        return _nonempty(parse_scalar)(value)
+    return parse_scalar(value)
+
+
+_POLY = (serialize.poly_to_json, serialize.poly_from_json)
+_SCALARS = (_scalars_to_json, _nonempty(parse_scalar))
+_SCALAR_OR_LIST = (_scalars_to_json, _scalar_or_list)
+_NUMBER = (_as_is, _number)
+_INTEGER = (_as_is, _integer)
+_FIELDS = {
+    "p": _POLY, "q": _POLY,
+    "phi": (serialize.lp_to_json, serialize.lp_from_json),
+    "pairs": (_pairs_to_json, _nonempty(_pair_from_json)),
+    "gammas": _SCALARS, "coeffs": _SCALARS,
+    "s": _SCALAR_OR_LIST, "t": _SCALAR_OR_LIST,
+    "drift": (_scalars_to_json, parse_scalar),
+    "lambdas": (_as_is, _nonempty(_number)),
+    "rel_tol": _NUMBER, "slack": _NUMBER, "lam1": _NUMBER, "lam2": _NUMBER,
+    "gauss1": _NUMBER, "gauss2": _NUMBER,
+    "points": _INTEGER, "step_cap": _INTEGER, "m": _INTEGER,
+    "p_shift": _INTEGER,
+}
+
+
 def inputs_to_json(inputs: dict) -> dict:
     """The JSON form of typed trial inputs, as a failure record holds it."""
-    out = {}
-    for key, value in inputs.items():
-        if key in ("p", "q"):
-            value = serialize.poly_to_json(value)
-        elif key == "phi":
-            value = serialize.lp_to_json(value)
-        elif key == "pairs":
-            value = [[serialize.poly_to_json(p), serialize.poly_to_json(q)]
-                     for p, q in value]
-        elif key in _SCALAR_FIELDS:
-            value = _scalars_to_json(value)
-        out[key] = value
-    return out
+    return {key: _FIELDS[key][0](value) if key in _FIELDS else value
+            for key, value in inputs.items()}
 
 
 class _ReplayInputs(dict):
@@ -559,21 +616,11 @@ def inputs_from_json(obj) -> dict:
                           f"got {obj!r}")
     out = _ReplayInputs()
     for key, value in obj.items():
-        if key in _LIST_FIELDS and not isinstance(value, list):
-            raise ConfigError(f"{key!r} must be a list, got {value!r}")
-        if key in ("p", "q"):
-            value = serialize.poly_from_json(value)
-        elif key == "phi":
-            value = serialize.lp_from_json(value)
-        elif key == "pairs":
-            if not all(isinstance(pq, list) and len(pq) == 2 for pq in value):
-                raise ConfigError(f"'pairs' must hold [p, q] pairs, "
-                                  f"got {value!r}")
-            value = [(serialize.poly_from_json(p), serialize.poly_from_json(q))
-                     for p, q in value]
-        elif key in _SCALAR_FIELDS:
-            value = ([parse_scalar(v) for v in value]
-                     if isinstance(value, list) else parse_scalar(value))
+        if key in _FIELDS:
+            try:
+                value = _FIELDS[key][1](value)
+            except ConfigError as exc:
+                raise ConfigError(f"input {key!r}: {exc}") from None
         out[key] = value
     return out
 

@@ -6,38 +6,25 @@ f_m(lam) = sum_{i<=m} (x_i(lam) - lam).  For 1 <= m <= n-1 these are
 nondecreasing left of 0 and nonincreasing right of 0, while f_n is
 constant; the scanner samples a grid and reports the worst violation.
 
-Roots come from fixed brackets.  Between consecutive critical points of a
-strictly hyperbolic P the ratio P/P' increases from -inf to +inf, so for
-every lam the i-th root of P - lam P' is the one root in the i-th bracket
-cut by the roots of P'.  Those brackets do not depend on lam: they are
-computed once per polynomial and tolerance and cached on the polynomial,
-and each sample refines only its n brackets, so x_i(lam) is the
-continuous i-th trajectory by construction.  The same holds one level
-down (P' - lam P'' between the roots of P''), which gives the critical
-points; they are computed only when ``PencilSample.criticals`` is first
-read.  The outer brackets end at the root bound of the pencil.  The root
-finder uses the brackets only after checking that the values at their
-ends alternate in sign.  A multiple root of P is a root of every pencil
-and sits on a bracket end, where that check can fail; the finder then
-answers by the full interlacing recursion of ``real_roots``.
+One sample's roots come from fixed brackets.  Between consecutive
+critical points of a strictly hyperbolic P the ratio P/P' increases from
+-inf to +inf, so for every lam the i-th root of P - lam P' is the one
+root in the i-th bracket cut by the roots of P'.  Those brackets do not
+depend on lam: they are computed once per polynomial and tolerance and
+cached on the polynomial, and each sample refines only its n brackets,
+so x_i(lam) is the continuous i-th trajectory by construction.  The same
+holds one level down (P' - lam P'' between the roots of P''), which
+gives the critical points; they are computed only when
+``PencilSample.criticals`` is first read.  The outer brackets end at the
+root bound of the pencil.  The root finder uses the brackets only after
+checking that the values at their ends alternate in sign.  A multiple
+root of P is a root of every pencil and sits on a bracket end, where
+that check can fail; the finder then answers by the full interlacing
+recursion of ``real_roots``.
 
-``pencil_at`` samples one lam on its own.  ``pencil_path`` samples many
-by continuation, since each x_i(lam) increases with lam (the paper's
-global monotony).  The inner brackets are the same roots of P'; the two
-outer brackets end at the last sample's outer root on the side it left
-and, on the other side, at ``_far_end``: no root moves by more than
-n |lam - lam'| from one sample to the next, so twice that past the last
-outer root bounds it (``lpops.shift_pencil`` brackets by the same rule).
-Newton starts from an extrapolation of the last samples, and those
-starts usually make the brackets unnecessary: the root finder runs plain
-Newton from each and signs the pencil at 0.45 tol on either side of each
-point reached; n disjoint sign changes prove all n roots, and no bracket
-end is evaluated.  When that certificate fails (two starts that reach
-one root, two roots closer than tol, a multiple root), the root finder
-evaluates every end and checks the signs, as in ``pencil_at``; a failed
-check answers by the full recursion.  The contract is the one of
-``pencil_at``: each root is within tol/2 of a root of the rounded
-coefficients ``pencil_coeffs`` gives at that lam.
+``pencil_at`` samples one lam this way.  ``pencil_path`` samples many
+by continuation: each sample after the first is seeded by the recent
+samples' roots, extrapolated to its lam, through ``real_roots_near``.
 """
 
 from __future__ import annotations
@@ -48,8 +35,8 @@ from functools import cached_property
 from .errors import DegreeMismatch
 from .majorize import MajorizationCertificate, check_majorization
 from .poly import HyperbolicPoly, coeff_derivative
-from .roots import (real_roots_bracketed, real_roots_with_criticals,
-                    root_bound)
+from .roots import (real_roots_bracketed, real_roots_near,
+                    real_roots_with_criticals, root_bound)
 from .scalars import Scalar, coerce
 
 
@@ -125,7 +112,6 @@ def _extrapolated(lam: float, recent: list) -> list:
     # rational interpolant x0 + (lam - l0) / (r1 + (lam - l1) q / (l2 - l1)),
     # a Moebius map of lam.  Its finite limit follows a root that levels
     # off toward a root of P' as |lam| grows, where a parabola overshoots.
-    # A start that lands outside its bracket is not used.
     if len(recent) == 1:
         return recent[0].roots
     if len(recent) == 2:
@@ -145,33 +131,6 @@ def _extrapolated(lam: float, recent: list) -> list:
     return out
 
 
-def _far_end(roots, step: float) -> float:
-    # An outer bracket end for the roots of a pencil moved on by step in
-    # lam.  Every root moves toward the sign of step, and the roots sum to
-    # a constant plus n lam, so none moves by more than n |step|; the end
-    # is 2 n |step| beyond the outer root on the side they move to.
-    return (roots[-1] if step > 0.0 else roots[0]) + 2.0 * len(roots) * step
-
-
-def _continued(coeffs: tuple, lam: float, first: tuple, recent: list,
-               tol: float | None) -> tuple:
-    # The roots of the last sample, moved on to lam.  The roots of P', in
-    # ``first``, keep separating them; the outer brackets end at the old
-    # outer root on the side it left and at ``_far_end`` on the side it
-    # moves to.  Newton starts from the extrapolation of the recent
-    # samples of each root.
-    last = recent[-1]
-    x = last.roots
-    step = lam - last.lam
-    far = _far_end(x, step)
-    if step > 0.0:
-        points = (x[0],) + first + (far,)
-    else:
-        points = (far,) + first + (x[-1],)
-    return real_roots_bracketed(coeffs, points, tol,
-                                _extrapolated(lam, recent))
-
-
 def pencil_at(p: HyperbolicPoly, lam: float,
               tol: float | None = None) -> PencilSample:
     """Sample the pencil at one lam (float computation throughout)."""
@@ -186,15 +145,16 @@ def pencil_at(p: HyperbolicPoly, lam: float,
 def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
     """``pencil_at`` at each lam in turn, following the root trajectories.
 
-    The lams may come in any order and repeat.  Each sample after the
-    first continues the one before it (see ``_continued``); the first comes
-    from ``pencil_at``.  A lam equal to the one before it repeats that
-    sample.  Every root carries the contract of ``pencil_at``: within tol/2
-    of a root of the rounded coefficients ``pencil_coeffs`` gives at that
-    lam.
+    The lams may come in any order and repeat.  The first sample comes
+    from ``pencil_at``.  Each later one is found by ``real_roots_near``,
+    seeded by the last samples' roots extrapolated to its lam; its
+    certificates and fallbacks make every root carry the contract of
+    ``pencil_at``: within tol/2 of a root of the rounded coefficients
+    ``pencil_coeffs`` gives at that lam.  A lam equal to the one before
+    it repeats that sample.
     """
     pf = p.to_float()
-    first, second = _separators(pf, tol)
+    second = _separators(pf, tol)[1]
     samples = []
     recent = []
     for lam in lams:
@@ -204,7 +164,7 @@ def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
             continue
         if recent:
             coeffs = pencil_coeffs(pf, lam)
-            roots = _continued(coeffs, lam, first, recent, tol)
+            roots = real_roots_near(coeffs, _extrapolated(lam, recent), tol)
             sample = _sample(lam, roots, coeffs, second, tol)
         else:
             sample = pencil_at(pf, lam, tol)

@@ -39,40 +39,36 @@ certificate.
 A caller that already knows n brackets with one root in each (the pencil
 P - lam P', whose roots the critical points of P separate for every lam)
 skips the recursion with ``real_roots_bracketed``, which refines only
-those brackets, each from a Newton start the caller may give.  It
-evaluates every bracket end by Horner and trusts the brackets only when
-their ends increase strictly and the values there alternate in sign,
-clear of Horner's roundoff bound, so that each bracket provably holds one
-root; otherwise it answers by ``real_roots``.  A separator that is itself
-a root (a multiple root of the polynomial the separators came from) or an
-input that is not real-rooted makes the check fail.
+those brackets.  It evaluates every bracket end by Horner and trusts the
+brackets only when their ends increase strictly and the values there
+alternate in sign, clear of Horner's roundoff bound, so that each bracket
+provably holds one root; otherwise it answers by ``real_roots``.  A
+separator that is itself a root (a multiple root of the polynomial the
+separators came from) or an input that is not real-rooted makes the
+check fail.
 
-A caller that gives a start for every root usually needs no bracket at
-all.  ``real_roots_bracketed`` first runs plain Newton from each start,
-uncertified, and then signs P at 0.45 tol on either side of each point
-it reaches, by the certified signs above.  Opposite signs on n strictly
-increasing, disjoint intervals prove one root in each, and so every root
-of a degree-n polynomial (an a posteriori certificate in the sense of
-Rump, "Verification methods", Acta Numerica 19, 2010); the points are
-returned, each within tol/2 of its root, with no bracket end evaluated
-and no bracket refined.  A multiple root (no sign change), two starts
-that reach one root, tol within 32 float spacings of a root, a value
-that is not finite and Newton that has not settled after a few steps
-all fail the certificate, and the brackets answer as above.
-
-A caller that knows only a tuple near the roots (the roots of p, for an
-image T p under an operator near the identity) uses ``real_roots_near``.
-It polishes the tuple by a few sweeps of Aberth's simultaneous iteration,
-cuts brackets at the midpoints of the polished values, and hands them to
-``real_roots_bracketed`` with the polished values as Newton starts, so
-that the sign-change certificate usually proves the roots from the
-starts alone.  The seeds only choose the brackets and the starts; the
-certificates and the fallback are those of the bracketed path.  Two
-image shapes are reduced first, so that they stay on that path: an exact
-x^k factor of the double coefficients gives k exact zeros and a deflated
-polynomial, and m seeds more than the degree (an image p^(m), or
-phi(D) p with phi = x^m psi) are merged by iterated Rolle into one seed
-per root.
+A caller that knows a tuple near the roots (the roots of p, for an image
+T p under an operator near the identity, or the roots of the last pencil
+sample moved on to the next lam) uses ``real_roots_near``.  It runs plain
+Newton from each seed, uncertified, and then signs P at 0.45 tol on
+either side of each point it reaches, by the certified signs above.
+Opposite signs on n strictly increasing, disjoint intervals prove one
+root in each, and so every root of a degree-n polynomial (an a
+posteriori certificate in the sense of Rump, "Verification methods",
+Acta Numerica 19, 2010); the points are returned, each within tol/2 of
+its root, with no bracket end evaluated and no bracket refined.  Only
+when that fails (two seeds that reach one root, a seed far from every
+root, Newton that has not settled after a few steps) are the seeds
+polished by a few sweeps of Aberth's simultaneous iteration and the
+certificate tried again.  What still fails it (a multiple root with no
+sign change, tol within 32 float spacings of a root, a value that is not
+finite) goes to ``real_roots_bracketed`` with brackets cut at the
+midpoints of the polished values.  The seeds only choose the starts and
+the brackets; the certificates and the fallback are those above.  Two
+image shapes are reduced first: an exact x^k factor of the double
+coefficients gives k exact zeros and a deflated polynomial, and m seeds
+more than the degree (an image p^(m), or phi(D) p with phi = x^m psi)
+are merged by iterated Rolle into one seed per root.
 
 Root extraction is in double precision: it is the one-way door from
 exact coefficients to float root tuples.
@@ -226,12 +222,11 @@ def _certified(rev: Sequence[float], x: float,
 
 
 def _refine(rev: Sequence[float], lo: float, hi: float, f_lo: float,
-            f_hi: float, tol: float, bound: float,
-            start: float | None = None) -> float:
+            f_hi: float, tol: float, bound: float) -> float:
     """The root of P in [lo, hi], where P has the signs of f_lo and f_hi.
 
-    Safeguarded Newton (rtsafe), from ``start`` when it lies inside the
-    bracket and from the secant point of the two ends otherwise: each step
+    Safeguarded Newton (rtsafe) from the secant point of the two ends,
+    or the midpoint where that point rounds onto an end: each step
     evaluates P and P' at one point in the same Horner pass, moves the
     bracket end of the same sign there, and goes on from it by Newton, or
     by bisection when the Newton point leaves the bracket or the step is
@@ -249,19 +244,16 @@ def _refine(rev: Sequence[float], lo: float, hi: float, f_lo: float,
     two points then straddle the root at most tol apart, with values far
     enough from zero that plain Horner can usually sign them.  The point
     a step lands on, offset included, is what must lie inside the bracket:
-    from a start within float resolution of the root, the bare Newton
+    from a point within float resolution of the root, the bare Newton
     point rounds onto the bracket end, and the offset point still
     straddles the root.  The other stops are float resolution (the
     midpoint is an end) and a cap of 240 evaluations.
     """
     lo_negative = f_lo < 0.0
     reach = hi if hi > -lo else -lo     # |x| at the end farther from 0
-    if start is not None and lo < start < hi:
-        x = start
-    else:
-        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
     older = last = hi - lo
     offset = 0.4 * tol
     for _ in range(240):
@@ -337,12 +329,12 @@ def _alternate(vals: list[float]) -> bool:
                                    for a, b in zip(vals, vals[1:]))
 
 
-def _refine_bracket(rev, pts, vals, bounds, i, tol, start=None) -> float:
+def _refine_bracket(rev, pts, vals, bounds, i, tol) -> float:
     # the root in bracket i, whose end values have opposite true signs;
     # sum |a_k||x|^k grows with |x|, so the larger end bound is the one at
     # the end farther from 0
     return _refine(rev, pts[i], pts[i + 1], vals[i], vals[i + 1], tol,
-                   max(bounds[i], bounds[i + 1]), start)
+                   max(bounds[i], bounds[i + 1]))
 
 
 def _roots_between(rev: list[float], n: int, crit: list[float],
@@ -505,44 +497,23 @@ def _straddled(rev: list[float], starts: Sequence,
 
 
 def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
-                         tol: float | None = None,
-                         starts: Sequence | None = None,
-                         ) -> tuple[float, ...]:
+                         tol: float | None = None) -> tuple[float, ...]:
     """The n roots of a degree-n polynomial, one in each bracket given.
-
-    With a start for every root (``starts`` holds n numbers), the starts
-    are tried first: plain Newton from each, then the true signs of P at
-    0.45 tol on either side of each point it reaches.  Opposite signs on
-    n disjoint intervals prove every root, and those points are returned,
-    each within tol/2 of its root, with no bracket end evaluated.  Any
-    other outcome (no sign change, as at a multiple root; overlapping
-    intervals; tol within 32 float spacings; a value that is not finite;
-    no convergence in a few steps) goes on to the brackets, as without
-    starts.
 
     ``points`` are n+1 bracket ends, expected to increase; each is
     evaluated by Horner, with its roundoff bound.  The brackets are
     trusted only when the ends increase strictly, every value clears its
     bound and the signs alternate, which proves exactly one root in each;
-    otherwise this returns ``real_roots(coeffs, tol)``.  ``starts[i]``,
-    where not None and inside bracket i, is the point the refinement of
-    that bracket starts from, instead of the secant point of its ends.
-    Each refined root is within tol/2 (or one float spacing) of the one
-    root in its bracket.  Raises ValueError unless there are n+1 points
-    and, when given, n starts.
+    otherwise this returns ``real_roots(coeffs, tol)``.  Each bracket is
+    refined from the secant point of its ends, and each root is within
+    tol/2 (or one float spacing) of the one root in its bracket.  Raises
+    ValueError unless there are n+1 points.
     """
     rev, n, tol = _float_rev(coeffs, tol)
     if n == 1:
         return (-rev[1] / rev[0],)
     if len(points) != n + 1:
         raise ValueError(f"need {n + 1} bracket ends")
-    if starts is not None:
-        if len(starts) != n:
-            raise ValueError(f"need {n} starts")
-        if None not in starts:
-            roots = _straddled(rev, starts, tol)
-            if roots is not None:
-                return roots
     if any(a >= b for a, b in zip(points, points[1:])):
         return real_roots(coeffs, tol)
     vals, bounds = _values(rev, n, points)
@@ -551,12 +522,11 @@ def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
         if not (v < -b if negative else v > b):
             return real_roots(coeffs, tol)
         negative = not negative
-    return tuple(_refine_bracket(rev, points, vals, bounds, i, tol,
-                                 starts[i] if starts else None)
+    return tuple(_refine_bracket(rev, points, vals, bounds, i, tol)
                  for i in range(n))
 
 
-_SWEEPS = 8     # Aberth sweeps at most; near seeds take three or four
+_SWEEPS = 12    # Aberth sweeps at most; near seeds take three or four
 
 
 def _aberth(rev: list[float], z: list[float]) -> list[float]:
@@ -607,18 +577,21 @@ def real_roots_near(coeffs: Sequence, seeds: Sequence,
       polynomial is p^(m) (an operator phi(D) with phi = x^m psi), its
       k-th root lies in [r_k, r_{k+m}] by iterated Rolle.
 
-    The n sorted seeds are polished by at most 8 sweeps of Aberth's
-    iteration; the midpoints of consecutive polished values and the root
-    bound cut n brackets, and ``real_roots_bracketed`` takes the polished
-    values as starts.  It proves the roots from the starts alone by n
-    disjoint sign changes after plain Newton when it can; otherwise it
-    refines the brackets from the starts, which certifies one root in
-    each by strict sign alternation, or answers by ``real_roots``.  So the
-    contract and the ``NotRealRooted`` behaviour are those of the
-    bracketed path, however poor the seeds (a value that is not finite
-    fails both checks).  Fewer seeds than the degree, and tied values or
-    another zero denominator in the iteration, go to ``real_roots``
-    directly.
+    Plain Newton runs from each of the n seeds, and the true signs of P
+    at 0.45 tol on either side of each point it reaches are taken.
+    Opposite signs on n disjoint intervals prove every root, and those
+    points are returned, each within tol/2 of its root.  Only when that
+    fails are the seeds polished by at most 12 sweeps of Aberth's
+    iteration and the certificate tried again from the polished values.
+    After a second failure (no sign change, as at a multiple root;
+    overlapping intervals; tol within 32 float spacings; a value that is
+    not finite) the midpoints of consecutive polished values and the root
+    bound cut n brackets for ``real_roots_bracketed``, which certifies one
+    root in each by strict sign alternation or answers by
+    ``real_roots``.  So the contract and the ``NotRealRooted`` behaviour
+    are those of the bracketed path, however poor the seeds.  Fewer seeds
+    than the degree, and tied values or another zero denominator in the
+    iteration, go to ``real_roots`` directly.
     """
     rev, n, tol = _float_rev(coeffs, tol)
     seeds = sorted(float(v) for v in seeds)
@@ -639,15 +612,21 @@ def real_roots_near(coeffs: Sequence, seeds: Sequence,
         return real_roots(coeffs, tol)
     if m:
         seeds = [sum(seeds[i:i + m + 1]) / (m + 1) for i in range(n)]
+    roots = _straddled(rev, seeds, tol)
+    if roots is not None:
+        return roots
     try:
         polished = sorted(_aberth(rev, seeds))
     except ZeroDivisionError:
         return real_roots(coeffs, tol)
+    roots = _straddled(rev, polished, tol)
+    if roots is not None:
+        return roots
     bound = root_bound(rev[::-1])
     points = [-bound]
     points.extend(0.5 * (a + b) for a, b in zip(polished, polished[1:]))
     points.append(bound)
-    return real_roots_bracketed(coeffs, points, tol, polished)
+    return real_roots_bracketed(coeffs, points, tol)
 
 
 # --- exact real-rootedness ------------------------------------------------------

@@ -115,5 +115,5 @@ def lp_from_json(obj) -> LPFunction:
             b=parse_scalar(obj.get("b", 0)),
             alphas=tuple(parse_scalar(v) for v in obj.get("alphas", ())),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid LP function: {exc}") from None

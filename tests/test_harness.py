@@ -173,15 +173,61 @@ _DEFORM_INPUTS = {"p": {"mode": "rational", "roots": ["-1", "1", "3"]},
                   "s": "1", "t": ["1"], "rel_tol": 1e-7}
 
 
+_PAIR = {"p": {"mode": "rational", "roots": ["0", "4"]},
+         "q": {"mode": "rational", "roots": ["1", "3"]}}
+_PHI = {"c": 1, "m": 0, "a": "1/2", "b": 0, "alphas": []}
+# well-formed inputs of each suite below; each malformed record changes
+# one field
+_GOOD_INPUTS = {
+    "iso": _ISO_INPUTS,
+    "deform": {**_DEFORM_INPUTS, "s": ["1/2"]},
+    "scaled": {"p": _PAIR["p"], "phi": _PHI, "s": "1/2", "t": "1",
+               "rel_tol": 1e-7},
+    "allincr": {"p": {"mode": "float", "roots": [0.0, 0.0]}, "points": 21,
+                "slack": 1e-7},
+    "chain": {**_PAIR, "step_cap": 100},
+    "lag-ms": {**_PAIR, "m": 1, "p_shift": 0, "coeffs": ["1", "-2", "1"],
+               "rel_tol": 1e-7},
+    "main1": {**_PAIR, "lambdas": [-1.0, 0.0, 1.0], "rel_tol": 1e-7},
+    "main2": {"p": {"mode": "float", "roots": [-1.0, 2.0]}, "lam1": 0.5,
+              "lam2": 1.0, "gauss1": 0.25, "gauss2": 0.5, "rel_tol": 1e-7},
+    "pb3": {"gammas": ["0", "1", "1"], "drift": "0",
+            "pairs": [[_PAIR["p"], _PAIR["q"]]],
+            "rel_tol": 1e-7},
+}
+_MALFORMED = {
+    "deform-s-not-a-list": ("deform", {"s": "1"}),
+    "scaled-s-a-list": ("scaled", {"s": ["1"]}),
+    "iso-rel-tol-a-string": ("iso", {"rel_tol": "x"}),
+    "iso-phi-m-a-list": ("iso", {"phi": {**_ISO_INPUTS["phi"], "m": [1]}}),
+    "allincr-points-a-string": ("allincr", {"points": "x"}),
+    "chain-step-cap-a-string": ("chain", {"step_cap": "x"}),
+    "lag-ms-m-a-string": ("lag-ms", {"m": "x"}),
+    "main1-lambdas-a-string": ("main1", {"lambdas": "ab"}),
+    "main2-lam1-a-string": ("main2", {"lam1": "x"}),
+    "pb3-no-pairs": ("pb3", {"pairs": []}),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_GOOD_INPUTS))
+def test_well_formed_failure_record_replays(suite):
+    # the inputs the malformed records below start from replay cleanly
+    record = {"suite": suite, "trial": 0, "inputs": _GOOD_INPUTS[suite],
+              "details": {}}
+    assert recheck_failure(record) in (True, False)
+
+
 @pytest.mark.parametrize("record", [
     {"trial": 0, "inputs": _ISO_INPUTS, "details": {}},
     {"suite": "iso", "trial": 0, "details": {}},
     {"suite": "iso", "trial": 0, "inputs": [], "details": {}},
     {"suite": "iso", "trial": 0, "details": {},
      "inputs": {k: v for k, v in _ISO_INPUTS.items() if k != "q"}},
-    {"suite": "deform", "trial": 0, "inputs": _DEFORM_INPUTS, "details": {}},
+    *({"suite": suite, "trial": 0, "details": {},
+       "inputs": {**_GOOD_INPUTS[suite], **change}}
+      for suite, change in _MALFORMED.values()),
 ], ids=["no-suite", "no-inputs", "inputs-not-an-object", "iso-without-q",
-        "deform-s-not-a-list"])
+        *_MALFORMED])
 def test_malformed_failure_record_is_refused(record):
     with pytest.raises(ConfigError):
         recheck_failure(record)

@@ -300,22 +300,23 @@ def test_path_agrees_with_one_shot_samples(n, seed, order):
 
 
 def test_path_continues_from_one_sample_to_the_next(monkeypatch):
-    # a strictly hyperbolic P samples one-shot once, at the first lam, with
-    # no Newton starts; every continued sample passes a start per root, and
-    # no sample falls back to the full recursion
+    # a strictly hyperbolic P samples one-shot once, at the first lam, by
+    # its brackets; every continued sample passes one start per root to
+    # real_roots_near, and no sample reaches the full recursion
     bracketed = _record_calls(monkeypatch, specpoly.pencil,
                               "real_roots_bracketed")
+    seeded = _record_calls(monkeypatch, specpoly.pencil, "real_roots_near")
     fallback = _record_fallbacks(monkeypatch)
     p = from_roots([-4.0, -1.5, 0.5, 2.0, 3.25, 6.0])
     for lams in (default_grid(p, 41), default_grid(p, 41)[::-1],
                  (3.0, -2.0, 0.5, 7.0, -9.0, 0.5)):
         bracketed.clear()
+        seeded.clear()
         pencil_path(p, lams, 1e-11)
-        assert len(bracketed) == len(lams)
-        assert len(bracketed[0]) == 3
-        for args in bracketed[1:]:
-            starts = args[3]
-            assert len(starts) == p.degree and None not in starts
+        assert len(bracketed) == 1
+        assert len(seeded) == len(lams) - 1
+        for coeffs, starts, tol in seeded:
+            assert len(starts) == p.degree
     assert fallback == []
 
 

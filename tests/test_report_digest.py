@@ -30,9 +30,9 @@ from specpoly.harness import (HUNTS, SUITES, ExperimentConfig,
 
 FLOAT_SUITES = ("allincr", "main1", "main2")
 EXACT_PINNED = (
-    "14f3f3210939f4ecd62d5efdd53aee2860f1d2ea4a93bc7eb6dc9576f50be17e")
+    "9ce7d55717a97a59cd1e26634bf48990a1546e2bc957e850f8a2e2f50171f543")
 FLOAT_PINNED = (
-    "72fb486c5ac5ad6155805f26651657aa3c57d8c395155d96d5f34961f7dff601")
+    "85bdf9c4fd2688de7a3a017ef27a4780e35f00ba413c88401165092f45f957cf")
 WIRE_PINNED = (
     "07fd7ec051bb4ebac1290105b9fbf99b2220c0ce3ccb2ec66a309a86a19ae17c")
 

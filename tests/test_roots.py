@@ -108,14 +108,11 @@ def test_separated_declines_brackets_without_alternation():
         _separated([1, 0, 1], (0.0,))
 
 
-def test_bracketed_roots_use_starts_and_decline_misordered_ends():
-    # (x-1)(x-2)(x-3): values -6, 0.375, -0.375, 6 at 0, 1.5, 2.5, 4; a
-    # start outside its bracket is not used
+def test_bracketed_roots_decline_misordered_ends():
+    # (x-1)(x-2)(x-3): ends out of order are no brackets, and the full
+    # recursion answers
     cubic = [-6, 11, -6, 1]
     points = (0.0, 1.5, 2.5, 4.0)
-    got = real_roots_bracketed(cubic, points, 1e-12, [1.1, None, 99.0])
-    assert matching_distance(got, (1, 2, 3)) <= 0.5e-12
-    # ends out of order are no brackets: the full recursion answers
     assert real_roots_bracketed(cubic, (0.0, 2.5, 1.5, 4.0)) == real_roots(
         cubic)
     with pytest.raises(ValueError):
@@ -397,9 +394,10 @@ def test_refinement_costs_few_evaluations(monkeypatch):
 
 
 def test_start_within_float_resolution_takes_few_evaluations(monkeypatch):
-    # a start on the double nearest the root: the Newton step rounds to
-    # nothing, and the offset point must still straddle the root rather
-    # than the whole bracket being bisected
+    # a bracket 2e-9 wide around the root, whose secant point is within
+    # one spacing of it: the Newton step rounds to nothing, and the offset
+    # point must still straddle the root rather than the whole bracket
+    # being bisected
     evaluations = [0]
     for name in ("_eval_with_slope", "_certified"):
         real = getattr(roots_module, name)
@@ -408,13 +406,16 @@ def test_start_within_float_resolution_takes_few_evaluations(monkeypatch):
             evaluations[0] += 1
             return _real(*args)
         monkeypatch.setattr(roots_module, name, counted)
-    for rev, lo, hi, root in (([1.0, 0.0, -2.0], 1.0, 2.0, math.sqrt(2.0)),
-                              ([3.0, -7.0, 2.0], 0.0, 1.0, 1.0 / 3.0)):
+    for rev, root in (([1.0, 0.0, -2.0], math.sqrt(2.0)),
+                      ([3.0, -7.0, 2.0], 1.0 / 3.0)):
+        lo, hi = root - 1e-9, root + 1e-9
         f_lo = roots_module._eval_with_slope(rev, lo)[0]
         f_hi = roots_module._eval_with_slope(rev, hi)[0]
+        secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        assert abs(secant - root) <= math.ulp(root)
         evaluations[0] = 0
         got = roots_module._refine(rev, lo, hi, f_lo, f_hi, 1e-12,
-                                   _bound_over(rev, lo, hi), root)
+                                   _bound_over(rev, lo, hi))
         assert abs(got - root) <= 0.5e-12
         assert evaluations[0] <= 3, (root, evaluations[0])
 
@@ -587,26 +588,20 @@ def _noise_zone(coeffs, root) -> float:
 
 
 def _no_brackets(*args):
-    raise AssertionError("a bracket end was evaluated or a bracket refined")
-
-
-def _points(coeffs, values) -> list:
-    # the root bound and the midpoints of consecutive values
-    bound = root_bound([float(c) for c in coeffs])
-    return [-bound, *(0.5 * (a + b) for a, b in zip(values, values[1:])),
-            bound]
+    raise AssertionError("the seeds were polished, a bracket end was "
+                         "evaluated or a bracket refined")
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=12, unique=True),
        st.sampled_from([1e-12, 1e-11, 1e-9]), st.data())
 def test_straddled_roots_are_within_tol(grid, tol, data):
-    # roots at least a quarter apart, starts off by up to 1e-4 relative and
-    # in any order: Newton from every start and n disjoint sign changes
-    # prove every root of the double coefficients, so no bracket end is
-    # evaluated and no bracket refined.  tol stays 8 times above the widest
-    # zone where Horner's sign is noise, since plain Newton cannot settle
-    # inside it
+    # roots at least a quarter apart, seeds off by up to 1e-4 relative and
+    # in any order: Newton from every seed and n disjoint sign changes
+    # prove every root of the double coefficients, so the seeds are not
+    # polished, no bracket end is evaluated and no bracket refined.  tol
+    # stays 8 times above the widest zone where Horner's sign is noise,
+    # since plain Newton cannot settle inside it
     mpmath = pytest.importorskip("mpmath")
     roots = sorted(k / 4 for k in grid)
     coeffs = from_roots(roots).coefficients()
@@ -615,13 +610,13 @@ def test_straddled_roots_are_within_tol(grid, tol, data):
     tol = max(tol, 8.0 * max(_noise_zone(coeffs, w) for w in want))
     moves = data.draw(st.lists(st.floats(-1e-4, 1e-4), min_size=len(roots),
                                max_size=len(roots)))
-    starts = data.draw(st.permutations(
+    seeds = data.draw(st.permutations(
         [r * (1.0 + m) for r, m in zip(roots, moves)]))
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots_module, "_aberth", _no_brackets)
         patch.setattr(roots_module, "_values", _no_brackets)
         patch.setattr(roots_module, "_refine", _no_brackets)
-        got = real_roots_bracketed(coeffs, _points(coeffs, roots), tol,
-                                   starts)
+        got = real_roots_near(coeffs, seeds, tol)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert abs(g - w) <= tol / 2, (got, want, tol)
@@ -639,21 +634,22 @@ def _record_straddles(monkeypatch) -> list:
     return outcomes
 
 
-@pytest.mark.parametrize("roots, starts, tol", [
+@pytest.mark.parametrize("roots, seeds, tol", [
     ((1.0, 2.0, 3.0), [1.0, 1.0, 3.0], 1e-12),          # two on one root
     ((1.0, 2.0, 3.0), [1.1, math.nan, 2.9], 1e-12),
     ((1.0, 2.0, 3.0), [1.1, 2.1, 1e9], 1e-12),          # far outside
     ((-2.0, 1.0, 1.0), [-2.1, 0.9, 1.1], 1e-12),        # a double root
     ((-1e6, 1e6), [-1e6 + 0.5, 1e6 - 0.5], 1e-11),      # below the spacing
 ], ids=["two-on-one", "nan", "far", "double", "spacing"])
-def test_adversarial_starts_fall_back(monkeypatch, roots, starts, tol):
-    # each start set fails the straddle certificate, and the brackets (or,
-    # at the double root, the full recursion) answer: within tol/2 of the
-    # roots, or one spacing where tol is below it
+def test_adversarial_starts_fall_back(monkeypatch, roots, seeds, tol):
+    # each seed set fails the straddle certificate as given, and the
+    # polished seeds, the brackets or, at the double root, the full
+    # recursion answer: within tol/2 of the roots, or one spacing where
+    # tol is below it
     outcomes = _record_straddles(monkeypatch)
     coeffs = from_roots(roots).coefficients()
-    got = real_roots_bracketed(coeffs, _points(coeffs, roots), tol, starts)
-    assert outcomes == [None]
+    got = real_roots_near(coeffs, seeds, tol)
+    assert outcomes[0] is None
     want = real_roots(coeffs, tol)
     if len(set(roots)) < len(roots):
         assert got == want
@@ -662,9 +658,15 @@ def test_adversarial_starts_fall_back(monkeypatch, roots, starts, tol):
         assert abs(w - r) <= max(tol / 2, math.ulp(r))
 
 
-def test_bracketed_roots_need_one_start_per_root():
-    cubic = [-6, 11, -6, 1]
-    points = (0.0, 1.5, 2.5, 4.0)
-    for starts in ([1.1, 2.1], [1.1, 2.1, 2.9, 3.5]):
-        with pytest.raises(ValueError):
-            real_roots_bracketed(cubic, points, 1e-12, starts)
+def test_near_seeds_are_proven_without_a_polish(monkeypatch):
+    # seeds within Newton's reach of simple roots: the straddle
+    # certificate proves them as given, with no Aberth sweep and no
+    # bracket
+    for name in ("_aberth", "_values", "_refine"):
+        monkeypatch.setattr(roots_module, name, _no_brackets)
+    roots = [-3.5, -1.25, 0.5, 2.0, 4.75]
+    coeffs = from_roots(roots).coefficients()
+    seeds = [r + 1e-3 * (-1) ** k for k, r in enumerate(roots)]
+    got = real_roots_near(coeffs, seeds, 1e-12)
+    for g, r in zip(got, roots):
+        assert abs(g - r) <= 0.5e-12
