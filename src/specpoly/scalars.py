@@ -8,6 +8,7 @@ or in IEEE double precision, never mixed.  Mode is carried by the containers
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -17,6 +18,12 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 Scalar = Union[Fraction, int, float]
+
+# Largest decimal exponent parse_scalar reads: the digit limit Python puts on
+# int(text) by default.  Fraction("1e99999999") would build the whole power
+# of ten first.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE](?P<exp>[-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def is_exact(value) -> bool:
@@ -70,7 +77,8 @@ def parse_scalar(text) -> Scalar:
 
     The form the library writes, ASCII ``[-]digits[/digits]``, is split
     and handed to ``Fraction`` as integers; any other string goes to
-    ``Fraction(text)`` whole, with the same result.
+    ``Fraction(text)`` whole, with the same result, unless its decimal
+    exponent exceeds ``MAX_EXPONENT`` in size: that text is refused.
     """
     if isinstance(text, bool):
         raise ConfigError("booleans are not scalars")
@@ -83,6 +91,10 @@ def parse_scalar(text) -> Scalar:
             if (digits.isascii() and digits.isdigit()
                     and (not slash or den.isascii() and den.isdigit())):
                 return Fraction(int(num), int(den) if slash else 1)
+            exp = _EXPONENT.search(text)
+            if exp and abs(int(exp["exp"])) > MAX_EXPONENT:
+                raise ConfigError(f"exponent of {text!r} exceeds "
+                                  f"{MAX_EXPONENT} in size")
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"cannot parse scalar from {text!r}") from None

@@ -1,6 +1,8 @@
 """JSON round trips for every wire format."""
 
 import json
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from specpoly import (LPFunction, build_witness, check_majorization,
                       decompose_majorization, from_roots)
 from specpoly.errors import ConfigError, NotMajorized
-from specpoly.scalars import parse_scalar
+from specpoly.scalars import MAX_EXPONENT, parse_scalar
 from specpoly.serialize import (certificate_to_json, chain_from_json,
                                 chain_to_json, lp_from_json, lp_to_json,
                                 poly_from_json, poly_to_json,
@@ -140,7 +142,13 @@ _SCALAR_TEXT = st.one_of(
 @given(_SCALAR_TEXT)
 def test_parse_scalar_agrees_with_fraction(text):
     # the split fast path and Fraction(text) give the same value, or both
-    # refuse the text
+    # refuse the text; a decimal exponent beyond MAX_EXPONENT is refused
+    # before Fraction builds its power of ten
+    exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    if exp and abs(int(exp[1])) > MAX_EXPONENT:
+        with pytest.raises(ConfigError):
+            parse_scalar(text)
+        return
     try:
         want = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -149,3 +157,17 @@ def test_parse_scalar_agrees_with_fraction(text):
         return
     got = parse_scalar(text)
     assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize("text", ["1E999999", "0e700000", "-2.5e-99999999",
+                                  f"1e{MAX_EXPONENT + 1}", f"1e-{MAX_EXPONENT + 1}"])
+def test_parse_scalar_refuses_huge_exponent_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="exponent"):
+        parse_scalar(text)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_parse_scalar_reads_exponent_at_the_bound():
+    assert parse_scalar(f"3e{MAX_EXPONENT}") == 3 * 10 ** MAX_EXPONENT
+    assert parse_scalar(f" 1_0E-{MAX_EXPONENT} ") == Fraction(10, 10 ** MAX_EXPONENT)
