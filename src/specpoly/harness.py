@@ -523,8 +523,9 @@ SUITES: dict[str, tuple[Callable, Callable]] = {
 # or lists of them, written as "p/q" strings (an integer gamma too); the
 # rest are JSON numbers of the kind their generator writes.  A field the
 # table does not name (pb1's meta) passes through.  A reader refuses any
-# other shape with ``ConfigError``; whether s and t are scalars or lists
-# is the check's to say.
+# other shape, and a value out of its field's range (a negative tolerance
+# or count, m below 1, fewer than two gammas), with ``ConfigError``;
+# whether s and t are scalars or lists is the check's to say.
 
 
 def _scalars_to_json(value):
@@ -555,11 +556,22 @@ def _integer(value):
     return value
 
 
-def _nonempty(read: Callable) -> Callable:
-    # the reader of a nonempty list of what ``read`` reads
+def _at_least(read: Callable, low) -> Callable:
+    # the reader of what ``read`` reads, refused below low
+    def read_bounded(value):
+        value = read(value)
+        if value < low:
+            raise ConfigError(f"expected at least {low}, got {value!r}")
+        return value
+    return read_bounded
+
+
+def _nonempty(read: Callable, least: int = 1) -> Callable:
+    # the reader of a list of at least ``least`` of what ``read`` reads
     def read_list(value) -> list:
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"expected a nonempty list, got {value!r}")
+        if not isinstance(value, list) or len(value) < least:
+            raise ConfigError(f"expected a list of at least {least}, "
+                              f"got {value!r}")
         return [read(v) for v in value]
     return read_list
 
@@ -577,22 +589,24 @@ def _scalar_or_list(value):
 
 
 _POLY = (serialize.poly_to_json, serialize.poly_from_json)
-_SCALARS = (_scalars_to_json, _nonempty(parse_scalar))
 _SCALAR_OR_LIST = (_scalars_to_json, _scalar_or_list)
 _NUMBER = (_as_is, _number)
-_INTEGER = (_as_is, _integer)
+_TOLERANCE = (_as_is, _at_least(_number, 0))
+_COUNT = (_as_is, _at_least(_integer, 0))
 _FIELDS = {
     "p": _POLY, "q": _POLY,
     "phi": (serialize.lp_to_json, serialize.lp_from_json),
     "pairs": (_pairs_to_json, _nonempty(_pair_from_json)),
-    "gammas": _SCALARS, "coeffs": _SCALARS,
+    # a multiplier sequence of degree n >= 1 has n + 1 terms
+    "gammas": (_scalars_to_json, _nonempty(parse_scalar, 2)),
+    "coeffs": (_scalars_to_json, _nonempty(parse_scalar)),
     "s": _SCALAR_OR_LIST, "t": _SCALAR_OR_LIST,
     "drift": (_scalars_to_json, parse_scalar),
     "lambdas": (_as_is, _nonempty(_number)),
-    "rel_tol": _NUMBER, "slack": _NUMBER, "lam1": _NUMBER, "lam2": _NUMBER,
-    "gauss1": _NUMBER, "gauss2": _NUMBER,
-    "points": _INTEGER, "step_cap": _INTEGER, "m": _INTEGER,
-    "p_shift": _INTEGER,
+    "rel_tol": _TOLERANCE, "slack": _TOLERANCE,
+    "lam1": _NUMBER, "lam2": _NUMBER, "gauss1": _NUMBER, "gauss2": _NUMBER,
+    "points": (_as_is, _integer), "step_cap": _COUNT,
+    "m": (_as_is, _at_least(_integer, 1)), "p_shift": _COUNT,
 }
 
 

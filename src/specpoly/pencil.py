@@ -6,25 +6,33 @@ f_m(lam) = sum_{i<=m} (x_i(lam) - lam).  For 1 <= m <= n-1 these are
 nondecreasing left of 0 and nonincreasing right of 0, while f_n is
 constant; the scanner samples a grid and reports the worst violation.
 
-One sample's roots come from fixed brackets.  Between consecutive
+``pencil_at`` samples one lam from fixed brackets.  Between consecutive
 critical points of a strictly hyperbolic P the ratio P/P' increases from
 -inf to +inf, so for every lam the i-th root of P - lam P' is the one
 root in the i-th bracket cut by the roots of P'.  Those brackets do not
 depend on lam: they are computed once per polynomial and tolerance and
-cached on the polynomial, and each sample refines only its n brackets,
-so x_i(lam) is the continuous i-th trajectory by construction.  The same
-holds one level down (P' - lam P'' between the roots of P''), which
-gives the critical points; they are computed only when
-``PencilSample.criticals`` is first read.  The outer brackets end at the
-root bound of the pencil.  The root finder uses the brackets only after
-checking that the values at their ends alternate in sign.  A multiple
-root of P is a root of every pencil and sits on a bracket end, where
-that check can fail; the finder then answers by the full interlacing
-recursion of ``real_roots``.
+cached on the polynomial, and each sample refines only its n brackets.
+The outer brackets end at the root bound of the pencil.  The root finder
+uses the brackets only after checking that the values at their ends
+alternate in sign.  A multiple root of P is a root of every pencil and
+sits on a bracket end, where that check can fail; the finder then
+answers by the full interlacing recursion of ``real_roots``.
 
-``pencil_at`` samples one lam this way.  ``pencil_path`` samples many
-by continuation: each sample after the first is seeded by the recent
-samples' roots, extrapolated to its lam, through ``real_roots_near``.
+``pencil_path`` samples many lams by continuation from lam = 0, where
+the pencil is P itself and its roots are known.  Each root moves with
+dx/dlam = P'/(P' - lam P''), which is 1 at lam = 0.  The path walks out
+from 0 on each side in sorted order: the first sample on a side is
+seeded by the roots of P moved by lam, and each later one by the recent
+samples' roots extrapolated to its lam.  Every sample is found by
+``real_roots_near``, whose straddle certificate proves each root within
+tol/2 of a root of the rounded coefficients (its fallbacks keep that
+contract), so the path needs no brackets and finds no roots of P'.
+
+The critical points of either kind of sample are the roots of
+P' - lam P'', found in the brackets cut by the roots of P'' (the same
+argument one level down).  They are computed only when
+``PencilSample.criticals`` is first read, and the roots of P'' only then,
+once per polynomial and tolerance.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .majorize import MajorizationCertificate, check_majorization
 from .poly import HyperbolicPoly, coeff_derivative
 from .roots import (real_roots_bracketed, real_roots_near,
                     real_roots_with_criticals, root_bound)
-from .scalars import Scalar, coerce
+from .scalars import FLOAT, Scalar, coerce
 
 
 def _separators(pf: HyperbolicPoly, tol: float | None) -> tuple:
@@ -69,10 +77,10 @@ class PencilSample:
     roots: tuple
     partial_sums: tuple  # f_1 .. f_n
     # what the critical points are computed from on first read: the
-    # pencil's coefficients (low degree first), the roots of P'' and the
-    # root tolerance
+    # pencil's coefficients (low degree first), the float-mode P whose
+    # second derivative's roots cut their brackets, and the root tolerance
     coeffs: tuple = field(repr=False, compare=False)
-    critical_separators: tuple = field(repr=False, compare=False)
+    poly: HyperbolicPoly = field(repr=False, compare=False)
     tol: float | None = field(repr=False, compare=False)
 
     @cached_property
@@ -81,7 +89,7 @@ class PencilSample:
         if len(self.coeffs) <= 2:
             return ()
         return _bracketed_roots(coeff_derivative(self.coeffs),
-                                self.critical_separators, self.tol)
+                                _separators(self.poly, self.tol)[1], self.tol)
 
     def interlaces(self) -> bool:
         x, w = self.roots, self.criticals
@@ -96,24 +104,26 @@ def pencil_coeffs(p: HyperbolicPoly, lam: Scalar) -> tuple:
                  ) + (c[-1],)
 
 
-def _sample(lam: float, roots: tuple, coeffs: tuple, second: tuple,
+def _sample(lam: float, roots: tuple, coeffs: tuple, pf: HyperbolicPoly,
             tol: float | None) -> PencilSample:
     sums = []
     acc = 0.0
     for r in roots:
         acc += r - lam
         sums.append(acc)
-    return PencilSample(lam, roots, tuple(sums), coeffs, second, tol)
+    return PencilSample(lam, roots, tuple(sums), coeffs, pf, tol)
 
 
 def _extrapolated(lam: float, recent: list) -> list:
-    # Each root at lam on a curve through its last samples (at most three):
-    # the sample itself, the line through two, or through three Thiele's
-    # rational interpolant x0 + (lam - l0) / (r1 + (lam - l1) q / (l2 - l1)),
-    # a Moebius map of lam.  Its finite limit follows a root that levels
-    # off toward a root of P' as |lam| grows, where a parabola overshoots.
+    # Each root at lam on a curve through its last samples (at most three;
+    # each side starts from the one at lam = 0): from that one alone, the
+    # tangent x + lam (every root moves at unit speed there); through two,
+    # the line; through three, Thiele's rational interpolant
+    # x0 + (lam - l0) / (r1 + (lam - l1) q / (l2 - l1)), a Moebius map of
+    # lam.  Its finite limit follows a root that levels off toward a root
+    # of P' as |lam| grows, where a parabola overshoots.
     if len(recent) == 1:
-        return recent[0].roots
+        return [x + lam for x in recent[0].roots]
     if len(recent) == 2:
         (l0, xs0), (l1, xs1) = ((s.lam, s.roots) for s in recent)
         ratio = (lam - l1) / (l1 - l0)
@@ -136,41 +146,42 @@ def pencil_at(p: HyperbolicPoly, lam: float,
     """Sample the pencil at one lam (float computation throughout)."""
     lam = float(lam)
     pf = p.to_float()
-    first, second = _separators(pf, tol)
     coeffs = pencil_coeffs(pf, lam)
-    return _sample(lam, _bracketed_roots(coeffs, first, tol), coeffs, second,
-                   tol)
+    return _sample(lam, _bracketed_roots(coeffs, _separators(pf, tol)[0], tol),
+                   coeffs, pf, tol)
 
 
 def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
-    """``pencil_at`` at each lam in turn, following the root trajectories.
+    """The pencil at each lam, by continuation from the roots of P at 0.
 
-    The lams may come in any order and repeat.  The first sample comes
-    from ``pencil_at``.  Each later one is found by ``real_roots_near``,
-    seeded by the last samples' roots extrapolated to its lam; its
-    certificates and fallbacks make every root carry the contract of
-    ``pencil_at``: within tol/2 of a root of the rounded coefficients
-    ``pencil_coeffs`` gives at that lam.  A lam equal to the one before
-    it repeats that sample.
+    The lams may come in any order and repeat; the samples come back in
+    that order, one per lam, and equal lams share one sample.  The
+    distinct lams are sampled outward from 0 on each side (those above 0
+    ascending, those below descending), each by ``real_roots_near``: the
+    first on a side from the roots of P moved by lam, each later one from
+    the last samples' roots extrapolated to its lam.  A lam of 0 is
+    sampled from the roots of P themselves.  Every root is within tol/2
+    of a root of the rounded coefficients ``pencil_coeffs`` gives at its
+    lam, the contract of ``pencil_at``; no root of P' is computed.
     """
     pf = p.to_float()
-    second = _separators(pf, tol)[1]
-    samples = []
-    recent = []
-    for lam in lams:
-        lam = float(lam)
-        if recent and lam == recent[-1].lam:
-            samples.append(recent[-1])
-            continue
-        if recent:
+    lams = [coerce(lam, FLOAT) for lam in lams]
+    anchor = _sample(0.0, pf.roots, (), pf, tol)    # seeds only
+    found = {}
+    if 0.0 in lams:
+        coeffs = pencil_coeffs(pf, 0.0)
+        anchor = found[0.0] = _sample(
+            0.0, real_roots_near(coeffs, pf.roots, tol), coeffs, pf, tol)
+    distinct = sorted(set(lams))
+    for side in ([lam for lam in reversed(distinct) if lam < 0.0],
+                 [lam for lam in distinct if lam > 0.0]):
+        recent = [anchor]
+        for lam in side:
             coeffs = pencil_coeffs(pf, lam)
             roots = real_roots_near(coeffs, _extrapolated(lam, recent), tol)
-            sample = _sample(lam, roots, coeffs, second, tol)
-        else:
-            sample = pencil_at(pf, lam, tol)
-        recent = recent[-2:] + [sample]
-        samples.append(sample)
-    return tuple(samples)
+            found[lam] = _sample(lam, roots, coeffs, pf, tol)
+            recent = recent[-2:] + [found[lam]]
+    return tuple(found[lam] for lam in lams)
 
 
 def default_grid(p: HyperbolicPoly, points: int = 201) -> tuple:

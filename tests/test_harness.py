@@ -206,6 +206,12 @@ _MALFORMED = {
     "main1-lambdas-a-string": ("main1", {"lambdas": "ab"}),
     "main2-lam1-a-string": ("main2", {"lam1": "x"}),
     "pb3-no-pairs": ("pb3", {"pairs": []}),
+    "lag-ms-m-zero": ("lag-ms", {"m": 0}),
+    "lag-ms-p-shift-negative": ("lag-ms", {"p_shift": -1}),
+    "pb3-one-gamma": ("pb3", {"gammas": ["0"]}),
+    "iso-rel-tol-negative": ("iso", {"rel_tol": -1.0}),
+    "allincr-slack-negative": ("allincr", {"slack": -1.0}),
+    "chain-step-cap-negative": ("chain", {"step_cap": -1}),
 }
 
 

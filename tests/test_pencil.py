@@ -300,9 +300,10 @@ def test_path_agrees_with_one_shot_samples(n, seed, order):
 
 
 def test_path_continues_from_one_sample_to_the_next(monkeypatch):
-    # a strictly hyperbolic P samples one-shot once, at the first lam, by
-    # its brackets; every continued sample passes one start per root to
-    # real_roots_near, and no sample reaches the full recursion
+    # a strictly hyperbolic P is sampled from the roots of P at lam = 0
+    # outward: one real_roots_near call per distinct lam, each with one
+    # start per root, no bracket refined and no sample in the full
+    # recursion
     bracketed = _record_calls(monkeypatch, specpoly.pencil,
                               "real_roots_bracketed")
     seeded = _record_calls(monkeypatch, specpoly.pencil, "real_roots_near")
@@ -310,20 +311,77 @@ def test_path_continues_from_one_sample_to_the_next(monkeypatch):
     p = from_roots([-4.0, -1.5, 0.5, 2.0, 3.25, 6.0])
     for lams in (default_grid(p, 41), default_grid(p, 41)[::-1],
                  (3.0, -2.0, 0.5, 7.0, -9.0, 0.5)):
-        bracketed.clear()
         seeded.clear()
         pencil_path(p, lams, 1e-11)
-        assert len(bracketed) == 1
-        assert len(seeded) == len(lams) - 1
+        assert sorted(pencil_coeffs(p, lam) for lam in set(lams)) == sorted(
+            coeffs for coeffs, _, _ in seeded)
         for coeffs, starts, tol in seeded:
             assert len(starts) == p.degree
+    assert bracketed == []
     assert fallback == []
+
+
+def _grid_without_zero(rng, shape):
+    # an even count of points, symmetric about 0 (as ``specpoly pencil
+    # scan`` spaces them), or on one side of it; sorted or shuffled
+    span = rng.uniform(0.5, 12.0)
+    count = 2 * rng.randint(1, 6)
+    if shape == "one-sided":
+        sign = rng.choice((-1.0, 1.0))
+        lams = [sign * span * k / count for k in range(1, count + 1)]
+    else:
+        lams = [-span + 2.0 * span * k / (count - 1) for k in range(count)]
+    if rng.random() < 0.5:
+        rng.shuffle(lams)
+    return lams
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["symmetric", "one-sided"]))
+def test_path_without_zero_in_the_grid(n, seed, shape):
+    # the roots of P seed the first sample on each side; every sample is
+    # within tol of pencil_at's and within tol/2 of the roots of the same
+    # rounded coefficients at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    tol = 1e-11
+    rng = random.Random(seed)
+    p = random_hyperbolic(rng, n, bound=5, mode="float", min_gap=0.25)
+    lams = _grid_without_zero(rng, shape)
+    assert 0.0 not in lams
+    samples = pencil_path(p, lams, tol)
+    assert [s.lam for s in samples] == lams
+    for sample in samples:
+        want = pencil_at(p, sample.lam, tol)
+        assert max(abs(a - b) for a, b in zip(sample.roots, want.roots)) <= tol
+        coeffs = pencil_coeffs(p, sample.lam)
+        with mpmath.workdps(50):
+            ref = sorted(mpmath.re(z) for z in mpmath.polyroots(
+                [mpmath.mpf(c) for c in reversed(coeffs)], maxsteps=200,
+                extraprec=200))
+            for got, exact in zip(sample.roots, ref):
+                assert abs(got - exact) <= tol / 2 + math.ulp(got)
+
+
+def test_path_criticals_are_those_of_pencil_at(monkeypatch):
+    # the roots of P'' are found on the first read of a path sample's
+    # criticals, and not at all when no sample's criticals are read
+    found = _record_calls(monkeypatch, specpoly.pencil,
+                          "real_roots_with_criticals")
+    p = from_roots([-2.0, 0.5, 1.0, 3.0])
+    samples = pencil_path(p, (-3.0, -0.5, 0.0, 1.5, 4.0), 1e-11)
+    assert found == []
+    for sample in samples:
+        assert sample.criticals == pencil_at(p, sample.lam, 1e-11).criticals
+        assert sample.interlaces()
+    assert len(found) == 1
 
 
 @pytest.mark.parametrize("order", ["increasing", "decreasing", "unsorted"])
 def test_path_with_a_double_root_of_p(order):
-    # 1 is a root of every pencil and sits on a separator, where the sign
-    # check can fail and the sample falls back to pencil_at; every sample
+    # 1 is a root of every pencil, and the double root seeds the sample at
+    # 0 and the first sample on each side twice at one point, so
+    # real_roots_near answers those by the full recursion; every sample
     # must match pencil_at either way
     p = from_roots([1.0, 1.0, -2.0, 3.0])
     lams = _ordered(default_grid(p, 21), order, random.Random(5))

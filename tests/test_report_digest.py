@@ -32,7 +32,7 @@ FLOAT_SUITES = ("allincr", "main1", "main2")
 EXACT_PINNED = (
     "9ce7d55717a97a59cd1e26634bf48990a1546e2bc957e850f8a2e2f50171f543")
 FLOAT_PINNED = (
-    "85bdf9c4fd2688de7a3a017ef27a4780e35f00ba413c88401165092f45f957cf")
+    "3adca525c8e4cba1512983d62a2b1b74701b35e37af1d22846eecdbe6bdb1f03")
 WIRE_PINNED = (
     "07fd7ec051bb4ebac1290105b9fbf99b2220c0ce3ccb2ec66a309a86a19ae17c")
 

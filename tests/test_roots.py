@@ -351,14 +351,24 @@ def _bound_over(rev, lo, hi) -> float:
         len(rev) - 1)
 
 
-def test_triple_root_inside_a_bracket():
-    # (x - 1)^3: P' vanishes at the root, where Newton only crawls
+def test_triple_root_inside_a_bracket(monkeypatch):
+    # (x - 1)^3: P' vanishes at the root, where Newton only crawls (each
+    # step 2/3 of the one before); bisection to tol needs about 42 points
     rev = [1.0, -3.0, 3.0, -1.0]
+    points = []
+    real = roots_module._eval_with_slope
+
+    def counted(*args):
+        points.append(args[1])
+        return real(*args)
+    monkeypatch.setattr(roots_module, "_eval_with_slope", counted)
     for lo, hi in ((0.0, 3.0), (-5.0, 2.5), (0.0, 2.0)):
+        points.clear()
         f_lo, f_hi = (lo - 1.0) ** 3, (hi - 1.0) ** 3
         got = roots_module._refine(rev, lo, hi, f_lo, f_hi, 1e-12,
                                    _bound_over(rev, lo, hi))
         assert abs(got - 1.0) <= 0.5e-12
+        assert len(points) <= 50
 
 
 def test_newton_step_at_a_critical_point_bisects():
