@@ -51,7 +51,7 @@ from .majorize import (check_majorization, hinge, power, probe_valid,
 from .pencil import default_grid, pencil_path, scan_monotonicity
 from .poly import derivative, random_hyperbolic, taylor_shift
 from .roots import real_roots, real_roots_near
-from .scalars import FLOAT, RATIONAL, parse_scalar
+from .scalars import FLOAT, RATIONAL, check_tol, parse_scalar
 
 ROOT_TOL = 1e-11          # absolute root extraction tolerance inside suites
 DEFAULT_REL_TOL = 1e-7    # relative slack for float-mode image comparisons
@@ -651,11 +651,7 @@ def _run(name: str, generate: Callable, check: Callable,
     if config.degree_min > config.degree_max:
         raise ConfigError(f"degree_min {config.degree_min} exceeds "
                           f"degree_max {config.degree_max}")
-    tol = config.tol
-    if tol is not None and (isinstance(tol, bool)
-                            or not isinstance(tol, (int, float))
-                            or not 0 <= tol < math.inf):
-        raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
+    check_tol(config.tol)
     if not isinstance(config.params, dict):
         raise ConfigError(f"params must be an object, got {config.params!r}")
     begin = time.perf_counter()

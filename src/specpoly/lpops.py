@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from ._qpoly import QPoly, is_exact_all
 from .errors import DegreeTooSmall, NotRealRooted, ZeroTopTerm
-from .pencil import pencil_coeffs
+from .pencil import pencil_brackets, pencil_coeffs
 from .poly import HyperbolicPoly, coeff_derivative, taylor_shift
 from .roots import (is_real_rooted, real_roots, real_roots_bracketed,
                     real_roots_near)
@@ -349,33 +349,23 @@ def shift_pencil_coeffs(p: HyperbolicPoly, lam: Scalar) -> tuple:
     return pencil_coeffs(taylor_shift(p, lam), lam)
 
 
-def _far_end(roots, step: float) -> float:
-    # The outer bracket end of the shift pencil at lam = step, given the
-    # roots of P moved by -step.  Every pencil root moves toward the sign
-    # of step, and the roots sum to a constant plus n lam, so none moves by
-    # more than n |step|; the end is 2 n |step| beyond the outer root on
-    # the side they move to.
-    return (roots[-1] if step > 0.0 else roots[0]) + 2.0 * len(roots) * step
-
-
 def shift_pencil(p: HyperbolicPoly, lam: Scalar,
                  tol: float | None = None) -> HyperbolicPoly:
     """Root form of the shift pencil, the pencil of P at lam moved by -lam.
 
-    Each pencil root x_i(lam) moves up from the root r_i of P as lam
-    grows, staying below r_{i+1}, and down as lam falls, staying above
-    r_{i-1}.  So the roots of P moved by -lam, with ``_far_end`` past
-    them on the side the roots move to, put one root in each bracket;
-    ``real_roots_bracketed`` checks that before it refines, and answers by
-    the full recursion where it fails (lam = 0, a multiple root of P).
+    It is the pencil of P(x + lam), whose roots are those of P moved by
+    -lam, so ``pencil_brackets`` of the moved roots puts one root in each
+    bracket, as it does for ``pencil_at``; ``real_roots_bracketed`` checks
+    that before it refines, and answers by the full recursion where it
+    fails (lam = 0, a multiple root of P).
     """
     if p.degree < 1:
         raise DegreeTooSmall("shift pencil needs degree >= 1")
     coeffs = shift_pencil_coeffs(p, lam)
     moved = [float(r - lam) for r in p.roots]
-    far = _far_end(moved, float(lam))
-    points = moved + [far] if lam > 0 else [far] + moved
-    return HyperbolicPoly(real_roots_bracketed(coeffs, points, tol), FLOAT)
+    return HyperbolicPoly(
+        real_roots_bracketed(coeffs, pencil_brackets(moved, float(lam)), tol),
+        FLOAT)
 
 
 def gaussian_coeffs(p: HyperbolicPoly, a: Scalar) -> tuple:

@@ -31,7 +31,8 @@ from ._qpoly import numerators
 from .errors import (DomainViolation, EmptyTuple, FloatModeUnsupported,
                      LengthMismatch, NotMajorized)
 from .poly import HyperbolicPoly
-from .scalars import RATIONAL, Scalar, infer_mode, require_same_mode
+from .scalars import (RATIONAL, Scalar, check_tol, infer_mode,
+                      require_same_mode)
 
 
 class Verdict(enum.Enum):
@@ -96,6 +97,8 @@ def _prepare(x, y, tol):
         tol = _ZERO
     elif tol is None:
         tol = default_tol(xs, ys)
+    else:
+        check_tol(tol)
     (nx, ny), den = numerators(xs, ys, exact=exact)
     nx.sort()
     ny.sort()

@@ -6,17 +6,19 @@ f_m(lam) = sum_{i<=m} (x_i(lam) - lam).  For 1 <= m <= n-1 these are
 nondecreasing left of 0 and nonincreasing right of 0, while f_n is
 constant; the scanner samples a grid and reports the worst violation.
 
-``pencil_at`` samples one lam from fixed brackets.  Between consecutive
-critical points of a strictly hyperbolic P the ratio P/P' increases from
--inf to +inf, so for every lam the i-th root of P - lam P' is the one
-root in the i-th bracket cut by the roots of P'.  Those brackets do not
-depend on lam: they are computed once per polynomial and tolerance and
-cached on the polynomial, and each sample refines only its n brackets.
-The outer brackets end at the root bound of the pencil.  The root finder
-uses the brackets only after checking that the values at their ends
-alternate in sign.  A multiple root of P is a root of every pencil and
-sits on a bracket end, where that check can fail; the finder then
-answers by the full interlacing recursion of ``real_roots``.
+``pencil_at`` samples one lam from brackets cut by the roots of P.  The
+roots of P - lam P' solve P/P' = lam, and P/P' increases from -inf to
++inf between consecutive critical points of a strictly hyperbolic P,
+through 0 at the root of P between them.  So for lam > 0 the i-th root
+of the pencil lies between r_i and r_{i+1}, and the top one above r_n by
+less than n lam (every root moves up, and their sum by exactly n lam);
+for lam < 0 the picture is mirrored.  ``pencil_brackets`` gives those
+n+1 ends, for ``pencil_at`` and ``lpops.shift_pencil`` alike.  The root
+finder uses them only after checking that the ends increase strictly and
+the values there alternate in sign, clear of Horner's roundoff bound.
+At lam = 0, at a multiple root of P (two equal ends), or where lam moves
+the roots too little for that sign to be certain, the check fails and
+the full interlacing recursion of ``real_roots`` answers.
 
 ``pencil_path`` samples many lams by continuation from lam = 0, where
 the pencil is P itself and its roots are known.  Each root moves with
@@ -26,13 +28,12 @@ seeded by the roots of P moved by lam, and each later one by the recent
 samples' roots extrapolated to its lam.  Every sample is found by
 ``real_roots_near``, whose straddle certificate proves each root within
 tol/2 of a root of the rounded coefficients (its fallbacks keep that
-contract), so the path needs no brackets and finds no roots of P'.
+contract), so the path needs no brackets.
 
 The critical points of either kind of sample are the roots of
-P' - lam P'', found in the brackets cut by the roots of P'' (the same
-argument one level down).  They are computed only when
-``PencilSample.criticals`` is first read, and the roots of P'' only then,
-once per polynomial and tolerance.
+P' - lam P'', which by Rolle's theorem the sample's own roots bracket.
+They are computed only when ``PencilSample.criticals`` is first read;
+nothing is cached on P.
 """
 
 from __future__ import annotations
@@ -43,32 +44,8 @@ from functools import cached_property
 from .errors import DegreeMismatch
 from .majorize import MajorizationCertificate, check_majorization
 from .poly import HyperbolicPoly, coeff_derivative
-from .roots import (real_roots_bracketed, real_roots_near,
-                    real_roots_with_criticals, root_bound)
+from .roots import real_roots_bracketed, real_roots_near
 from .scalars import FLOAT, Scalar, coerce
-
-
-def _separators(pf: HyperbolicPoly, tol: float | None) -> tuple:
-    """The roots of P' and of P'' of a float-mode P, cached on it per tol.
-
-    The roots of P' separate the roots of every pencil of P, and those of
-    P'' its critical points.  They are found to the tolerance the pencil's
-    roots are asked for.  With an explicit tol, the brackets at lam = 0
-    are then the ones ``real_roots`` uses for P itself, and the roots
-    agree bit for bit.
-    """
-    cache = pf.__dict__.setdefault("_separators", {})
-    if tol not in cache:
-        cache[tol] = ((), ()) if pf.degree == 1 else (
-            real_roots_with_criticals(coeff_derivative(pf.coefficients()),
-                                      tol))
-    return cache[tol]
-
-
-def _bracketed_roots(coeffs, separators, tol) -> tuple:
-    # the roots in the brackets the separators cut from the root bound
-    bound = root_bound(coeffs)
-    return real_roots_bracketed(coeffs, (-bound, *separators, bound), tol)
 
 
 @dataclass(frozen=True)
@@ -77,19 +54,17 @@ class PencilSample:
     roots: tuple
     partial_sums: tuple  # f_1 .. f_n
     # what the critical points are computed from on first read: the
-    # pencil's coefficients (low degree first), the float-mode P whose
-    # second derivative's roots cut their brackets, and the root tolerance
+    # pencil's coefficients (low degree first) and the root tolerance
     coeffs: tuple = field(repr=False, compare=False)
-    poly: HyperbolicPoly = field(repr=False, compare=False)
     tol: float | None = field(repr=False, compare=False)
 
     @cached_property
     def criticals(self) -> tuple:
-        """The roots of P' - lam P'', from the brackets cut by P''."""
+        """The roots of P' - lam P'', bracketed by the sample's roots."""
         if len(self.coeffs) <= 2:
             return ()
-        return _bracketed_roots(coeff_derivative(self.coeffs),
-                                _separators(self.poly, self.tol)[1], self.tol)
+        return real_roots_bracketed(coeff_derivative(self.coeffs), self.roots,
+                                    self.tol)
 
     def interlaces(self) -> bool:
         x, w = self.roots, self.criticals
@@ -104,14 +79,24 @@ def pencil_coeffs(p: HyperbolicPoly, lam: Scalar) -> tuple:
                  ) + (c[-1],)
 
 
-def _sample(lam: float, roots: tuple, coeffs: tuple, pf: HyperbolicPoly,
+def pencil_brackets(roots, lam: float) -> list:
+    """The n+1 bracket ends of P - lam P', one root in each, given the
+    sorted roots of P: those roots, and one end 2 n |lam| beyond the outer
+    root on the side the pencil's roots move to (the sign of lam)."""
+    step = 2.0 * len(roots) * lam
+    if lam > 0.0:
+        return [*roots, roots[-1] + step]
+    return [roots[0] + step, *roots]
+
+
+def _sample(lam: float, roots: tuple, coeffs: tuple,
             tol: float | None) -> PencilSample:
     sums = []
     acc = 0.0
     for r in roots:
         acc += r - lam
         sums.append(acc)
-    return PencilSample(lam, roots, tuple(sums), coeffs, pf, tol)
+    return PencilSample(lam, roots, tuple(sums), coeffs, tol)
 
 
 def _extrapolated(lam: float, recent: list) -> list:
@@ -143,12 +128,13 @@ def _extrapolated(lam: float, recent: list) -> list:
 
 def pencil_at(p: HyperbolicPoly, lam: float,
               tol: float | None = None) -> PencilSample:
-    """Sample the pencil at one lam (float computation throughout)."""
+    """Sample the pencil at one lam (float computation throughout), in the
+    brackets ``pencil_brackets`` cuts at the roots of P."""
     lam = float(lam)
     pf = p.to_float()
     coeffs = pencil_coeffs(pf, lam)
-    return _sample(lam, _bracketed_roots(coeffs, _separators(pf, tol)[0], tol),
-                   coeffs, pf, tol)
+    roots = real_roots_bracketed(coeffs, pencil_brackets(pf.roots, lam), tol)
+    return _sample(lam, roots, coeffs, tol)
 
 
 def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
@@ -166,12 +152,12 @@ def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
     """
     pf = p.to_float()
     lams = [coerce(lam, FLOAT) for lam in lams]
-    anchor = _sample(0.0, pf.roots, (), pf, tol)    # seeds only
+    anchor = _sample(0.0, pf.roots, (), tol)    # seeds only
     found = {}
     if 0.0 in lams:
         coeffs = pencil_coeffs(pf, 0.0)
         anchor = found[0.0] = _sample(
-            0.0, real_roots_near(coeffs, pf.roots, tol), coeffs, pf, tol)
+            0.0, real_roots_near(coeffs, pf.roots, tol), coeffs, tol)
     distinct = sorted(set(lams))
     for side in ([lam for lam in reversed(distinct) if lam < 0.0],
                  [lam for lam in distinct if lam > 0.0]):
@@ -179,7 +165,7 @@ def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
         for lam in side:
             coeffs = pencil_coeffs(pf, lam)
             roots = real_roots_near(coeffs, _extrapolated(lam, recent), tol)
-            found[lam] = _sample(lam, roots, coeffs, pf, tol)
+            found[lam] = _sample(lam, roots, coeffs, tol)
             recent = recent[-2:] + [found[lam]]
     return tuple(found[lam] for lam in lams)
 

@@ -38,14 +38,15 @@ smaller value.  These two branches are heuristics; their roots carry no
 certificate.
 
 A caller that already knows n brackets with one root in each (the pencil
-P - lam P', whose roots the critical points of P separate for every lam)
-skips the recursion with ``real_roots_bracketed``, which refines only
-those brackets.  It evaluates every bracket end by Horner and trusts the
-brackets only when their ends increase strictly and the values there
-alternate in sign, clear of Horner's roundoff bound, so that each bracket
-provably holds one root; otherwise it answers by ``real_roots``.  A
-separator that is itself a root (a multiple root of the polynomial the
-separators came from) or an input that is not real-rooted makes the
+P - lam P' for lam other than 0, whose roots those of P separate, and
+the derivative, whose roots those of P separate too) skips the recursion
+with ``real_roots_bracketed``, which refines only those brackets.  It
+evaluates every bracket end by Horner and trusts the brackets only when
+their ends increase strictly and the values there alternate in sign,
+clear of Horner's roundoff bound, so that each bracket provably holds one
+root; otherwise it answers by ``real_roots``.  Two equal ends (a multiple
+root of the polynomial the ends came from), an end that is itself a root
+(a pencil at lam = 0) or an input that is not real-rooted makes the
 check fail.
 
 A caller that knows a tuple near the roots (the roots of p, for an image
@@ -90,6 +91,7 @@ from typing import Sequence
 
 from ._qpoly import QPoly
 from .errors import DegreeZero, NotRealRooted
+from .scalars import check_tol
 
 _EPS = 2.0 ** -52
 
@@ -413,7 +415,9 @@ def real_roots(coeffs: Sequence, tol: float | None = None) -> tuple[float, ...]:
     within tol of the true root tuple (optimal matching distance).  Roots
     from the cluster and same-sign branches (see the module docstring) are
     heuristic.  Raises ``NotRealRooted`` if the promise fails beyond
-    numerical tolerance, ``DegreeZero`` on constants.
+    numerical tolerance, ``DegreeZero`` on constants, and ``ConfigError``
+    on a tol that is not a finite number >= 0 (as every entry point here
+    does).
     """
     roots, _ = real_roots_with_criticals(coeffs, tol)
     return roots
@@ -431,6 +435,8 @@ def _float_rev(coeffs: Sequence, tol: float | None,
     if tol is None:
         an = c[-1]
         tol = default_tol([v / an for v in c])
+    else:
+        check_tol(tol)
     return c[::-1], n, tol
 
 

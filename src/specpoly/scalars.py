@@ -72,6 +72,18 @@ def check_finite(values: Iterable[Scalar]) -> None:
             raise NonFinite(f"non-finite entry {v!r}")
 
 
+def check_tol(tol) -> None:
+    """Refuse a float tolerance that is not a finite number >= 0.
+
+    None (the caller's default) passes, and so does 0, which asks for
+    float resolution.
+    """
+    if tol is not None and (isinstance(tol, bool)
+                            or not isinstance(tol, (int, float))
+                            or not 0 <= tol < math.inf):
+        raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def parse_scalar(text) -> Scalar:
     """Parse a JSON scalar: numbers pass through, ``"p/q"`` strings are exact.
 

@@ -243,6 +243,20 @@ MALFORMED = [
                                w({"tol": -1})], id="hunt-config-tol-negative"),
     pytest.param(lambda f, w: ["verify", "iso", "--trials", "2", "--config",
                                w({"tol": "x"})], id="config-tol-string"),
+    pytest.param(lambda f, w: ["majorize", "check", "--x", w(
+        {"mode": "float", "roots": [0.0, 4.0]}), "--y", _write(
+            f["dir"], "bf.json", {"mode": "float", "roots": [1.0, 3.0]}),
+        "--tol", "nan"], id="majorize-tol-nan"),
+    pytest.param(lambda f, w: ["majorize", "check", "--x", w(
+        {"mode": "float", "roots": [0.0, 4.0]}), "--y", _write(
+            f["dir"], "bf.json", {"mode": "float", "roots": [1.0, 5.0]}),
+        "--tol", "inf"], id="majorize-tol-inf"),
+    pytest.param(lambda f, w: ["op", "apply", "--phi", f["phi"], "--poly",
+                               f["p"], "--tol", "inf"], id="root-tol-inf"),
+    pytest.param(lambda f, w: ["op", "apply", "--phi", f["phi"], "--poly",
+                               f["p"], "--tol", "nan"], id="root-tol-nan"),
+    pytest.param(lambda f, w: ["op", "apply", "--phi", f["phi"], "--poly",
+                               f["p"], "--tol=-1"], id="root-tol-negative"),
     pytest.param(lambda f, w: ["hunt", "pb1", "--trials", "2", "--config",
                                w({"params": 5})], id="config-params-not-a-dict"),
     pytest.param(lambda f, w: ["hunt", "pb1", "--trials", "2", "--config",

@@ -12,7 +12,7 @@ from specpoly import (DoublyStochasticWitness, Verdict, build_witness,
                       check_majorization, hinge, hinge_oracle,
                       matching_distance, power, schur_eval, signed_power,
                       xlogx)
-from specpoly.errors import (DomainViolation, EmptyTuple,
+from specpoly.errors import (ConfigError, DomainViolation, EmptyTuple,
                              FloatModeUnsupported, LengthMismatch,
                              ModeMismatch, NotMajorized)
 from specpoly.majorize import _TransformProduct, probe_valid
@@ -44,6 +44,19 @@ def test_exact_mode_forces_zero_tol():
     cert = check_majorization((Fraction(1), Fraction(1)), (0, 2), tol=5)
     assert cert.tol == 0
     assert cert.verdict is Verdict.LESS
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, True])
+@pytest.mark.parametrize("y", [(1.0, 3.0), (1.0, 5.0)])
+def test_float_mode_refuses_a_bad_tol(tol, y):
+    # NaN read Less, inf Equal and -1 a sum mismatch before they were
+    # refused; rational mode ignores tol
+    with pytest.raises(ConfigError):
+        check_majorization((0.0, 4.0), y, tol)
+    with pytest.raises(ConfigError):
+        hinge_oracle((0.0, 4.0), y, tol)
+    assert check_majorization((1, 3), (0, 4), tol).verdict is Verdict.LESS
+    assert check_majorization((0.0, 4.0), y, 0).tol == 0
 
 
 def test_length_and_mode_errors():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import specpoly.roots as roots_module
 from specpoly import from_roots, matching_distance, pencil_at, real_roots
-from specpoly.errors import DegreeZero, NotRealRooted
+from specpoly.errors import ConfigError, DegreeZero, NotRealRooted
 from specpoly.pencil import pencil_coeffs
 from specpoly.poly import coeff_derivative
 from specpoly.roots import (is_real_rooted, real_roots_bracketed,
@@ -45,6 +45,19 @@ def test_triple_root_with_simple():
 def test_degree_zero_rejected():
     with pytest.raises(DegreeZero):
         real_roots([5])
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-11])
+def test_bad_tol_is_refused_by_every_entry_point(tol):
+    coeffs = [-6.0, 11.0, -6.0, 1.0]
+    for call in (lambda: real_roots(coeffs, tol),
+                 lambda: real_roots_near(coeffs, (1.1, 2.1, 2.9), tol),
+                 lambda: real_roots_bracketed(coeffs, (0.0, 1.5, 2.5, 4.0),
+                                              tol)):
+        with pytest.raises(ConfigError):
+            call()
+    # 0 asks for float resolution
+    assert matching_distance(real_roots(coeffs, 0.0), (1, 2, 3)) < 1e-12
 
 
 def test_not_real_rooted():
