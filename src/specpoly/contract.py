@@ -17,9 +17,10 @@ or auditing a chain and the doubling sweep of ``expand_transfer`` and
 ``decompose_majorization`` add and compare integers.  All steps of one
 sweep share one ``Fraction`` t; roots come back as ``Fraction`` values
 only when a polynomial is handed back, and a root no step moved comes
-back as the object it was.  ``apply_contraction`` and
-``ContractionChain.replay`` also take float polynomials and then walk
-their doubles.
+back as the object it was.  A random pair draw walks once too: all its
+contractions move one ``_Walk``, and one polynomial is built at the end.
+``apply_contraction`` and ``ContractionChain.replay`` also take float
+polynomials and then walk their doubles.
 """
 
 from __future__ import annotations
@@ -350,7 +351,10 @@ def random_comparable_pair(seed, n: int, budget: int, mode: str = RATIONAL,
 
     P is a random strictly hyperbolic polynomial; Q is produced from it by
     ``budget`` random nondegenerate simple contractions, each of which
-    preserves the root sum and tightens the top partial sums.
+    preserves the root sum and tightens the top partial sums.  The
+    contractions move one ``_Walk``: in rational mode each step puts the
+    roots over 16 times their denominator and moves two integers, in
+    float mode it moves two doubles.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     if min_gap is None:
@@ -358,13 +362,20 @@ def random_comparable_pair(seed, n: int, budget: int, mode: str = RATIONAL,
     p = random_hyperbolic(rng, n, bound=bound, min_gap=min_gap, mode=mode)
     if n == 1:
         return p, p         # one root admits no contraction
-    q = p
+    walk = _Walk(p)
+    x = walk.x
     for _ in range(budget):
         k = rng.randrange(1, n)
-        gap = q.roots[k] - q.roots[k - 1]
+        gap = x[k] - x[k - 1]
         if gap <= 0:
             continue
-        # t in (0, gap/2), kept on a coarse grid so rationals stay small
-        t = gap * Fraction(rng.randint(1, 7), 16)
-        q = apply_contraction(q, ContractionStep(k, k + 1, coerce(t, mode)))
-    return p, q
+        # t = gap r / 16 in (0, gap/2), on a coarse grid so rationals stay
+        # small: over den * 16 its numerator is gap * r.  The move is never
+        # refused, so it states no t for a message.
+        r = rng.randint(1, 7)
+        if walk.exact:
+            walk.rescale(up=16)
+            walk.move(k - 1, k, gap * r, None)
+        else:
+            walk.move(k - 1, k, gap * (r / 16), None)
+    return p, HyperbolicPoly(walk.roots(), mode)

@@ -29,11 +29,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._qpoly import QPoly, is_exact_all
-from .errors import DegreeTooSmall, NotRealRooted, ZeroTopTerm
+from .errors import DegreeTooSmall, ZeroTopTerm
 from .pencil import pencil_brackets, pencil_coeffs
 from .poly import HyperbolicPoly, coeff_derivative, taylor_shift
-from .roots import (is_real_rooted, real_roots, real_roots_bracketed,
-                    real_roots_near)
+from .roots import is_real_rooted, real_roots_bracketed, real_roots_near
 from .scalars import FLOAT, RATIONAL, Scalar, coerce, infer_mode
 
 
@@ -434,31 +433,32 @@ class MultiplierSequence:
         Math. 170, 2009): exactly when the Jensen polynomial J has only
         real zeros, all <= 0 or all >= 0.  That covers the rank <= 2
         diagonal operators too, e.g. (0, .., 0, g, 1) is accepted and
-        (1, 0, 1) is not.  Four steps in order of cost, on the coefficients
-        c_0..c_d of J / x^k (as integer numerators over one denominator):
-        the O(d) sign pattern, all of one sign (zeros < 0) or strictly
-        alternating (zeros > 0); Newton's inequalities
+        (1, 0, 1) is not.  J is built on integers: C(n, k) times the
+        gammas' numerators over their least common denominator (a float
+        gamma is read as the rational it stores), a positive multiple of
+        J.  Three steps in order of cost, on its coefficients c_0..c_d
+        after the x^k factor is divided out: the O(d) sign pattern, all
+        of one sign (zeros < 0) or strictly alternating (zeros > 0);
+        Newton's inequalities
         c_j^2 j (d - j) >= c_{j-1} c_{j+1} (j + 1)(d - j + 1), which every
-        real-rooted polynomial of degree d satisfies; the float root finder,
-        where ``NotRealRooted`` rejects; then the exact Sturm test
-        ``roots.is_real_rooted``.  Only the Sturm test accepts, so a True is
-        a proof.  Real-rootedness implies Newton's inequalities, so that
-        step never changes a verdict.  The float step can only reject: a
-        preserver whose J the float finder cannot resolve would read False
-        (not seen on the hunt samplers' candidates).  The all-zero sequence
-        reads False.
+        real-rooted polynomial of degree d satisfies; then the exact Sturm
+        test ``roots.is_real_rooted``.  Only the Sturm test accepts, so a
+        True is a proof, and no float arithmetic decides a verdict.
+        Real-rootedness implies Newton's inequalities, so that step never
+        changes a verdict.  The all-zero sequence reads False.
         """
-        jensen = [Fraction(v) for v in self.jensen_polynomial()]
+        gammas = QPoly.of(self.gammas).nums
+        n = len(gammas) - 1
+        jensen = [math.comb(n, k) * g for k, g in enumerate(gammas)]
         while jensen and jensen[-1] == 0:
             jensen.pop()
         if not jensen:
             return False
         low = next(k for k, v in enumerate(jensen) if v != 0)
-        core = jensen[low:]
-        if len(core) == 1:
-            return True
-        nums = QPoly.of(core).nums      # a positive multiple of J / x^k
+        nums = jensen[low:]             # a positive multiple of J / x^k
         d = len(nums) - 1
+        if d == 0:
+            return True
         same_sign = all((v > 0) == (nums[0] > 0) for v in nums)
         alternating = all((nums[j] > 0) != (nums[j + 1] > 0)
                           for j in range(d))
@@ -467,10 +467,6 @@ class MultiplierSequence:
         if any(nums[j] * nums[j] * j * (d - j)
                < nums[j - 1] * nums[j + 1] * (j + 1) * (d - j + 1)
                for j in range(1, d)):
-            return False
-        try:
-            real_roots(core)
-        except NotRealRooted:
             return False
         return is_real_rooted(nums)
 

@@ -508,9 +508,9 @@ def _straddled(rev: list[float], starts: Sequence,
             mag = mag * far + size
         bound = _roundoff(mag, n)
         if -bound <= a <= bound:
-            a = _certified(rev, lo)
+            a = _certified(rev, lo, a)
         if -bound <= b <= bound:
-            b = _certified(rev, hi)
+            b = _certified(rev, hi, b)
         if not (a < 0.0 < b or b < 0.0 < a):
             return None
     return tuple(found)

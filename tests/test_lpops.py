@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fraction_reference as ref
 from specpoly import (DiffOperator, LPFunction, appell, apply_operator,
                       check_majorization, deformation_leq, from_roots,
                       gaussian_op, laguerre_closed_form, laguerre_ms,
@@ -369,3 +372,77 @@ def test_non_preserver_below_float_resolution_is_rejected():
 
 def test_zero_sequence_is_not_a_preserver():
     assert not _preserves([0, 0, 0])
+
+
+@st.composite
+def _jensen_zeros(draw):
+    """Zeros of a Jensen polynomial, all >= 0 or all <= 0: repeated zeros,
+    zeros at 0 and clusters with denominators up to 10^6 on purpose."""
+    n = draw(st.integers(1, 8))
+    zeros = []
+    while len(zeros) < n:
+        kind = draw(st.sampled_from(["plain", "repeat", "zero", "cluster"]))
+        if kind == "zero":
+            zeros.append(Fraction(0))
+            continue
+        atom = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 8)))
+        if kind == "plain":
+            zeros.append(atom)
+        elif kind == "repeat":
+            zeros += [atom] * draw(st.integers(2, 4))
+        else:
+            den = draw(st.integers(10, 10 ** 6))
+            zeros += [atom + Fraction(draw(st.integers(0, 5)), den)
+                      for _ in range(draw(st.integers(2, 4)))]
+    sign = draw(st.sampled_from([1, -1]))
+    return [sign * z for z in zeros[:n]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jensen_zeros())
+def test_every_preserver_drawn_from_jensen_zeros_is_accepted(zeros):
+    # finite Polya-Schur: gamma_k = [x^k] J / C(n, k) for J = prod (x - z)
+    # with zeros all of one sign is a preserver, and J is its Jensen
+    # polynomial
+    n = len(zeros)
+    jensen = ref.expand_from_roots(zeros, True)
+    gammas = [c / math.comb(n, k) for k, c in enumerate(jensen)]
+    assert (gammas[0] == 0) == (0 in zeros)
+    assert _preserves(gammas)
+
+
+def _variations(seq, side) -> int:
+    # sign variations of a Sturm sequence at -inf (side -1), 0 (side 0) or
+    # +inf (side 1), zeros skipped
+    if side:
+        signs = [(s[-1] > 0) == (side > 0 or len(s) % 2 == 1) for s in seq]
+    else:
+        signs = [s[0] > 0 for s in seq if s[0] != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sturm_decision(gammas) -> bool:
+    # Jensen's J = x^low core with core(0) != 0 has only real zeros of one
+    # sign exactly when all distinct zeros of core (deg core minus deg
+    # gcd(core, core')) lie in (-inf, 0), or all in (0, inf)
+    n = len(gammas) - 1
+    jensen = [math.comb(n, k) * Fraction(g) for k, g in enumerate(gammas)]
+    low = next(k for k, v in enumerate(jensen) if v != 0)
+    core = jensen[low:]
+    if len(core) == 1:
+        return True
+    seq = ref.sturm_sequence(core)
+    distinct = len(core) - len(seq[-1])
+    negative = _variations(seq, -1) - _variations(seq, 0)
+    positive = _variations(seq, 0) - _variations(seq, 1)
+    return distinct in (negative, positive)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.integers(-8, 8), min_size=n, max_size=n)))
+def test_verdicts_on_sampler_grids_match_a_sturm_decision(quarters):
+    # the hunt sampler's raw candidates: gamma_k on the 1/4 grid in [-2, 2]
+    # and gamma_n = 1
+    gammas = [Fraction(v, 4) for v in quarters] + [Fraction(1)]
+    assert _preserves(gammas) == _sturm_decision(gammas)

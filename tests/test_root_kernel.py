@@ -229,14 +229,24 @@ def test_strictness_and_discrepancy_match(roots, other):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(1, 10), st.integers(0, 6),
-       st.booleans())
-def test_pair_draws_match(seed, n, budget, exact):
+       st.booleans(), st.booleans())
+def test_pair_draws_match(seed, n, budget, exact, harness_args):
+    # harness_args: the arguments of harness._pair, bound 8 and min_gap 1/2
+    # (a Fraction in rational mode, a float in float mode)
     mode = RATIONAL if exact else FLOAT
-    p, q = random_comparable_pair(seed, n, budget, mode=mode)
-    want_p, want_q = ref.random_comparable_pair(random.Random(seed), n,
-                                                budget, exact)
+    kwargs = {}
+    if harness_args:
+        kwargs = {"bound": 8,
+                  "min_gap": Fraction(1, 2) if exact else 0.5}
+    rng = random.Random(seed)
+    p, q = random_comparable_pair(rng, n, budget, mode=mode, **kwargs)
+    want_rng = random.Random(seed)
+    want_p, want_q = ref.random_comparable_pair(want_rng, n, budget, exact,
+                                                **kwargs)
     assert _same(p.roots, want_p)
     assert _same(q.roots, want_q)
+    # the draw consumes exactly the reference's random values
+    assert rng.getstate() == want_rng.getstate()
 
 
 @settings(max_examples=100, deadline=None)
