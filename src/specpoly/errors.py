@@ -107,10 +107,6 @@ class UnknownSuite(SpecPolyError):
     pass
 
 
-class GeneratorExhausted(SpecPolyError):
-    pass
-
-
 class InfeasibleGap(SpecPolyError):
     pass
 

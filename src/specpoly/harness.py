@@ -41,15 +41,15 @@ from typing import Callable, Optional
 from . import serialize
 from .contract import (DEFAULT_STEP_CAP, decompose_majorization,
                        random_comparable_pair)
-from .errors import (ChainTooLong, ConfigError, GeneratorExhausted,
-                     NotRealRooted, UnknownSuite)
-from .lpops import (DiffOperator, LPFunction, MultiplierSequence, appell,
-                    deformation_leq, gaussian_coeffs, laguerre_closed_form,
-                    laguerre_ms, multiplier_apply, shift_pencil)
+from .errors import ChainTooLong, ConfigError, NotRealRooted, UnknownSuite
+from .lpops import (DiffOperator, LPFunction, appell, deformation_leq,
+                    gaussian_coeffs, laguerre_closed_form, laguerre_ms,
+                    multiplier_apply, shift_pencil)
 from .majorize import (check_majorization, hinge, power, probe_valid,
                        scaled_tol, schur_eval, signed_power, xlogx)
 from .pencil import default_grid, pencil_path, scan_monotonicity
-from .poly import derivative, random_hyperbolic, taylor_shift
+from .poly import (derivative, expand_from_roots, random_hyperbolic,
+                   taylor_shift)
 from .roots import real_roots, real_roots_near
 from .scalars import FLOAT, RATIONAL, check_tol, parse_scalar
 
@@ -78,8 +78,10 @@ class ExperimentConfig:
 
     def degree(self, rng: random.Random, low: int = 1) -> int:
         lo = max(self.degree_min, low)
-        hi = max(self.degree_max, lo)
-        return rng.randint(lo, hi)
+        if lo > self.degree_max:
+            raise ConfigError(f"this check draws degree >= {lo}, but "
+                              f"degree_max is {self.degree_max}")
+        return rng.randint(lo, self.degree_max)
 
     def to_json(self) -> dict:
         return {
@@ -300,8 +302,8 @@ def _check_deriv(inputs):
 
 
 def _gen_iso(cfg, rng):
-    phi = _random_phi(rng)
-    n = cfg.degree(rng, low=max(2, phi.m + 1))
+    n = cfg.degree(rng, low=2)
+    phi = _random_phi(rng, max_m=min(2, n - 1))
     p, q = _pair(cfg, rng, n)
     return {"p": p, "q": q, "phi": phi, "rel_tol": cfg.rel_tol}
 
@@ -313,8 +315,8 @@ def _check_iso(inputs):
 
 
 def _gen_appell_min(cfg, rng):
-    phi = _random_phi(rng)
-    n = cfg.degree(rng, low=max(2, phi.m + 1))
+    n = cfg.degree(rng, low=2)
+    phi = _random_phi(rng, max_m=min(2, n - 1))
     p = random_hyperbolic(rng, n, bound=8, mode=cfg.mode)
     p = taylor_shift(p, p.barycenter())    # barycenter 0, exact in rational mode
     return {"p": p, "phi": phi, "rel_tol": cfg.rel_tol}
@@ -352,8 +354,8 @@ def _check_extensive(inputs):
 
 
 def _gen_deform(cfg, rng):
-    phi = _random_phi(rng)
-    n = cfg.degree(rng, low=max(2, phi.m + 1))
+    n = cfg.degree(rng, low=2)
+    phi = _random_phi(rng, max_m=min(2, n - 1))
     p = random_hyperbolic(rng, n, bound=8, mode=cfg.mode)
     width = 1 + len(phi.alphas)
     t = [_frac(rng, -1, 1) * Fraction(3, 2) for _ in range(width)]
@@ -417,8 +419,8 @@ def _check_allincr(inputs):
 
 
 def _gen_schur(cfg, rng):
-    phi = _random_phi(rng, kind="type1")
-    n = cfg.degree(rng, low=max(2, phi.m + 1))
+    n = cfg.degree(rng, low=2)
+    phi = _random_phi(rng, max_m=min(2, n - 1), kind="type1")
     p, q = _pair(cfg, rng, n)
     lift = p.roots[0] - 1     # both polynomials share the bottom root level
     lift = min(lift, q.roots[0] - 1)
@@ -452,9 +454,9 @@ def _check_schur(inputs):
 
 
 def _gen_lag_ms(cfg, rng):
+    n = cfg.degree(rng, low=2)
     m = rng.randint(1, 3)
-    p_shift = rng.randint(0, 2)
-    n = cfg.degree(rng, low=max(2, m - p_shift))
+    p_shift = rng.randint(max(0, m - n), 2)
     poly_p, poly_q = _pair(cfg, rng, n)
     coeffs = [_frac(rng, -4, 4, den=8) for _ in range(n)]
     coeffs.append(_frac(rng, 1, 4, den=8))
@@ -757,43 +759,44 @@ def _check_diagonal(inputs, normalized: bool = False):
                           hunt=True)
 
 
-def _find_diagonal_operator(cfg, rng, n: int, tries: int = 400):
-    """Rejection-sample a diagonal hyperbolicity preserver with top term 1.
+def _find_diagonal_operator(rng, n: int) -> list:
+    """A diagonal hyperbolicity preserver gamma_0..gamma_n with gamma_n = 1.
 
-    Half the candidates are raw random grids, half are jittered normalized
-    truncations of known first-kind sequences (near-boundary candidates,
-    which are the interesting ones to hunt with).  A candidate is kept
-    when its Jensen polynomial passes the exact test of
-    ``MultiplierSequence.preserves_real_rootedness``, so every operator
-    returned is a proven preserver on degree <= n.
+    By the finite Polya-Schur theorem (Craven-Csordas; Borcea-Branden),
+    these are exactly gamma_k = [x^k] J / C(n, k) for J = prod (x + r_i)
+    with the r_i all >= 0 or all <= 0.  The r_i are drawn on the 1/4 grid
+    in [0, 2], with the boundary on purpose: zeros at 0 (gamma_0 = 0),
+    ties and tight clusters (a zero plus k/64); then one sign is drawn for
+    all of them.  Every draw is a preserver by construction.
     """
-    for _ in range(tries):
-        if rng.random() < 0.5:
-            gammas = [_frac(rng, -2, 2) for _ in range(n)] + [Fraction(1)]
+    zeros = []
+    while len(zeros) < n:
+        kind = rng.randrange(8)
+        if kind == 0:
+            zeros.append(Fraction(0))
+            continue
+        r = Fraction(rng.randint(1, 8), 4)
+        if kind == 1:
+            zeros += [r, r]
+        elif kind == 2:
+            zeros += [r, r + Fraction(rng.randint(1, 3), 64)]
         else:
-            family = rng.choice(("mixed", "laguerre", "xp-prime"))
-            base, _ = _random_ps1_sequence(rng, n, family)
-            if base[n] == 0:
-                continue
-            gammas = [Fraction(g, 1) / base[n] for g in base]
-            j = rng.randrange(n)
-            gammas[j] *= 1 + Fraction(rng.randint(-2, 2), 16)
-        if MultiplierSequence(gammas).preserves_real_rootedness():
-            return gammas
-    raise GeneratorExhausted(
-        f"no admissible diagonal operator found in {tries} tries (n={n})")
+            zeros.append(r)
+    sign = rng.choice((1, -1))
+    jensen = expand_from_roots([-sign * r for r in zeros[:n]], RATIONAL)
+    return [c / math.comb(n, k) for k, c in enumerate(jensen)]
 
 
 def _gen_pb2(cfg, rng):
     n = cfg.degree(rng, low=2)
-    gammas = _find_diagonal_operator(cfg, rng, n)
+    gammas = _find_diagonal_operator(rng, n)
     p, q = _pair(cfg, rng, n, mode=RATIONAL)
     return {"gammas": gammas, "p": p, "q": q, "rel_tol": cfg.rel_tol}
 
 
 def _gen_pb3(cfg, rng):
     n = cfg.degree(rng, low=2)
-    gammas = _find_diagonal_operator(cfg, rng, n)
+    gammas = _find_diagonal_operator(rng, n)
     drift = Fraction(0)
     if rng.random() < 0.5:
         drift = _frac(rng, -2, 2)

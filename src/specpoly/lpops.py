@@ -436,16 +436,13 @@ class MultiplierSequence:
         (1, 0, 1) is not.  J is built on integers: C(n, k) times the
         gammas' numerators over their least common denominator (a float
         gamma is read as the rational it stores), a positive multiple of
-        J.  Three steps in order of cost, on its coefficients c_0..c_d
-        after the x^k factor is divided out: the O(d) sign pattern, all
-        of one sign (zeros < 0) or strictly alternating (zeros > 0);
-        Newton's inequalities
-        c_j^2 j (d - j) >= c_{j-1} c_{j+1} (j + 1)(d - j + 1), which every
-        real-rooted polynomial of degree d satisfies; then the exact Sturm
-        test ``roots.is_real_rooted``.  Only the Sturm test accepts, so a
-        True is a proof, and no float arithmetic decides a verdict.
-        Real-rootedness implies Newton's inequalities, so that step never
-        changes a verdict.  The all-zero sequence reads False.
+        J.  Two steps, on its coefficients c_0..c_d after the x^k factor is
+        divided out: the O(d) sign pattern, all of one sign (zeros < 0) or
+        strictly alternating (zeros > 0), then the exact Sturm test
+        ``roots.is_real_rooted``.  Only the Sturm test accepts, so a True
+        is a proof, and no float arithmetic decides a verdict.  The
+        all-zero sequence reads False.  The pb2/pb3 hunts draw their
+        preservers from Jensen zeros, so they need no such test.
         """
         gammas = QPoly.of(self.gammas).nums
         n = len(gammas) - 1
@@ -463,10 +460,6 @@ class MultiplierSequence:
         alternating = all((nums[j] > 0) != (nums[j + 1] > 0)
                           for j in range(d))
         if 0 in nums or not (same_sign or alternating):
-            return False
-        if any(nums[j] * nums[j] * j * (d - j)
-               < nums[j - 1] * nums[j + 1] * (j + 1) * (d - j + 1)
-               for j in range(1, d)):
             return False
         return is_real_rooted(nums)
 

@@ -305,20 +305,12 @@ def test_hunt_flags_genuine_order_violation():
                             "details": details})
 
 
-def test_generator_exhausted():
-    from specpoly.errors import GeneratorExhausted
-    from specpoly.harness import _find_diagonal_operator
-    cfg = ExperimentConfig(suite="pb2")
-    with pytest.raises(GeneratorExhausted):
-        _find_diagonal_operator(cfg, random.Random(0), 3, tries=0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
 def test_sampled_operators_keep_exact_images_real_rooted(n, seed):
     from specpoly.harness import _find_diagonal_operator
     rng = random.Random(seed)
-    gammas = _find_diagonal_operator(ExperimentConfig(suite="pb2"), rng, n)
+    gammas = _find_diagonal_operator(rng, n)
     for _ in range(3):
         p = random_hyperbolic(rng, n, bound=10)
         assert is_real_rooted(multiplier_apply(gammas, p.coefficients(), n))
@@ -391,6 +383,22 @@ def test_suite_image_that_is_not_real_rooted_raises():
 def test_impossible_config_is_refused(run, kwargs):
     with pytest.raises(ConfigError):
         run(ExperimentConfig(**kwargs))
+
+
+@pytest.mark.parametrize("suite", ["iso", "appell-min", "deform", "schur",
+                                   "lag-ms"])
+def test_suites_draw_within_the_configured_degrees(suite):
+    # these suites draw an operator whose order m needs degree > m; the
+    # degree is drawn first and the operator within it, so a config's
+    # degree bounds hold for every trial, and one below the suite's least
+    # degree is refused
+    generate = SUITES[suite][0]
+    cfg = ExperimentConfig(suite=suite, degree_min=2, degree_max=2)
+    for trial in range(60):
+        assert generate(cfg, trial_rng(0, trial))["p"].degree == 2
+    with pytest.raises(ConfigError):
+        run_suite(ExperimentConfig(suite=suite, trials=1, degree_min=1,
+                                   degree_max=1))
 
 
 def test_suite_worst_slack_reported():

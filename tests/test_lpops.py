@@ -14,7 +14,8 @@ from specpoly import (DiffOperator, LPFunction, appell, apply_operator,
                       gaussian_op, laguerre_closed_form, laguerre_ms,
                       matching_distance, multiplier_apply, shift_pencil)
 from specpoly.errors import DegreeTooSmall, NotRealRooted, ZeroTopTerm
-from specpoly.harness import random_hyperbolic, trial_rng
+from specpoly.harness import (_find_diagonal_operator, random_hyperbolic,
+                              trial_rng)
 from specpoly.pencil import pencil_coeffs
 from specpoly.lpops import (MultiplierSequence, gaussian_coeffs,
                             shift_pencil_coeffs)
@@ -411,6 +412,25 @@ def test_every_preserver_drawn_from_jensen_zeros_is_accepted(zeros):
     assert _preserves(gammas)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_every_hunt_operator_is_an_exact_preserver(n, seed):
+    gammas = _find_diagonal_operator(random.Random(seed), n)
+    assert len(gammas) == n + 1 and gammas[n] == 1
+    assert all(type(g) is Fraction for g in gammas)
+    assert _preserves(gammas)
+
+
+def test_hunt_operators_reach_the_boundary():
+    # some draws have gamma_0 = 0 (a Jensen zero at 0) and some a Jensen
+    # polynomial with a multiple zero (gcd(J, J') nonconstant)
+    draws = [_find_diagonal_operator(trial_rng(seed, 0), 5)
+             for seed in range(40)]
+    assert any(g[0] == 0 for g in draws)
+    jensens = [MultiplierSequence(g).jensen_polynomial() for g in draws]
+    assert any(len(ref.sturm_sequence(j)[-1]) > 1 for j in jensens)
+
+
 def _variations(seq, side) -> int:
     # sign variations of a Sturm sequence at -inf (side -1), 0 (side 0) or
     # +inf (side 1), zeros skipped
@@ -442,7 +462,7 @@ def _sturm_decision(gammas) -> bool:
 @given(st.integers(1, 7).flatmap(
     lambda n: st.lists(st.integers(-8, 8), min_size=n, max_size=n)))
 def test_verdicts_on_sampler_grids_match_a_sturm_decision(quarters):
-    # the hunt sampler's raw candidates: gamma_k on the 1/4 grid in [-2, 2]
-    # and gamma_n = 1
+    # arbitrary diagonal operators, most of them not preservers: gamma_k on
+    # the 1/4 grid in [-2, 2] and gamma_n = 1
     gammas = [Fraction(v, 4) for v in quarters] + [Fraction(1)]
     assert _preserves(gammas) == _sturm_decision(gammas)

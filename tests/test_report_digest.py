@@ -30,11 +30,11 @@ from specpoly.harness import (HUNTS, SUITES, ExperimentConfig,
 
 FLOAT_SUITES = ("allincr", "main1", "main2")
 EXACT_PINNED = (
-    "9ce7d55717a97a59cd1e26634bf48990a1546e2bc957e850f8a2e2f50171f543")
+    "741307a69b898da8c6f23bd64748a724ee7511640c80d2085130615ca6a4929d")
 FLOAT_PINNED = (
     "3adca525c8e4cba1512983d62a2b1b74701b35e37af1d22846eecdbe6bdb1f03")
 WIRE_PINNED = (
-    "07fd7ec051bb4ebac1290105b9fbf99b2220c0ce3ccb2ec66a309a86a19ae17c")
+    "1e80163f48925ce5c3a806724f3b79499e711ccd33565dd9429ffc6e0cc283e2")
 
 
 def _digest(names, mode) -> str:
