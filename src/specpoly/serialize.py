@@ -6,6 +6,7 @@ floats stay native JSON numbers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .contract import ContractionChain, ContractionStep
@@ -24,6 +25,22 @@ def _entries(obj: dict, key: str) -> list:
     return value
 
 
+def _finite(value):
+    # a scalar, refused when it is a float NaN or infinity
+    scalar = parse_scalar(value)
+    if isinstance(scalar, float) and not math.isfinite(scalar):
+        raise ConfigError(f"expected a finite number, got {value!r}")
+    return scalar
+
+
+def _double(value) -> float:
+    # a scalar as a finite double, refused beyond double range
+    try:
+        return float(_finite(value))
+    except OverflowError:
+        raise ConfigError(f"{value!r} is beyond double range") from None
+
+
 def poly_to_json(p: HyperbolicPoly) -> dict:
     return {"mode": p.mode, "roots": [scalar_to_json(r) for r in p.roots]}
 
@@ -32,7 +49,8 @@ def poly_from_json(obj, tol: float | None = None) -> HyperbolicPoly:
     """Accepts {"mode", "roots"}, a bare root list, or {"coeffs": [...]}.
 
     Coefficient import runs the root finder, so it always yields a
-    float-mode polynomial and requires the input to be real-rooted.
+    float-mode polynomial and requires the input to be real-rooted; a
+    coefficient that is not a finite double is refused.
     """
     if isinstance(obj, (list, tuple)):
         return from_roots([parse_scalar(v) for v in obj])
@@ -40,7 +58,7 @@ def poly_from_json(obj, tol: float | None = None) -> HyperbolicPoly:
         raise ConfigError(f"cannot read a polynomial from {obj!r}")
     if "coeffs" in obj:
         return hyperbolic_from_coeffs(
-            [float(parse_scalar(v)) for v in _entries(obj, "coeffs")], tol)
+            [_double(v) for v in _entries(obj, "coeffs")], tol)
     if "roots" not in obj:
         raise ConfigError("polynomial JSON needs 'roots' or 'coeffs'")
     mode = obj.get("mode")
@@ -105,15 +123,19 @@ def lp_to_json(phi: LPFunction) -> dict:
 
 
 def lp_from_json(obj) -> LPFunction:
+    """An LP function from JSON: finite scalars and an integer m >= 0."""
     if not isinstance(obj, dict):
         raise ConfigError(f"cannot read an LP function from {obj!r}")
+    m = obj.get("m", 0)
+    if type(m) is not int or m < 0:
+        raise ConfigError(f"'m' must be an integer >= 0, got {m!r}")
     try:
         return LPFunction(
-            c=parse_scalar(obj.get("c", 1)),
-            m=int(obj.get("m", 0)),
-            a=parse_scalar(obj.get("a", 0)),
-            b=parse_scalar(obj.get("b", 0)),
-            alphas=tuple(parse_scalar(v) for v in obj.get("alphas", ())),
+            c=_finite(obj.get("c", 1)),
+            m=m,
+            a=_finite(obj.get("a", 0)),
+            b=_finite(obj.get("b", 0)),
+            alphas=tuple(_finite(v) for v in obj.get("alphas", ())),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid LP function: {exc}") from None

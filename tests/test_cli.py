@@ -262,6 +262,25 @@ MALFORMED = [
     pytest.param(lambda f, w: ["hunt", "pb1", "--trials", "2", "--config",
                                w({"params": 5}), "--param", "family=mixed"],
                  id="param-into-params-not-a-dict"),
+    pytest.param(lambda f, w: ["op", "gaussian", "--poly", w(
+        {"coeffs": [float("nan"), 1]}), "--a", "1/2"], id="coeff-nan"),
+    pytest.param(lambda f, w: ["op", "gaussian", "--poly", w(
+        {"coeffs": ["1e999", 1]}), "--a", "1/2"], id="coeff-beyond-double"),
+    pytest.param(lambda f, w: ["op", "gaussian", "--poly", w(
+        {"coeffs": [float("inf"), 0, 1]}), "--a", "1/2"], id="coeff-inf"),
+    pytest.param(lambda f, w: ["op", "apply", "--phi", w({"m": 1.7}),
+                               "--poly", f["p"]], id="phi-m-float"),
+    pytest.param(lambda f, w: ["op", "apply", "--phi", w({"m": True}),
+                               "--poly", f["p"]], id="phi-m-boolean"),
+    pytest.param(lambda f, w: ["op", "apply", "--phi", w({"m": "2"}),
+                               "--poly", f["p"]], id="phi-m-string"),
+    pytest.param(lambda f, w: ["op", "apply", "--phi", w({"c": float("nan")}),
+                               "--poly", f["p"]], id="phi-c-nan"),
+    pytest.param(lambda f, w: ["verify", "iso", "--trials", "2", "--config",
+                               w({"mode": "banana"})], id="config-mode-unknown"),
+    pytest.param(lambda f, w: ["hunt", "pb2", "--trials", "2", "--config",
+                               w({"mode": "banana"})],
+                 id="hunt-config-mode-unknown"),
 ]
 
 

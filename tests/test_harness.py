@@ -16,9 +16,9 @@ from specpoly import from_roots, multiplier_apply, random_hyperbolic, serialize
 from specpoly.errors import (ConfigError, InfeasibleGap, NotRealRooted,
                              UnknownSuite)
 from specpoly.harness import (HUNTS, SUITES, ExperimentConfig,
-                              confirm_violation, hunt_counterexamples,
-                              inputs_from_json, inputs_to_json,
-                              recheck_failure, run_suite, trial_rng)
+                              hunt_counterexamples, inputs_from_json,
+                              inputs_to_json, recheck_failure, run_suite,
+                              trial_rng)
 from specpoly.roots import is_real_rooted
 
 
@@ -239,10 +239,19 @@ def test_malformed_failure_record_is_refused(record):
         recheck_failure(record)
 
 
+def _hunt_fails(x, y):
+    return not harness._check_order(x, y, 1e-7, hunt=True)[0]
+
+
 def test_confirm_violation_thresholds():
-    assert confirm_violation((0.0, 10.0), (4.0, 6.0))       # gross violation
-    assert not confirm_violation((4.0, 6.0), (0.0, 10.0))   # honest majorization
-    assert not confirm_violation((0.0, 10.0 + 1e-9), (0.0, 10.0))  # noise-sized
+    assert _hunt_fails((0.0, 10.0), (4.0, 6.0))             # gross violation
+    assert not _hunt_fails((4.0, 6.0), (0.0, 10.0))         # honest majorization
+    assert not _hunt_fails((0.0, 10.0 + 1e-9), (0.0, 10.0))  # noise-sized
+    # a residual of 5e-6 fails a suite (tol 1e-7 * 11) but not a hunt,
+    # whose failure line is CONFIRM_REL_TOL * 11
+    x, y = (0.0, 10.0 + 5e-6), (0.0, 10.0)
+    assert not harness._check_order(x, y, 1e-7)[0]
+    assert not _hunt_fails(x, y)
 
 
 def test_chain_suite_documented_instance():
@@ -339,34 +348,26 @@ def test_hunt_reports_deterministic(tmp_path):
     assert list(info) == ["evidence"] and isinstance(info["evidence"], int)
 
 
-def test_skipped_hunt_trial_has_no_margin():
+def test_image_that_is_not_real_rooted_raises_in_hunts_and_suites():
     # gammas (1, 0, 1) keep x^2 - 4x real-rooted but send x^2 - 4x + 3 to
-    # x^2 + 3, so the trial is skipped; a 0.0 margin would clamp worst_slack
+    # x^2 + 3: no hunt samples that record, and a hunt raises on it as a
+    # suite does
+    from specpoly.harness import _check_isotone
     p = {"mode": "rational", "roots": ["0", "4"]}
     q = {"mode": "rational", "roots": ["1", "3"]}
     pb2 = {"gammas": ["1", "0", "1"], "p": p, "q": q, "rel_tol": 1e-7}
-    pb1 = {"gammas": ["1", "0", "1"], "meta": {}, "p": p, "q": q,
-           "rel_tol": 1e-7}
+    pb1 = {**pb2, "meta": {}}
     pb3 = {"gammas": ["1", "0", "1"], "drift": "0", "pairs": [[p, q]] * 3,
            "rel_tol": 1e-7}
     for name, inputs in (("pb1", pb1), ("pb2", pb2), ("pb3", pb3)):
-        assert HUNTS[name][1](inputs_from_json(inputs)) == (
-            True, float("inf"), {})
-    assert not recheck_failure({"suite": "pb1", "trial": 0, "inputs": pb1,
-                                "details": {}})
-
-
-def test_suite_image_that_is_not_real_rooted_raises():
-    # the skip belongs to the hunts: through the same isotone check, a
-    # suite reports a non-real-rooted image as an error, never as a skip
-    from specpoly.harness import _check_isotone
-    p = from_roots([0, 4])
-    q = from_roots([1, 3])
-    image = partial(multiplier_apply, [1, 0, 1])
+        with pytest.raises(NotRealRooted):
+            HUNTS[name][1](inputs_from_json(inputs))
     with pytest.raises(NotRealRooted):
-        _check_isotone(image, p, q, 1e-7)
-    assert _check_isotone(image, p, q, 1e-7, hunt=True) == (
-        True, float("inf"), {})
+        _check_isotone(partial(multiplier_apply, [1, 0, 1]),
+                       from_roots([0, 4]), from_roots([1, 3]), 1e-7)
+    with pytest.raises(NotRealRooted):
+        recheck_failure({"suite": "pb1", "trial": 0, "inputs": pb1,
+                         "details": {}})
 
 
 @pytest.mark.parametrize("run,kwargs", [
@@ -377,9 +378,11 @@ def test_suite_image_that_is_not_real_rooted_raises():
                                             "degree_max": 2}),
     (run_suite, {"suite": "iso", "tol": math.nan}),
     (partial(hunt_counterexamples, "pb1"), {"params": 5}),
+    (run_suite, {"suite": "iso", "mode": "banana"}),
+    (partial(hunt_counterexamples, "pb2"), {"mode": "banana"}),
 ], ids=["suite-negative-trials", "suite-degrees-reversed",
         "hunt-negative-trials", "hunt-degrees-reversed", "suite-tol-nan",
-        "hunt-params-not-a-dict"])
+        "hunt-params-not-a-dict", "suite-mode-unknown", "hunt-mode-unknown"])
 def test_impossible_config_is_refused(run, kwargs):
     with pytest.raises(ConfigError):
         run(ExperimentConfig(**kwargs))

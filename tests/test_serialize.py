@@ -127,6 +127,31 @@ def test_lp_from_non_object_is_config_error(obj):
         lp_from_json(obj)
 
 
+@pytest.mark.parametrize("coeffs", [[float("nan"), 1], ["1e999", 1],
+                                    [float("inf"), 0, 1]],
+                         ids=["nan", "beyond-double-range", "inf"])
+def test_coefficients_must_be_finite_doubles(coeffs):
+    # through JSON text, as the CLI reads them
+    obj = json.loads(json.dumps({"coeffs": coeffs}))
+    with pytest.raises(ConfigError):
+        poly_from_json(obj)
+
+
+@pytest.mark.parametrize("m", [1.7, 1.0, True, "2", -1, None])
+def test_lp_m_must_be_an_integer_at_least_zero(m):
+    with pytest.raises(ConfigError, match="'m'"):
+        lp_from_json({"m": m})
+
+
+@pytest.mark.parametrize("obj", [{"c": float("nan")}, {"a": float("inf")},
+                                 {"b": float("-inf")},
+                                 {"alphas": [float("nan")]}],
+                         ids=["c-nan", "a-inf", "b-minus-inf", "alpha-nan"])
+def test_lp_scalars_must_be_finite(obj):
+    with pytest.raises(ConfigError, match="finite"):
+        lp_from_json(json.loads(json.dumps(obj)))
+
+
 _SCALAR_TEXT = st.one_of(
     st.integers().map(str),
     st.fractions().map(str),
