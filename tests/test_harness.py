@@ -348,11 +348,11 @@ def test_hunt_reports_deterministic(tmp_path):
     assert list(info) == ["evidence"] and isinstance(info["evidence"], int)
 
 
-def test_image_that_is_not_real_rooted_raises_in_hunts_and_suites():
+def test_skipped_hunt_trial_has_no_margin():
     # gammas (1, 0, 1) keep x^2 - 4x real-rooted but send x^2 - 4x + 3 to
-    # x^2 + 3: no hunt samples that record, and a hunt raises on it as a
-    # suite does
-    from specpoly.harness import _check_isotone
+    # x^2 + 3: no hunt samples that record, and a hunt on it raises as a
+    # suite does, so it is never skipped with a margin that would clamp
+    # worst_slack
     p = {"mode": "rational", "roots": ["0", "4"]}
     q = {"mode": "rational", "roots": ["1", "3"]}
     pb2 = {"gammas": ["1", "0", "1"], "p": p, "q": q, "rel_tol": 1e-7}
@@ -363,11 +363,21 @@ def test_image_that_is_not_real_rooted_raises_in_hunts_and_suites():
         with pytest.raises(NotRealRooted):
             HUNTS[name][1](inputs_from_json(inputs))
     with pytest.raises(NotRealRooted):
-        _check_isotone(partial(multiplier_apply, [1, 0, 1]),
-                       from_roots([0, 4]), from_roots([1, 3]), 1e-7)
-    with pytest.raises(NotRealRooted):
         recheck_failure({"suite": "pb1", "trial": 0, "inputs": pb1,
                          "details": {}})
+
+
+def test_suite_image_that_is_not_real_rooted_raises():
+    # through the isotone check shared by suites and hunts, a
+    # non-real-rooted image is an error, never a skip, on either path
+    from specpoly.harness import _check_isotone
+    p = from_roots([0, 4])
+    q = from_roots([1, 3])
+    image = partial(multiplier_apply, [1, 0, 1])
+    with pytest.raises(NotRealRooted):
+        _check_isotone(image, p, q, 1e-7)
+    with pytest.raises(NotRealRooted):
+        _check_isotone(image, p, q, 1e-7, hunt=True)
 
 
 @pytest.mark.parametrize("run,kwargs", [
