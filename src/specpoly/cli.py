@@ -311,12 +311,13 @@ def _pencil_command(args) -> int:
         raise ConfigError("grid needs L > 0 and N >= 2")
     lams = [-span + 2 * span * k / (count - 1) for k in range(count)]
     n = poly.degree
+    samples = pencil_path(poly, lams)
 
     def emit(handle):
         writer = csv.writer(handle)
         writer.writerow(["lambda"] + [f"x{i}" for i in range(1, n + 1)]
                         + [f"f{m}" for m in range(1, n + 1)])
-        for sample in pencil_path(poly, lams):
+        for sample in samples:
             writer.writerow([repr(sample.lam)]
                             + [repr(v) for v in sample.roots]
                             + [repr(v) for v in sample.partial_sums])

@@ -355,8 +355,8 @@ def shift_pencil(p: HyperbolicPoly, lam: Scalar,
     It is the pencil of P(x + lam), whose roots are those of P moved by
     -lam, so ``pencil_brackets`` of the moved roots puts one root in each
     bracket, as it does for ``pencil_at``; ``real_roots_bracketed`` checks
-    that before it refines, and answers by the full recursion where it
-    fails (lam = 0, a multiple root of P).
+    that before it refines, and answers by ``real_roots`` where it fails
+    (lam = 0, a multiple root of P).
     """
     if p.degree < 1:
         raise DegreeTooSmall("shift pencil needs degree >= 1")

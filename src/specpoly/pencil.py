@@ -18,7 +18,8 @@ finder uses them only after checking that the ends increase strictly and
 the values there alternate in sign, clear of Horner's roundoff bound.
 At lam = 0, at a multiple root of P (two equal ends), or where lam moves
 the roots too little for that sign to be certain, the check fails and
-the full interlacing recursion of ``real_roots`` answers.
+``real_roots`` answers.  The pencil's coefficients are built in P's
+mode: a rational P gives exact ones, which ``real_roots`` reads exactly.
 
 ``pencil_path`` samples many lams by continuation from lam = 0, where
 the pencil is P itself and its roots are known.  Each root moves with
@@ -128,12 +129,13 @@ def _extrapolated(lam: float, recent: list) -> list:
 
 def pencil_at(p: HyperbolicPoly, lam: float,
               tol: float | None = None) -> PencilSample:
-    """Sample the pencil at one lam (float computation throughout), in the
-    brackets ``pencil_brackets`` cuts at the roots of P."""
+    """Sample the pencil at one lam, in the brackets ``pencil_brackets``
+    cuts at the float roots of P.  The coefficients are in P's mode, so
+    a rational P and lam are read exactly."""
+    coeffs = pencil_coeffs(p, lam)
     lam = float(lam)
-    pf = p.to_float()
-    coeffs = pencil_coeffs(pf, lam)
-    roots = real_roots_bracketed(coeffs, pencil_brackets(pf.roots, lam), tol)
+    roots = real_roots_bracketed(
+        coeffs, pencil_brackets(p.to_float().roots, lam), tol)
     return _sample(lam, roots, coeffs, tol)
 
 
@@ -146,16 +148,16 @@ def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
     ascending, those below descending), each by ``real_roots_near``: the
     first on a side from the roots of P moved by lam, each later one from
     the last samples' roots extrapolated to its lam.  A lam of 0 is
-    sampled from the roots of P themselves.  Every root is within tol/2
-    of a root of the rounded coefficients ``pencil_coeffs`` gives at its
-    lam, the contract of ``pencil_at``; no root of P' is computed.
+    sampled from the roots of P themselves.  The coefficients are those
+    ``pencil_coeffs`` gives at the float lam, in P's mode, and every root
+    keeps the contract of ``pencil_at``; no root of P' is computed.
     """
     pf = p.to_float()
     lams = [coerce(lam, FLOAT) for lam in lams]
     anchor = _sample(0.0, pf.roots, (), tol)    # seeds only
     found = {}
     if 0.0 in lams:
-        coeffs = pencil_coeffs(pf, 0.0)
+        coeffs = pencil_coeffs(p, 0.0)
         anchor = found[0.0] = _sample(
             0.0, real_roots_near(coeffs, pf.roots, tol), coeffs, tol)
     distinct = sorted(set(lams))
@@ -163,7 +165,7 @@ def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
                  [lam for lam in distinct if lam > 0.0]):
         recent = [anchor]
         for lam in side:
-            coeffs = pencil_coeffs(pf, lam)
+            coeffs = pencil_coeffs(p, lam)
             roots = real_roots_near(coeffs, _extrapolated(lam, recent), tol)
             found[lam] = _sample(lam, roots, coeffs, tol)
             recent = recent[-2:] + [found[lam]]

@@ -63,7 +63,7 @@ class HyperbolicPoly:
             return self
         cached = self.__dict__.get("_float")
         if cached is None:
-            cached = HyperbolicPoly(tuple(float(r) for r in self.roots), FLOAT)
+            cached = HyperbolicPoly(coerce_all(self.roots, FLOAT), FLOAT)
             self.__dict__["_float"] = cached
         return cached
 
@@ -144,15 +144,16 @@ def derivative(p: HyperbolicPoly, tol: float | None = None) -> HyperbolicPoly:
     """The monic normalization P'/n of the derivative.
 
     Root extraction is numeric, so the result is float mode regardless of
-    the input mode.  By Rolle's theorem the roots of P'/n interlace those
-    of P, so the roots of P are its bracket ends; ``real_roots_bracketed``
+    the input mode; the coefficients are in P's mode, exact for a
+    rational P.  By Rolle's theorem the roots of P'/n interlace those of
+    P, so the roots of P are its bracket ends; ``real_roots_bracketed``
     checks them (a multiple root of P fails the check) and otherwise
-    answers by the full recursion.
+    answers by ``real_roots``.
     """
     n = p.degree
     if n < 2:
         raise DegreeTooSmall("derivative needs degree >= 2")
-    dc = [float(c) * k / n for k, c in enumerate(p.coefficients()) if k >= 1]
+    dc = [c * k / n for k, c in enumerate(p.coefficients()) if k >= 1]
     return HyperbolicPoly(
         _rootfind.real_roots_bracketed(dc, p.to_float().roots, tol), FLOAT)
 

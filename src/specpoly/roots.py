@@ -1,106 +1,53 @@
 """Real-root extraction for polynomials promised to be real-rooted.
 
-Method: recursive interlacing with certified bracket refinement.  The
-roots of the derivative are computed first; by Rolle's theorem they split
-the line into brackets that each contain exactly one root of the original
-polynomial (a root of multiplicity m sits at a critical point and is
-shared by m adjacent brackets).  Each bracket with a sign change is then
-refined by safeguarded Newton (rtsafe): P and P' come from one Horner
-pass, and a bisection step replaces a Newton step that leaves the
-bracket or converges slower than halving; Newton seen converging
-linearly, as onto a multiple root, gives way to bisection.  The scheme
-is provably bracketed, exploits guaranteed real-rootedness, and needs no
-linear algebra.
+One path, and every root it returns carries a certificate: a straddle, a
+sign-alternating bracket, or an exact Sturm interval.  ``real_roots_near``
+runs plain Newton from seeds near the roots; opposite true signs of P at
+0.45 tol on either side of each point reached, on n disjoint intervals,
+prove every root of a degree-n P (an a posteriori certificate, Rump,
+Acta Numerica 19, 2010).  Failing that, Aberth sweeps polish the seeds
+for a second try, and then their midpoints cut brackets.
+``real_roots_bracketed`` trusts n brackets only when their ends increase
+strictly and Horner's values there alternate in sign, clear of its
+roundoff bound, and refines each by safeguarded Newton (rtsafe); other
+brackets go to ``real_roots``.  ``real_roots`` decides on the integer
+Sturm chain whether P has a multiple root or too few real roots: such a
+P goes to the exact terminal, any other is seeded by n Chebyshev nodes
+inside the root bound, and what its certificates miss ends in the
+terminal too.  Every float sign is the true sign for the double
+coefficients as given: plain Horner clear of the roundoff bound
+8 n eps sum |a_k||x|^k, then the compensated Horner of Graillat,
+Langlois and Louvet (2005/2009), then exact rational arithmetic.
 
-Every sign the refinement acts on is the true sign of P at that point,
-for the double coefficients as given (not rescaled).  Plain Horner
-decides it where its value clears the roundoff bound
-8 n eps sum |a_k||x|^k.  That bound is convex and increasing in |x|, so
-the refiner bounds it at each point by the chord from its value at 0 to
-its value at the bracket end farther from 0, and takes the exact bound at
-the point only when the value falls inside that chord.  Inside the bound
-the compensated Horner scheme of Graillat, Langlois and Louvet
-(2005/2009) decides it, barring underflow; it is built on a Veltkamp
-split rather than ``math.fma``, so it runs on Python 3.10.  Exact
-rational arithmetic decides what is left.  The root of P in a refined
-bracket therefore never leaves it, and the root returned, the midpoint
-once the bracket is at most ``tol`` wide, is within tol/2 of it.  Below
-float spacing the bracket stops at two neighbouring doubles, one spacing
-from the root.
+The exact terminal reads the coefficients as given: ints and Fractions
+exactly, floats as the rationals they store.  Yun's square-free
+decomposition (1976) on integer numerators gives factors of known
+multiplicity, and exact Sturm counts on dyadic points bisect the real
+roots of each to intervals at most tol wide.  It reports k roots at an
+interval only when the exact count there is k, and raises
+``NotRealRooted`` only when the count proves a root that is not real.
 
-A bracket endpoint whose value is below the roundoff bound is accepted as
-a root of multiplicity >= 2 (a cluster), unless its true sign is opposite
-to the signs on both sides, as between two close roots, so that both of
-its brackets are refined.  A bracket with no sign change whose endpoint
-values are clearly nonzero means the input was not real-rooted and raises
-``NotRealRooted``, unless a root within tol of an endpoint explains the
-smaller value.  These two branches are heuristics; their roots carry no
-certificate.
-
-A caller that already knows n brackets with one root in each (the pencil
-P - lam P' for lam other than 0, whose roots those of P separate, and
-the derivative, whose roots those of P separate too) skips the recursion
-with ``real_roots_bracketed``, which refines only those brackets.  It
-evaluates every bracket end by Horner and trusts the brackets only when
-their ends increase strictly and the values there alternate in sign,
-clear of Horner's roundoff bound, so that each bracket provably holds one
-root; otherwise it answers by ``real_roots``.  Two equal ends (a multiple
-root of the polynomial the ends came from), an end that is itself a root
-(a pencil at lam = 0) or an input that is not real-rooted makes the
-check fail.
-
-A caller that knows a tuple near the roots (the roots of p, for an image
-T p under an operator near the identity, or the roots of the last pencil
-sample moved on to the next lam) uses ``real_roots_near``.  It runs plain
-Newton from each seed, uncertified, and then signs P at 0.45 tol on
-either side of each point it reaches, by the certified signs above.
-Opposite signs on n strictly increasing, disjoint intervals prove one
-root in each, and so every root of a degree-n polynomial (an a
-posteriori certificate in the sense of Rump, "Verification methods",
-Acta Numerica 19, 2010); the points are returned, each within tol/2 of
-its root, with no bracket end evaluated and no bracket refined.  Only
-when that fails (two seeds that reach one root, a seed far from every
-root, Newton that has not settled after a few steps) are the seeds
-polished by a few sweeps of Aberth's simultaneous iteration and the
-certificate tried again.  What still fails it (a multiple root with no
-sign change, tol within 32 float spacings of a root, a value that is not
-finite) goes to ``real_roots_bracketed`` with brackets cut at the
-midpoints of the polished values.  The seeds only choose the starts and
-the brackets; the certificates and the fallback are those above.  Two
-image shapes are reduced first: an exact x^k factor of the double
-coefficients gives k exact zeros and a deflated polynomial, and m seeds
-more than the degree (an image p^(m), or phi(D) p with phi = x^m psi)
-are merged by iterated Rolle into one seed per root.
-
-Root extraction is in double precision: it is the one-way door from
-exact coefficients to float root tuples.
-
-``is_real_rooted`` is the exact counterpart for callers that must decide
-real-rootedness rather than assume it.  It counts sign variations of a
-Sturm sequence built on integers: each entry is a primitive integer
-polynomial and a positive multiple of the classical one (remainders
-scaled by powers of the divisor's |leading coefficient|), so every sign
-is kept and the verdict carries no rounding, multiple roots included.
+So no root is guessed: each is within tol/2 (or one float spacing, if
+that is more) of a root of the double coefficients when a float
+certificate answers, and of the coefficients as given when the terminal
+answers.  A float vector whose rounding split a multiple root into a
+complex pair raises ``NotRealRooted``.  ``is_real_rooted`` decides
+real-rootedness exactly by a Sturm sequence on integers, each entry a
+primitive positive multiple of the classical one.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from itertools import zip_longest
+from typing import Callable, Sequence
 
 from ._qpoly import QPoly
-from .errors import DegreeZero, NotRealRooted
+from .errors import DegreeZero, NonFinite, NotRealRooted
 from .scalars import check_tol
 
 _EPS = 2.0 ** -52
-
-
-def _strip(coeffs: Sequence) -> list[float]:
-    c = [float(v) for v in coeffs]
-    while c and c[-1] == 0.0:
-        c.pop()
-    return c
 
 
 def cauchy_bound(coeffs: Sequence[float]) -> float:
@@ -302,20 +249,6 @@ def _refine(rev: Sequence[float], lo: float, hi: float, f_lo: float,
     return 0.5 * (lo + hi)
 
 
-def _derivative(rev: list[float], n: int) -> list[float]:
-    # P' of a degree-n poly, high-to-low like P; the same products as
-    # poly.coeff_derivative, so a caller that passes the derivative's
-    # coefficients gets the brackets the recursion would use
-    return [rev[k] * (n - k) for k in range(n)]
-
-
-def _roots_rev(rev: list[float], n: int, tol: float) -> list[float]:
-    if n == 1:
-        return [-rev[1] / rev[0]]
-    crit = _roots_rev(_derivative(rev, n), n - 1, tol)
-    return _roots_between(rev, n, crit, tol)
-
-
 def _values(rev: list[float], n: int, pts) -> tuple[list, list]:
     # Horner's value at each point and its roundoff bound there
     vals = []
@@ -327,108 +260,24 @@ def _values(rev: list[float], n: int, pts) -> tuple[list, list]:
     return vals, bounds
 
 
-def _bracket_points(rev: list[float], n: int, crit) -> tuple:
-    # [-B, crit..., B] clamped to the root bound B, with the value and the
-    # Horner roundoff bound at each point
-    bound = root_bound(list(reversed(rev)))
-    pts = [-bound]
-    for w in crit:
-        pts.append(min(max(w, -bound), bound))
-    pts.append(bound)
-    pts.sort()
-    return (pts, *_values(rev, n, pts))
-
-
-def _alternate(vals: list[float]) -> bool:
-    # nonzero values whose signs alternate from each one to the next
-    return 0.0 not in vals and all((a < 0.0) != (b < 0.0)
-                                   for a, b in zip(vals, vals[1:]))
-
-
-def _refine_bracket(rev, pts, vals, bounds, i, tol) -> float:
-    # the root in bracket i, whose end values have opposite true signs;
-    # sum |a_k||x|^k grows with |x|, so the larger end bound is the one at
-    # the end farther from 0
-    return _refine(rev, pts[i], pts[i + 1], vals[i], vals[i + 1], tol,
-                   max(bounds[i], bounds[i + 1]))
-
-
-def _roots_between(rev: list[float], n: int, crit: list[float],
-                   tol: float) -> list[float]:
-    pts, vals, bounds = _bracket_points(rev, n, crit)
-    zeros = [abs(v) <= b for v, b in zip(vals, bounds)]
-    if any(zeros):
-        # A value inside Horner's roundoff, as between two close roots, is
-        # no root when its true sign is opposite to the signs beside it:
-        # both of its brackets then hold a sign change and are refined.
-        signs = [_certified(rev, p) if z else v
-                 for p, v, z in zip(pts, vals, zeros)]
-        for i, zero in enumerate(zeros):
-            if zero and _alternate(signs[max(i - 1, 0):i + 2]):
-                vals[i] = signs[i]
-                zeros[i] = False
-    roots = []
-    for i in range(n):
-        lo, hi = pts[i], pts[i + 1]
-        if hi <= lo:
-            # coincident critical points: the bracket's root is pinched here
-            roots.append(lo)
-        elif zeros[i] and zeros[i + 1]:
-            roots.append(0.5 * (lo + hi))
-        elif zeros[i]:
-            roots.append(lo)
-        elif zeros[i + 1]:
-            roots.append(hi)
-        elif (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            roots.append(_refine_bracket(rev, pts, vals, bounds, i, tol))
-        else:
-            # Same strict sign at both ends: for a real-rooted input the
-            # bracket's root must sit at an endpoint (a multiple root at a
-            # critical point, displaced by at most the refinement error).
-            # Accept the endpoint whose value a root within tol of it
-            # would explain; otherwise the input was not real-rooted.
-            slope = abs(vals[i + 1] - vals[i]) / (hi - lo) if hi > lo else 0.0
-            allow = 4.0 * slope * tol + 1e-300
-            small, point = min((abs(vals[i]), lo), (abs(vals[i + 1]), hi))
-            if small <= allow:
-                roots.append(point)
-            else:
-                raise NotRealRooted(
-                    f"no sign change in bracket [{lo!r}, {hi!r}] "
-                    f"(values {vals[i]!r}, {vals[i + 1]!r}); "
-                    "input is not real-rooted within tolerance")
-    roots.sort()
-    return roots
-
-
 def default_tol(coeffs: Sequence[float]) -> float:
     return 1e-10 * (1.0 + root_bound(coeffs))
-
-
-def real_roots(coeffs: Sequence, tol: float | None = None) -> tuple[float, ...]:
-    """All n real roots of a real-rooted polynomial, sorted nondecreasing.
-
-    ``coeffs`` is low-degree-first with nonzero leading coefficient.  A
-    root refined in a sign-change bracket is within tol/2 (or one float
-    spacing, if that is more) of the one root of the given coefficients
-    in that bracket; when every bracket is refined, that makes the tuple
-    within tol of the true root tuple (optimal matching distance).  Roots
-    from the cluster and same-sign branches (see the module docstring) are
-    heuristic.  Raises ``NotRealRooted`` if the promise fails beyond
-    numerical tolerance, ``DegreeZero`` on constants, and ``ConfigError``
-    on a tol that is not a finite number >= 0 (as every entry point here
-    does).
-    """
-    roots, _ = real_roots_with_criticals(coeffs, tol)
-    return roots
 
 
 def _float_rev(coeffs: Sequence, tol: float | None,
                ) -> tuple[list[float], int, float]:
     # the float coefficients high-to-low, unscaled so that every sign the
     # refiner certifies is one of the given polynomial; the degree; the
-    # tolerance
-    c = _strip(coeffs)
+    # tolerance.  A coefficient whose double is NaN, infinite or beyond
+    # double range has no sign to certify, and is refused.
+    try:
+        c = [float(v) for v in coeffs]
+    except OverflowError:
+        c = [math.inf]
+    if not all(map(math.isfinite, c)):
+        raise NonFinite("a coefficient has no finite double")
+    while c and c[-1] == 0.0:
+        c.pop()
     n = len(c) - 1
     if n <= 0:
         raise DegreeZero("degree must be at least 1")
@@ -440,27 +289,12 @@ def _float_rev(coeffs: Sequence, tol: float | None,
     return c[::-1], n, tol
 
 
-def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
-                              ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Like ``real_roots`` but also returns the critical points.
-
-    The derivative roots are a byproduct of the interlacing recursion, so
-    callers that need both get them for free.
-    """
-    rev, n, tol = _float_rev(coeffs, tol)
-    if n == 1:
-        return (-rev[1] / rev[0],), ()
-    crit = _roots_rev(_derivative(rev, n), n - 1, tol)
-    roots = _roots_between(rev, n, crit, tol)
-    return tuple(roots), tuple(crit)
-
-
 _NEWTON = 8     # plain Newton steps per start at most; near starts take two
 
 
-def _straddled(rev: list[float], starts: Sequence,
+def _straddled(rev: list[float], starts: list[float],
                tol: float) -> tuple[float, ...] | None:
-    # Plain Newton from each sorted start until a step is at most
+    # Plain Newton from each start (sorted doubles) until a step is at most
     # 0.05 tol or no smaller than the one before (Horner's rounding noise
     # near the root), then the true signs of P at x - 0.45 tol and
     # x + 0.45 tol.  Opposite signs on n strictly increasing, disjoint
@@ -472,7 +306,7 @@ def _straddled(rev: list[float], starts: Sequence,
     half = 0.45 * tol
     found = []
     edge = -math.inf
-    for x in sorted(float(v) for v in starts):
+    for x in starts:
         last = math.inf
         for _ in range(_NEWTON):
             f, slope = _eval_with_slope(rev, x)
@@ -516,36 +350,6 @@ def _straddled(rev: list[float], starts: Sequence,
     return tuple(found)
 
 
-def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
-                         tol: float | None = None) -> tuple[float, ...]:
-    """The n roots of a degree-n polynomial, one in each bracket given.
-
-    ``points`` are n+1 bracket ends, expected to increase; each is
-    evaluated by Horner, with its roundoff bound.  The brackets are
-    trusted only when the ends increase strictly, every value clears its
-    bound and the signs alternate, which proves exactly one root in each;
-    otherwise this returns ``real_roots(coeffs, tol)``.  Each bracket is
-    refined from the secant point of its ends, and each root is within
-    tol/2 (or one float spacing) of the one root in its bracket.  Raises
-    ValueError unless there are n+1 points.
-    """
-    rev, n, tol = _float_rev(coeffs, tol)
-    if n == 1:
-        return (-rev[1] / rev[0],)
-    if len(points) != n + 1:
-        raise ValueError(f"need {n + 1} bracket ends")
-    if any(a >= b for a, b in zip(points, points[1:])):
-        return real_roots(coeffs, tol)
-    vals, bounds = _values(rev, n, points)
-    negative = vals[0] < 0.0
-    for v, b in zip(vals, bounds):
-        if not (v < -b if negative else v > b):
-            return real_roots(coeffs, tol)
-        negative = not negative
-    return tuple(_refine_bracket(rev, points, vals, bounds, i, tol)
-                 for i in range(n))
-
-
 _SWEEPS = 12    # Aberth sweeps at most; near seeds take three or four
 
 
@@ -580,56 +384,65 @@ def _aberth(rev: list[float], z: list[float]) -> list[float]:
     return z
 
 
-def real_roots_near(coeffs: Sequence, seeds: Sequence,
-                    tol: float | None = None) -> tuple[float, ...]:
-    """The n roots of a degree-n polynomial, found from nearby seeds.
+def _bracketed(coeffs: Sequence, rev: list[float], n: int, points,
+               tol: float, fallback: Callable) -> tuple[float, ...]:
+    # the roots in n brackets whose ends increase strictly and whose
+    # values alternate in sign, clear of Horner's roundoff bound; any
+    # other brackets go to fallback(coeffs, tol): real_roots for a public
+    # call, the exact terminal for a call from real_roots itself
+    if any(a >= b for a, b in zip(points, points[1:])):
+        return fallback(coeffs, tol)
+    vals, bounds = _values(rev, n, points)
+    negative = vals[0] < 0.0
+    for v, b in zip(vals, bounds):
+        if not (v < -b if negative else v > b):
+            return fallback(coeffs, tol)
+        negative = not negative
+    # sum |a_k||x|^k grows with |x|: the larger end bound is the far end's
+    return tuple(_refine(rev, points[i], points[i + 1], vals[i], vals[i + 1],
+                         tol, max(bounds[i], bounds[i + 1])) for i in range(n))
 
-    For a polynomial whose roots are close to a known tuple, such as the
-    image T p of p, whose roots are the seeds, under an operator near the
-    identity.  Two image shapes are reduced first:
 
-    - when the k lowest double coefficients are exactly 0.0, P = x^k Q:
-      k roots are returned as exact 0.0 and the roots of Q are found from
-      the seeds without the k nearest 0 (a multiplier sequence with
-      gamma_0 = ... = gamma_{k-1} = 0);
-    - when the seeds outnumber the degree by m, seed k becomes the mean of
-      the sorted seeds k..k+m: if the seeds are the roots r of p and the
-      polynomial is p^(m) (an operator phi(D) with phi = x^m psi), its
-      k-th root lies in [r_k, r_{k+m}] by iterated Rolle.
+def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
+                         tol: float | None = None) -> tuple[float, ...]:
+    """The n roots of a degree-n polynomial, one in each bracket given.
 
-    Plain Newton runs from each of the n seeds, and the true signs of P
-    at 0.45 tol on either side of each point it reaches are taken.
-    Opposite signs on n disjoint intervals prove every root, and those
-    points are returned, each within tol/2 of its root.  Only when that
-    fails are the seeds polished by at most 12 sweeps of Aberth's
-    iteration and the certificate tried again from the polished values.
-    After a second failure (no sign change, as at a multiple root;
-    overlapping intervals; tol within 32 float spacings; a value that is
-    not finite) the midpoints of consecutive polished values and the root
-    bound cut n brackets for ``real_roots_bracketed``, which certifies one
-    root in each by strict sign alternation or answers by
-    ``real_roots``.  So the contract and the ``NotRealRooted`` behaviour
-    are those of the bracketed path, however poor the seeds.  Fewer seeds
-    than the degree, and tied values or another zero denominator in the
-    iteration, go to ``real_roots`` directly.
+    ``points`` are n+1 bracket ends, expected to increase; each is
+    evaluated by Horner, with its roundoff bound.  The brackets are
+    trusted only when the ends increase strictly, every value clears its
+    bound and the signs alternate, which proves exactly one root in each;
+    otherwise this returns ``real_roots(coeffs, tol)``.  Each bracket is
+    refined from the secant point of its ends, and each root is within
+    tol/2 (or one float spacing) of the one root in its bracket.  Raises
+    ValueError unless there are n+1 points.
     """
     rev, n, tol = _float_rev(coeffs, tol)
-    seeds = sorted(float(v) for v in seeds)
+    if n == 1:
+        return (-rev[1] / rev[0],)
+    if len(points) != n + 1:
+        raise ValueError(f"need {n + 1} bracket ends")
+    return _bracketed(coeffs, rev, n, points, tol, real_roots)
+
+
+def _near(coeffs: Sequence, rev: list[float], n: int, seeds: list[float],
+          tol: float, fallback: Callable) -> tuple[float, ...]:
+    # real_roots_near on the doubles rev (high-to-low) of coeffs, with
+    # the sorted seeds as doubles
     k = 0
-    while k < n and rev[n - k] == 0.0:
+    while k < n and coeffs[k] == 0:
         k += 1
     if k:
         # P = x^k Q exactly, Q's coefficients low degree first being
-        # rev[n - k], ..., rev[0]
-        rest = sorted(seeds, key=abs)[k:]
-        inner = (real_roots_near(rev[n - k::-1], rest, tol) if k < n
-                 else ())
+        # coeffs[k:], its doubles high-to-low rev[:n - k + 1]
+        rest = sorted(sorted(seeds, key=abs)[k:])
+        inner = (_near(coeffs[k:], rev[:n - k + 1], n - k, rest, tol,
+                       fallback) if k < n else ())
         return tuple(sorted((0.0,) * k + inner))
     if n == 1:
         return (-rev[1] / rev[0],)
     m = len(seeds) - n
     if m < 0:
-        return real_roots(coeffs, tol)
+        return fallback(coeffs, tol)
     if m:
         seeds = [sum(seeds[i:i + m + 1]) / (m + 1) for i in range(n)]
     roots = _straddled(rev, seeds, tol)
@@ -638,7 +451,7 @@ def real_roots_near(coeffs: Sequence, seeds: Sequence,
     try:
         polished = sorted(_aberth(rev, seeds))
     except ZeroDivisionError:
-        return real_roots(coeffs, tol)
+        return fallback(coeffs, tol)
     roots = _straddled(rev, polished, tol)
     if roots is not None:
         return roots
@@ -646,7 +459,59 @@ def real_roots_near(coeffs: Sequence, seeds: Sequence,
     points = [-bound]
     points.extend(0.5 * (a + b) for a, b in zip(polished, polished[1:]))
     points.append(bound)
-    return real_roots_bracketed(coeffs, points, tol)
+    return _bracketed(coeffs, rev, n, points, tol, fallback)
+
+
+def real_roots_near(coeffs: Sequence, seeds: Sequence,
+                    tol: float | None = None) -> tuple[float, ...]:
+    """The n roots of a degree-n polynomial, found from nearby seeds (the
+    roots of p, for an image T p under an operator near the identity).
+
+    When the k lowest coefficients are exactly 0, k roots are exact 0.0
+    and the seeds without the k nearest 0 seed the rest.  When the seeds
+    outnumber the degree by m (an image p^(m)), seed k becomes the mean of
+    the sorted seeds k..k+m, as root k of p^(m) lies in [r_k, r_{k+m}] by
+    iterated Rolle.  What no certificate answers, fewer seeds than the
+    degree and tied values in the Aberth sweeps go to ``real_roots``, so
+    its contract holds however poor the seeds.
+    """
+    rev, n, tol = _float_rev(coeffs, tol)
+    seeds = sorted(float(v) for v in seeds)
+    return _near(coeffs, rev, n, seeds, tol, real_roots)
+
+
+def real_roots(coeffs: Sequence, tol: float | None = None) -> tuple[float, ...]:
+    """All n real roots of a real-rooted polynomial, sorted nondecreasing.
+
+    ``coeffs`` is low-degree-first; ints and Fractions are read exactly,
+    floats as the rationals they store.  The roots keep the contract of
+    the module docstring, one for each root counted with multiplicity.
+    Raises ``NotRealRooted`` only when an exact Sturm count proves a root
+    that is not real, ``DegreeZero`` on constants, ``NonFinite`` on a
+    coefficient whose double is not finite, and ``ConfigError`` on a tol
+    that is not a finite number >= 0 (as every entry point here does).
+    """
+    rev, n, tol = _float_rev(coeffs, tol)
+    if n == 1:
+        return (-rev[1] / rev[0],)
+    chain = _sturm_chain(QPoly.of(coeffs).nums)
+    if len(chain[-1]) > 1 or _real_count(chain) < n:
+        return _isolated(coeffs, tol)
+    bound = root_bound(rev[::-1])
+    seeds = [-bound * math.cos(math.pi * (k + 0.5) / n) for k in range(n)]
+    return _near(coeffs, rev, n, seeds, tol, _isolated)
+
+
+def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
+                              ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``real_roots`` and the critical points, the roots of P', found by
+    ``real_roots_bracketed`` between the roots (Rolle)."""
+    _, n, tol = _float_rev(coeffs, tol)
+    roots = real_roots(coeffs, tol)
+    if n == 1:
+        return roots, ()
+    derivative = [k * v for k, v in enumerate(coeffs)][1:]
+    return roots, real_roots_bracketed(derivative, roots, tol)
 
 
 # --- exact real-rootedness ------------------------------------------------------
@@ -727,7 +592,127 @@ def is_real_rooted(coeffs: Sequence) -> bool:
     multiplicities.  A nonzero constant has no roots and is real-rooted.
     """
     seq = _sturm_chain(QPoly.of(coeffs).nums)
-    at_plus = [s[-1] > 0 for s in seq]
-    at_minus = [(s[-1] > 0) == (len(s) % 2 == 1) for s in seq]
-    distinct = len(seq[0]) - len(seq[-1])
-    return _variations(at_minus) - _variations(at_plus) == distinct
+    return _real_count(seq) == len(seq[0]) - len(seq[-1])
+
+
+def _real_count(chain: list[list[int]]) -> int:
+    # the distinct real roots of chain[0], V(-inf) - V(+inf)
+    at_plus = [s[-1] > 0 for s in chain]
+    at_minus = [(s[-1] > 0) == (len(s) % 2 == 1) for s in chain]
+    return _variations(at_minus) - _variations(at_plus)
+
+
+# --- the exact terminal ---------------------------------------------------------
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    # a primitive gcd of two integer polynomials; gcd(a, 0) is a's
+    # primitive part
+    while b:
+        a, b = b, _primitive(_remainder(a, b))
+    return _primitive(a)
+
+
+def _quotient(num: list[int], den: list[int]) -> list[int]:
+    # num / den for a primitive den that divides num: the quotient has
+    # integer coefficients (Gauss's lemma), so each step divides exactly
+    r = list(num)
+    top = len(den) - 1
+    lead = den[-1]
+    q = [0] * max(len(num) - top, 0)
+    for shift in reversed(range(len(q))):
+        c = q[shift] = r[shift + top] // lead
+        for i, d in enumerate(den):
+            r[shift + i] -= c * d
+    return q
+
+
+def _minus_derivative(c: list[int], b: list[int]) -> list[int]:
+    # c - b' without top zeros
+    d = [v - w for v, w in zip_longest(c, [k * v for k, v in enumerate(b)][1:],
+                                       fillvalue=0)]
+    while d and d[-1] == 0:
+        d.pop()
+    return d
+
+
+def _square_free(nums: list[int]) -> list[tuple[list[int], int]]:
+    # Yun's decomposition p = const * prod a_i^i into square-free,
+    # pairwise coprime a_i, as the (a_i, i) with a_i not constant; the
+    # Sturm chain of p ends in gcd(p, p').  Each gcd is taken up to a
+    # constant; b and c are always divided by the same one, so c - b'
+    # keeps its meaning.
+    chain = _sturm_chain(nums)
+    p, a = chain[0], chain[-1]
+    dp = [k * v for k, v in enumerate(p)][1:]
+    b = _quotient(p, a)
+    d = _minus_derivative(_quotient(dp, a), b)
+    factors = []
+    i = 1
+    while len(b) > 1:
+        a = _gcd(b, d)
+        b = _quotient(b, a)
+        d = _minus_derivative(_quotient(d, a), b)
+        if len(a) > 1:
+            factors.append((a, i))
+        i += 1
+    return factors
+
+
+def _value(poly: list[int], num: int, e: int) -> int:
+    # poly(num / 2^e) times 2^(e deg poly), a positive factor
+    acc = 0
+    for j, c in enumerate(reversed(poly)):
+        acc = acc * num + (c << e * j)
+    return acc
+
+
+def _sturm_variations(chain: list[list[int]], num: int, e: int) -> int:
+    return _variations([v > 0 for v in (_value(s, num, e) for s in chain)
+                        if v])
+
+
+def _done(width: float, num: int, e: int, tol: float) -> bool:
+    # an interval this wide about num / 2^e is at most tol (or a spacing)
+    return width <= tol or width <= math.ulp(num / (1 << e))
+
+
+def _isolated(coeffs: Sequence, tol: float) -> tuple[float, ...]:
+    # the exact terminal: the roots of the coefficients as given
+    found = []
+    for factor, multiplicity in _square_free(QPoly.of(coeffs).nums):
+        found += _factor_roots(factor, tol) * multiplicity
+    found.sort()
+    return tuple(found)
+
+
+def _factor_roots(a: list[int], tol: float) -> list[float]:
+    # the real roots of a square-free integer polynomial, each within
+    # tol/2 (or one float spacing) as its interval's midpoint; every one
+    # of them real, or NotRealRooted
+    degree = len(a) - 1
+    if degree == 1:
+        return [-a[0] / a[1] + 0.0]     # + 0.0: a root at 0 is never -0.0
+    chain = _sturm_chain(a)
+    if _real_count(chain) < degree:
+        raise NotRealRooted(
+            f"a square-free factor of degree {degree} has "
+            f"{_real_count(chain)} real roots by its exact Sturm count")
+    # every root lies strictly inside (-2^s, 2^s): 2^s > 1 + max|a_k / a_d|
+    s = (max(abs(v) for v in a[:-1]) // abs(a[-1]) + 2).bit_length()
+    width = math.ldexp(2.0, s)
+    roots = []
+    # intervals (lo, hi] as numerators over 2^e, with the chain's sign
+    # variations at each end; their root counts are the differences
+    stack = [(-1 << s, 1 << s, 0, _sturm_variations(chain, -1 << s, 0),
+              _sturm_variations(chain, 1 << s, 0))]
+    while stack:
+        lo, hi, e, v_lo, v_hi = stack.pop()
+        count = v_lo - v_hi
+        if count and _done(math.ldexp(width, -e), lo + hi, e + 1, tol):
+            roots += [(lo + hi) / (1 << e + 1)] * count
+        elif count:
+            mid = lo + hi
+            v_mid = _sturm_variations(chain, mid, e + 1)
+            stack.append((2 * lo, mid, e + 1, v_lo, v_mid))
+            stack.append((mid, 2 * hi, e + 1, v_mid, v_hi))
+    return roots

@@ -50,7 +50,10 @@ def coerce(value: Scalar, mode: str) -> Scalar:
                 raise NonFinite(f"non-finite value {value!r}")
             return Fraction(value)
         return Fraction(value)
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise NonFinite("value beyond double range") from None
     if not math.isfinite(out):
         raise NonFinite(f"non-finite value {value!r}")
     return out

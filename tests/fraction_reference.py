@@ -308,3 +308,91 @@ def random_comparable_pair(rng, n, budget, exact, bound=10, min_gap=None):
         t = gap * Fraction(rng.randint(1, 7), 16)
         q = apply_contraction(q, k, k + 1, Fraction(t) if exact else float(t))
     return p, q
+
+
+# --- an exact root oracle -------------------------------------------------
+#
+# Decides, on Fractions alone, whether a returned root tuple is within
+# tol/2 of the roots of the coefficients: floats are read as the rationals
+# they store.  It shares no code with ``specpoly._qpoly`` or
+# ``specpoly.roots``, so that a root test is not the library checking
+# itself.
+
+def value(coeffs, x):
+    """P(x) by Horner, low-degree-first coefficients."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def quotient(num: list, den: list) -> list:
+    """num / den for a den that divides num, low degree first."""
+    r = list(num)
+    top = len(den) - 1
+    q = [Fraction(0)] * (len(num) - top)
+    for shift in reversed(range(len(q))):
+        q[shift] = r[shift + top] / den[-1]
+        for i, d in enumerate(den):
+            r[shift + i] -= q[shift] * d
+    return q
+
+
+def _distinct_roots_in(p, lo, hi) -> tuple:
+    # the distinct real roots of P in [lo, hi] by Sturm's theorem, on the
+    # sequence over gcd(P, P') (it vanishes at no multiple root), and
+    # the gcd
+    seq = sturm_sequence(p)
+    gcd = seq[-1]
+    seq = [quotient(s, gcd) for s in seq]
+
+    def variations(at):
+        signs = [v > 0 for v in (value(s, at) for s in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return variations(lo) - variations(hi) + (value(seq[0], lo) == 0), gcd
+
+
+def roots_in(coeffs, lo, hi) -> int:
+    """The roots of P in [lo, hi], counted with multiplicity: a root of
+    multiplicity m is a distinct root of P, of gcd(P, P'), and so on, m
+    times over."""
+    count = 0
+    p = [Fraction(c) for c in coeffs]
+    while len(p) > 1:
+        distinct, p = _distinct_roots_in(p, lo, hi)
+        count += distinct
+    return count
+
+
+def roots_within(coeffs, got, tol, spacing=True) -> bool:
+    """Whether the n roots of P lie on the intervals g +- r about the
+    n entries g of ``got``, r being tol/2 (plus one float spacing of g
+    with ``spacing``): one on each interval that overlaps no other, and
+    k, with multiplicity, on the union of a run of k that overlap.
+
+    A lone interval needs a sign change of P, by Fraction Horner; a run
+    needs its count, by Sturm sequences.  The intervals are disjoint and
+    hold n roots between them, so every complex root of P is accounted
+    for: a lone root is within r of its own entry.
+    """
+    p = [Fraction(c) for c in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    if len(got) != len(p) - 1:
+        return False
+    half = Fraction(tol) / 2
+    spans = []
+    for g in sorted(got):
+        r = half + (Fraction(math.ulp(g)) if spacing else 0)
+        lo, hi = Fraction(g) - r, Fraction(g) + r
+        if spans and lo <= spans[-1][1]:
+            spans[-1][1:] = [hi, spans[-1][2] + 1]
+        else:
+            spans.append([lo, hi, 1])
+    for lo, hi, k in spans:
+        if k == 1:
+            if value(p, lo) * value(p, hi) > 0:
+                return False
+        elif roots_in(p, lo, hi) != k:
+            return False
+    return True

@@ -123,8 +123,8 @@ def test_op_deform(files, capsys, tmp_path):
 
 
 def test_op_multiplier_laguerre(files, capsys, monkeypatch):
-    # the image x P'(x) / n is seeded by the roots of P: the full
-    # recursion is never taken
+    # the image x P'(x) / n is seeded by the roots of P: it never falls
+    # back on real_roots
     def recursion(*args):
         raise AssertionError("real_roots called")
     monkeypatch.setattr(specpoly.roots, "real_roots", recursion)
@@ -268,6 +268,15 @@ MALFORMED = [
         {"coeffs": ["1e999", 1]}), "--a", "1/2"], id="coeff-beyond-double"),
     pytest.param(lambda f, w: ["op", "gaussian", "--poly", w(
         {"coeffs": [float("inf"), 0, 1]}), "--a", "1/2"], id="coeff-inf"),
+    pytest.param(lambda f, w: ["op", "gaussian", "--poly", w(
+        {"mode": "rational", "roots": ["1", "1e999"]}), "--a", "1/2"],
+        id="root-beyond-double-gaussian"),
+    pytest.param(lambda f, w: ["op", "apply", "--phi", f["phi"], "--poly", w(
+        {"mode": "rational", "roots": ["1", "1e999"]})],
+        id="root-beyond-double-apply"),
+    pytest.param(lambda f, w: ["pencil", "scan", "--poly", w(
+        {"mode": "rational", "roots": ["1", "1e999"]}), "--grid", "3", "7"],
+        id="root-beyond-double-pencil-scan"),
     pytest.param(lambda f, w: ["op", "apply", "--phi", w({"m": 1.7}),
                                "--poly", f["p"]], id="phi-m-float"),
     pytest.param(lambda f, w: ["op", "apply", "--phi", w({"m": True}),
@@ -288,5 +297,6 @@ MALFORMED = [
 def test_malformed_input_is_usage_error(build, files, tmp_path, capsys):
     argv = build(files, lambda obj: _write(tmp_path, "in.json", obj))
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""        # pencil scan samples before it writes its header

@@ -444,7 +444,7 @@ def test_no_measured_margin_reports_null(tmp_path):
 def test_lag_ms_second_image_is_seeded_through_exact_zeros(monkeypatch):
     # m = 3, p_shift = 0: gamma_0 = gamma_1 = gamma_2 = 0, so both images
     # are x^3 times a cubic with simple roots.  The first image's three
-    # exact zeros seed the second image, and neither takes the recursion
+    # exact zeros seed the second image, and neither falls back
     calls = []
     seeded = harness.real_roots_near
 

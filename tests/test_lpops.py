@@ -251,8 +251,15 @@ def test_approximant_prefix_converges():
 def test_approximant_is_hyperbolic():
     phi = LPFunction(c=1, m=1, a=Fraction(1, 2), b=Fraction(1, 3),
                      alphas=[Fraction(1, 4)])
-    coeffs = [float(v) for v in phi.approximant(3, 4)]
-    real_roots(coeffs)  # no complex roots: it is a product of real-rooted factors
+    # no complex roots: it is a product of real-rooted factors.  Its
+    # exact coefficients are read exactly (their doubles split the
+    # multiple roots into complex pairs)
+    got = real_roots(phi.approximant(3, 4), 1e-12)
+    want = sorted([0.0, 4.0] + [math.sqrt(12.0), -math.sqrt(12.0)] * 3
+                  + [-48 / 7] * 4)
+    assert len(got) == 12
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 0.5e-12 + math.ulp(w)
 
 
 def test_multiplier_xp_prime():

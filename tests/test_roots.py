@@ -1,4 +1,4 @@
-"""Interlacing root extraction with certified bracket refinement."""
+"""Certified root extraction: straddles, brackets and the exact terminal."""
 
 import math
 import random
@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_reference as ref
 import specpoly.roots as roots_module
 from specpoly import from_roots, matching_distance, pencil_at, real_roots
-from specpoly.errors import ConfigError, DegreeZero, NotRealRooted
+from specpoly.errors import ConfigError, DegreeZero, NonFinite, NotRealRooted
 from specpoly.pencil import pencil_coeffs
 from specpoly.poly import coeff_derivative
 from specpoly.roots import (is_real_rooted, real_roots_bracketed,
@@ -60,6 +61,18 @@ def test_bad_tol_is_refused_by_every_entry_point(tol):
     assert matching_distance(real_roots(coeffs, 0.0), (1, 2, 3)) < 1e-12
 
 
+@pytest.mark.parametrize("coeffs", [
+    [1.0, float("inf"), 1.0], [float("nan"), 1.0], [Fraction(10) ** 400, 1]])
+def test_coefficients_without_a_finite_double_are_refused(coeffs):
+    # no sign of such a polynomial can be certified: every entry point
+    # refuses it, with no root search
+    for call in (lambda: real_roots(coeffs),
+                 lambda: real_roots_near(coeffs, [0.0] * (len(coeffs) - 1)),
+                 lambda: real_roots_bracketed(coeffs, range(len(coeffs)))):
+        with pytest.raises(NonFinite):
+            call()
+
+
 def test_not_real_rooted():
     with pytest.raises(NotRealRooted):
         real_roots([1, 0, 1])
@@ -103,8 +116,8 @@ def test_separated_roots_match_recursion():
 
 def test_separated_declines_a_root_on_a_separator():
     # the pencil of (x-1)^2 (x+2)(x-3) at lam = 1/2 vanishes exactly at
-    # the critical point 1 of P: the brackets cannot be trusted, and the
-    # full recursion answers
+    # the critical point 1 of P: the brackets cannot be trusted, and
+    # real_roots answers
     pencil = [-11.5, 14.0, 1.5, -5.0, 1.0]
     assert _separated(pencil, (-1.2, 1.0, 2.4)) == real_roots(pencil)
 
@@ -122,8 +135,8 @@ def test_separated_declines_brackets_without_alternation():
 
 
 def test_bracketed_roots_decline_misordered_ends():
-    # (x-1)(x-2)(x-3): ends out of order are no brackets, and the full
-    # recursion answers
+    # (x-1)(x-2)(x-3): ends out of order are no brackets, and real_roots
+    # answers
     cubic = [-6, 11, -6, 1]
     points = (0.0, 1.5, 2.5, 4.0)
     assert real_roots_bracketed(cubic, (0.0, 2.5, 1.5, 4.0)) == real_roots(
@@ -395,7 +408,9 @@ def test_newton_step_at_a_critical_point_bisects():
 
 def test_refinement_costs_few_evaluations(monkeypatch):
     # bisection to tol = 1e-11 from brackets a few units wide takes about
-    # 40 evaluations each; safeguarded Newton needs far fewer
+    # 40 evaluations each; safeguarded Newton needs far fewer.  Only the
+    # bracketed call is counted: the unseeded real_roots calls also
+    # evaluate P for their straddles and Aberth sweeps
     counts = {"brackets": 0, "evaluations": 0}
 
     def counted(name, key):
@@ -411,7 +426,9 @@ def test_refinement_costs_few_evaluations(monkeypatch):
     p = from_roots([-7.0, -4.5, -2.25, -0.5, 1.0, 2.75, 4.5, 6.0])
     coeffs = p.coefficients()
     real_roots(coeffs, 1e-11)
-    _separated(coeffs, real_roots(coeff_derivative(coeffs), 1e-11), 1e-11)
+    separators = real_roots(coeff_derivative(coeffs), 1e-11)
+    counts.update(brackets=0, evaluations=0)
+    _separated(coeffs, separators, 1e-11)
     assert counts["brackets"] > 0
     assert counts["evaluations"] <= 20 * counts["brackets"]
 
@@ -490,16 +507,24 @@ def test_seeded_roots_are_within_tol(picks, tol, data):
     # roots on a quarter grid, with multiplicities up to 3 or a partner
     # 1e-7 above.  Without partners the double coefficients are exact and
     # the grid values are their roots; otherwise the roots of the double
-    # coefficients are simple (checked exactly) and mpmath finds them.  A
-    # root at 0 of multiplicity k makes the k lowest double coefficients
-    # exactly 0.0: it must come back as k exact zeros, and the rest as the
-    # roots of the deflated coefficients.  No brackets certify any other
-    # multiple root, so those inputs must get the answer of the full
-    # recursion
+    # coefficients are simple (checked exactly) and mpmath finds them,
+    # which cross-checks the exact oracle.  A root at 0 of multiplicity k
+    # makes the k lowest double coefficients exactly 0.0: it must come
+    # back as k exact zeros, and the rest as the roots of the deflated
+    # coefficients.  No brackets certify any other multiple root, so
+    # those inputs must get the answer of real_roots.  Where partners make
+    # the doubles inexact, rounding may turn a multiple root or a pair
+    # into a complex pair, which must raise NotRealRooted
     mpmath = pytest.importorskip("mpmath")
     roots = sorted(k / 4 + d for k, kind in picks for d in _KINDS[kind])[:12]
     coeffs = from_roots(roots).coefficients()
-    got = real_roots_near(coeffs, data.draw(_seeds(roots)), tol)
+    clustered = any(kind == "cluster" for _, kind in picks)
+    try:
+        got = real_roots_near(coeffs, data.draw(_seeds(roots)), tol)
+    except NotRealRooted:
+        assert clustered or len(set(roots)) < len(roots)
+        assert not is_real_rooted(coeffs)
+        return
     zeros = roots.count(0.0)
     if zeros:
         assert got.count(0.0) == zeros, got
@@ -511,11 +536,14 @@ def test_seeded_roots_are_within_tol(picks, tol, data):
         if not roots:
             return
     if len(set(roots)) < len(roots):
-        assert got == real_roots(coeffs, tol)
+        assert ref.roots_within(coeffs, got, tol)
+        if not clustered:
+            assert got == real_roots(coeffs, tol)
         return
-    if any(kind == "cluster" for _, kind in picks):
+    if clustered:
         assume(_strictly_real_rooted(coeffs))
         want = _polyroots(coeffs, mpmath)
+        assert ref.roots_within(coeffs, want, tol)
     else:
         want = roots
     assert len(got) == len(want)
@@ -529,7 +557,7 @@ def _no_recursion(*args):
 
 def test_seeded_zero_roots_are_deflated_exactly(monkeypatch):
     # x^k times a polynomial with simple roots: k exact zeros, and the
-    # other roots from their seeds, with no call to the full recursion
+    # other roots from their seeds, with no fallback on real_roots
     monkeypatch.setattr(roots_module, "real_roots", _no_recursion)
     for zeros in (1, 2, 3):
         others = [-2.5, -0.75, 1.5, 3.0]
@@ -548,8 +576,9 @@ def test_seeded_zero_roots_are_deflated_exactly(monkeypatch):
 def test_seeded_derivative_roots_are_within_tol(grid, m, tol):
     # D^m p seeded by the n roots of p: root k of D^m p lies in
     # [r_k, r_{k+m}] by iterated Rolle, so the seeds fit though they
-    # outnumber the degree, and simple roots never take the recursion
-    mpmath = pytest.importorskip("mpmath")
+    # outnumber the degree, and simple roots never fall back; each root is
+    # within tol/2 (and a spacing) of a root of the double coefficients,
+    # by the exact oracle
     roots = sorted(Fraction(k, 4) for k in grid)
     coeffs = from_roots(roots, "rational").coefficients()
     for _ in range(m):
@@ -558,28 +587,109 @@ def test_seeded_derivative_roots_are_within_tol(grid, m, tol):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(roots_module, "real_roots", _no_recursion)
         got = real_roots_near(coeffs, roots, tol)
-    want = _polyroots(doubles, mpmath)
-    assert len(got) == len(want) == len(roots) - m
-    for g, w in zip(got, want):
-        assert abs(g - w) <= tol / 2 + math.ulp(w), (got, want)
+    assert len(got) == len(roots) - m
+    assert ref.roots_within(doubles, got, tol)
 
 
 def test_seed_on_a_critical_point_is_polished(monkeypatch):
     # P' = 0 at the seed -2 of (x + 1)(x + 3): the Aberth step there is
-    # its limit -1/S_i, not a division by zero that ends in the recursion
+    # its limit -1/S_i, not a division by zero that ends in real_roots
     monkeypatch.setattr(roots_module, "real_roots", _no_recursion)
     got = real_roots_near([3.0, 4.0, 1.0], [-3.5, -2.0], 1e-12)
     assert got == pytest.approx((-3.0, -1.0), abs=0.5e-12)
 
 
-@pytest.mark.xfail(strict=True, reason="the recursion's cluster branch "
-                   "misplaces adjacent triple roots (ROADMAP item 2)")
 def test_adjacent_triple_roots_are_within_tol():
-    # found by the seeded-roots test above: the seeds fall back to the
-    # full recursion, which returns -2.948 and -2.823 for roots -3 and -2.75
+    # found by the seeded-roots test above: the seeds fall back, and an
+    # earlier interlacing recursion returned -2.948 and -2.823 for roots
+    # -3 and -2.75 by guessing clusters; the exact terminal finds them
     roots = [-3.0] * 3 + [-2.75] * 3 + [-2.5] * 3 + [-0.5] * 2
     got = real_roots_near(from_roots(roots).coefficients(), roots, 1e-12)
     assert matching_distance(got, roots) <= 1e-12
+
+
+@pytest.mark.parametrize("roots", [
+    [float(k) for k in range(10) for _ in range(2)],
+    [float(k) for k in range(1, 7) for _ in range(3)] + [7.0, 7.0],
+], ids=["0-9-doubled", "1-6-tripled-7-doubled"])
+@pytest.mark.parametrize("tol", [1e-11, 1e-12])
+def test_degree_20_tied_roots_are_within_tol(roots, tol):
+    # exact double coefficients of degree 20; an earlier recursion was off
+    # by 0.32 and 0.46 here, with no exception
+    coeffs = from_roots(roots).coefficients()
+    for got in (real_roots(coeffs, tol), real_roots_near(coeffs, roots, tol)):
+        assert matching_distance(got, roots) <= tol / 2
+        assert ref.roots_within(coeffs, got, tol)
+
+
+@st.composite
+def _tied_rational_roots(draw):
+    # rational roots with multiplicities 1-4, tight clusters (a root plus
+    # k / 2^40) and pairs closer than tol (a root plus 2^-45)
+    roots = []
+    for _ in range(draw(st.integers(1, 5))):
+        root = draw(_small_fraction)
+        roots += [root] * draw(st.integers(1, 4))
+        kind = draw(st.sampled_from(["alone", "cluster", "close"]))
+        if kind == "cluster":
+            roots += [root + Fraction(k, 2 ** 40)
+                      for k in range(1, draw(st.integers(2, 3)))]
+        elif kind == "close":
+            roots.append(root + Fraction(1, 2 ** 45))
+    return sorted(roots[:12])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tied_rational_roots(), st.sampled_from([1e-12, 1e-11, 1e-9]),
+       st.data())
+def test_tied_rational_roots_are_within_tol(roots, tol, data):
+    # exact coefficients are read exactly: every call ends with each root
+    # of them accounted for by the exact oracle, whatever the seeds
+    coeffs = from_roots(roots, "rational").coefficients()
+    assert ref.roots_within(coeffs, real_roots(coeffs, tol), tol)
+    seeds = data.draw(_seeds([float(r) for r in roots]))
+    assert ref.roots_within(coeffs, real_roots_near(coeffs, seeds, tol), tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 3)),
+                min_size=1, max_size=5, unique_by=lambda pick: pick[0]),
+       st.sampled_from([1.0, 3.0, 10.0, 7.0 / 3.0]),
+       st.one_of(st.none(), st.tuples(_small_fraction, _small_fraction)))
+def test_not_real_rooted_exactly_when_sturm_says_so(picks, scale, quadratic):
+    # roots k / scale with multiplicities; the double coefficients of a
+    # scale that is no power of two are rounded, which may split a
+    # multiple root into a complex pair.  real_roots raises NotRealRooted
+    # exactly when the exact count proves a root that is not real
+    roots = [k / scale for k, m in picks for _ in range(m)]
+    coeffs = list(from_roots(roots).coefficients())
+    if quadratic is not None:
+        b, d = quadratic
+        coeffs = [float(c) for c in _times(
+            [Fraction(c) for c in coeffs],
+            [b * b / 4 + d * d + Fraction(1, 64), b, Fraction(1)])]
+    real = is_real_rooted(coeffs)
+    try:
+        got = real_roots(coeffs, 1e-11)
+    except NotRealRooted:
+        assert not real
+    else:
+        assert real and ref.roots_within(coeffs, got, 1e-11)
+
+
+def test_oracle_rejects_a_root_moved_by_tol():
+    # the mutation check: moving one returned root by tol leaves its
+    # interval without a root, and the oracle says no
+    tol = 1e-11
+    for roots in ([-2.5, 0.25, 1.0, 3.75], [-1.0, 0.5, 0.5, 2.0, 2.0, 2.0]):
+        coeffs = from_roots(roots).coefficients()
+        got = list(real_roots(coeffs, tol))
+        assert ref.roots_within(coeffs, got, tol)
+        for sign in (1.0, -1.0):
+            moved = got[:]
+            moved[0] += sign * tol
+            assert not ref.roots_within(coeffs, moved, tol)
+    assert not ref.roots_within([-6, 11, -6, 1], [1.0, 2.0], tol)
 
 
 @settings(max_examples=100, deadline=None)
@@ -624,13 +734,12 @@ def test_straddled_roots_are_within_tol(grid, tol, data):
     # prove every root of the double coefficients, so the seeds are not
     # polished, no bracket end is evaluated and no bracket refined.  tol
     # stays 8 times above the widest zone where Horner's sign is noise,
-    # since plain Newton cannot settle inside it
-    mpmath = pytest.importorskip("mpmath")
+    # since plain Newton cannot settle inside it.  The exact oracle proves
+    # each root within tol/2 of a root of the double coefficients
     roots = sorted(k / 4 for k in grid)
     coeffs = from_roots(roots).coefficients()
     assume(_strictly_real_rooted(coeffs))
-    want = _polyroots(coeffs, mpmath)
-    tol = max(tol, 8.0 * max(_noise_zone(coeffs, w) for w in want))
+    tol = max(tol, 8.0 * max(_noise_zone(coeffs, r) for r in roots))
     moves = data.draw(st.lists(st.floats(-1e-4, 1e-4), min_size=len(roots),
                                max_size=len(roots)))
     seeds = data.draw(st.permutations(
@@ -640,9 +749,7 @@ def test_straddled_roots_are_within_tol(grid, tol, data):
         patch.setattr(roots_module, "_values", _no_brackets)
         patch.setattr(roots_module, "_refine", _no_brackets)
         got = real_roots_near(coeffs, seeds, tol)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert abs(g - w) <= tol / 2, (got, want, tol)
+    assert ref.roots_within(coeffs, got, tol, spacing=False), (got, tol)
 
 
 def _record_straddles(monkeypatch) -> list:
@@ -666,8 +773,8 @@ def _record_straddles(monkeypatch) -> list:
 ], ids=["two-on-one", "nan", "far", "double", "spacing"])
 def test_adversarial_starts_fall_back(monkeypatch, roots, seeds, tol):
     # each seed set fails the straddle certificate as given, and the
-    # polished seeds, the brackets or, at the double root, the full
-    # recursion answer: within tol/2 of the roots, or one spacing where
+    # polished seeds, the brackets or, at the double root, real_roots
+    # answer: within tol/2 of the roots, or one spacing where
     # tol is below it
     outcomes = _record_straddles(monkeypatch)
     coeffs = from_roots(roots).coefficients()
