@@ -11,10 +11,13 @@ Rational-mode coefficient work runs the library's scalar-generic loops
 and carries the denominator beside them.  Each step is then a product of
 machine-sized integers, where ``Fraction`` arithmetic would reduce by a
 gcd after every operation; the kernel reduces once, when a result is
-made canonical.  ``Fraction`` values are built only where a public
-function hands coefficients back.  A float taken of a coefficient,
-``num / den``, is correctly rounded, so it is the same double as
-``float(Fraction(num, den))``.
+made canonical.  An exact coefficient vector stays a ``QPoly`` from the
+expansion of a polynomial's roots (``HyperbolicPoly.coeff_vector``)
+through the operator kernels of ``lpops`` into the root finder, which
+takes the double of a coefficient as ``num / den``: correctly rounded,
+so the same double as ``float(Fraction(num, den))``.  ``Fraction``
+values are built only where a public function hands coefficients back
+(``QPoly.fractions``).
 
 Rational-mode root-tuple work (majorization, hinge probes, contraction
 chains, doubly stochastic witnesses, random pair draws) does the same:
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
 
 
 class QPoly:
@@ -48,13 +50,18 @@ class QPoly:
         self.den = den
 
     @classmethod
-    def of(cls, values: Iterable) -> "QPoly":
+    def of(cls, values) -> "QPoly":
         """The exact polynomial with these coefficients (ints, Fractions,
-        or floats read as the rationals they store)."""
+        or floats read as the rationals they store); a QPoly as it is."""
+        if isinstance(values, QPoly):
+            return values
         # over the lcm of reduced denominators the form is already canonical
         q = cls.__new__(cls)
         (q.nums,), q.den = numerators(values)
         return q
+
+    def __len__(self) -> int:
+        return len(self.nums)
 
     def fractions(self) -> tuple:
         """The coefficients as a tuple of ``Fraction``."""
@@ -78,6 +85,8 @@ def numerators(*tuples, exact: bool = True) -> tuple:
     return [[n * (den // d) for n, d in r] for r in ratios], den
 
 
-def is_exact_all(values: Iterable) -> bool:
-    """Whether every value is an int or a Fraction (no float)."""
-    return all(isinstance(v, (int, Fraction)) for v in values)
+def is_exact_all(values) -> bool:
+    """Whether every value is an int or a Fraction (no float); a QPoly
+    always is."""
+    return isinstance(values, QPoly) or all(
+        isinstance(v, (int, Fraction)) for v in values)

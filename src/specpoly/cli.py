@@ -293,7 +293,7 @@ def _op_command(args) -> int:
             if m < 1 or p < 0:
                 raise ConfigError("--laguerre needs M >= 1 and P >= 0")
             gammas = laguerre_ms(m, p, n + 1).gammas
-        coeffs = multiplier_apply(gammas, poly.coefficients(), n,
+        coeffs = multiplier_apply(gammas, poly.coeff_vector(), n,
                                   normalized=args.normalized)
         image = HyperbolicPoly(real_roots_near(coeffs, poly.roots), FLOAT)
         _emit(serialize.poly_to_json(image), args.out)

@@ -42,14 +42,13 @@ from . import serialize
 from .contract import (DEFAULT_STEP_CAP, decompose_majorization,
                        random_comparable_pair)
 from .errors import ChainTooLong, ConfigError, UnknownSuite
-from .lpops import (DiffOperator, LPFunction, appell, deformation_leq,
-                    gaussian_coeffs, laguerre_closed_form, laguerre_ms,
-                    multiplier_apply, shift_pencil)
+from .lpops import (DiffOperator, LPFunction, MultiplierSequence, appell,
+                    deformation_leq, gaussian_coeffs, laguerre_closed_form,
+                    laguerre_ms, multiplier_apply, shift_pencil)
 from .majorize import (check_majorization, hinge, power, probe_valid,
                        scaled_tol, schur_eval, signed_power, xlogx)
 from .pencil import default_grid, pencil_path, scan_monotonicity
-from .poly import (derivative, expand_from_roots, random_hyperbolic,
-                   taylor_shift)
+from .poly import derivative, exact_expansion, random_hyperbolic, taylor_shift
 from .roots import real_roots, real_roots_near
 from .scalars import FLOAT, RATIONAL, check_tol, parse_scalar
 
@@ -198,9 +197,10 @@ def _check_order(x_roots, y_roots, rel,
 def _check_isotone(image, p, q, rel, hunt: bool = False,
                    drift=0) -> tuple[bool, float, dict]:
     # T q <= T p, T's image roots moved by -drift; ``image`` maps
-    # coefficients to coefficients
-    img_p, img_q = _image_roots(p.roots, image(p.coefficients()),
-                                image(q.coefficients()))
+    # coefficient vectors (a QPoly for a rational polynomial) to
+    # coefficient vectors
+    img_p, img_q = _image_roots(p.roots, image(p.coeff_vector()),
+                                image(q.coeff_vector()))
     if drift:
         img_p, img_q = (tuple(r - float(drift) for r in img)
                         for img in (img_p, img_q))
@@ -310,7 +310,7 @@ def _check_appell_min(inputs):
             "certificate": serialize.certificate_to_json(origin)}
     ap = real_roots(appell(phi, n, normalized=True), ROOT_TOL)
     op = DiffOperator.from_function(phi, n)
-    [img] = _image_roots(p.roots, op.apply_coeffs(p.coefficients()))
+    [img] = _image_roots(p.roots, op.apply_coeffs(p.coeff_vector()))
     ok, margin, details = _check_order(ap, img, inputs["rel_tol"])
     return ok, min(margin, _cert_margin(origin)), details
 
@@ -325,7 +325,7 @@ def _gen_extensive(cfg, rng):
 def _check_extensive(inputs):
     p, phi = inputs["p"], inputs["phi"]
     op = DiffOperator.from_function(phi, p.degree)
-    [img] = _image_roots(p.roots, op.apply_coeffs(p.coefficients()))
+    [img] = _image_roots(p.roots, op.apply_coeffs(p.coeff_vector()))
     return _check_order(tuple(float(r) for r in p.roots), img,
                         inputs["rel_tol"])
 
@@ -349,8 +349,8 @@ def _check_deform(inputs):
                           f"t = {_scalars_to_json(t)}")
     op_s = DiffOperator.from_function(phi.deform(s), p.degree)
     op_t = DiffOperator.from_function(phi.deform(t), p.degree)
-    img_s, img_t = _image_roots(p.roots, op_s.apply_coeffs(p.coefficients()),
-                                op_t.apply_coeffs(p.coefficients()))
+    img_s, img_t = _image_roots(p.roots, op_s.apply_coeffs(p.coeff_vector()),
+                                op_t.apply_coeffs(p.coeff_vector()))
     return _check_order(img_s, img_t, inputs["rel_tol"])
 
 
@@ -371,8 +371,8 @@ def _check_scaled(inputs):
                           f"t = {_scalars_to_json(t)}")
     op_s = DiffOperator.from_function(phi.scale_argument(s), p.degree)
     op_t = DiffOperator.from_function(phi.scale_argument(t), p.degree)
-    img_s, img_t = _image_roots(p.roots, op_s.apply_coeffs(p.coefficients()),
-                                op_t.apply_coeffs(p.coefficients()))
+    img_s, img_t = _image_roots(p.roots, op_s.apply_coeffs(p.coeff_vector()),
+                                op_t.apply_coeffs(p.coeff_vector()))
     return _check_order(img_s, img_t, inputs["rel_tol"])
 
 
@@ -410,8 +410,8 @@ def _check_schur(inputs):
     p, q, phi = inputs["p"], inputs["q"], inputs["phi"]
     rel = inputs["rel_tol"]
     op = DiffOperator.from_function(phi, p.degree)
-    img_p, img_q = _image_roots(p.roots, op.apply_coeffs(p.coefficients()),
-                                op.apply_coeffs(q.coefficients()))
+    img_p, img_q = _image_roots(p.roots, op.apply_coeffs(p.coeff_vector()),
+                                op.apply_coeffs(q.coeff_vector()))
     probes = [power(1), power(2), power(3), xlogx(),
               signed_power(0.5), signed_power(2.5), signed_power(-1.0)]
     probes.extend(hinge(t) for t in img_p[:3])
@@ -729,7 +729,8 @@ def _gen_pb1(cfg, rng):
 
 def _check_diagonal(inputs, normalized: bool = False):
     # pb2, and pb1 with its gammas normalized by the top one
-    image = partial(multiplier_apply, inputs["gammas"], normalized=normalized)
+    image = partial(multiplier_apply, MultiplierSequence(inputs["gammas"]),
+                    normalized=normalized)
     return _check_isotone(image, inputs["p"], inputs["q"], inputs["rel_tol"],
                           hunt=True)
 
@@ -758,8 +759,9 @@ def _find_diagonal_operator(rng, n: int) -> list:
         else:
             zeros.append(r)
     sign = rng.choice((1, -1))
-    jensen = expand_from_roots([-sign * r for r in zeros[:n]], RATIONAL)
-    return [c / math.comb(n, k) for k, c in enumerate(jensen)]
+    jensen = exact_expansion([-sign * r for r in zeros[:n]])
+    return [Fraction(c, jensen.den * math.comb(n, k))
+            for k, c in enumerate(jensen.nums)]
 
 
 def _gen_pb2(cfg, rng):
@@ -786,7 +788,7 @@ def _check_pb3(inputs):
     # Outside that slice monoid a broken order is no counterexample, and a
     # kept one is only sampling evidence, never a certificate
     drift = inputs["drift"]
-    image = partial(multiplier_apply, inputs["gammas"])
+    image = partial(multiplier_apply, MultiplierSequence(inputs["gammas"]))
     worst = float("inf")
     for p, q in inputs["pairs"]:
         ok, margin, details = _check_isotone(image, p, q, inputs["rel_tol"],

@@ -12,9 +12,14 @@ Exact coefficient work runs on integer numerators over one denominator
 (``_qpoly.QPoly``): series products, f(D) sums, Gaussian flows,
 multiplier sequences and the Laguerre closed form feed integers through
 the same scalar-generic loops that float mode runs on doubles, carry the
-denominator beside them, and reduce once.  Exact inputs (ints and
-Fractions) give ``Fraction`` tuples; any float input keeps float
-arithmetic exactly as written.
+denominator beside them, and reduce once.  An operator builds its exact
+form once, when it is made (``DiffOperator``) or first applied at a
+degree (``MultiplierSequence``).  The coefficient kernels
+(``DiffOperator.apply_coeffs``, ``multiplier_apply``,
+``laguerre_closed_form``) return a ``QPoly`` for a ``QPoly`` input, the
+form in which the library passes an exact polynomial on to the root
+finder; exact inputs given as ints and Fractions give ``Fraction``
+tuples.  Any float input keeps float arithmetic exactly as written.
 
 A ``DiffOperator`` is a Maclaurin prefix a_m..a_N acting by
 f(D)[P] = sum a_k P^(k), optionally rescaled so monic degree-n inputs map
@@ -241,6 +246,9 @@ class DiffOperator:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs or self.coeffs[0] == 0:
             raise ZeroTopTerm("the leading prefix coefficient a_m must be nonzero")
+        # the exact form every image is computed from, or None for floats
+        self.__dict__["_exact"] = (QPoly.of(self.coeffs)
+                                   if is_exact_all(self.coeffs) else None)
 
     @classmethod
     def from_function(cls, phi: LPFunction, degree: int,
@@ -268,15 +276,18 @@ class DiffOperator:
         return math.comb(self.norm_degree, self.order) * math.factorial(
             self.order)
 
-    def apply_coeffs(self, pc: Sequence) -> tuple:
+    def apply_coeffs(self, pc: Sequence | QPoly) -> tuple | QPoly:
         """sum_k a_k P^(k) on a low-first coefficient vector.
 
         Degree n input gives degree n - m output; n = m collapses to a
         constant and n < m to the zero polynomial.  With an exact operator
-        and input (ints, Fractions) the sum runs on integer numerators and
-        returns Fractions; otherwise it runs on the given scalars.
+        and input the sum runs on integer numerators: a ``QPoly`` input
+        gives a ``QPoly``, ints and Fractions give Fractions.  Otherwise it
+        runs on the given scalars.
         """
-        if not (is_exact_all(self.coeffs) and is_exact_all(pc)):
+        ops = self.__dict__["_exact"]
+        if ops is None or not is_exact_all(pc):
+            pc = _scalars(pc)
             zero = pc[0] * 0 if len(pc) else 0
             out = _derivative_sum(self.coeffs, list(pc), self.order, zero)
             if out is None:
@@ -285,17 +296,28 @@ class DiffOperator:
             if k != 1:
                 out = [k * v for v in out]
             return tuple(out)
-        ops = QPoly.of(self.coeffs)
         poly = QPoly.of(pc)
         out = _derivative_sum(ops.nums, poly.nums, self.order, 0)
         if out is None:
-            return (Fraction(0),)
-        if self.norm_degree is None:
-            return QPoly(out, poly.den * ops.den).fractions()
-        # the normalizer is ops.den / (C(n, m) m! nums[0]); its ops.den
-        # cancels the one of the coefficients
-        return QPoly(out, poly.den * self._monic_scale()
-                     * ops.nums[0]).fractions()
+            image = QPoly([0])
+        elif self.norm_degree is None:
+            image = QPoly(out, poly.den * ops.den)
+        else:
+            # the normalizer is ops.den / (C(n, m) m! nums[0]); its ops.den
+            # cancels the one of the coefficients
+            image = QPoly(out, poly.den * self._monic_scale() * ops.nums[0])
+        return _like(pc, image)
+
+
+def _scalars(pc: Sequence | QPoly) -> Sequence:
+    # a coefficient vector as scalars, for float arithmetic as written
+    return pc.fractions() if isinstance(pc, QPoly) else pc
+
+
+def _like(pc: Sequence | QPoly, image: QPoly) -> tuple | QPoly:
+    # an exact image in the form of its input: a QPoly for a QPoly, the
+    # Fractions of the public return otherwise
+    return image if isinstance(pc, QPoly) else image.fractions()
 
 
 def _derivative_sum(coeffs: Sequence, d: list, order: int,
@@ -329,7 +351,7 @@ def apply_operator(op: DiffOperator, p: HyperbolicPoly,
         raise DegreeTooSmall(
             f"degree {p.degree} input collapses under an order-{op.order} "
             "operator; root form needs degree >= order + 1")
-    coeffs = op.apply_coeffs(p.coefficients())
+    coeffs = op.apply_coeffs(p.coeff_vector())
     return HyperbolicPoly(real_roots_near(coeffs, p.roots, tol), FLOAT)
 
 
@@ -369,14 +391,18 @@ def shift_pencil(p: HyperbolicPoly, lam: Scalar,
 
 def gaussian_coeffs(p: HyperbolicPoly, a: Scalar) -> tuple:
     """e^{-a D^2} P = sum (-a)^k P^(2k) / k!, a finite sum, in P's mode."""
+    return _scalars(_gaussian(p, a))
+
+
+def _gaussian(p: HyperbolicPoly, a: Scalar) -> tuple | QPoly:
+    # e^{-a D^2} P on P's coefficient vector: a QPoly in rational mode
     a = coerce(a, p.mode)
-    c = p.coefficients()
+    c = p.coeff_vector()
     exact = p.mode == RATIONAL
     series, den = _exp_series(-a, len(c) - 1, exact, step=2)
     weights = series[::2]
     if exact:
-        poly = QPoly.of(c)
-        d = poly.nums
+        d = c.nums
         out = [weights[0] * v for v in d]
     else:
         d = list(c)
@@ -385,7 +411,7 @@ def gaussian_coeffs(p: HyperbolicPoly, a: Scalar) -> tuple:
         d = coeff_derivative(coeff_derivative(d))
         for i, v in enumerate(d):
             out[i] += w * v
-    return QPoly(out, poly.den * den).fractions() if exact else tuple(out)
+    return QPoly(out, c.den * den) if exact else tuple(out)
 
 
 def gaussian_op(p: HyperbolicPoly, a: Scalar,
@@ -393,7 +419,7 @@ def gaussian_op(p: HyperbolicPoly, a: Scalar,
     """Root form of the Gaussian heat flow, seeded by the roots of P; a < 0
     leaves the Laguerre-Polya regime (images need not stay real-rooted),
     accepted for experimentation."""
-    return HyperbolicPoly(real_roots_near(gaussian_coeffs(p, a), p.roots, tol),
+    return HyperbolicPoly(real_roots_near(_gaussian(p, a), p.roots, tol),
                           FLOAT)
 
 
@@ -419,6 +445,16 @@ class MultiplierSequence:
         g = list(self.gammas[:n + 1])
         g += [0] * (n + 1 - len(g))
         return g
+
+    def _exact_form(self, n: int) -> QPoly | None:
+        # gamma_0..gamma_n as one QPoly, or None when one is a float;
+        # built on the first image at degree n and kept for the next
+        cached = self.__dict__.get("_exact")
+        if cached is None or cached[0] != n:
+            g = self._padded(n)
+            cached = (n, QPoly.of(g) if is_exact_all(g) else None)
+            self.__dict__["_exact"] = cached
+        return cached[1]
 
     def jensen_polynomial(self) -> tuple:
         """Coefficients C(n, k) gamma_k of J(x), with n = len(gammas) - 1."""
@@ -470,32 +506,38 @@ def _exact_div(num, den):
     return Fraction(num, 1) / den
 
 
-def multiplier_apply(seq, pc: Sequence, n: Optional[int] = None,
-                     normalized: bool = False) -> tuple:
+def multiplier_apply(seq, pc: Sequence | QPoly, n: Optional[int] = None,
+                     normalized: bool = False) -> tuple | QPoly:
     """Coefficientwise scaling of a polynomial by a multiplier sequence.
 
-    Exact gammas and coefficients give Fractions, through the integer
-    kernel; any float runs the scaling on the given scalars.
+    Exact gammas and coefficients run through the integer kernel: a
+    ``QPoly`` input gives a ``QPoly``, ints and Fractions give Fractions.
+    Any float runs the scaling on the given scalars.  A
+    ``MultiplierSequence`` keeps its exact form for the next image at the
+    same degree; a plain sequence of gammas is read anew on each call.
     """
-    gammas = seq.gammas if isinstance(seq, MultiplierSequence) else tuple(seq)
-    ms = MultiplierSequence(gammas)
+    ms = seq
+    if not isinstance(ms, MultiplierSequence):
+        ms = MultiplierSequence(seq)
     if n is None:
         n = len(pc) - 1
-    if not (is_exact_all(gammas[:n + 1]) and is_exact_all(pc)):
+    g = ms._exact_form(n)
+    if g is None or not is_exact_all(pc):
+        pc = _scalars(pc)
         if normalized:
             ms = ms.normalized_truncation(n)
         g = ms._padded(n)
         return tuple(g[k] * pc[k] if k < len(pc) else g[k] * 0
                      for k in range(n + 1))
-    g = QPoly.of(ms._padded(n))
-    poly = QPoly.of(list(pc[:n + 1]) + [0] * (n + 1 - len(pc)))
-    nums = [u * v for u, v in zip(g.nums, poly.nums)]
+    poly = QPoly.of(pc)
+    nums = poly.nums[:n + 1] + [0] * (n + 1 - len(poly))
+    nums = [u * v for u, v in zip(g.nums, nums)]
     if not normalized:
-        return QPoly(nums, g.den * poly.den).fractions()
+        return _like(pc, QPoly(nums, g.den * poly.den))
     if g.nums[n] == 0:
         raise ZeroTopTerm(f"gamma_{n} vanishes; cannot normalize")
     # gamma_k / gamma_n = g.nums[k] / g.nums[n]: g.den cancels
-    return QPoly(nums, g.nums[n] * poly.den).fractions()
+    return _like(pc, QPoly(nums, g.nums[n] * poly.den))
 
 
 def falling_product(m: int) -> "callable":
@@ -519,16 +561,17 @@ def laguerre_ms(m: int, p: int, length: int) -> MultiplierSequence:
     return MultiplierSequence(tuple(h(k + p) for k in range(length)))
 
 
-def laguerre_closed_form(m: int, p: int, pc: Sequence) -> tuple:
+def laguerre_closed_form(m: int, p: int, pc: Sequence | QPoly,
+                         ) -> tuple | QPoly:
     """x^{m-p} [x^p P]^{(m)} evaluated on coefficients, exactly.
 
-    Exact coefficients are differentiated as integer numerators and come
-    back as Fractions.
+    Exact coefficients are differentiated as integer numerators: a
+    ``QPoly`` comes back as a ``QPoly``, ints and Fractions as Fractions.
     """
     if not is_exact_all(pc):
         return _closed_form(m, p, list(pc), pc[0] * 0 if len(pc) else 0)
     poly = QPoly.of(pc)
-    return QPoly(list(_closed_form(m, p, poly.nums, 0)), poly.den).fractions()
+    return _like(pc, QPoly(list(_closed_form(m, p, poly.nums, 0)), poly.den))
 
 
 def _closed_form(m: int, p: int, work: list, zero: Scalar) -> tuple:

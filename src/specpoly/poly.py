@@ -9,8 +9,10 @@ In rational mode the coefficients are expanded on integers: the roots
 are put over their least common denominator L, the loop multiplies out
 prod (y - L r_j) with y = L x, and the result is rescaled and reduced
 once, in the canonical numerator/denominator form of ``_qpoly.QPoly``.
-They are handed out as ``Fraction`` values; float mode runs the same
-loop on doubles.
+That ``QPoly`` is what a polynomial caches and hands to the operator
+kernels and the root finder (``HyperbolicPoly.coeff_vector``); the public
+``coefficients`` and ``expand_from_roots`` turn it into ``Fraction``
+values.  Float mode runs the same loop on doubles.
 """
 
 from __future__ import annotations
@@ -42,8 +44,20 @@ class HyperbolicPoly:
         """Monic coefficient vector, low degree first, length degree+1."""
         cached = self.__dict__.get("_coeffs")
         if cached is None:
-            cached = expand_from_roots(self.roots, self.mode)
+            cached = self.coeff_vector()
+            if self.mode == RATIONAL:
+                cached = cached.fractions()
             self.__dict__["_coeffs"] = cached
+        return cached
+
+    def coeff_vector(self):
+        """The monic coefficients as the kernels take them, cached: a
+        ``QPoly`` in rational mode, the tuple of doubles in float mode."""
+        cached = self.__dict__.get("_vector")
+        if cached is None:
+            cached = (exact_expansion(self.roots) if self.mode == RATIONAL
+                      else expand_from_roots(self.roots, FLOAT))
+            self.__dict__["_vector"] = cached
         return cached
 
     def root_sum(self) -> Scalar:
@@ -96,18 +110,26 @@ def from_roots(root_values: Sequence[Scalar], mode: str | None = None,
 def expand_from_roots(root_values: Sequence[Scalar], mode: str) -> tuple:
     """Coefficients of prod (x - r), low degree first, leading term exactly 1.
 
-    Rational mode puts the roots over their least common denominator L
-    and expands prod (y - L r) on integers, y = L x; the coefficient of
-    x^k is then e_k L^k / L^n, reduced once by the integer kernel.
+    Rational mode gives the ``Fraction`` values of ``exact_expansion``.
     """
     if mode == RATIONAL:
-        (nums,), scale = numerators(root_values)
-        coeffs = _expand(1, nums)
-        return QPoly([v * scale ** k for k, v in enumerate(coeffs)],
-                     scale ** len(nums)).fractions()
+        return exact_expansion(root_values).fractions()
     coeffs = _expand(1.0, root_values)
     coeffs[-1] = 1.0
     return tuple(coeffs)
+
+
+def exact_expansion(root_values: Sequence[Scalar]) -> QPoly:
+    """prod (x - r) for exact roots, as a ``QPoly``.
+
+    The roots go over their least common denominator L, and prod (y - L r)
+    is expanded on integers, y = L x; the coefficient of x^k is then
+    e_k L^k / L^n, reduced once by the integer kernel.
+    """
+    (nums,), scale = numerators(root_values)
+    coeffs = _expand(1, nums)
+    return QPoly([v * scale ** k for k, v in enumerate(coeffs)],
+                 scale ** len(nums))
 
 
 def _expand(one, root_values) -> list:
@@ -153,7 +175,11 @@ def derivative(p: HyperbolicPoly, tol: float | None = None) -> HyperbolicPoly:
     n = p.degree
     if n < 2:
         raise DegreeTooSmall("derivative needs degree >= 2")
-    dc = [c * k / n for k, c in enumerate(p.coefficients()) if k >= 1]
+    c = p.coeff_vector()
+    if p.mode == RATIONAL:
+        dc = QPoly([k * v for k, v in enumerate(c.nums)][1:], c.den * n)
+    else:
+        dc = [v * k / n for k, v in enumerate(c) if k >= 1]
     return HyperbolicPoly(
         _rootfind.real_roots_bracketed(dc, p.to_float().roots, tol), FLOAT)
 

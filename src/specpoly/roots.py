@@ -19,13 +19,20 @@ coefficients as given: plain Horner clear of the roundoff bound
 8 n eps sum |a_k||x|^k, then the compensated Horner of Graillat,
 Langlois and Louvet (2005/2009), then exact rational arithmetic.
 
+``real_roots``, ``real_roots_near`` and ``real_roots_bracketed`` take a
+``_qpoly.QPoly`` as well as a sequence, as the library's exact kernels
+hand one over: its doubles are num / den, and the x^k deflation of the
+seeded path and the Sturm chain read its numerators, so no ``Fraction``
+is built.
+
 The exact terminal reads the coefficients as given: ints and Fractions
-exactly, floats as the rationals they store.  Yun's square-free
-decomposition (1976) on integer numerators gives factors of known
-multiplicity, and exact Sturm counts on dyadic points bisect the real
-roots of each to intervals at most tol wide.  It reports k roots at an
-interval only when the exact count there is k, and raises
-``NotRealRooted`` only when the count proves a root that is not real.
+exactly, floats as the rationals they store, a ``QPoly`` by its integer
+numerators.  Yun's square-free decomposition (1976) on integer
+numerators gives factors of known multiplicity, and exact Sturm counts
+on dyadic points bisect the real roots of each to intervals at most tol
+wide.  It reports k roots at an interval only when the exact count there
+is k, and raises ``NotRealRooted`` only when the count proves a root
+that is not real.
 
 So no root is guessed: each is within tol/2 (or one float spacing, if
 that is more) of a root of the double coefficients when a float
@@ -264,14 +271,19 @@ def default_tol(coeffs: Sequence[float]) -> float:
     return 1e-10 * (1.0 + root_bound(coeffs))
 
 
-def _float_rev(coeffs: Sequence, tol: float | None,
+def _float_rev(coeffs: Sequence | QPoly, tol: float | None,
                ) -> tuple[list[float], int, float]:
     # the float coefficients high-to-low, unscaled so that every sign the
     # refiner certifies is one of the given polynomial; the degree; the
-    # tolerance.  A coefficient whose double is NaN, infinite or beyond
-    # double range has no sign to certify, and is refused.
+    # tolerance.  A QPoly's doubles are num / den, correctly rounded as
+    # float(Fraction) is.  A coefficient whose double is NaN, infinite or
+    # beyond double range has no sign to certify, and is refused.
     try:
-        c = [float(v) for v in coeffs]
+        if isinstance(coeffs, QPoly):
+            den = coeffs.den
+            c = [v / den for v in coeffs.nums]
+        else:
+            c = [float(v) for v in coeffs]
     except OverflowError:
         c = [math.inf]
     if not all(map(math.isfinite, c)):
@@ -424,19 +436,23 @@ def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
     return _bracketed(coeffs, rev, n, points, tol, real_roots)
 
 
-def _near(coeffs: Sequence, rev: list[float], n: int, seeds: list[float],
-          tol: float, fallback: Callable) -> tuple[float, ...]:
+def _near(coeffs: Sequence | QPoly, rev: list[float], n: int,
+          seeds: list[float], tol: float,
+          fallback: Callable) -> tuple[float, ...]:
     # real_roots_near on the doubles rev (high-to-low) of coeffs, with
     # the sorted seeds as doubles
+    exact = isinstance(coeffs, QPoly)
+    low = coeffs.nums if exact else coeffs
     k = 0
-    while k < n and coeffs[k] == 0:
+    while k < n and low[k] == 0:
         k += 1
     if k:
         # P = x^k Q exactly, Q's coefficients low degree first being
         # coeffs[k:], its doubles high-to-low rev[:n - k + 1]
         rest = sorted(sorted(seeds, key=abs)[k:])
-        inner = (_near(coeffs[k:], rev[:n - k + 1], n - k, rest, tol,
-                       fallback) if k < n else ())
+        inner = (_near(QPoly(low[k:], coeffs.den) if exact else low[k:],
+                       rev[:n - k + 1], n - k, rest, tol, fallback)
+                 if k < n else ())
         return tuple(sorted((0.0,) * k + inner))
     if n == 1:
         return (-rev[1] / rev[0],)
@@ -473,23 +489,28 @@ def real_roots_near(coeffs: Sequence, seeds: Sequence,
     the sorted seeds k..k+m, as root k of p^(m) lies in [r_k, r_{k+m}] by
     iterated Rolle.  What no certificate answers, fewer seeds than the
     degree and tied values in the Aberth sweeps go to ``real_roots``, so
-    its contract holds however poor the seeds.
+    its contract holds however poor the seeds.  A seed beyond double
+    range is refused, as a coefficient is (``NonFinite``).
     """
     rev, n, tol = _float_rev(coeffs, tol)
-    seeds = sorted(float(v) for v in seeds)
+    try:
+        seeds = sorted([float(v) for v in seeds])
+    except OverflowError:
+        raise NonFinite("a seed is beyond double range") from None
     return _near(coeffs, rev, n, seeds, tol, real_roots)
 
 
 def real_roots(coeffs: Sequence, tol: float | None = None) -> tuple[float, ...]:
     """All n real roots of a real-rooted polynomial, sorted nondecreasing.
 
-    ``coeffs`` is low-degree-first; ints and Fractions are read exactly,
-    floats as the rationals they store.  The roots keep the contract of
-    the module docstring, one for each root counted with multiplicity.
-    Raises ``NotRealRooted`` only when an exact Sturm count proves a root
-    that is not real, ``DegreeZero`` on constants, ``NonFinite`` on a
-    coefficient whose double is not finite, and ``ConfigError`` on a tol
-    that is not a finite number >= 0 (as every entry point here does).
+    ``coeffs`` is low-degree-first (or a ``QPoly``); ints and Fractions
+    are read exactly, floats as the rationals they store.  The roots keep
+    the contract of the module docstring, one for each root counted with
+    multiplicity.  Raises ``NotRealRooted`` only when an exact Sturm count
+    proves a root that is not real, ``DegreeZero`` on constants,
+    ``NonFinite`` on a coefficient whose double is not finite, and
+    ``ConfigError`` on a tol that is not a finite number >= 0 (as every
+    entry point here does).
     """
     rev, n, tol = _float_rev(coeffs, tol)
     if n == 1:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_reference as ref
 import specpoly.pencil
 import specpoly.roots
 from specpoly import (Verdict, from_roots, pencil_at,
@@ -328,9 +329,8 @@ def _grid_without_zero(rng, shape):
        st.sampled_from(["symmetric", "one-sided"]))
 def test_path_without_zero_in_the_grid(n, seed, shape):
     # the roots of P seed the first sample on each side; every sample is
-    # within tol of pencil_at's and within tol/2 of the roots of the same
-    # rounded coefficients at 50 digits
-    mpmath = pytest.importorskip("mpmath")
+    # within tol of pencil_at's and, by the exact oracle, within tol/2 (and
+    # a spacing) of a root of the same rounded coefficients
     tol = 1e-11
     rng = random.Random(seed)
     p = random_hyperbolic(rng, n, bound=5, mode="float", min_gap=0.25)
@@ -342,12 +342,7 @@ def test_path_without_zero_in_the_grid(n, seed, shape):
         want = pencil_at(p, sample.lam, tol)
         assert max(abs(a - b) for a, b in zip(sample.roots, want.roots)) <= tol
         coeffs = pencil_coeffs(p, sample.lam)
-        with mpmath.workdps(50):
-            ref = sorted(mpmath.re(z) for z in mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(coeffs)], maxsteps=200,
-                extraprec=200))
-            for got, exact in zip(sample.roots, ref):
-                assert abs(got - exact) <= tol / 2 + math.ulp(got)
+        assert ref.roots_within(coeffs, sample.roots, tol)
 
 
 def test_path_criticals_are_those_of_pencil_at(monkeypatch):
@@ -397,21 +392,16 @@ def test_path_of_degree_one():
 @given(st.integers(2, 10), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["increasing", "decreasing", "unsorted"]))
 def test_path_roots_are_within_half_tol_at_50_digits(n, seed, order):
-    # the reference solves the same rounded pencil coefficients, whose
-    # roots are simple, so polyroots converges
-    mpmath = pytest.importorskip("mpmath")
+    # the exact oracle proves each root within tol/2 (and a spacing) of a
+    # root of the same rounded pencil coefficients, a bound at least as
+    # strong as the 50-digit reference it replaced
     tol = 1e-11
     rng = random.Random(seed)
     p = random_hyperbolic(rng, n, bound=5, mode="float", min_gap=0.25)
     lams = _ordered(default_grid(p, 31), order, rng)
     for sample in rng.sample(pencil_path(p, lams, tol), 4):
         coeffs = pencil_coeffs(p, sample.lam)
-        with mpmath.workdps(50):
-            ref = sorted(mpmath.re(z) for z in mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(coeffs)], maxsteps=200,
-                extraprec=200))
-            for got, want in zip(sample.roots, ref):
-                assert abs(got - want) <= tol / 2 + math.ulp(got)
+        assert ref.roots_within(coeffs, sample.roots, tol)
 
 
 def _repeated(p, rng):
