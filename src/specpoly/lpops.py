@@ -37,7 +37,7 @@ from ._qpoly import QPoly, is_exact_all
 from .errors import DegreeTooSmall, ZeroTopTerm
 from .pencil import pencil_brackets, pencil_coeffs
 from .poly import HyperbolicPoly, coeff_derivative, taylor_shift
-from .roots import is_real_rooted, real_roots_bracketed, real_roots_near
+from .roots import is_real_rooted, real_roots_near
 from .scalars import FLOAT, RATIONAL, Scalar, coerce, infer_mode
 
 
@@ -375,18 +375,17 @@ def shift_pencil(p: HyperbolicPoly, lam: Scalar,
     """Root form of the shift pencil, the pencil of P at lam moved by -lam.
 
     It is the pencil of P(x + lam), whose roots are those of P moved by
-    -lam, so ``pencil_brackets`` of the moved roots puts one root in each
-    bracket, as it does for ``pencil_at``; ``real_roots_bracketed`` checks
-    that before it refines, and answers by ``real_roots`` where it fails
-    (lam = 0, a multiple root of P).
+    -lam, so ``pencil_brackets`` of the moved roots holds one root in each
+    bracket, as it does for ``pencil_at``.  Their midpoints seed
+    ``real_roots_near``, whose certificates and fallbacks answer at
+    lam = 0 and at a multiple root of P as anywhere else.
     """
     if p.degree < 1:
         raise DegreeTooSmall("shift pencil needs degree >= 1")
     coeffs = shift_pencil_coeffs(p, lam)
-    moved = [float(r - lam) for r in p.roots]
-    return HyperbolicPoly(
-        real_roots_bracketed(coeffs, pencil_brackets(moved, float(lam)), tol),
-        FLOAT)
+    ends = pencil_brackets([float(r - lam) for r in p.roots], float(lam))
+    seeds = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+    return HyperbolicPoly(real_roots_near(coeffs, seeds, tol), FLOAT)
 
 
 def gaussian_coeffs(p: HyperbolicPoly, a: Scalar) -> tuple:

@@ -13,13 +13,15 @@ through 0 at the root of P between them.  So for lam > 0 the i-th root
 of the pencil lies between r_i and r_{i+1}, and the top one above r_n by
 less than n lam (every root moves up, and their sum by exactly n lam);
 for lam < 0 the picture is mirrored.  ``pencil_brackets`` gives those
-n+1 ends, for ``pencil_at`` and ``lpops.shift_pencil`` alike.  The root
-finder uses them only after checking that the ends increase strictly and
-the values there alternate in sign, clear of Horner's roundoff bound.
-At lam = 0, at a multiple root of P (two equal ends), or where lam moves
-the roots too little for that sign to be certain, the check fails and
-``real_roots`` answers.  The pencil's coefficients are built in P's
-mode: a rational P gives exact ones, which ``real_roots`` reads exactly.
+n+1 ends.  ``pencil_at`` refines them; the root finder uses them only
+after checking that the ends increase strictly and the values there
+alternate in sign, clear of Horner's roundoff bound.  At lam = 0, at a
+multiple root of P (two equal ends), or where lam moves the roots too
+little for that sign to be certain, the check fails and ``real_roots``
+answers.  ``lpops.shift_pencil`` instead seeds ``real_roots_near`` at
+the brackets' midpoints, one inside each bracket.  The pencil's
+coefficients are built in P's mode: a rational P gives exact ones,
+which ``real_roots`` reads exactly.
 
 ``pencil_path`` samples many lams by continuation from lam = 0, where
 the pencil is P itself and its roots are known.  Each root moves with
@@ -28,8 +30,8 @@ from 0 on each side in sorted order: the first sample on a side is
 seeded by the roots of P moved by lam, and each later one by the recent
 samples' roots extrapolated to its lam.  Every sample is found by
 ``real_roots_near``, whose straddle certificate proves each root within
-tol/2 of a root of the rounded coefficients (its fallbacks keep that
-contract), so the path needs no brackets.
+tol/2 of a root of the coefficients (its bracket fallback, of their
+doubles), so the path needs no brackets.
 
 The critical points of either kind of sample are the roots of
 P' - lam P'', which by Rolle's theorem the sample's own roots bracket.

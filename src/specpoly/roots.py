@@ -2,11 +2,15 @@
 
 One path, and every root it returns carries a certificate: a straddle, a
 sign-alternating bracket, or an exact Sturm interval.  ``real_roots_near``
-runs plain Newton from seeds near the roots; opposite true signs of P at
-0.45 tol on either side of each point reached, on n disjoint intervals,
-prove every root of a degree-n P (an a posteriori certificate, Rump,
-Acta Numerica 19, 2010).  Failing that, Aberth sweeps polish the seeds
-for a second try, and then their midpoints cut brackets.
+runs Newton from seeds near the roots, one start after another, each
+deflated by Maehly's rule (1954) against the points the starts before
+it reached, so that two starts do not settle on one root.  Opposite
+true signs of P at 0.45 tol on either side of each point reached, on n
+disjoint intervals, prove every root of a degree-n P (an a posteriori
+certificate, Rump, Acta Numerica 19, 2010), however the points were
+found.  Where that first pass proves too little, which few seed sets
+meet, Aberth sweeps polish the seeds for a second try, and then their
+midpoints cut brackets.
 ``real_roots_bracketed`` trusts n brackets only when their ends increase
 strictly and Horner's values there alternate in sign, clear of its
 roundoff bound, and refines each by safeguarded Newton (rtsafe); other
@@ -16,8 +20,14 @@ P goes to the exact terminal, any other is seeded by n Chebyshev nodes
 inside the root bound, and what its certificates miss ends in the
 terminal too.  Every float sign is the true sign for the double
 coefficients as given: plain Horner clear of the roundoff bound
-8 n eps sum |a_k||x|^k, then the compensated Horner of Graillat,
-Langlois and Louvet (2005/2009), then exact rational arithmetic.
+gamma_2n sum |a_k||x|^k (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, eq. 5.3), then the compensated Horner of Graillat,
+Langlois and Louvet (2005/2009) clear of its own bound, then exact
+rational arithmetic.  A straddle on exact coefficients (ints,
+Fractions, a ``QPoly``) takes the signs of those coefficients instead:
+plain Horner on their doubles clear of the bound at degree n + 1, which
+also covers the rounding of each coefficient, and otherwise the sign on
+their integer numerators.
 
 ``real_roots``, ``real_roots_near`` and ``real_roots_bracketed`` take a
 ``_qpoly.QPoly`` as well as a sequence, as the library's exact kernels
@@ -35,10 +45,10 @@ is k, and raises ``NotRealRooted`` only when the count proves a root
 that is not real.
 
 So no root is guessed: each is within tol/2 (or one float spacing, if
-that is more) of a root of the double coefficients when a float
-certificate answers, and of the coefficients as given when the terminal
-answers.  A float vector whose rounding split a multiple root into a
-complex pair raises ``NotRealRooted``.  ``is_real_rooted`` decides
+that is more) of a root of the coefficients as given when a straddle or
+the terminal answers, and of their doubles when a bracket answers.  A
+float vector whose rounding split a multiple root into a complex pair
+raises ``NotRealRooted``.  ``is_real_rooted`` decides
 real-rootedness exactly by a Sturm sequence on integers, each entry a
 primitive positive multiple of the classical one.
 """
@@ -93,9 +103,14 @@ def _eval_with_mag(rev: Sequence[float], x: float) -> tuple[float, float]:
 
 
 def _roundoff(mag: float, n: int) -> float:
-    # a bound on the error of Horner's value at a point where
-    # sum |a_k||x|^k is at most mag
-    return 8.0 * n * _EPS * mag + 1e-300
+    # a bound on the error of Horner's value at a point where the computed
+    # sum |a_k||x|^k is mag: gamma_2n mag, gamma_k = k u / (1 - k u) with
+    # u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2002, eq. 5.3), and 1.01 n eps covers gamma_2n, the rounding of the
+    # sum mag (at least 1 - gamma_2n times the true one) and of this
+    # product while n eps < 1e-3.  Like Higham's, the bound holds barring
+    # underflow; the 1e-300 keeps it above 0.
+    return 1.01 * n * _EPS * mag + 1e-300
 
 
 def _eval_with_slope(rev: Sequence[float], x: float) -> tuple[float, float]:
@@ -166,6 +181,9 @@ def _certified(rev: Sequence[float], x: float,
     if abs(value) > bound:
         return value
     value = _compensated(rev, x)
+    # the threshold 8 n eps bound is over 8 (n eps)^2 mag, twice the
+    # (2 n eps)^2 mag of the error bound of _compensated: a value past it
+    # has the sign of P(x)
     if abs(value) > 8.0 * n * _EPS * bound:
         return value
     xq = Fraction(x)
@@ -194,7 +212,7 @@ def _refine(rev: Sequence[float], lo: float, hi: float, f_lo: float,
     scale agree to 0.1% at over one half, the bracket is bisected to the
     end: (x - 1)^3 on [0, 3] then takes 45 evaluations, not 105.
     ``bound`` is Horner's roundoff bound at the bracket end farther from
-    0.  The bound at a point x is 8 n eps sum |a_k||x|^k, convex and
+    0.  The bound at a point x is 1.01 n eps sum |a_k||x|^k, convex and
     increasing in |x|, so the chord from its value at 0 to ``bound``
     covers it at every point of the bracket; a value inside that chord has
     its sign decided by ``_certified``, which returns the value itself
@@ -301,47 +319,70 @@ def _float_rev(coeffs: Sequence | QPoly, tol: float | None,
     return c[::-1], n, tol
 
 
-_NEWTON = 8     # plain Newton steps per start at most; near starts take two
+# Newton steps per start at most.  Near starts take two; a far one first
+# closes in linearly, each step about 1 - 1/m of the distance to the m
+# roots left, so from d times their spread it takes about m ln d steps.
+_NEWTON = 32
 
 
-def _straddled(rev: list[float], starts: list[float],
-               tol: float) -> tuple[float, ...] | None:
-    # Plain Newton from each start (sorted doubles) until a step is at most
-    # 0.05 tol or no smaller than the one before (Horner's rounding noise
-    # near the root), then the true signs of P at x - 0.45 tol and
-    # x + 0.45 tol.  Opposite signs on n strictly increasing, disjoint
-    # intervals with distinct double ends prove one root in each, so every
-    # root of a degree-n P, and each x is within tol/2 of its root (tol is
-    # at least 32 spacings at x, so the rounding of the ends stays inside
-    # tol/20).  None when any of that fails.
+def _straddled(rev: list[float], starts: list[float], tol: float,
+               nums: list[int] | None = None) -> tuple[float, ...] | None:
+    # Newton from each start in turn, deflated by Maehly's rule against
+    # the points z_j reached from the starts before it: the step is
+    # P / (P' - P sum_j 1/(x - z_j)), Newton's step on P / prod (x - z_j),
+    # so a start near a root already found is pushed on to another.  Each
+    # start runs until a step is at most 0.05 tol, or at most 0.45 tol and
+    # no smaller than the one before (Horner's rounding noise near the
+    # root; farther out, Newton's steps may grow for a while).  Then, in
+    # sorted order, the true signs of P at x - 0.45 tol and x + 0.45 tol:
+    # opposite signs on n strictly increasing, disjoint intervals with
+    # distinct double ends prove one root in each, so every root of a
+    # degree-n P, and each x is within tol/2 of its root (tol is at least
+    # 32 spacings at x, so the rounding of the ends stays inside tol/20).
+    # How the points were reached plays no part in that proof.  None when
+    # any of it fails, or a step lands on a point already reached.  With
+    # ``nums``, the integer numerators of exact coefficients, the signs
+    # are those of the coefficients as given, which their doubles may
+    # round: each by at most eps/2 |a_k|, so Horner's value is off from
+    # the exact one by at most the roundoff bound at degree n + 1, and
+    # inside that bound the sign is taken on the integers.
     stop = 0.05 * tol
     half = 0.45 * tol
     found = []
-    edge = -math.inf
-    for x in starts:
-        last = math.inf
-        for _ in range(_NEWTON):
-            f, slope = _eval_with_slope(rev, x)
-            if not slope:
+    try:
+        for x in starts:
+            last = math.inf
+            for _ in range(_NEWTON):
+                f, slope = _eval_with_slope(rev, x)
+                pull = 0.0
+                for z in found:
+                    pull += 1.0 / (x - z)
+                slope -= f * pull
+                if not slope:
+                    return None
+                step = f / slope
+                x -= step
+                size = abs(step)
+                if size <= stop or not size < last and size <= half:
+                    break
+                last = size
+            else:
                 return None
-            step = f / slope
-            x -= step
-            size = abs(step)
-            if size <= stop or not size < last:
-                break
-            last = size
-        else:
-            return None
+            found.append(x)
+    except ZeroDivisionError:
+        return None
+    found.sort()
+    edge = -math.inf
+    for x in found:
         lo = x - half
         hi = x + half
         # false for a NaN too
         if not edge < lo < hi or tol < 32.0 * math.ulp(x):
             return None
         edge = hi
-        found.append(x)
     # Both ends in one Horner pass, with sum |a_k||x|^k at the end farther
     # from 0: it grows with |x|, so its roundoff bound covers both ends.
-    n = len(rev) - 1
+    degree = len(rev) - 1 if nums is None else len(rev)
     sizes = [abs(c) for c in rev]
     for x in found:
         lo = x - half
@@ -352,14 +393,26 @@ def _straddled(rev: list[float], starts: list[float],
             a = a * lo + c
             b = b * hi + c
             mag = mag * far + size
-        bound = _roundoff(mag, n)
+        bound = _roundoff(mag, degree)
         if -bound <= a <= bound:
-            a = _certified(rev, lo, a)
+            a = _certified(rev, lo, a) if nums is None else _sign(nums, lo)
         if -bound <= b <= bound:
-            b = _certified(rev, hi, b)
+            b = _certified(rev, hi, b) if nums is None else _sign(nums, hi)
         if not (a < 0.0 < b or b < 0.0 < a):
             return None
     return tuple(found)
+
+
+def _sign(nums: list[int], x: float) -> float:
+    # the sign of sum nums[k] x^k, on integers: x = p / q with q > 0, and
+    # q^n times the sum is sum nums[k] p^k q^(n - k)
+    p, q = x.as_integer_ratio()
+    acc = 0
+    scale = 1
+    for c in reversed(nums):
+        acc = acc * p + c * scale
+        scale *= q
+    return 1.0 if acc > 0 else -1.0 if acc < 0 else 0.0
 
 
 _SWEEPS = 12    # Aberth sweeps at most; near seeds take three or four
@@ -440,7 +493,7 @@ def _near(coeffs: Sequence | QPoly, rev: list[float], n: int,
           seeds: list[float], tol: float,
           fallback: Callable) -> tuple[float, ...]:
     # real_roots_near on the doubles rev (high-to-low) of coeffs, with
-    # the sorted seeds as doubles
+    # the sorted seeds as doubles; a QPoly's straddles are signed on it
     exact = isinstance(coeffs, QPoly)
     low = coeffs.nums if exact else coeffs
     k = 0
@@ -461,14 +514,15 @@ def _near(coeffs: Sequence | QPoly, rev: list[float], n: int,
         return fallback(coeffs, tol)
     if m:
         seeds = [sum(seeds[i:i + m + 1]) / (m + 1) for i in range(n)]
-    roots = _straddled(rev, seeds, tol)
+    nums = low if exact and len(low) == n + 1 else None
+    roots = _straddled(rev, seeds, tol, nums)
     if roots is not None:
         return roots
     try:
         polished = sorted(_aberth(rev, seeds))
     except ZeroDivisionError:
         return fallback(coeffs, tol)
-    roots = _straddled(rev, polished, tol)
+    roots = _straddled(rev, polished, tol, nums)
     if roots is not None:
         return roots
     bound = root_bound(rev[::-1])
@@ -476,6 +530,15 @@ def _near(coeffs: Sequence | QPoly, rev: list[float], n: int,
     points.extend(0.5 * (a + b) for a, b in zip(polished, polished[1:]))
     points.append(bound)
     return _bracketed(coeffs, rev, n, points, tol, fallback)
+
+
+def _floats(coeffs: Sequence | QPoly) -> bool:
+    # whether the straddles of coeffs are signed on their doubles; exact
+    # coefficients (ints, Fractions) go to _near as a QPoly, signed on its
+    # numerators.  Only the lowest coefficient is looked at: a float read
+    # exactly is its double, so a sequence that mixes them is signed
+    # right either way.
+    return not isinstance(coeffs, QPoly) and isinstance(coeffs[0], float)
 
 
 def real_roots_near(coeffs: Sequence, seeds: Sequence,
@@ -497,6 +560,8 @@ def real_roots_near(coeffs: Sequence, seeds: Sequence,
         seeds = sorted([float(v) for v in seeds])
     except OverflowError:
         raise NonFinite("a seed is beyond double range") from None
+    if not _floats(coeffs):
+        coeffs = QPoly.of(coeffs)
     return _near(coeffs, rev, n, seeds, tol, real_roots)
 
 
@@ -515,23 +580,30 @@ def real_roots(coeffs: Sequence, tol: float | None = None) -> tuple[float, ...]:
     rev, n, tol = _float_rev(coeffs, tol)
     if n == 1:
         return (-rev[1] / rev[0],)
-    chain = _sturm_chain(QPoly.of(coeffs).nums)
+    exact = QPoly.of(coeffs)
+    chain = _sturm_chain(exact.nums)
     if len(chain[-1]) > 1 or _real_count(chain) < n:
-        return _isolated(coeffs, tol)
+        return _isolated(exact, tol)
     bound = root_bound(rev[::-1])
     seeds = [-bound * math.cos(math.pi * (k + 0.5) / n) for k in range(n)]
-    return _near(coeffs, rev, n, seeds, tol, _isolated)
+    return _near(coeffs if _floats(coeffs) else exact, rev, n, seeds, tol,
+                 _isolated)
 
 
 def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
                               ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """``real_roots`` and the critical points, the roots of P', found by
-    ``real_roots_bracketed`` between the roots (Rolle)."""
+    ``real_roots_bracketed`` between the roots (Rolle).  A ``QPoly``'s
+    derivative is taken on its numerators."""
     _, n, tol = _float_rev(coeffs, tol)
     roots = real_roots(coeffs, tol)
     if n == 1:
         return roots, ()
-    derivative = [k * v for k, v in enumerate(coeffs)][1:]
+    if isinstance(coeffs, QPoly):
+        derivative = QPoly([k * v for k, v in enumerate(coeffs.nums)][1:],
+                           coeffs.den)
+    else:
+        derivative = [k * v for k, v in enumerate(coeffs)][1:]
     return roots, real_roots_bracketed(derivative, roots, tol)
 
 

@@ -30,9 +30,9 @@ from specpoly.harness import (HUNTS, SUITES, ExperimentConfig,
 
 FLOAT_SUITES = ("allincr", "main1", "main2")
 EXACT_PINNED = (
-    "741307a69b898da8c6f23bd64748a724ee7511640c80d2085130615ca6a4929d")
+    "c20a0e87ab6360b0d148f9c16eb1c23793b8609cf6c2594a03da47f61e817d36")
 FLOAT_PINNED = (
-    "3adca525c8e4cba1512983d62a2b1b74701b35e37af1d22846eecdbe6bdb1f03")
+    "49b8ad96c9fff6fc43407120c93d1142250b1bd404e9a4d37fc3423d8c4a4fec")
 WIRE_PINNED = (
     "1e80163f48925ce5c3a806724f3b79499e711ccd33565dd9429ffc6e0cc283e2")
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import fraction_reference as ref
 import specpoly.roots as roots_module
 from specpoly import from_roots, matching_distance, pencil_at, real_roots
+from specpoly._qpoly import QPoly
 from specpoly.errors import ConfigError, DegreeZero, NonFinite, NotRealRooted
 from specpoly.pencil import pencil_coeffs
 from specpoly.poly import coeff_derivative
@@ -99,6 +100,16 @@ def test_criticals_come_along():
     roots, crits = real_roots_with_criticals([-6, 11, -6, 1])
     assert len(crits) == 2
     assert roots[0] < crits[0] < roots[1] < crits[1] < roots[2]
+
+
+def test_criticals_of_a_qpoly():
+    # the exact kernels hand the root finder a QPoly: its derivative is
+    # taken on the numerators, with the answer of the Fraction tuple
+    assert real_roots_with_criticals(QPoly.of([-1, 0, 1])) == (
+        (-1.0, 1.0), (0.0,))
+    cubic = [Fraction(-6, 5), Fraction(11, 5), Fraction(-6, 5), Fraction(1, 5)]
+    assert (real_roots_with_criticals(QPoly.of(cubic), 1e-12)
+            == real_roots_with_criticals(cubic, 1e-12))
 
 
 def _separated(coeffs, separators, tol=None):
@@ -244,36 +255,6 @@ def test_exact_test_knows_products_of_real_and_quadratic_factors(
 
 # --- the refiner's contract, checked exactly ------------------------------------
 
-def _sturm_value(poly: list, x: Fraction) -> Fraction:
-    value = Fraction(0)
-    for c in reversed(poly):
-        value = value * x + c
-    return value
-
-
-def _roots_up_to(seq: list, x: Fraction) -> int:
-    # distinct real roots <= x: Sturm's count from below every root
-    bound = 1 + max(abs(c / seq[0][-1]) for c in seq[0][:-1])
-
-    def variations(at):
-        signs = [v > 0 for v in (_sturm_value(s, at) for s in seq) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-    return variations(-bound) - variations(x)
-
-
-def _assert_each_within_tol(coeffs, got, tol):
-    # the i-th smallest returned root has the i-th exact root of the given
-    # coefficients within tol: at least i roots up to z + tol and fewer
-    # than i below z - tol
-    seq = sturm_sequence(coeffs)
-    assert len(got) == len(seq[0]) - 1
-    for i, z in enumerate(sorted(got), start=1):
-        above = Fraction(z) + Fraction(tol)
-        below = Fraction(z) - Fraction(tol)
-        under = _roots_up_to(seq, below) - (_sturm_value(seq[0], below) == 0)
-        assert _roots_up_to(seq, above) >= i and under <= i - 1, (i, z)
-
-
 def _strictly_real_rooted(coeffs) -> bool:
     return len(sturm_sequence(coeffs)[-1]) == 1 and is_real_rooted(coeffs)
 
@@ -289,7 +270,8 @@ _root_value = st.one_of(st.integers(-20, 20).map(float),
        st.sampled_from([1e-12, 1e-11, 1e-9]))
 def test_every_root_is_within_tol_of_an_exact_root(picks, scale, tol):
     # the roots of the double coefficients as given, pairs 1e-7 apart
-    # included; the exact roots are counted by a Sturm sequence
+    # included; the exact oracle proves each within tol/2 (and a spacing)
+    # of one of them
     roots = []
     for value, paired in picks:
         roots += [value, value + 1e-7] if paired else [value]
@@ -297,9 +279,9 @@ def test_every_root_is_within_tol_of_an_exact_root(picks, scale, tol):
     assume(len(roots) >= 2)
     coeffs = [scale * c for c in from_roots(roots).coefficients()]
     assume(_strictly_real_rooted(coeffs))
-    _assert_each_within_tol(coeffs, real_roots(coeffs, tol), tol)
+    assert ref.roots_within(coeffs, real_roots(coeffs, tol), tol)
     separators = real_roots(coeff_derivative(coeffs), tol)
-    _assert_each_within_tol(coeffs, _separated(coeffs, separators, tol), tol)
+    assert ref.roots_within(coeffs, _separated(coeffs, separators, tol), tol)
 
 
 # Pencils on which bench/workloads.pencil_oracle caught an earlier finder
@@ -354,27 +336,74 @@ _ORACLE_PENCILS = {
 def test_oracle_pencils_are_within_tol(roots, lam, coeffs):
     p = from_roots(roots)
     assert pencil_coeffs(p, lam) == coeffs
-    _assert_each_within_tol(coeffs, pencil_at(p, lam, 1e-11).roots, 1e-11)
-    _assert_each_within_tol(coeffs, real_roots(coeffs, 1e-11), 1e-11)
+    assert ref.roots_within(coeffs, pencil_at(p, lam, 1e-11).roots, 1e-11)
+    assert ref.roots_within(coeffs, real_roots(coeffs, 1e-11), 1e-11)
 
 
 # --- termination and cost of the refiner ----------------------------------------
 
 def test_tol_below_float_spacing_stops_at_adjacent_floats():
     # no bracket gets narrower than two neighbouring doubles (spacing
-    # 1.1e-13 near 1e3); the refiner stops there, one spacing from a root
+    # 1.1e-13 near 1e3); the refiner stops there, one spacing from a root:
+    # the oracle at tol twice the spacing proves that
     coeffs = from_roots([1000.0, 1000.5, 1001.25]).coefficients()
     spacing = math.ulp(1001.25)
-    _assert_each_within_tol(coeffs, real_roots(coeffs, 1e-300), spacing)
+    within = 2.0 * spacing
+    got = real_roots(coeffs, 1e-300)
+    assert ref.roots_within(coeffs, got, within, spacing=False)
     separators = real_roots(coeff_derivative(coeffs), 1e-300)
     got = _separated(coeffs, separators, 1e-300)
-    _assert_each_within_tol(coeffs, got, spacing)
+    assert ref.roots_within(coeffs, got, within, spacing=False)
 
 
 def _bound_over(rev, lo, hi) -> float:
     return roots_module._roundoff(
         roots_module._eval_with_mag(rev, max(abs(lo), abs(hi)))[1],
         len(rev) - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-99, 99), st.integers(-6, 6),
+                          st.integers(1, 3)), min_size=1, max_size=20),
+       st.integers(-60, 60), st.data())
+def test_horner_stays_within_its_roundoff_bound(picks, decade, data):
+    # plain Horner on the double coefficients of prod (x - m 10^d)^k,
+    # scaled by 10^decade: at each root, its neighbouring doubles and a
+    # double up to 1e5 spacings away, where the sum cancels, and at
+    # points out to four times the largest root, its value is within
+    # _roundoff(mag, n) of the exact value, and a compensated value past
+    # the threshold of _certified has its sign (which near a multiple
+    # root it may not have below that threshold)
+    roots = [m * 10.0 ** d for m, d, k in picks for _ in range(k)][:20]
+    coeffs = [c * 10.0 ** decade for c in from_roots(roots).coefficients()]
+    exact = [Fraction(c) for c in coeffs]
+    rev = coeffs[::-1]
+    n = len(rev) - 1
+    reach = 4.0 * max(abs(r) for r in roots) + 1.0
+    points = [x for r in roots for x in (math.nextafter(r, -math.inf), r,
+                                          math.nextafter(r, math.inf))]
+    points += [r + math.ulp(r) * data.draw(st.integers(-10 ** 5, 10 ** 5))
+               for r in roots]
+    points += [reach, -reach] + data.draw(st.lists(
+        st.floats(-reach, reach), min_size=1, max_size=4))
+    for x in points:
+        value, mag = roots_module._eval_with_mag(rev, x)
+        bound = roots_module._roundoff(mag, n)
+        want = ref.value(exact, Fraction(x))
+        assert abs(Fraction(value) - want) <= Fraction(bound), (x, value)
+        compensated = roots_module._compensated(rev, x)
+        if abs(compensated) > 8.0 * n * math.ulp(1.0) * bound:
+            assert (compensated > 0) == (want > 0), (x, compensated)
+
+
+def test_compensated_sign_inside_its_bound_goes_to_exact_arithmetic():
+    # (x - 3/2)^3, exact doubles, 17 spacings above its root: compensated
+    # Horner gives -9.9e-32 where the value is +5.4e-44, inside the
+    # threshold of _certified, which then signs it exactly
+    rev = [1.0, -4.5, 6.75, -3.375]
+    x = 1.5 + 17 * math.ulp(1.5)
+    assert roots_module._compensated(rev, x) < 0.0
+    assert roots_module._certified(rev, x) > 0.0
 
 
 def test_triple_root_inside_a_bracket(monkeypatch):
@@ -734,7 +763,7 @@ def test_straddled_roots_are_within_tol(grid, tol, data):
     # prove every root of the double coefficients, so the seeds are not
     # polished, no bracket end is evaluated and no bracket refined.  tol
     # stays 8 times above the widest zone where Horner's sign is noise,
-    # since plain Newton cannot settle inside it.  The exact oracle proves
+    # since Newton cannot settle inside it.  The exact oracle proves
     # each root within tol/2 of a root of the double coefficients
     roots = sorted(k / 4 for k in grid)
     coeffs = from_roots(roots).coefficients()
@@ -752,6 +781,72 @@ def test_straddled_roots_are_within_tol(grid, tol, data):
     assert ref.roots_within(coeffs, got, tol, spacing=False), (got, tol)
 
 
+@st.composite
+def _collapsing_starts(draw, roots):
+    # start sets that defeat plain Newton from every start: all equal
+    # (every start reaches the same root), near the roots but in any
+    # order (the points reached do not increase), or near all roots but
+    # the top one, whose start is 10 to 1e9 above it (plain Newton closes
+    # in from there by about 1/n of the distance a step, and from far
+    # above runs out of steps)
+    kind = draw(st.sampled_from(["equal", "shuffled", "far"]))
+    if kind == "equal":
+        return kind, [draw(st.sampled_from(roots)) + 0.1] * len(roots)
+    moves = draw(st.lists(st.floats(-1e-4, 1e-4), min_size=len(roots),
+                          max_size=len(roots)))
+    near = [r * (1.0 + m) for r, m in zip(roots, moves)]
+    if kind == "shuffled":
+        return kind, draw(st.permutations(near))
+    return kind, near[:-1] + [roots[-1] + 10.0 ** draw(st.integers(1, 9))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=12, unique=True),
+       st.sampled_from([1e-12, 1e-11, 1e-9]), st.data())
+def test_deflated_pass_proves_collapsing_starts(grid, tol, data):
+    # the straddle pass alone, with no polish and no bracket.  Maehly's
+    # deflation pushes each start off the points reached before it: the
+    # far start, once all roots below it are found, has a linear Newton
+    # map, and two equal starts on a quadratic (off its critical point,
+    # which is on the eighth grid) reach its two roots.  So those and the
+    # shuffled starts must be proven; from more equal starts the pass may
+    # decline.  Whatever it returns, the exact oracle proves within tol/2
+    # of the roots of the double coefficients
+    roots = sorted(k / 4 for k in grid)
+    coeffs = from_roots(roots).coefficients()
+    assume(_strictly_real_rooted(coeffs))
+    tol = max(tol, 8.0 * max(_noise_zone(coeffs, r) for r in roots))
+    kind, starts = data.draw(_collapsing_starts(roots))
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_aberth", "_values", "_refine"):
+            patch.setattr(roots_module, name, _no_brackets)
+        got = roots_module._straddled(list(coeffs[::-1]), starts, tol)
+    if kind != "equal" or len(roots) == 2:
+        assert got is not None, (kind, starts, tol)
+    if got is not None:
+        assert ref.roots_within(coeffs, got, tol, spacing=False), (got, tol)
+
+
+def test_straddle_signs_exact_coefficients_as_given():
+    # (x - 1/5)(x - 1/5 - 2^-45): rounding its coefficients to doubles
+    # splits the pair 2.8e-14 apart into real roots 4.2e-9 apart, which a
+    # straddle on the doubles proves.  Signed on the exact numerators the
+    # same points prove nothing, and what answers is within tol/2 of the
+    # roots of the coefficients as given
+    roots = [Fraction(1, 5), Fraction(1, 5) + Fraction(1, 2 ** 45)]
+    coeffs = from_roots(roots, "rational").coefficients()
+    doubles = [float(c) for c in coeffs]
+    split = real_roots(doubles, 1e-9)
+    assert split[1] - split[0] > 4e-9
+    rev = doubles[::-1]
+    assert roots_module._straddled(rev, list(split), 1e-9) == split
+    nums = QPoly.of(coeffs).nums
+    assert roots_module._straddled(rev, list(split), 1e-9, nums) is None
+    for got in (real_roots(coeffs, 1e-9), real_roots_near(coeffs, split, 1e-9),
+                real_roots_near(QPoly.of(coeffs), split, 1e-9)):
+        assert ref.roots_within(coeffs, got, 1e-9)
+
+
 def _record_straddles(monkeypatch) -> list:
     # what each straddle attempt returned (None: it fell back)
     outcomes = []
@@ -767,10 +862,9 @@ def _record_straddles(monkeypatch) -> list:
 @pytest.mark.parametrize("roots, seeds, tol", [
     ((1.0, 2.0, 3.0), [1.0, 1.0, 3.0], 1e-12),          # two on one root
     ((1.0, 2.0, 3.0), [1.1, math.nan, 2.9], 1e-12),
-    ((1.0, 2.0, 3.0), [1.1, 2.1, 1e9], 1e-12),          # far outside
     ((-2.0, 1.0, 1.0), [-2.1, 0.9, 1.1], 1e-12),        # a double root
     ((-1e6, 1e6), [-1e6 + 0.5, 1e6 - 0.5], 1e-11),      # below the spacing
-], ids=["two-on-one", "nan", "far", "double", "spacing"])
+], ids=["two-on-one", "nan", "double", "spacing"])
 def test_adversarial_starts_fall_back(monkeypatch, roots, seeds, tol):
     # each seed set fails the straddle certificate as given, and the
     # polished seeds, the brackets or, at the double root, real_roots
@@ -786,6 +880,20 @@ def test_adversarial_starts_fall_back(monkeypatch, roots, seeds, tol):
     for g, w, r in zip(got, want, roots):
         assert abs(g - r) <= max(tol / 2, math.ulp(r))
         assert abs(w - r) <= max(tol / 2, math.ulp(r))
+
+
+def test_far_start_is_proven_on_the_first_pass(monkeypatch):
+    # roots 1, 2, 3 and seeds 1.1, 2.1, 1e9: once the two near starts have
+    # reached 1 and 2, the deflated Newton map of the far start is linear,
+    # so it reaches 3 and the first straddle pass proves all three, with
+    # no Aberth sweep and no bracket
+    for name in ("_aberth", "_values", "_refine"):
+        monkeypatch.setattr(roots_module, name, _no_brackets)
+    outcomes = _record_straddles(monkeypatch)
+    coeffs = from_roots((1.0, 2.0, 3.0)).coefficients()
+    got = real_roots_near(coeffs, [1.1, 2.1, 1e9], 1e-12)
+    assert outcomes == [got]
+    assert ref.roots_within(coeffs, got, 1e-12, spacing=False)
 
 
 def test_near_seeds_are_proven_without_a_polish(monkeypatch):
