@@ -41,8 +41,8 @@ numerators.  Yun's square-free decomposition (1976) on integer
 numerators gives factors of known multiplicity, and exact Sturm counts
 on dyadic points bisect the real roots of each to intervals at most tol
 wide.  It reports k roots at an interval only when the exact count there
-is k, and raises ``NotRealRooted`` only when the count proves a root
-that is not real.
+is k, a root on a bisection point as that point itself, and raises
+``NotRealRooted`` only when the count proves a root that is not real.
 
 So no root is guessed: each is within tol/2 (or one float spacing, if
 that is more) of a root of the coefficients as given when a straddle or
@@ -346,23 +346,44 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
     # round: each by at most eps/2 |a_k|, so Horner's value is off from
     # the exact one by at most the roundoff bound at degree n + 1, and
     # inside that bound the sign is taken on the integers.
+    #
+    # Nearly all of the seeded path's time is spent in the two loops
+    # below, so they are written out here rather than calling
+    # _eval_with_slope and _roundoff: calling a helper once per Newton
+    # step, even one with the same loop, cost 3.6% of the pencil-sweep
+    # benchmark's trials/s, lost in 6 of 6 alternating pairs.  Each
+    # Horner recurrence starts past the leading coefficient a_n.  Its
+    # first two steps from zero are exact at any finite x (0 x + 0 = 0,
+    # then 0 x + a_n = a_n), so starting from slope = a_n,
+    # P = a_n x + a_{n-1}, a = b = a_n and mag = |a_n| gives the same
+    # doubles as the full recurrence (a start that reaches a non-finite
+    # x fails either way), and the hoisted roundoff factor keeps
+    # _roundoff's association.
     stop = 0.05 * tol
     half = 0.45 * tol
+    lead = rev[0]
+    second = rev[1]
+    tail = rev[2:]
     found = []
     try:
         for x in starts:
             last = math.inf
             for _ in range(_NEWTON):
-                f, slope = _eval_with_slope(rev, x)
-                pull = 0.0
-                for z in found:
-                    pull += 1.0 / (x - z)
-                slope -= f * pull
+                slope = lead
+                f = lead * x + second
+                for c in tail:
+                    slope = slope * x + f
+                    f = f * x + c
+                if found:
+                    pull = 0.0
+                    for z in found:
+                        pull += 1.0 / (x - z)
+                    slope -= f * pull
                 if not slope:
                     return None
                 step = f / slope
                 x -= step
-                size = abs(step)
+                size = step if step > 0.0 else -step
                 if size <= stop or not size < last and size <= half:
                     break
                 last = size
@@ -383,17 +404,20 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
     # Both ends in one Horner pass, with sum |a_k||x|^k at the end farther
     # from 0: it grows with |x|, so its roundoff bound covers both ends.
     degree = len(rev) - 1 if nums is None else len(rev)
-    sizes = [abs(c) for c in rev]
+    factor = 1.01 * degree * _EPS
+    lead_size = abs(lead)
+    pairs = [(c, abs(c)) for c in rev[1:]]
     for x in found:
         lo = x - half
         hi = x + half
         far = hi if hi > -lo else -lo
-        a = b = mag = 0.0
-        for c, size in zip(rev, sizes):
+        a = b = lead
+        mag = lead_size
+        for c, size in pairs:
             a = a * lo + c
             b = b * hi + c
             mag = mag * far + size
-        bound = _roundoff(mag, degree)
+        bound = factor * mag + 1e-300
         if -bound <= a <= bound:
             a = _certified(rev, lo, a) if nums is None else _sign(nums, lo)
         if -bound <= b <= bound:
@@ -483,7 +507,7 @@ def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
     """
     rev, n, tol = _float_rev(coeffs, tol)
     if n == 1:
-        return (-rev[1] / rev[0],)
+        return (-rev[1] / rev[0] + 0.0,)
     if len(points) != n + 1:
         raise ValueError(f"need {n + 1} bracket ends")
     return _bracketed(coeffs, rev, n, points, tol, real_roots)
@@ -508,7 +532,7 @@ def _near(coeffs: Sequence | QPoly, rev: list[float], n: int,
                  if k < n else ())
         return tuple(sorted((0.0,) * k + inner))
     if n == 1:
-        return (-rev[1] / rev[0],)
+        return (-rev[1] / rev[0] + 0.0,)
     m = len(seeds) - n
     if m < 0:
         return fallback(coeffs, tol)
@@ -579,7 +603,7 @@ def real_roots(coeffs: Sequence, tol: float | None = None) -> tuple[float, ...]:
     """
     rev, n, tol = _float_rev(coeffs, tol)
     if n == 1:
-        return (-rev[1] / rev[0],)
+        return (-rev[1] / rev[0] + 0.0,)
     exact = QPoly.of(coeffs)
     chain = _sturm_chain(exact.nums)
     if len(chain[-1]) > 1 or _real_count(chain) < n:
@@ -780,7 +804,8 @@ def _isolated(coeffs: Sequence, tol: float) -> tuple[float, ...]:
 
 def _factor_roots(a: list[int], tol: float) -> list[float]:
     # the real roots of a square-free integer polynomial, each within
-    # tol/2 (or one float spacing) as its interval's midpoint; every one
+    # tol/2 (or one float spacing) as its interval's midpoint, or exactly
+    # as the interval's closed end where the factor vanishes; every one
     # of them real, or NotRealRooted
     degree = len(a) - 1
     if degree == 1:
@@ -802,7 +827,13 @@ def _factor_roots(a: list[int], tol: float) -> list[float]:
         lo, hi, e, v_lo, v_hi = stack.pop()
         count = v_lo - v_hi
         if count and _done(math.ldexp(width, -e), lo + hi, e + 1, tol):
-            roots += [(lo + hi) / (1 << e + 1)] * count
+            # a bisection point stays the closed end hi of the intervals
+            # after it, so a dyadic root (an integer root of a multiple
+            # factor, say) ends there and is reported as itself
+            if count == 1 and _value(a, hi, e) == 0:
+                roots.append(hi / (1 << e))
+            else:
+                roots += [(lo + hi) / (1 << e + 1)] * count
         elif count:
             mid = lo + hi
             v_mid = _sturm_variations(chain, mid, e + 1)

@@ -312,56 +312,130 @@ def random_comparable_pair(rng, n, budget, exact, bound=10, min_gap=None):
 
 # --- an exact root oracle -------------------------------------------------
 #
-# Decides, on Fractions alone, whether a returned root tuple is within
+# Decides, on integers alone, whether a returned root tuple is within
 # tol/2 of the roots of the coefficients: floats are read as the rationals
-# they store.  It shares no code with ``specpoly._qpoly`` or
-# ``specpoly.roots``, so that a root test is not the library checking
-# itself.
+# they store, and the coefficients become integer numerators over one
+# positive denominator, which has the same roots and the same signs.
+# Every sign below is that of a positive multiple of the value it stands
+# for, so the Sturm counts are the classical ones.  It shares no code
+# with ``specpoly._qpoly`` or ``specpoly.roots``, so that a root test is
+# not the library checking itself.
 
-def value(coeffs, x):
-    """P(x) by Horner, low-degree-first coefficients."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+def _integers(coeffs) -> tuple:
+    """(numerators, denominator): P times the lcm of its denominators,
+    low degree first, with top zeros removed."""
+    p = [Fraction(c) for c in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    den = math.lcm(*(c.denominator for c in p))
+    return [c.numerator * (den // c.denominator) for c in p], den
+
+
+def _homogeneous(nums: list, x: Fraction) -> int:
+    """q^d P(p/q) for x = p/q (q > 0), d = deg P: an integer with the sign
+    of P(x)."""
+    p, q = x.numerator, x.denominator
+    acc = 0
+    scale = 1
+    for c in reversed(nums):
+        acc = acc * p + c * scale
+        scale *= q
     return acc
 
 
-def quotient(num: list, den: list) -> list:
-    """num / den for a den that divides num, low degree first."""
+def value(coeffs, x):
+    """P(x) exactly, low-degree-first coefficients, by Horner on integer
+    numerators."""
+    nums, den = _integers(coeffs)
+    if not nums:
+        return Fraction(0)
+    x = Fraction(x)
+    return Fraction(_homogeneous(nums, x),
+                    den * x.denominator ** (len(nums) - 1))
+
+
+def _primitive_part(p: list) -> list:
+    g = math.gcd(*p)
+    return [v // g for v in p] if g > 1 else p
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """A positive multiple of the remainder of a / b, deg a >= deg b:
+    lead(b)^k a - Q b with k = deg a - deg b + 1 (Knuth's Algorithm R),
+    negated when the factor lead(b)^k is negative."""
+    d = len(b) - 1
+    k = len(a) - d
+    r = list(a)
+    lead = b[-1]
+    for shift in reversed(range(k)):
+        top = r[shift + d]
+        r = [lead * v for v in r]
+        for i, v in enumerate(b):
+            r[shift + i] -= top * v
+    r = r[:d]
+    if lead < 0 and k % 2:
+        r = [-v for v in r]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _divided(num: list, den: list) -> list:
+    """num / den for a primitive den that divides num: by Gauss's lemma
+    the quotient has integer coefficients, so each step divides exactly."""
     r = list(num)
-    top = len(den) - 1
-    q = [Fraction(0)] * (len(num) - top)
+    d = len(den) - 1
+    q = [0] * (len(num) - d)
     for shift in reversed(range(len(q))):
-        q[shift] = r[shift + top] / den[-1]
-        for i, d in enumerate(den):
-            r[shift + i] -= q[shift] * d
+        c, rest = divmod(r[shift + d], den[-1])
+        assert rest == 0, "the divisor does not divide"
+        q[shift] = c
+        for i, v in enumerate(den):
+            r[shift + i] -= c * v
     return q
 
 
-def _distinct_roots_in(p, lo, hi) -> tuple:
+def _integer_sturm(nums: list) -> list:
+    """P, P', then minus the remainder of the two before, each a positive
+    multiple of the classical Sturm sequence entry."""
+    seq = [nums]
+    dp = derivative(nums)
+    while dp:
+        seq.append(dp)
+        r = _pseudo_remainder(seq[-2], seq[-1])
+        dp = _primitive_part([-v for v in r]) if r else []
+    return seq
+
+
+def _distinct_roots_in(nums, lo, hi) -> tuple:
     # the distinct real roots of P in [lo, hi] by Sturm's theorem, on the
     # sequence over gcd(P, P') (it vanishes at no multiple root), and
     # the gcd
-    seq = sturm_sequence(p)
-    gcd = seq[-1]
-    seq = [quotient(s, gcd) for s in seq]
+    seq = _integer_sturm(nums)
+    gcd = _primitive_part(seq[-1])
+    seq = [_divided(s, gcd) for s in seq]
 
     def variations(at):
-        signs = [v > 0 for v in (value(s, at) for s in seq) if v]
+        signs = [v > 0 for v in (_homogeneous(s, at) for s in seq) if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
-    return variations(lo) - variations(hi) + (value(seq[0], lo) == 0), gcd
+    return (variations(lo) - variations(hi)
+            + (_homogeneous(seq[0], lo) == 0)), gcd
+
+
+def _count(nums: list, lo: Fraction, hi: Fraction) -> int:
+    # roots_in on integer numerators
+    count = 0
+    while len(nums) > 1:
+        distinct, nums = _distinct_roots_in(nums, lo, hi)
+        count += distinct
+    return count
 
 
 def roots_in(coeffs, lo, hi) -> int:
     """The roots of P in [lo, hi], counted with multiplicity: a root of
     multiplicity m is a distinct root of P, of gcd(P, P'), and so on, m
     times over."""
-    count = 0
-    p = [Fraction(c) for c in coeffs]
-    while len(p) > 1:
-        distinct, p = _distinct_roots_in(p, lo, hi)
-        count += distinct
-    return count
+    return _count(_integers(coeffs)[0], Fraction(lo), Fraction(hi))
 
 
 def roots_within(coeffs, got, tol, spacing=True) -> bool:
@@ -370,14 +444,12 @@ def roots_within(coeffs, got, tol, spacing=True) -> bool:
     with ``spacing``): one on each interval that overlaps no other, and
     k, with multiplicity, on the union of a run of k that overlap.
 
-    A lone interval needs a sign change of P, by Fraction Horner; a run
-    needs its count, by Sturm sequences.  The intervals are disjoint and
-    hold n roots between them, so every complex root of P is accounted
-    for: a lone root is within r of its own entry.
+    A lone interval needs a sign change of P, by Horner on integers; a
+    run needs its count, by Sturm sequences.  The intervals are disjoint
+    and hold n roots between them, so every complex root of P is
+    accounted for: a lone root is within r of its own entry.
     """
-    p = [Fraction(c) for c in coeffs]
-    while p and p[-1] == 0:
-        p.pop()
+    p = _integers(coeffs)[0]
     if len(got) != len(p) - 1:
         return False
     half = Fraction(tol) / 2
@@ -391,8 +463,8 @@ def roots_within(coeffs, got, tol, spacing=True) -> bool:
             spans.append([lo, hi, 1])
     for lo, hi, k in spans:
         if k == 1:
-            if value(p, lo) * value(p, hi) > 0:
+            if _homogeneous(p, lo) * _homogeneous(p, hi) > 0:
                 return False
-        elif roots_in(p, lo, hi) != k:
+        elif _count(p, lo, hi) != k:
             return False
     return True

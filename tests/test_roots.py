@@ -908,3 +908,135 @@ def test_near_seeds_are_proven_without_a_polish(monkeypatch):
     got = real_roots_near(coeffs, seeds, 1e-12)
     for g, r in zip(got, roots):
         assert abs(g - r) <= 0.5e-12
+
+
+# --- the straddle kernel keeps its bits -----------------------------------------
+
+def _straddled_reference(rev, starts, tol, nums=None):
+    # the straddle pass in its plain form: P and P' by _eval_with_slope,
+    # the Maehly pull summed from 0.0 on every step, and the certificate's
+    # Horner loops started from acc = 0.0 at the leading coefficient
+    stop = 0.05 * tol
+    half = 0.45 * tol
+    found = []
+    try:
+        for x in starts:
+            last = math.inf
+            for _ in range(roots_module._NEWTON):
+                f, slope = roots_module._eval_with_slope(rev, x)
+                pull = 0.0
+                for z in found:
+                    pull += 1.0 / (x - z)
+                slope -= f * pull
+                if not slope:
+                    return None
+                step = f / slope
+                x -= step
+                size = abs(step)
+                if size <= stop or not size < last and size <= half:
+                    break
+                last = size
+            else:
+                return None
+            found.append(x)
+    except ZeroDivisionError:
+        return None
+    found.sort()
+    edge = -math.inf
+    for x in found:
+        lo, hi = x - half, x + half
+        if not edge < lo < hi or tol < 32.0 * math.ulp(x):
+            return None
+        edge = hi
+    degree = len(rev) - 1 if nums is None else len(rev)
+    for x in found:
+        lo, hi = x - half, x + half
+        far = hi if hi > -lo else -lo
+        a = b = mag = 0.0
+        for c in rev:
+            a = a * lo + c
+            b = b * hi + c
+            mag = mag * far + abs(c)
+        bound = roots_module._roundoff(mag, degree)
+        if -bound <= a <= bound:
+            a = (roots_module._certified(rev, lo, a) if nums is None
+                 else roots_module._sign(nums, lo))
+        if -bound <= b <= bound:
+            b = (roots_module._certified(rev, hi, b) if nums is None
+                 else roots_module._sign(nums, hi))
+        if not (a < 0.0 < b or b < 0.0 < a):
+            return None
+    return tuple(found)
+
+
+def _bits(got):
+    return None if got is None else tuple(v.hex() for v in got)
+
+
+@st.composite
+def _kernel_starts(draw, roots):
+    # near the roots, far above them, colliding on one point, shuffled,
+    # or not numbers at all
+    kind = draw(st.sampled_from(["near", "far", "colliding", "shuffled",
+                                 "nan"]))
+    n = len(roots)
+    moves = draw(st.lists(st.floats(-1e-3, 1e-3), min_size=n, max_size=n))
+    near = [r + m * (1.0 + abs(r)) for r, m in zip(roots, moves)]
+    if kind == "far":
+        return near[:-1] + [roots[-1] + 10.0 ** draw(st.integers(1, 9))]
+    if kind == "colliding":
+        return [draw(st.sampled_from(roots)) + 0.1] * n
+    if kind == "shuffled":
+        return draw(st.permutations(near))
+    if kind == "nan":
+        return [math.nan] * n
+    return near
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 3)),
+                min_size=1, max_size=12, unique_by=lambda pick: pick[0]),
+       st.sampled_from([4, 3, 7]),
+       st.one_of(st.integers(0, 30), st.floats(1e-13, 1e-6)),
+       st.booleans(), st.data())
+def test_straddle_kernel_matches_its_plain_form_bit_for_bit(
+        picks, scale, tol, exact, data):
+    # the inline Horner loops of _straddled start past the leading
+    # coefficient and sum the pull only once a point is found; every
+    # iterate, and so every root and every None, must be the plain
+    # form's to the bit.  Degrees 1-12 with multiplicities, roots k /
+    # scale (rounded coefficients when scale is no power of two), tol
+    # from 32 float spacings of the largest root (times 2^k) up to 1e-6,
+    # with and without the exact numerators
+    roots = sorted(Fraction(k, scale) for k, m in picks for _ in range(m))[:12]
+    coeffs = from_roots(roots, "rational").coefficients()
+    rev = [float(c) for c in reversed(coeffs)]
+    if isinstance(tol, int):
+        tol = 32.0 * math.ulp(float(max(abs(r) for r in roots))) * 2.0 ** tol
+    nums = QPoly.of(coeffs).nums if exact else None
+    starts = data.draw(_kernel_starts([float(r) for r in roots]))
+    want = _straddled_reference(rev, list(starts), tol, nums)
+    got = roots_module._straddled(rev, list(starts), tol, nums)
+    assert _bits(got) == _bits(want), (starts, tol)
+
+
+def test_exact_terminal_reports_dyadic_roots_exactly():
+    # 0..9, each doubled: the exact terminal answers, and each root is a
+    # bisection point that stays the closed end of its interval, so it is
+    # reported as itself, not as the midpoint k - 2^-27 of the last
+    # interval
+    want = tuple(float(k) for k in range(10) for _ in range(2))
+    coeffs = from_roots(want).coefficients()
+    assert real_roots(coeffs) == want
+    assert real_roots([Fraction(c) for c in coeffs]) == want
+
+
+def test_a_degree_one_root_at_zero_is_positive_zero():
+    # -0.0 / a is -0.0, and so is a quotient that underflows from below:
+    # each degree-1 return adds 0.0, as the terminal does, so a report
+    # never prints -0.0
+    for got in (real_roots([0, 1])[0], real_roots([0.0, -2.0])[0],
+                real_roots_bracketed([0, 1], [-1.0, 1.0])[0],
+                real_roots_near([1e-300, 1e300], [0.0])[0],
+                real_roots_with_criticals([-1, 0, 1])[1][0]):
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
