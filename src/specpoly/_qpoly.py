@@ -23,8 +23,9 @@ Rational-mode root-tuple work (majorization, hinge probes, contraction
 chains, doubly stochastic witnesses, random pair draws) does the same:
 ``numerators`` puts the tuples of one call over their least common
 denominator L, the loops compare and add the integers value * L, and a
-``Fraction`` is built only for a scalar that is handed back.  Float mode
-runs the same loops on its doubles with L = 1.
+``Fraction`` is built only for a scalar that is handed back.  All-int
+tuples are their own numerators, with L = 1.  Float mode runs the same
+loops on its doubles with L = 1.
 """
 
 from __future__ import annotations
@@ -74,15 +75,26 @@ def numerators(*tuples, exact: bool = True) -> tuple:
 
     Exact tuples (ints, Fractions, or floats read as the rationals they
     store) go over the least common denominator L of their entries, as
-    integers value * L.  With ``exact=False`` the values are kept as
-    they are and L is 1.
+    integers value * L; all-int tuples are kept as they are, with L = 1,
+    without a ratio per entry.  With ``exact=False`` the values are kept
+    as they are and L is 1.
     """
-    if not exact:
+    if not exact or _all_int(tuples):
         return [list(t) for t in tuples], 1
     ratios = [[v.as_integer_ratio() for v in t] for t in tuples]
     # star-args from a list: a generator here grows the tuple free lists
     den = math.lcm(*[d for r in ratios for _, d in r])
     return [[n * (den // d) for n, d in r] for r in ratios], den
+
+
+def _all_int(tuples) -> bool:
+    # exactly int, so a bool goes through as_integer_ratio and comes back
+    # an int; a plain loop is the fastest test that stops at the first miss
+    for t in tuples:
+        for v in t:
+            if type(v) is not int:
+                return False
+    return True
 
 
 def is_exact_all(values) -> bool:

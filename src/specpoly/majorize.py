@@ -12,11 +12,14 @@ of the T-transforms of the ``first_transfer`` stages, built without
 In rational mode each call puts its tuples over their least common
 denominator L (``_qpoly.numerators``) and runs its loops on the integer
 numerators: partial sums, hinge values and the witness's T-transform
-product, whose rows each carry their own denominator.  ``Fraction``
-values are built only for what is handed back, and a returned scalar is
-a ``Fraction`` exactly when the plain scalar loop would give one (all-int
+product, whose rows each carry their own denominator.  The hinge values
+come from one ascending sweep with running sums.  ``Fraction`` values are
+built only for what is handed back, and a returned scalar is a
+``Fraction`` exactly when the plain scalar loop would give one (all-int
 tuples give int partial sums).  Float mode runs the same loops on the
-doubles with L = 1.
+doubles with L = 1, each hinge summed term by term as written, and
+refuses a tuple with a non-finite entry or an overflowing sum
+(``NonFinite``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Optional, Sequence
 
 from ._qpoly import numerators
 from .errors import (DomainViolation, EmptyTuple, FloatModeUnsupported,
-                     LengthMismatch, NotMajorized)
+                     LengthMismatch, NonFinite, NotMajorized)
 from .poly import HyperbolicPoly
 from .scalars import (RATIONAL, Scalar, check_tol, infer_mode,
                       require_same_mode)
@@ -87,7 +90,13 @@ def scaled_tol(rel: float, *tuples) -> float:
 
 def _prepare(x, y, tol):
     """Both tuples, their sorted numerators over one denominator L (the
-    values themselves and L = 1 in float mode), the mode and the tolerance."""
+    values themselves and L = 1 in float mode), the mode, the tolerance
+    and the sums of the numerators.
+
+    A float tuple with a non-finite entry is refused: its sum is then
+    non-finite, so one test per sum covers every entry (and refuses a sum
+    that overflows, which would leave no partial sum to compare).
+    """
     xs = _tuple_of(x)
     ys = _tuple_of(y)
     if len(xs) != len(ys):
@@ -102,7 +111,11 @@ def _prepare(x, y, tol):
     (nx, ny), den = numerators(xs, ys, exact=exact)
     nx.sort()
     ny.sort()
-    return xs, ys, nx, ny, den, exact, tol
+    sx, sy = sum(nx), sum(ny)
+    if not exact and not (math.isfinite(sx) and math.isfinite(sy)):
+        raise NonFinite("a float tuple holds a non-finite entry, or its "
+                        "sum overflows")
+    return xs, ys, nx, ny, den, exact, tol, sx, sy
 
 
 def _handed_back(v, den: int, fraction: bool) -> Scalar:
@@ -120,10 +133,14 @@ def check_majorization(x, y, tol: Optional[Scalar] = None,
     forced to zero.  Slacks in [-tol, 0) are absorbed into a Less verdict
     (operator images computed through root finding carry that much noise).
     """
-    xs, ys, nx, ny, den, exact, tol = _prepare(x, y, tol)
+    return _certificate(*_prepare(x, y, tol))
+
+
+def _certificate(xs, ys, nx, ny, den, exact, tol, sx, sy,
+                 ) -> MajorizationCertificate:
     lim = 0 if exact else tol
     n = len(nx)
-    residual = sum(nx) - sum(ny)
+    residual = sx - sy
 
     slacks = []
     tx = 0 * residual
@@ -203,28 +220,53 @@ def hinge_oracle(x, y, tol: Optional[Scalar] = None) -> ConvexProbeReport:
     t in X union Y, plus the sum-equality probe.  For equal sums this
     family of convex functions is decisive, because the slack function of
     t is piecewise linear with kinks only at those points.
+
+    In rational mode all hinge values come from one ascending sweep over
+    the sorted numerators (``_hinge_sweep``).
     """
-    xs, ys, nx, ny, den, exact, tol = _prepare(x, y, tol)
+    xs, ys, nx, ny, den, exact, tol, sx, sy = _prepare(x, y, tol)
     lim = 0 if exact else tol
     fsx, fsy, kinds = _hinge_kinds(xs, ys, exact)
     results = []
 
-    sx, sy = sum(nx), sum(ny)
     results.append(ProbeResult("sum", _handed_back(sx, den, fsx),
                                _handed_back(sy, den, fsy),
                                abs(sx - sy) <= lim))
 
-    zero = sx * 0
-    for t in sorted(set(nx) | set(ny)):
-        # each term is max(v - t, zero), spelled out without the call
-        vx = sum([zero if zero > (d := v - t) else d for v in nx])
-        vy = sum([zero if zero > (d := v - t) else d for v in ny])
+    kinks = sorted(set(nx) | set(ny))
+    if exact:
+        hx, hy = _hinge_sweep(nx, sx, kinks), _hinge_sweep(ny, sy, kinks)
+    else:
+        # Float mode sums each hinge term by term, as written: a running
+        # sum rounds differently, and a float input keeps its arithmetic.
+        # Each term is max(v - t, zero), spelled out without the call.
+        zero = sx * 0
+        hx = [sum([zero if zero > (d := v - t) else d for v in nx])
+              for t in kinks]
+        hy = [sum([zero if zero > (d := v - t) else d for v in ny])
+              for t in kinks]
+    for t, vx, vy in zip(kinks, hx, hy):
         fvx, fvy = kinds(t)
         results.append(ProbeResult(
             f"hinge(t={t if den == 1 else Fraction(t, den)})",
             _handed_back(vx, den, fvx), _handed_back(vy, den, fvy),
             vx <= vy + lim))
     return ConvexProbeReport(tuple(results))
+
+
+def _hinge_sweep(nums: list, total: int, kinks: list) -> list:
+    """sum(max(v - t, 0)) over sorted integers ``nums`` (summing to
+    ``total``) at each of the ascending ``kinks``, in one sweep: with s
+    the sum and c the count of the entries >= t, the value is s - c t."""
+    values = []
+    s, c, i = total, len(nums), 0
+    for t in kinks:
+        while c and nums[i] < t:
+            s -= nums[i]
+            c -= 1
+            i += 1
+        values.append(s - c * t)
+    return values
 
 
 # --- optimal matching distance ----------------------------------------------
@@ -361,10 +403,11 @@ def build_witness(x, y) -> DoublyStochasticWitness:
     n - 1 factors.  Independent of the chains of ``contract``; the result
     is validated before it is returned.  Rational mode only.
     """
-    xs, ys, nx, ny, _, exact, _ = _prepare(x, y, None)
+    prepared = _prepare(x, y, None)
+    xs, ys, nx, ny, _, exact, *_ = prepared
     if not exact:
         raise FloatModeUnsupported("witness construction requires exact mode")
-    cert = check_majorization(xs, ys)
+    cert = _certificate(*prepared)
     if not cert.comparable:
         raise NotMajorized(f"verdict {cert.verdict.value}")
 

@@ -14,7 +14,7 @@ from specpoly import (DoublyStochasticWitness, Verdict, build_witness,
                       xlogx)
 from specpoly.errors import (ConfigError, DomainViolation, EmptyTuple,
                              FloatModeUnsupported, LengthMismatch,
-                             ModeMismatch, NotMajorized)
+                             ModeMismatch, NonFinite, NotMajorized)
 from specpoly.majorize import _TransformProduct, probe_valid
 
 
@@ -64,6 +64,38 @@ def test_length_and_mode_errors():
         check_majorization((1,), (1, 2))
     with pytest.raises(ModeMismatch):
         check_majorization((1.0, 2.0), (Fraction(1), Fraction(2)))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("x, y", [
+    ((_NAN, 1.0), (1.0, 1.0)),      # read Less with a NaN residual
+    ((_INF, 1.0), (1.0, 1.0)),      # read Equal at tol inf
+    ((1.0, 1.0), (-_INF, 3.0)),
+    ((_INF, -_INF), (0.0, 0.0)),    # infinities that cancel to a NaN sum
+    ((_INF, 1.0), (_INF, 1.0)),
+    ((1e308, 1e308), (1e308, 1e308)),   # sums overflow
+])
+@pytest.mark.parametrize("tol", [None, 1e-6])
+def test_float_mode_refuses_non_finite_entries(x, y, tol):
+    with pytest.raises(NonFinite):
+        check_majorization(x, y, tol)
+    with pytest.raises(NonFinite):
+        hinge_oracle(x, y, tol)
+    with pytest.raises(NonFinite):
+        build_witness(x, y)
+    with pytest.raises(NonFinite):
+        check_majorization(y, x, tol)
+
+
+def test_float_sums_whose_difference_overflows_are_not_refused():
+    # both sums are finite (+-1.5e308); only their difference overflows
+    x, y = (1e308, 5e307), (-1e308, -5e307)
+    assert check_majorization(x, y).verdict is Verdict.SUM_MISMATCH
+    assert not hinge_oracle(x, y).probes[0].satisfied
+    with pytest.raises(FloatModeUnsupported):
+        build_witness(x, y)
 
 
 def test_float_boundary_absorbed_into_less():

@@ -21,6 +21,7 @@ from specpoly import (ContractionChain, ContractionStep, HyperbolicPoly,
                       build_witness, check_majorization, decompose_majorization,
                       discrepancy, expand_transfer, hinge_oracle,
                       random_comparable_pair, random_hyperbolic, strictness)
+from specpoly._qpoly import numerators
 from specpoly.scalars import FLOAT, RATIONAL
 from specpoly.serialize import (certificate_to_json, chain_to_json,
                                 witness_to_json)
@@ -82,6 +83,18 @@ def test_hinge_values_match_the_fraction_loop(pair):
     want = ref.hinge_values(xs, ys)
     assert [row[0] for row in got] == [row[0] for row in want]
     assert all(_same(g[1:], w[1:]) for g, w in zip(got, want))
+
+
+def test_all_int_tuples_are_their_own_numerators():
+    # fresh lists over L = 1, since the checks sort them in place; a bool
+    # takes the ratio path and comes back an int
+    xs = [3, -1, 2]
+    (nx, ny), den = numerators(xs, (True, 0, False))
+    assert den == 1 and nx == xs and nx is not xs
+    assert _same(ny, [1, 0, 0])
+    check_majorization(xs, [2, 2, 0])
+    hinge_oracle(xs, [2, 2, 0])
+    assert xs == [3, -1, 2]
 
 
 @st.composite
