@@ -42,9 +42,10 @@ from . import serialize
 from .contract import (DEFAULT_STEP_CAP, decompose_majorization,
                        random_comparable_pair)
 from .errors import ChainTooLong, ConfigError, UnknownSuite
-from .lpops import (DiffOperator, LPFunction, MultiplierSequence, appell,
+from .lpops import (DiffOperator, LPFunction, MultiplierSequence,
                     deformation_leq, gaussian_coeffs, laguerre_closed_form,
-                    laguerre_ms, multiplier_apply, shift_pencil)
+                    laguerre_ms, monomial_image, multiplier_apply,
+                    shift_pencil)
 from .majorize import (check_majorization, hinge, power, probe_valid,
                        scaled_tol, schur_eval, signed_power, xlogx)
 from .pencil import default_grid, pencil_path, scan_monotonicity
@@ -308,8 +309,8 @@ def _check_appell_min(inputs):
         return False, _cert_margin(origin), {
             "part": "x^n below P",
             "certificate": serialize.certificate_to_json(origin)}
-    ap = real_roots(appell(phi, n, normalized=True), ROOT_TOL)
     op = DiffOperator.from_function(phi, n)
+    ap = real_roots(monomial_image(op, n), ROOT_TOL)
     [img] = _image_roots(p.roots, op.apply_coeffs(p.coeff_vector()))
     ok, margin, details = _check_order(ap, img, inputs["rel_tol"])
     return ok, min(margin, _cert_margin(origin)), details

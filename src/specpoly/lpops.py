@@ -4,17 +4,24 @@ An ``LPFunction`` stores the parameters (c, m, a, b, alphas) of
 c x^m e^{-a^2 x^2 + b x} prod (1 - alpha_k x) e^{alpha_k x}, with the
 canonical product truncated to finitely many factors (any action on a
 degree-n polynomial only sees the Maclaurin prefix, and the approximant
-machinery controls the truncation error empirically).  Maclaurin prefixes
-are computed exactly by truncated series multiplication when the
-parameters are rational.
+machinery controls the truncation error empirically).  With rational
+parameters the prefix comes exactly from the closed form
+c x^m e^{beta x - a^2 x^2} prod (1 - alpha_k x), beta = b + sum alpha_k:
+the exponential's coefficients satisfy the Hermite recurrence
+(i + 1) g_{i+1} = beta g_i - 2 a^2 g_{i-1}, run on integers over one
+denominator, and the linear factors multiply in after it.  Float
+parameters keep the truncated product of the exponential series: float
+input keeps its arithmetic as written, and the recurrence would round
+differently.
 
 Exact coefficient work runs on integer numerators over one denominator
-(``_qpoly.QPoly``): series products, f(D) sums, Gaussian flows,
+(``_qpoly.QPoly``): Maclaurin prefixes, f(D) sums, Gaussian flows,
 multiplier sequences and the Laguerre closed form feed integers through
 the same scalar-generic loops that float mode runs on doubles, carry the
 denominator beside them, and reduce once.  An operator builds its exact
-form once, when it is made (``DiffOperator``) or first applied at a
-degree (``MultiplierSequence``).  The coefficient kernels
+form once, when it is made (``DiffOperator``, which ``from_function``
+hands the prefix as that form) or first applied at a degree
+(``MultiplierSequence``).  The coefficient kernels
 (``DiffOperator.apply_coeffs``, ``multiplier_apply``,
 ``laguerre_closed_form``) return a ``QPoly`` for a ``QPoly`` input, the
 form in which the library passes an exact polynomial on to the root
@@ -55,7 +62,12 @@ def _mul_trunc(a: list, b: list, n: int) -> list:
 
 @dataclass(frozen=True)
 class LPFunction:
-    """Parameters of a (finitely truncated) Laguerre-Polya class function."""
+    """Parameters of a (finitely truncated) Laguerre-Polya class function.
+
+    phi(x) = c x^m e^{-a^2 x^2 + b x} prod (1 - alpha_k x) e^{alpha_k x};
+    its exponential factors make one e^{beta x - a^2 x^2} with
+    beta = b + sum alpha_k, which is how rational prefixes are computed.
+    """
 
     c: Scalar = 1
     m: int = 0
@@ -77,29 +89,67 @@ class LPFunction:
     def maclaurin_prefix(self, n: int) -> tuple:
         """Maclaurin coefficients a_0..a_N; exact for rational parameters.
 
-        The first m entries vanish and a_m = c.  Rational parameters run
-        the series products on integer numerators (``_exp_series``).
+        The first m entries vanish and a_m = c.  Rational parameters take
+        the closed form on integers (``_exact_series``), the same values
+        with no series products.  Float parameters keep the truncated
+        product of the series of e^{b x}, e^{-a^2 x^2} and each
+        (1 - alpha x) e^{alpha x}: float input keeps its arithmetic as
+        written, and the recurrence would round differently.
         """
         if n < self.m:
             raise DegreeTooSmall(f"prefix length {n} below vanishing order {self.m}")
-        exact = self.mode == RATIONAL
         k = n - self.m
+        if self.mode == RATIONAL:
+            return (Fraction(0),) * self.m + self._exact_series(k).fractions()
         factors = []
         if self.b != 0:
-            factors.append(_exp_series(_param(self.b, exact), k, exact))
+            factors.append(_exp_series(float(self.b), k, False))
         if self.a != 0:
-            factors.append(_exp_series(-_param(self.a, exact) ** 2, k, exact,
-                                       step=2))
+            factors.append(_exp_series(-float(self.a) ** 2, k, False, step=2))
         for alpha in self.alphas:
             if alpha != 0:
-                factors.append(_exp_series(_param(alpha, exact), k, exact,
+                factors.append(_exp_series(float(alpha), k, False,
                                            weight=lambda i: 1 - i))
-        series, den = [1 if exact else 1.0], 1
-        for values, factor_den in factors:
+        series = [1.0]
+        for values, _ in factors:
             series = _mul_trunc(series, values, k)
-            den *= factor_den
-        series += [series[0] * 0] * (k + 1 - len(series))    # no factors
-        return self._graded(series, den, exact)
+        series += [0.0] * (k + 1 - len(series))    # no factors
+        return self._graded(series, 1, False)
+
+    def _exact_series(self, k: int) -> QPoly:
+        """a_m..a_{m+k} of a rational-parameter function, as one QPoly.
+
+        phi(x) / x^m = c e^{beta x - a^2 x^2} prod (1 - alpha x), with
+        beta = b + sum alpha.  Over one integer Q, with B = Q beta and
+        A = 2 a^2 Q, the exponential's coefficients are g_i = G_i / (i! Q^i)
+        for G_0 = 1, G_1 = B and G_{i+1} = B G_i - A Q i G_{i-1}, the
+        Hermite recurrence (i + 1) g_{i+1} = beta g_i - 2 a^2 g_{i-1}.
+        They go over k! Q^k, the factors (q - p x) / q of each alpha = p/q
+        and c multiply in, and the result is reduced once.
+        """
+        alphas = [al.as_integer_ratio() for al in self.alphas if al != 0]
+        ratios = [self.b.as_integer_ratio()] + alphas
+        beta_den = math.lcm(*[d for _, d in ratios])
+        beta = sum(v * (beta_den // d) for v, d in ratios)
+        an, ad = self.a.as_integer_ratio()
+        q = math.lcm(beta_den, ad * ad)
+        big_b = beta * (q // beta_den)
+        big_aq = 2 * an * an * (q // (ad * ad)) * q
+        gs = [1, big_b][:k + 1]
+        for i in range(1, k):
+            gs.append(big_b * gs[i] - big_aq * i * gs[i - 1])
+        # G_i k! Q^k / (i! Q^i), from the top down
+        nums, w = [0] * (k + 1), 1
+        for i in range(k, -1, -1):
+            nums[i] = gs[i] * w
+            w *= i * q
+        den = math.factorial(k) * q ** k
+        for p, d in alphas:
+            nums = [d * nums[0]] + [d * u - p * v
+                                    for u, v in zip(nums[1:], nums)]
+            den *= d
+        cn, cd = self.c.as_integer_ratio()
+        return QPoly([cn * v for v in nums], den * cd)
 
     def _graded(self, series: list, den: int, exact: bool) -> tuple:
         # c x^m series / den as a coefficient tuple in the function's mode
@@ -235,7 +285,9 @@ class DiffOperator:
 
     With ``norm_degree`` set to n, the action is rescaled by
     1 / (C(n, m) * m! * a_m) so monic degree-n inputs give monic
-    degree-(n-m) outputs.
+    degree-(n-m) outputs.  ``coeffs`` may be given as a ``QPoly``: it is
+    then the exact form as it is, and the field holds its ``Fraction``
+    tuple.
     """
 
     order: int
@@ -243,12 +295,16 @@ class DiffOperator:
     norm_degree: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs or self.coeffs[0] == 0:
+        # the exact form every image is computed from, or None for floats;
+        # a QPoly prefix is that form as it is
+        exact = self.coeffs if isinstance(self.coeffs, QPoly) else None
+        coeffs = tuple(self.coeffs) if exact is None else exact.fractions()
+        object.__setattr__(self, "coeffs", coeffs)
+        if not coeffs or coeffs[0] == 0:
             raise ZeroTopTerm("the leading prefix coefficient a_m must be nonzero")
-        # the exact form every image is computed from, or None for floats
-        self.__dict__["_exact"] = (QPoly.of(self.coeffs)
-                                   if is_exact_all(self.coeffs) else None)
+        if exact is None and is_exact_all(coeffs):
+            exact = QPoly.of(coeffs)
+        self.__dict__["_exact"] = exact
 
     @classmethod
     def from_function(cls, phi: LPFunction, degree: int,
@@ -257,8 +313,11 @@ class DiffOperator:
         if normalized and degree < phi.m:
             raise DegreeTooSmall(
                 f"cannot normalize at degree {degree} below order {phi.m}")
+        norm = degree if normalized else None
+        if phi.mode == RATIONAL:
+            return cls(phi.m, phi._exact_series(max(degree - phi.m, 0)), norm)
         prefix = phi.maclaurin_prefix(max(degree, phi.m))
-        return cls(phi.m, prefix[phi.m:], degree if normalized else None)
+        return cls(phi.m, prefix[phi.m:], norm)
 
     @property
     def normalizer(self) -> Scalar:
@@ -359,9 +418,15 @@ def appell(phi: LPFunction, n: int, normalized: bool = True) -> tuple:
     """Coefficients of phi(D)[x^n] (the n-th Appell polynomial of phi)."""
     if n < phi.m + 1:
         raise DegreeTooSmall(f"appell needs n >= m + 1 = {phi.m + 1}")
-    one = 1 if phi.mode == RATIONAL else 1.0
-    xn = (one * 0,) * n + (one,)
-    return DiffOperator.from_function(phi, n, normalized).apply_coeffs(xn)
+    op = DiffOperator.from_function(phi, n, normalized)
+    return _scalars(monomial_image(op, n))
+
+
+def monomial_image(op: DiffOperator, n: int) -> tuple | QPoly:
+    """op[x^n], a ``QPoly`` for an exact operator and doubles otherwise."""
+    if op.__dict__["_exact"] is None:
+        return op.apply_coeffs((0.0,) * n + (1.0,))
+    return op.apply_coeffs(QPoly([0] * n + [1]))
 
 
 def shift_pencil_coeffs(p: HyperbolicPoly, lam: Scalar) -> tuple:

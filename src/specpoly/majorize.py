@@ -311,23 +311,30 @@ class DoublyStochasticWitness:
         rows, dens = [], []
         for row in self.matrix:
             (nums,), den = numerators(row)
-            if any(v < 0 or v > den for v in nums):
-                raise NotMajorized("witness entry outside [0, 1]")
-            if sum(nums) != den:
-                raise NotMajorized("witness row sum differs from 1")
             rows.append(nums)
             dens.append(den)
-        common = math.lcm(*dens)
-        scales = [common // d for d in dens]
-        for j in range(n):
-            if sum(row[j] * f for row, f in zip(rows, scales)) != common:
-                raise NotMajorized("witness column sum differs from 1")
         (nx, ny), _ = numerators(xs, ys)
         nx.sort()
         ny.sort()
-        for row, den, v in zip(rows, dens, nx):
-            if sum(a * b for a, b in zip(row, ny)) != den * v:
-                raise NotMajorized("witness does not map Y to X")
+        _check_witness(rows, dens, nx, ny)
+
+
+def _check_witness(rows: list, dens: list, nx: list, ny: list) -> None:
+    # the witness check on integers: row i is rows[i] / dens[i], and sorted
+    # X and Y are the numerators nx and ny over one denominator
+    for nums, den in zip(rows, dens):
+        if any(v < 0 or v > den for v in nums):
+            raise NotMajorized("witness entry outside [0, 1]")
+        if sum(nums) != den:
+            raise NotMajorized("witness row sum differs from 1")
+    common = math.lcm(*dens)
+    scales = [common // d for d in dens]
+    for j in range(len(nx)):
+        if sum(row[j] * f for row, f in zip(rows, scales)) != common:
+            raise NotMajorized("witness column sum differs from 1")
+    for row, den, v in zip(rows, dens, nx):
+        if sum(a * b for a, b in zip(row, ny)) != den * v:
+            raise NotMajorized("witness does not map Y to X")
 
 
 class _TransformProduct:
@@ -400,23 +407,22 @@ def build_witness(x, y) -> DoublyStochasticWitness:
 
     The product of one T-transform per ``first_transfer`` stage, on
     integer rows; every stage settles a coordinate, so there are at most
-    n - 1 factors.  Independent of the chains of ``contract``; the result
-    is validated before it is returned.  Rational mode only.
+    n - 1 factors.  Independent of the chains of ``contract``; the
+    integer rows are validated (the check of ``validate``) before the
+    ``Fraction`` matrix is built.  Rational mode only.
     """
     prepared = _prepare(x, y, None)
-    xs, ys, nx, ny, _, exact, *_ = prepared
+    _, _, nx, ny, _, exact, *_ = prepared
     if not exact:
         raise FloatModeUnsupported("witness construction requires exact mode")
     cert = _certificate(*prepared)
     if not cert.comparable:
         raise NotMajorized(f"verdict {cert.verdict.value}")
 
-    acc = _TransformProduct(ny)
+    acc = _TransformProduct(list(ny))
     _direct_transfers(acc, nx)
-
-    witness = DoublyStochasticWitness(acc.matrix())
-    witness.validate(xs, ys)
-    return witness
+    _check_witness(acc.rows, acc.dens, nx, ny)
+    return DoublyStochasticWitness(acc.matrix())
 
 
 # --- Schur-convex functionals -----------------------------------------------

@@ -12,10 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from specpoly import (DiffOperator, LPFunction, from_roots,
+from specpoly import (DiffOperator, LPFunction, appell, from_roots,
                       laguerre_closed_form, laguerre_ms, multiplier_apply)
 from specpoly._qpoly import QPoly
-from specpoly.lpops import gaussian_coeffs
+from specpoly.lpops import gaussian_coeffs, monomial_image
 from specpoly.poly import expand_from_roots
 from specpoly.roots import is_real_rooted, sturm_sequence
 from specpoly.scalars import FLOAT, RATIONAL
@@ -57,10 +57,14 @@ def test_expand_keeps_float_arithmetic(roots):
 _lp_params = st.tuples(
     _small_exact.filter(lambda v: v != 0), st.integers(0, 2), _small_exact,
     _small_exact, st.lists(_small_exact, max_size=4), st.integers(0, 10))
+# wider draws for the exact closed form: more alphas and terms, a < 0 too
+_wide_lp_params = st.tuples(
+    _small_exact.filter(lambda v: v != 0), st.integers(0, 2), _small_exact,
+    _small_exact, st.lists(_small_exact, max_size=6), st.integers(0, 16))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_lp_params)
+@given(_wide_lp_params)
 def test_prefix_matches_the_fraction_loop(params):
     c, m, a, b, alphas, extra = params
     n = m + extra
@@ -68,6 +72,26 @@ def test_prefix_matches_the_fraction_loop(params):
     assert len(got) == n + 1
     assert got == ref.maclaurin_prefix(c, m, a, b, alphas, n, exact=True)
     assert _fractions(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_lp_params, st.booleans())
+def test_operator_from_function_is_the_constructor_built_one(params,
+                                                             normalized):
+    c, m, a, b, alphas, extra = params
+    n = m + extra
+    phi = LPFunction(c, m, a, b, alphas)
+    op = DiffOperator.from_function(phi, n, normalized)
+    built = DiffOperator(m, phi.maclaurin_prefix(n)[m:],
+                         n if normalized else None)
+    assert op == built and hash(op) == hash(built)
+    exact, want = op.__dict__["_exact"], QPoly.of(op.coeffs)
+    assert (exact.nums, exact.den) == (want.nums, want.den)
+    if n > m:
+        image = monomial_image(op, n)
+        assert isinstance(image, QPoly)
+        assert appell(phi, n, normalized) == image.fractions()
+        assert image.fractions() == op.apply_coeffs((0,) * n + (1,))
 
 
 def test_prefix_pads_to_the_requested_length():

@@ -240,6 +240,34 @@ def test_witness_needs_no_chain_and_at_most_n_minus_1_transfers(
         assert len(calls) <= n - 1
 
 
+def test_witness_is_proved_on_integers_before_fractions_are_built(
+        monkeypatch):
+    def no_validate(self, x, y):
+        raise AssertionError("build_witness must check its integer rows")
+
+    monkeypatch.setattr(DoublyStochasticWitness, "validate", no_validate)
+    w = build_witness((1, 2, 3), (0, 2, 4))
+    assert all(sum(row) == 1 for row in w.matrix)
+
+    matrix = _TransformProduct.matrix
+    built = []
+
+    def counted(self):
+        built.append(self)
+        return matrix(self)
+
+    def skewed(self, k, l, t):
+        # moves the vector but leaves the rows as they were
+        self.vec[k] += t
+        self.vec[l] -= t
+
+    monkeypatch.setattr(_TransformProduct, "matrix", counted)
+    monkeypatch.setattr(_TransformProduct, "transfer", skewed)
+    with pytest.raises(NotMajorized, match="map"):
+        build_witness((1, 3), (0, 4))
+    assert built == []
+
+
 def test_witness_random_soundness():
     from specpoly import random_comparable_pair
     for seed in range(30):
