@@ -13,15 +13,14 @@ through 0 at the root of P between them.  So for lam > 0 the i-th root
 of the pencil lies between r_i and r_{i+1}, and the top one above r_n by
 less than n lam (every root moves up, and their sum by exactly n lam);
 for lam < 0 the picture is mirrored.  ``pencil_brackets`` gives those
-n+1 ends.  ``pencil_at`` refines them; the root finder uses them only
-after checking that the ends increase strictly and the values there
-alternate in sign, clear of Horner's roundoff bound.  At lam = 0, at a
-multiple root of P (two equal ends), or where lam moves the roots too
-little for that sign to be certain, the check fails and ``real_roots``
-answers.  ``lpops.shift_pencil`` instead seeds ``real_roots_near`` at
-the brackets' midpoints, one inside each bracket.  The pencil's
-coefficients are built in P's mode: a rational P gives exact ones,
-which ``real_roots`` reads exactly.
+n+1 ends, and ``pencil_at`` passes them to ``real_roots_near`` as seeds,
+which starts from their midpoints, one inside each bracket, as
+``lpops.shift_pencil`` does.  The brackets only place the starts: the
+root finder proves each root within tol/2 of a root of the coefficients
+as given, whatever the starts (its fallbacks answer where they fail, at
+lam = 0, say, or at a multiple root of P, where two ends coincide).  The
+pencil's coefficients are built in P's mode: a rational P gives exact
+ones, which the root finder reads exactly.
 
 ``pencil_path`` samples many lams by continuation from lam = 0, where
 the pencil is P itself and its roots are known.  Each root moves with
@@ -29,14 +28,12 @@ dx/dlam = P'/(P' - lam P''), which is 1 at lam = 0.  The path walks out
 from 0 on each side in sorted order: the first sample on a side is
 seeded by the roots of P moved by lam, and each later one by the recent
 samples' roots extrapolated to its lam.  Every sample is found by
-``real_roots_near``, whose straddle certificate proves each root within
-tol/2 of a root of the coefficients (its bracket fallback, of their
-doubles), so the path needs no brackets.
+``real_roots_near``, with the same contract as ``pencil_at``.
 
 The critical points of either kind of sample are the roots of
-P' - lam P'', which by Rolle's theorem the sample's own roots bracket.
-They are computed only when ``PencilSample.criticals`` is first read;
-nothing is cached on P.
+P' - lam P'', which by Rolle's theorem the sample's own roots bracket;
+those roots seed ``real_roots_near`` for them.  They are computed only
+when ``PencilSample.criticals`` is first read; nothing is cached on P.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from functools import cached_property
 from .errors import DegreeMismatch
 from .majorize import MajorizationCertificate, check_majorization
 from .poly import HyperbolicPoly, coeff_derivative
-from .roots import real_roots_bracketed, real_roots_near
+from .roots import real_roots_near
 from .scalars import FLOAT, Scalar, coerce
 
 
@@ -63,11 +60,12 @@ class PencilSample:
 
     @cached_property
     def criticals(self) -> tuple:
-        """The roots of P' - lam P'', bracketed by the sample's roots."""
+        """The roots of P' - lam P'', seeded by the sample's roots, which
+        bracket them (Rolle)."""
         if len(self.coeffs) <= 2:
             return ()
-        return real_roots_bracketed(coeff_derivative(self.coeffs), self.roots,
-                                    self.tol)
+        return real_roots_near(coeff_derivative(self.coeffs), self.roots,
+                               self.tol)
 
     def interlaces(self) -> bool:
         x, w = self.roots, self.criticals
@@ -131,12 +129,13 @@ def _extrapolated(lam: float, recent: list) -> list:
 
 def pencil_at(p: HyperbolicPoly, lam: float,
               tol: float | None = None) -> PencilSample:
-    """Sample the pencil at one lam, in the brackets ``pencil_brackets``
-    cuts at the float roots of P.  The coefficients are in P's mode, so
-    a rational P and lam are read exactly."""
+    """Sample the pencil at one lam, seeded by the brackets
+    ``pencil_brackets`` cuts at the float roots of P.  The coefficients
+    are in P's mode, so a rational P and lam are read exactly, and each
+    root is within tol/2 of a root of them."""
     coeffs = pencil_coeffs(p, lam)
     lam = float(lam)
-    roots = real_roots_bracketed(
+    roots = real_roots_near(
         coeffs, pencil_brackets(p.to_float().roots, lam), tol)
     return _sample(lam, roots, coeffs, tol)
 

@@ -167,10 +167,10 @@ def derivative(p: HyperbolicPoly, tol: float | None = None) -> HyperbolicPoly:
 
     Root extraction is numeric, so the result is float mode regardless of
     the input mode; the coefficients are in P's mode, exact for a
-    rational P.  By Rolle's theorem the roots of P'/n interlace those of
-    P, so the roots of P are its bracket ends; ``real_roots_bracketed``
-    checks them (a multiple root of P fails the check) and otherwise
-    answers by ``real_roots``.
+    rational P, and the roots keep the root finder's one contract for
+    them.  By Rolle's theorem the roots of P'/n interlace those of P, so
+    the roots of P are its bracket ends, and they seed
+    ``real_roots_near``, which starts from their midpoints.
     """
     n = p.degree
     if n < 2:
@@ -181,7 +181,7 @@ def derivative(p: HyperbolicPoly, tol: float | None = None) -> HyperbolicPoly:
     else:
         dc = [v * k / n for k, v in enumerate(c) if k >= 1]
     return HyperbolicPoly(
-        _rootfind.real_roots_bracketed(dc, p.to_float().roots, tol), FLOAT)
+        _rootfind.real_roots_near(dc, p.to_float().roots, tol), FLOAT)
 
 
 def taylor_shift(p: HyperbolicPoly, lam: Scalar) -> HyperbolicPoly:

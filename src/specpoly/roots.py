@@ -1,56 +1,48 @@
 """Real-root extraction for polynomials promised to be real-rooted.
 
-One path, and every root it returns carries a certificate: a straddle, a
-sign-alternating bracket, or an exact Sturm interval.  ``real_roots_near``
-runs Newton from seeds near the roots, one start after another, each
-deflated by Maehly's rule (1954) against the points the starts before
-it reached, so that two starts do not settle on one root.  Opposite
-true signs of P at 0.45 tol on either side of each point reached, on n
-disjoint intervals, prove every root of a degree-n P (an a posteriori
-certificate, Rump, Acta Numerica 19, 2010), however the points were
-found.  Where that first pass proves too little, which few seed sets
-meet, Aberth sweeps polish the seeds for a second try, and then their
-midpoints cut brackets.
-``real_roots_bracketed`` trusts n brackets only when their ends increase
-strictly and Horner's values there alternate in sign, clear of its
-roundoff bound, and refines each by safeguarded Newton (rtsafe); other
-brackets go to ``real_roots``.  ``real_roots`` decides on the integer
-Sturm chain whether P has a multiple root or too few real roots: such a
-P goes to the exact terminal, any other is seeded by n Chebyshev nodes
-inside the root bound, and what its certificates miss ends in the
-terminal too.  Every float sign is the true sign for the double
-coefficients as given: plain Horner clear of the roundoff bound
-gamma_2n sum |a_k||x|^k (Higham, Accuracy and Stability of Numerical
-Algorithms, 2002, eq. 5.3), then the compensated Horner of Graillat,
-Langlois and Louvet (2005/2009) clear of its own bound, then exact
-rational arithmetic.  A straddle on exact coefficients (ints,
-Fractions, a ``QPoly``) takes the signs of those coefficients instead:
+One contract: every root returned is within tol/2 (or one float spacing,
+if that is more) of a root of the coefficients as given, proven by a
+straddle or by an exact Sturm interval.  ``real_roots_near`` runs Newton
+from seeds near the roots, one start after another, each deflated by
+Maehly's rule (1954) against the points the starts before it reached, so
+that two starts do not settle on one root.  Opposite true signs of P at
+0.45 tol on either side of each point reached, on n disjoint intervals,
+prove every root of a degree-n P (an a posteriori certificate, Rump,
+Acta Numerica 19, 2010), however the points were found.  Where that pass
+proves too little, Aberth sweeps polish the seeds for a second try, and
+a third pass runs Newton from the polished points with P evaluated
+accurately, for inputs whose rounding noise near a root keeps plain
+Newton from settling.  A caller that knows n+1 interlacing bracket ends
+passes them as seeds; their midpoints become the starts.  ``real_roots``
+decides on the integer Sturm chain whether P has a multiple root or too
+few real roots: such a P goes to the exact terminal, any other is seeded
+by n Chebyshev nodes inside the root bound, and what its certificates
+miss ends in the terminal too.
+
+Every float sign is the true sign for the double coefficients: plain
+Horner clear of the roundoff bound gamma_2n sum |a_k||x|^k (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, eq. 5.3), then the
+compensated Horner of Graillat, Langlois and Louvet (2005/2009) clear of
+its own bound, then integers.  Exact coefficients (ints, Fractions, or a
+``_qpoly.QPoly``, as the exact kernels hand over) are signed as given:
 plain Horner on their doubles clear of the bound at degree n + 1, which
-also covers the rounding of each coefficient, and otherwise the sign on
-their integer numerators.
+covers the rounding of each coefficient, and otherwise their integer
+numerators.  A ``QPoly``'s doubles are num / den, and the x^k deflation
+and the Sturm chain read its numerators, so no ``Fraction`` is built.
 
-``real_roots``, ``real_roots_near`` and ``real_roots_bracketed`` take a
-``_qpoly.QPoly`` as well as a sequence, as the library's exact kernels
-hand one over: its doubles are num / den, and the x^k deflation of the
-seeded path and the Sturm chain read its numerators, so no ``Fraction``
-is built.
-
-The exact terminal reads the coefficients as given: ints and Fractions
-exactly, floats as the rationals they store, a ``QPoly`` by its integer
-numerators.  Yun's square-free decomposition (1976) on integer
-numerators gives factors of known multiplicity, and exact Sturm counts
-on dyadic points bisect the real roots of each to intervals at most tol
-wide.  It reports k roots at an interval only when the exact count there
-is k, a root on a bisection point as that point itself, and raises
+The exact terminal reads ints and Fractions exactly, floats as the
+rationals they store.  Yun's square-free decomposition (1976) on integer
+numerators gives factors of known multiplicity; exact Sturm counts on
+dyadic points isolate the real roots of each, and each isolating
+interval is halved on the sign of its factor alone, to at most tol wide.
+It reports k roots at an interval only when the exact count there is k,
+a root on a bisection point as that point itself, and raises
 ``NotRealRooted`` only when the count proves a root that is not real.
-
-So no root is guessed: each is within tol/2 (or one float spacing, if
-that is more) of a root of the coefficients as given when a straddle or
-the terminal answers, and of their doubles when a bracket answers.  A
-float vector whose rounding split a multiple root into a complex pair
-raises ``NotRealRooted``.  ``is_real_rooted`` decides
-real-rootedness exactly by a Sturm sequence on integers, each entry a
-primitive positive multiple of the classical one.
+So no root is guessed, and a float vector whose rounding split a
+multiple root into a complex pair raises ``NotRealRooted``.
+``is_real_rooted`` decides real-rootedness exactly by a Sturm sequence
+on integers, each entry a primitive positive multiple of the classical
+one.
 """
 
 from __future__ import annotations
@@ -88,18 +80,6 @@ def root_bound(coeffs: Sequence[float]) -> float:
     """A strict bound on the absolute value of every root."""
     b = min(cauchy_bound(coeffs), _fujiwara_bound(coeffs) * (1.0 + 1e-9) + 1e-300)
     return b if b > 0.0 else 1.0
-
-
-def _eval_with_mag(rev: Sequence[float], x: float) -> tuple[float, float]:
-    # Horner on high-to-low coefficients, tracking sum |a_k||x|^k for the
-    # roundoff bound.
-    acc = 0.0
-    mag = 0.0
-    ax = abs(x)
-    for c in rev:
-        acc = acc * x + c
-        mag = mag * ax + abs(c)
-    return acc, mag
 
 
 def _roundoff(mag: float, n: int) -> float:
@@ -153,7 +133,7 @@ def _compensated(rev: Sequence[float], x: float) -> float:
 
 
 def _magnitude(rev: Sequence[float], x: float) -> float:
-    # sum |a_k||x|^k, the same recurrence as in _eval_with_mag
+    # sum |a_k||x|^k, by Horner's recurrence on the |a_k| at |x|
     mag = 0.0
     ax = abs(x)
     for c in rev:
@@ -161,23 +141,17 @@ def _magnitude(rev: Sequence[float], x: float) -> float:
     return mag
 
 
-def _certified(rev: Sequence[float], x: float,
-               value: float | None = None) -> float:
+def _certified(rev: Sequence[float], x: float, value: float) -> float:
     """P(x), or a value with the true sign of P(x) and about its size.
 
-    Plain Horner decides where its value clears the roundoff bound at x,
+    ``value`` is plain Horner's at x, which the caller has computed
+    already.  It decides where it clears the roundoff bound at x,
     compensated Horner where its value clears its own, much smaller bound,
-    and exact rational arithmetic otherwise.  Returns 0.0 only at an exact
-    root.  A caller that has plain Horner's value at x already (the
-    refiner's Newton pass computes the same recurrence) passes it as
-    ``value``, and only the magnitude sum is computed.
+    and the sign on the integer numerators of the doubles otherwise.
+    Returns 0.0 only at an exact root.
     """
-    if value is None:
-        value, mag = _eval_with_mag(rev, x)
-    else:
-        mag = _magnitude(rev, x)
     n = len(rev) - 1
-    bound = _roundoff(mag, n)
+    bound = _roundoff(_magnitude(rev, x), n)
     if abs(value) > bound:
         return value
     value = _compensated(rev, x)
@@ -186,103 +160,8 @@ def _certified(rev: Sequence[float], x: float,
     # has the sign of P(x)
     if abs(value) > 8.0 * n * _EPS * bound:
         return value
-    xq = Fraction(x)
-    exact = Fraction(0)
-    for c in rev:
-        exact = exact * xq + Fraction(c)
-    if exact == 0:
-        return 0.0
-    size = max(abs(value), 5e-324)   # keeps the Newton step meaningful
-    return size if exact > 0 else -size
-
-
-def _refine(rev: Sequence[float], lo: float, hi: float, f_lo: float,
-            f_hi: float, tol: float, bound: float) -> float:
-    """The root of P in [lo, hi], where P has the signs of f_lo and f_hi.
-
-    Safeguarded Newton (rtsafe) from the secant point of the two ends,
-    or the midpoint where that point rounds onto an end: each step
-    evaluates P and P' at one point in the same Horner pass, moves the
-    bracket end of the same sign there, and goes on from it by Newton, or
-    by bisection when the Newton point leaves the bracket or the step is
-    over half the step before last.  Newton onto a root of multiplicity
-    m >= 2 converges linearly, each step (m - 1)/m of the one before, and
-    the far end of the bracket never moves; at m = 3 that passes the test
-    above.  So once three ratios of consecutive steps over the roundoff
-    scale agree to 0.1% at over one half, the bracket is bisected to the
-    end: (x - 1)^3 on [0, 3] then takes 45 evaluations, not 105.
-    ``bound`` is Horner's roundoff bound at the bracket end farther from
-    0.  The bound at a point x is 1.01 n eps sum |a_k||x|^k, convex and
-    increasing in |x|, so the chord from its value at 0 to ``bound``
-    covers it at every point of the bracket; a value inside that chord has
-    its sign decided by ``_certified``, which returns the value itself
-    when it clears the bound at x.  So the root of the given coefficients
-    never leaves the bracket, and the midpoint returned once the width is
-    at most tol is within tol/2 of it.  Newton closes in on a root from
-    one side, which leaves the far end where it was; so a long step stops
-    0.4 tol short of the predicted root and a short one lands 0.4 tol past
-    it.  The last two points then straddle the root at most tol apart,
-    with values far enough from zero that plain Horner can usually sign
-    them.  The point a step lands on, offset included, is what must lie
-    inside the bracket: from a point within float resolution of the root,
-    the bare Newton point rounds onto the bracket end, and the offset
-    point still straddles the root.  The other stops are float resolution
-    (the midpoint is an end) and a cap of 240 evaluations.
-    """
-    lo_negative = f_lo < 0.0
-    reach = hi if hi > -lo else -lo     # |x| at the end farther from 0
-    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    older = last = hi - lo
-    offset = 0.4 * tol
-    linear = 0      # steps in a row at the rate of the step before
-    prev = rate = math.inf
-    for _ in range(240):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid <= lo or mid >= hi:
-            return mid
-        f, slope = _eval_with_slope(rev, x)
-        if -bound <= f <= bound:
-            floor = _roundoff(abs(rev[-1]), len(rev) - 1)   # the bound at 0
-            at = floor + (bound - floor) * (x if x > 0.0 else -x) / reach
-            if -at <= f <= at:
-                f = _certified(rev, x, f)
-                if f == 0.0:
-                    return x
-        if (f < 0.0) == lo_negative:
-            lo = x
-        else:
-            hi = x
-        step = f / slope if slope else math.inf
-        size = step if step > 0.0 else -step
-        if linear < 2 and min(size, prev) > 2.0 * offset:
-            now = size / prev
-            steady = 0.5 < now < 1.0 and abs(now - rate) <= 1e-3 * now
-            linear = linear + 1 if steady else 0
-            rate = now
-        prev = size
-        if linear < 2 and size <= 0.5 * older:
-            back = offset if step > 0.0 else -offset    # toward x
-            target = x - step + (back if size > 2.0 * offset else -back)
-            if lo < target < hi:
-                older, last = last, size
-                x = target
-                continue
-        older, last = last, 0.5 * (hi - lo)
-        x = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
-
-
-def _values(rev: list[float], n: int, pts) -> tuple[list, list]:
-    # Horner's value at each point and its roundoff bound there
-    vals = []
-    bounds = []
-    for x in pts:
-        v, mag = _eval_with_mag(rev, x)
-        vals.append(v)
-        bounds.append(_roundoff(mag, n))
-    return vals, bounds
+    sign = _sign(QPoly.of(rev[::-1]).nums, x)
+    return math.copysign(max(abs(value), 5e-324), sign) if sign else 0.0
 
 
 def default_tol(coeffs: Sequence[float]) -> float:
@@ -291,8 +170,8 @@ def default_tol(coeffs: Sequence[float]) -> float:
 
 def _float_rev(coeffs: Sequence | QPoly, tol: float | None,
                ) -> tuple[list[float], int, float]:
-    # the float coefficients high-to-low, unscaled so that every sign the
-    # refiner certifies is one of the given polynomial; the degree; the
+    # the float coefficients high-to-low, unscaled so that every sign a
+    # certificate takes is one of the given polynomial; the degree; the
     # tolerance.  A QPoly's doubles are num / den, correctly rounded as
     # float(Fraction) is.  A coefficient whose double is NaN, infinite or
     # beyond double range has no sign to certify, and is refused.
@@ -333,28 +212,18 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
     # so a start near a root already found is pushed on to another.  Each
     # start runs until a step is at most 0.05 tol, or at most 0.45 tol and
     # no smaller than the one before (Horner's rounding noise near the
-    # root; farther out, Newton's steps may grow for a while).  Then, in
-    # sorted order, the true signs of P at x - 0.45 tol and x + 0.45 tol:
-    # opposite signs on n strictly increasing, disjoint intervals with
-    # distinct double ends prove one root in each, so every root of a
-    # degree-n P, and each x is within tol/2 of its root (tol is at least
-    # 32 spacings at x, so the rounding of the ends stays inside tol/20).
-    # How the points were reached plays no part in that proof.  None when
-    # any of it fails, or a step lands on a point already reached.  With
-    # ``nums``, the integer numerators of exact coefficients, the signs
-    # are those of the coefficients as given, which their doubles may
-    # round: each by at most eps/2 |a_k|, so Horner's value is off from
-    # the exact one by at most the roundoff bound at degree n + 1, and
-    # inside that bound the sign is taken on the integers.
+    # root; farther out, Newton's steps may grow for a while).  Then
+    # _proven signs P about the points reached.  None when any of it
+    # fails, or a step lands on a point already reached.
     #
-    # Nearly all of the seeded path's time is spent in the two loops
-    # below, so they are written out here rather than calling
-    # _eval_with_slope and _roundoff: calling a helper once per Newton
-    # step, even one with the same loop, cost 3.6% of the pencil-sweep
-    # benchmark's trials/s, lost in 6 of 6 alternating pairs.  Each
-    # Horner recurrence starts past the leading coefficient a_n.  Its
-    # first two steps from zero are exact at any finite x (0 x + 0 = 0,
-    # then 0 x + a_n = a_n), so starting from slope = a_n,
+    # Nearly all of the seeded path's time is spent in the Newton loop
+    # here and the certificate loop of _proven, so both are written out
+    # rather than calling _eval_with_slope and _roundoff: calling a
+    # helper once per Newton step, even one with the same loop, cost 3.6%
+    # of the pencil-sweep benchmark's trials/s, lost in 6 of 6 alternating
+    # pairs.  Each Horner recurrence starts past the leading coefficient
+    # a_n.  Its first two steps from zero are exact at any finite x
+    # (0 x + 0 = 0, then 0 x + a_n = a_n), so starting from slope = a_n,
     # P = a_n x + a_{n-1}, a = b = a_n and mag = |a_n| gives the same
     # doubles as the full recurrence (a start that reaches a non-finite
     # x fails either way), and the hoisted roundoff factor keeps
@@ -392,6 +261,24 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
             found.append(x)
     except ZeroDivisionError:
         return None
+    return _proven(rev, found, tol, nums)
+
+
+def _proven(rev: list[float], found: list[float], tol: float,
+            nums: list[int] | None) -> tuple[float, ...] | None:
+    # The straddle certificate: in sorted order, the true signs of P at
+    # x - 0.45 tol and x + 0.45 tol.  Opposite signs on n strictly
+    # increasing, disjoint intervals with distinct double ends prove one
+    # root in each, so every root of a degree-n P, and each x is within
+    # tol/2 of its root (tol is at least 32 spacings at x, so the rounding
+    # of the ends stays inside tol/20).  How the points were reached plays
+    # no part in that proof.  None when it fails.  With ``nums``, the
+    # integer numerators of exact coefficients, the signs are those of
+    # the coefficients as given, which their doubles may round: each by
+    # at most eps/2 |a_k|, so Horner's value is off from the exact one by
+    # at most the roundoff bound at degree n + 1, and inside that bound
+    # the sign is taken on the integers.
+    half = 0.45 * tol
     found.sort()
     edge = -math.inf
     for x in found:
@@ -405,6 +292,7 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
     # from 0: it grows with |x|, so its roundoff bound covers both ends.
     degree = len(rev) - 1 if nums is None else len(rev)
     factor = 1.01 * degree * _EPS
+    lead = rev[0]
     lead_size = abs(lead)
     pairs = [(c, abs(c)) for c in rev[1:]]
     for x in found:
@@ -427,16 +315,66 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
     return tuple(found)
 
 
-def _sign(nums: list[int], x: float) -> float:
-    # the sign of sum nums[k] x^k, on integers: x = p / q with q > 0, and
-    # q^n times the sum is sum nums[k] p^k q^(n - k)
+def _integer_value(nums: list[int], x: float) -> tuple[int, int]:
+    # sum nums[k] x^k as (acc, q^n), its value being acc / q^n: on
+    # integers, with x = p / q, q > 0 and acc = sum nums[k] p^k q^(n - k)
     p, q = x.as_integer_ratio()
-    acc = 0
+    acc = nums[-1]
     scale = 1
-    for c in reversed(nums):
-        acc = acc * p + c * scale
+    for c in nums[-2::-1]:
         scale *= q
+        acc = acc * p + c * scale
+    return acc, scale
+
+
+def _sign(nums: list[int], x: float) -> float:
+    # the sign of sum nums[k] x^k, exactly
+    acc = _integer_value(nums, x)[0]
     return 1.0 if acc > 0 else -1.0 if acc < 0 else 0.0
+
+
+def _accurate(rev: list[float], starts: list[float], tol: float,
+              nums: list[int] | None, den: int) -> tuple[float, ...] | None:
+    # _straddled's Newton pass again, for inputs whose Horner noise near a
+    # root is over 0.45 tol, where plain Newton never settles: the same
+    # deflated steps and stops, with P evaluated accurately (compensated
+    # Horner on the doubles, or the integer value of the numerators
+    # ``nums`` over their denominator ``den``) and P' by plain Horner.
+    # The points go to the same certificate.  A start or a step that is
+    # not finite has no value to compute, and fails the pass.
+    stop = 0.05 * tol
+    half = 0.45 * tol
+    found = []
+    try:
+        for x in starts:
+            last = math.inf
+            for _ in range(_NEWTON):
+                if not math.isfinite(x):
+                    return None
+                if nums is None:
+                    f = _compensated(rev, x)
+                else:
+                    acc, scale = _integer_value(nums, x)
+                    f = acc / (scale * den)
+                slope = _eval_with_slope(rev, x)[1]
+                pull = 0.0
+                for z in found:
+                    pull += 1.0 / (x - z)
+                slope -= f * pull
+                if not slope:
+                    return None
+                step = f / slope
+                x -= step
+                size = abs(step)
+                if size <= stop or not size < last and size <= half:
+                    break
+                last = size
+            else:
+                return None
+            found.append(x)
+    except (ZeroDivisionError, OverflowError):
+        return None
+    return _proven(rev, found, tol, nums)
 
 
 _SWEEPS = 12    # Aberth sweeps at most; near seeds take three or four
@@ -473,46 +411,6 @@ def _aberth(rev: list[float], z: list[float]) -> list[float]:
     return z
 
 
-def _bracketed(coeffs: Sequence, rev: list[float], n: int, points,
-               tol: float, fallback: Callable) -> tuple[float, ...]:
-    # the roots in n brackets whose ends increase strictly and whose
-    # values alternate in sign, clear of Horner's roundoff bound; any
-    # other brackets go to fallback(coeffs, tol): real_roots for a public
-    # call, the exact terminal for a call from real_roots itself
-    if any(a >= b for a, b in zip(points, points[1:])):
-        return fallback(coeffs, tol)
-    vals, bounds = _values(rev, n, points)
-    negative = vals[0] < 0.0
-    for v, b in zip(vals, bounds):
-        if not (v < -b if negative else v > b):
-            return fallback(coeffs, tol)
-        negative = not negative
-    # sum |a_k||x|^k grows with |x|: the larger end bound is the far end's
-    return tuple(_refine(rev, points[i], points[i + 1], vals[i], vals[i + 1],
-                         tol, max(bounds[i], bounds[i + 1])) for i in range(n))
-
-
-def real_roots_bracketed(coeffs: Sequence, points: Sequence[float],
-                         tol: float | None = None) -> tuple[float, ...]:
-    """The n roots of a degree-n polynomial, one in each bracket given.
-
-    ``points`` are n+1 bracket ends, expected to increase; each is
-    evaluated by Horner, with its roundoff bound.  The brackets are
-    trusted only when the ends increase strictly, every value clears its
-    bound and the signs alternate, which proves exactly one root in each;
-    otherwise this returns ``real_roots(coeffs, tol)``.  Each bracket is
-    refined from the secant point of its ends, and each root is within
-    tol/2 (or one float spacing) of the one root in its bracket.  Raises
-    ValueError unless there are n+1 points.
-    """
-    rev, n, tol = _float_rev(coeffs, tol)
-    if n == 1:
-        return (-rev[1] / rev[0] + 0.0,)
-    if len(points) != n + 1:
-        raise ValueError(f"need {n + 1} bracket ends")
-    return _bracketed(coeffs, rev, n, points, tol, real_roots)
-
-
 def _near(coeffs: Sequence | QPoly, rev: list[float], n: int,
           seeds: list[float], tol: float,
           fallback: Callable) -> tuple[float, ...]:
@@ -547,13 +445,9 @@ def _near(coeffs: Sequence | QPoly, rev: list[float], n: int,
     except ZeroDivisionError:
         return fallback(coeffs, tol)
     roots = _straddled(rev, polished, tol, nums)
-    if roots is not None:
-        return roots
-    bound = root_bound(rev[::-1])
-    points = [-bound]
-    points.extend(0.5 * (a + b) for a, b in zip(polished, polished[1:]))
-    points.append(bound)
-    return _bracketed(coeffs, rev, n, points, tol, fallback)
+    if roots is None:
+        roots = _accurate(rev, polished, tol, nums, coeffs.den if exact else 1)
+    return fallback(coeffs, tol) if roots is None else roots
 
 
 def _floats(coeffs: Sequence | QPoly) -> bool:
@@ -574,10 +468,12 @@ def real_roots_near(coeffs: Sequence, seeds: Sequence,
     and the seeds without the k nearest 0 seed the rest.  When the seeds
     outnumber the degree by m (an image p^(m)), seed k becomes the mean of
     the sorted seeds k..k+m, as root k of p^(m) lies in [r_k, r_{k+m}] by
-    iterated Rolle.  What no certificate answers, fewer seeds than the
-    degree and tied values in the Aberth sweeps go to ``real_roots``, so
-    its contract holds however poor the seeds.  A seed beyond double
-    range is refused, as a coefficient is (``NonFinite``).
+    iterated Rolle; so n+1 interlacing bracket ends seed one start inside
+    each bracket.  What neither the straddle passes nor the accurate
+    Newton pass after them proves, fewer seeds than the degree and tied
+    values in the Aberth sweeps go to ``real_roots``, so its contract
+    holds however poor the seeds.  A seed beyond double range is refused,
+    as a coefficient is (``NonFinite``).
     """
     rev, n, tol = _float_rev(coeffs, tol)
     try:
@@ -616,9 +512,9 @@ def real_roots(coeffs: Sequence, tol: float | None = None) -> tuple[float, ...]:
 
 def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
                               ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``real_roots`` and the critical points, the roots of P', found by
-    ``real_roots_bracketed`` between the roots (Rolle).  A ``QPoly``'s
-    derivative is taken on its numerators."""
+    """``real_roots`` and the critical points, the roots of P', seeded by
+    ``real_roots_near`` at the midpoints of the roots (Rolle).  A
+    ``QPoly``'s derivative is taken on its numerators."""
     _, n, tol = _float_rev(coeffs, tol)
     roots = real_roots(coeffs, tol)
     if n == 1:
@@ -628,7 +524,7 @@ def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
                            coeffs.den)
     else:
         derivative = [k * v for k, v in enumerate(coeffs)][1:]
-    return roots, real_roots_bracketed(derivative, roots, tol)
+    return roots, real_roots_near(derivative, roots, tol)
 
 
 # --- exact real-rootedness ------------------------------------------------------
@@ -806,7 +702,8 @@ def _factor_roots(a: list[int], tol: float) -> list[float]:
     # the real roots of a square-free integer polynomial, each within
     # tol/2 (or one float spacing) as its interval's midpoint, or exactly
     # as the interval's closed end where the factor vanishes; every one
-    # of them real, or NotRealRooted
+    # of them real, or NotRealRooted.  Sturm counts isolate them, and
+    # _halved refines each isolating interval.
     degree = len(a) - 1
     if degree == 1:
         return [-a[0] / a[1] + 0.0]     # + 0.0: a root at 0 is never -0.0
@@ -826,17 +723,39 @@ def _factor_roots(a: list[int], tol: float) -> list[float]:
     while stack:
         lo, hi, e, v_lo, v_hi = stack.pop()
         count = v_lo - v_hi
-        if count and _done(math.ldexp(width, -e), lo + hi, e + 1, tol):
-            # a bisection point stays the closed end hi of the intervals
-            # after it, so a dyadic root (an integer root of a multiple
-            # factor, say) ends there and is reported as itself
-            if count == 1 and _value(a, hi, e) == 0:
-                roots.append(hi / (1 << e))
-            else:
-                roots += [(lo + hi) / (1 << e + 1)] * count
+        if count == 1:
+            roots.append(_halved(a, lo, hi, e, width, tol))
+        elif count and _done(math.ldexp(width, -e), lo + hi, e + 1, tol):
+            roots += [(lo + hi) / (1 << e + 1)] * count
         elif count:
             mid = lo + hi
             v_mid = _sturm_variations(chain, mid, e + 1)
             stack.append((2 * lo, mid, e + 1, v_lo, v_mid))
             stack.append((mid, 2 * hi, e + 1, v_mid, v_hi))
     return roots
+
+
+def _halved(a: list[int], lo: int, hi: int, e: int, width: float,
+            tol: float) -> float:
+    # the one root of the square-free a in (lo, hi], numerators over 2^e,
+    # by halving on the sign of a alone.  The sign at hi never changes;
+    # the simple root is the midpoint where a vanishes there, else lies in
+    # (mid, hi] where a changes sign across it and in (lo, mid] where it
+    # does not: the half that Sturm counts would pick.  A bisection point
+    # stays the closed end hi of the intervals after it, so a dyadic root
+    # (an integer root of a multiple factor, say) is reported as itself
+    sign = _value(a, hi, e)
+    if sign == 0:
+        return hi / (1 << e)
+    positive = sign > 0
+    while not _done(math.ldexp(width, -e), lo + hi, e + 1, tol):
+        mid = lo + hi
+        e += 1
+        value = _value(a, mid, e)
+        if value == 0:
+            return mid / (1 << e)
+        if (value > 0) == positive:
+            lo, hi = 2 * lo, mid
+        else:
+            lo, hi = mid, 2 * hi
+    return (lo + hi) / (1 << e + 1)

@@ -168,14 +168,21 @@ def _assert_close(got, want, coeffs, tol):
         assert a == b or abs(a - b) <= tol + 2.0 * _roundoff_zone(coeffs, b)
 
 
-def test_lambda_zero_roots_are_those_of_p_bit_for_bit():
-    # at lam = 0 the fixed brackets are the ones real_roots uses for P
+def test_lambda_zero_roots_are_those_of_p():
+    # at lam = 0 the pencil is P, and its outer bracket is empty: the
+    # starts are the lowest root of P and the midpoints of the others, and
+    # every root is within tol/2 of a root of P's coefficients, the bound
+    # real_roots keeps
     rng = random.Random(31)
     for _ in range(50):
         p = random_hyperbolic(rng, rng.randint(1, 10), bound=8, mode="float",
                               min_gap=0.5)
-        assert pencil_at(p, 0.0, 1e-11).roots == real_roots(
-            p.coefficients(), 1e-11)
+        coeffs = p.coefficients()
+        assert pencil_coeffs(p, 0.0) == tuple(coeffs)
+        got = pencil_at(p, 0.0, 1e-11).roots
+        assert ref.roots_within(coeffs, got, 1e-11)
+        assert max(abs(a - b) for a, b in zip(got, real_roots(
+            coeffs, 1e-11))) <= 1e-11
 
 
 def _record_calls(monkeypatch, module, name):
@@ -191,68 +198,76 @@ def _record_calls(monkeypatch, module, name):
 
 
 def _record_fallbacks(monkeypatch):
-    # real_roots, as real_roots_bracketed falls back on it
+    # real_roots, as real_roots_near falls back on it
     return _record_calls(monkeypatch, specpoly.roots, "real_roots")
 
 
 @pytest.mark.parametrize("lam", [-0.5, 0.5])
 def test_double_root_pencil(monkeypatch, lam):
     # 1 is a double root of P and a simple root of every pencil.  It gives
-    # two equal bracket ends, so real_roots answers the roots, once; the
-    # sample's roots are distinct and bracket its critical points, which
-    # need no fallback
+    # two equal bracket ends, whose midpoint is a start on the critical
+    # point 1 of P; the sample's roots and its critical points need no
+    # fallback, and each is within tol/2 of a root of its coefficients as
+    # given, where real_roots_with_criticals answers within tol/2 too
     fallback = _record_fallbacks(monkeypatch)
     p = from_roots([1.0, 1.0, -2.0, 3.0])
     sample = pencil_at(p, lam, 1e-11)
     coeffs = pencil_coeffs(p, lam)
-    assert fallback == [(coeffs, 1e-11)]
     criticals = sample.criticals
-    assert len(fallback) == 1
+    assert fallback == []
+    assert ref.roots_within(coeffs, sample.roots, 1e-11)
+    assert ref.roots_within(coeff_derivative(coeffs), criticals, 1e-11)
     roots, crits = real_roots_with_criticals(coeffs, 1e-11)
     assert sum(abs(r - 1.0) < 1e-6 for r in sample.roots) == 1
-    assert max(abs(a - b) for a, b in zip(sample.roots, roots)) < 1e-10
-    assert max(abs(a - b) for a, b in zip(criticals, crits)) < 1e-10
+    assert max(abs(a - b) for a, b in zip(sample.roots, roots)) <= 1e-11
+    assert max(abs(a - b) for a, b in zip(criticals, crits)) <= 1e-11
     assert sample.interlaces()
 
 
-def test_double_root_falls_back_at_exact_separator(monkeypatch):
-    # P = x^2: the critical point 0 is exact and a root of every pencil
+def test_double_root_is_exact_at_the_separator(monkeypatch):
+    # P = x^2: the critical point 0 is exact and a root of every pencil,
+    # whose constant coefficient is exactly 0: that root comes back as an
+    # exact 0.0, with no fallback
     fallback = _record_fallbacks(monkeypatch)
     p = from_roots([0.0, 0.0])
     sample = pencil_at(p, 1.5)
-    assert [args[0] for args in fallback] == [pencil_coeffs(p, 1.5)]
-    assert sample.roots == pytest.approx((0.0, 3.0), abs=1e-9)
+    assert fallback == []
+    assert sample.roots[0] == 0.0
+    assert ref.roots_within(pencil_coeffs(p, 1.5), sample.roots, 1e-11)
 
 
 def test_rational_poly_reuses_float_twin_brackets(monkeypatch):
-    # a rational P is sampled from its exact pencil coefficients, in
-    # brackets cut by the roots of its float twin; they hold, so
-    # real_roots never answers
+    # a rational P is sampled from its exact pencil coefficients, seeded
+    # by the bracket ends cut by the roots of its float twin; they hold,
+    # so real_roots never answers, and every root is within tol/2 of a
+    # root of the exact pencil
     fallback = _record_fallbacks(monkeypatch)
-    refined = _record_calls(monkeypatch, specpoly.pencil,
-                            "real_roots_bracketed")
+    seeded = _record_calls(monkeypatch, specpoly.pencil, "real_roots_near")
     p = from_roots([Fraction(-3), Fraction(1, 2), Fraction(2), Fraction(5)])
     assert p.to_float() is p.to_float()
-    first = pencil_at(p, -1.0)
-    second = pencil_at(p, 2.0)
-    scan_monotonicity(p, (-1.0, 0.0, 1.0))
-    assert [args[:2] for args in refined] == [
+    first = pencil_at(p, -1.0, 1e-11)
+    second = pencil_at(p, 2.0, 1e-11)
+    assert [args[:2] for args in seeded] == [
         (pencil_coeffs(p, lam), pencil_brackets(p.to_float().roots, lam))
         for lam in (-1.0, 2.0)]
-    assert all(isinstance(c, Fraction) for args in refined for c in args[0])
-    assert first.interlaces() and second.interlaces()
+    assert all(isinstance(c, Fraction) for args in seeded for c in args[0])
+    for sample in (first, second):
+        assert ref.roots_within(sample.coeffs, sample.roots, 1e-11)
+        assert sample.interlaces()
+    scan_monotonicity(p, (-1.0, 0.0, 1.0))
     assert fallback == []
 
 
 def test_criticals_are_computed_on_first_read(monkeypatch):
     fallback = _record_fallbacks(monkeypatch)
-    refined = _record_calls(monkeypatch, specpoly.pencil,
-                            "real_roots_bracketed")
-    sample = pencil_at(from_roots([-2.0, 0.5, 3.0]), 1.0)
-    assert [len(args[0]) for args in refined] == [4]    # the roots only
+    seeded = _record_calls(monkeypatch, specpoly.pencil, "real_roots_near")
+    sample = pencil_at(from_roots([-2.0, 0.5, 3.0]), 1.0, 1e-11)
+    assert [len(args[0]) for args in seeded] == [4]    # the roots only
     crits = sample.criticals
-    assert [len(args[0]) for args in refined] == [4, 3]
+    assert [len(args[0]) for args in seeded] == [4, 3]
+    assert seeded[1][1] == sample.roots
     assert sample.criticals is crits
+    assert ref.roots_within(coeff_derivative(sample.coeffs), crits, 1e-11)
     assert fallback == []
 
 
@@ -291,21 +306,22 @@ def test_path_agrees_with_one_shot_samples(n, seed, order):
 def test_path_continues_from_one_sample_to_the_next(monkeypatch):
     # a strictly hyperbolic P is sampled from the roots of P at lam = 0
     # outward: one real_roots_near call per distinct lam, each with one
-    # start per root, no bracket refined and no fallback on real_roots
-    bracketed = _record_calls(monkeypatch, specpoly.pencil,
-                              "real_roots_bracketed")
+    # start per root (no bracket ends, and no criticals computed), no
+    # fallback on real_roots, and every root within tol/2 of a root of
+    # its pencil's coefficients
     seeded = _record_calls(monkeypatch, specpoly.pencil, "real_roots_near")
     fallback = _record_fallbacks(monkeypatch)
     p = from_roots([-4.0, -1.5, 0.5, 2.0, 3.25, 6.0])
     for lams in (default_grid(p, 41), default_grid(p, 41)[::-1],
                  (3.0, -2.0, 0.5, 7.0, -9.0, 0.5)):
         seeded.clear()
-        pencil_path(p, lams, 1e-11)
+        samples = pencil_path(p, lams, 1e-11)
         assert sorted(pencil_coeffs(p, lam) for lam in set(lams)) == sorted(
             coeffs for coeffs, _, _ in seeded)
         for coeffs, starts, tol in seeded:
             assert len(starts) == p.degree
-    assert bracketed == []
+        for sample in samples:
+            assert ref.roots_within(sample.coeffs, sample.roots, 1e-11)
     assert fallback == []
 
 
@@ -346,21 +362,22 @@ def test_path_without_zero_in_the_grid(n, seed, shape):
 
 
 def test_path_criticals_are_those_of_pencil_at(monkeypatch):
-    # a path sample's criticals are found on their first read, bracketed by
-    # the sample's own roots, and not at all when no sample's criticals are
-    # read; each is within tol of pencil_at's (both within tol/2 of the
-    # same root)
-    refined = _record_calls(monkeypatch, specpoly.pencil,
-                            "real_roots_bracketed")
+    # a path sample's criticals are found on their first read, seeded by
+    # the sample's own roots, which bracket them, and not at all when no
+    # sample's criticals are read; each is within tol/2 of a root of the
+    # derivative of the sample's coefficients, and so within tol of
+    # pencil_at's
+    seeded = _record_calls(monkeypatch, specpoly.pencil, "real_roots_near")
     p = from_roots([-2.0, 0.5, 1.0, 3.0])
     samples = pencil_path(p, (-3.0, -0.5, 0.0, 1.5, 4.0), 1e-11)
-    assert refined == []
+    assert all(len(args[0]) == p.degree + 1 for args in seeded)
     for sample in samples:
         want = pencil_at(p, sample.lam, 1e-11).criticals
-        refined.clear()
+        seeded.clear()
         got = sample.criticals
-        assert refined == [(coeff_derivative(sample.coeffs), sample.roots,
-                            1e-11)]
+        derivative = coeff_derivative(sample.coeffs)
+        assert seeded == [(derivative, sample.roots, 1e-11)]
+        assert ref.roots_within(derivative, got, 1e-11)
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-11
         assert sample.interlaces()
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_reference as ref
 from specpoly import (DiffOperator, LPFunction, MultiplierSequence,
                       derivative, from_roots, laguerre_closed_form,
                       laguerre_ms, multiplier_apply)
@@ -23,7 +24,7 @@ from specpoly._qpoly import QPoly
 from specpoly.errors import NonFinite, SpecPolyError
 from specpoly.lpops import _gaussian, gaussian_coeffs
 from specpoly.poly import exact_expansion, expand_from_roots
-from specpoly.roots import real_roots, real_roots_bracketed, real_roots_near
+from specpoly.roots import real_roots, real_roots_near
 from specpoly.scalars import RATIONAL
 
 TOL = 1e-11
@@ -125,13 +126,15 @@ def test_gaussian_images(p, a):
 @settings(max_examples=60, deadline=None)
 @given(_polys)
 def test_derivative_roots(p):
-    # P'/n from its QPoly, bit for bit the roots of its Fractions
+    # P'/n from its QPoly, bit for bit the roots of its Fractions seeded
+    # by the same bracket ends, and each within tol/2 of a root of them
     n = p.degree
     assume(n >= 2)
     dc = [c * k / n for k, c in enumerate(p.coefficients()) if k >= 1]
-    want = real_roots_bracketed(dc, p.to_float().roots, TOL)
-    assert [v.hex() for v in derivative(p, TOL).roots] == [
-        v.hex() for v in want]
+    want = real_roots_near(dc, p.to_float().roots, TOL)
+    got = derivative(p, TOL).roots
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert ref.roots_within(dc, got, TOL)
 
 
 def test_a_coefficient_beyond_double_range_is_refused():

@@ -30,7 +30,7 @@ from specpoly.harness import (HUNTS, SUITES, ExperimentConfig,
 
 FLOAT_SUITES = ("allincr", "main1", "main2")
 EXACT_PINNED = (
-    "c20a0e87ab6360b0d148f9c16eb1c23793b8609cf6c2594a03da47f61e817d36")
+    "35f7e8e6d1c19d133cdd4ef1271c1ab3d58d32f35e8eaca7d36e763d3ec5eacc")
 FLOAT_PINNED = (
     "49b8ad96c9fff6fc43407120c93d1142250b1bd404e9a4d37fc3423d8c4a4fec")
 WIRE_PINNED = (

@@ -1,4 +1,5 @@
-"""Certified root extraction: straddles, brackets and the exact terminal."""
+"""Certified root extraction: straddles, the accurate pass and the exact
+terminal."""
 
 import math
 import random
@@ -14,10 +15,10 @@ from specpoly import from_roots, matching_distance, pencil_at, real_roots
 from specpoly._qpoly import QPoly
 from specpoly.errors import ConfigError, DegreeZero, NonFinite, NotRealRooted
 from specpoly.pencil import pencil_coeffs
-from specpoly.poly import coeff_derivative
-from specpoly.roots import (is_real_rooted, real_roots_bracketed,
-                            real_roots_near, real_roots_with_criticals,
-                            root_bound, sturm_sequence)
+from specpoly.poly import coeff_derivative, derivative
+from specpoly.roots import (is_real_rooted, real_roots_near,
+                            real_roots_with_criticals, root_bound,
+                            sturm_sequence)
 
 
 def test_cubic_fixture():
@@ -54,8 +55,7 @@ def test_bad_tol_is_refused_by_every_entry_point(tol):
     coeffs = [-6.0, 11.0, -6.0, 1.0]
     for call in (lambda: real_roots(coeffs, tol),
                  lambda: real_roots_near(coeffs, (1.1, 2.1, 2.9), tol),
-                 lambda: real_roots_bracketed(coeffs, (0.0, 1.5, 2.5, 4.0),
-                                              tol)):
+                 lambda: real_roots_with_criticals(coeffs, tol)):
         with pytest.raises(ConfigError):
             call()
     # 0 asks for float resolution
@@ -69,7 +69,7 @@ def test_coefficients_without_a_finite_double_are_refused(coeffs):
     # refuses it, with no root search
     for call in (lambda: real_roots(coeffs),
                  lambda: real_roots_near(coeffs, [0.0] * (len(coeffs) - 1)),
-                 lambda: real_roots_bracketed(coeffs, range(len(coeffs)))):
+                 lambda: real_roots_with_criticals(coeffs)):
         with pytest.raises(NonFinite):
             call()
 
@@ -113,52 +113,56 @@ def test_criticals_of_a_qpoly():
 
 
 def _separated(coeffs, separators, tol=None):
-    # the roots in the brackets the separators cut from the root bound
+    # the roots seeded by the bracket ends the separators cut from the
+    # root bound: one start at the midpoint of each bracket
     bound = root_bound([float(c) for c in coeffs])
-    return real_roots_bracketed(coeffs, (-bound, *separators, bound), tol)
+    return real_roots_near(coeffs, (-bound, *separators, bound), tol)
 
 
 def test_separated_roots_match_recursion():
-    # (x-1)(x-2)(x-3) with separators 1.5 and 2.5
+    # (x-1)(x-2)(x-3) with separators 1.5 and 2.5: every root proven for
+    # the coefficients as given
     got = _separated([-6, 11, -6, 1], (1.5, 2.5), tol=1e-12)
     assert matching_distance(got, (1, 2, 3)) < 1e-11
-    assert real_roots_bracketed([-3, 2], (0.0, 2.0)) == (1.5,)
+    assert ref.roots_within([-6, 11, -6, 1], got, 1e-12, spacing=False)
+    assert real_roots_near([-3, 2], (0.0, 2.0)) == (1.5,)
 
 
-def test_separated_declines_a_root_on_a_separator():
+def test_separated_finds_a_root_on_a_separator():
     # the pencil of (x-1)^2 (x+2)(x-3) at lam = 1/2 vanishes exactly at
-    # the critical point 1 of P: the brackets cannot be trusted, and
-    # real_roots answers
+    # the critical point 1 of P, a separator, where no bracket holds a
+    # sign change: the midpoint starts still reach every root, each
+    # within tol/2 of the roots as given, the bound real_roots keeps
     pencil = [-11.5, 14.0, 1.5, -5.0, 1.0]
-    assert _separated(pencil, (-1.2, 1.0, 2.4)) == real_roots(pencil)
+    got = _separated(pencil, (-1.2, 1.0, 2.4), 1e-11)
+    assert ref.roots_within(pencil, got, 1e-11)
 
 
 def test_separated_declines_brackets_without_alternation():
     # two roots in one bracket, none in the next; misplaced and
-    # coincident separators
+    # coincident separators.  No bracket is trusted to hold a root: its
+    # midpoint is only a start, and every answer is within tol/2 of the
+    # roots as given
     cubic = [-6, 11, -6, 1]
     for separators in ((2.5, 2.7), (0.5, 1.5), (1.5, 1.5), (2.5, 1.5)):
-        assert _separated(cubic, separators, 1e-12) == real_roots(cubic,
-                                                                  1e-12)
+        got = _separated(cubic, separators, 1e-12)
+        assert ref.roots_within(cubic, got, 1e-12, spacing=False)
     # not real-rooted: x^2 + 1 has no sign change at all
     with pytest.raises(NotRealRooted):
         _separated([1, 0, 1], (0.0,))
 
 
 def test_bracketed_roots_decline_misordered_ends():
-    # (x-1)(x-2)(x-3): ends out of order are no brackets, and real_roots
-    # answers
+    # (x-1)(x-2)(x-3): the seeds are sorted before use, so ends out of
+    # order cut the same brackets, and ends that fall short of n + 1 are
+    # the starts themselves; both are proven within tol/2
     cubic = [-6, 11, -6, 1]
     points = (0.0, 1.5, 2.5, 4.0)
-    assert real_roots_bracketed(cubic, (0.0, 2.5, 1.5, 4.0)) == real_roots(
-        cubic)
-    with pytest.raises(ValueError):
-        real_roots_bracketed(cubic, points[:3])
-
-
-def test_separated_needs_n_minus_1_separators():
-    with pytest.raises(ValueError):
-        _separated([-6, 11, -6, 1], (1.5,))
+    assert real_roots_near(cubic, (0.0, 2.5, 1.5, 4.0)) == real_roots_near(
+        cubic, points)
+    for seeds in (points, points[:3]):
+        assert ref.roots_within(cubic, real_roots_near(cubic, seeds, 1e-12),
+                                1e-12, spacing=False)
 
 
 def test_round_trip_well_separated():
@@ -340,12 +344,13 @@ def test_oracle_pencils_are_within_tol(roots, lam, coeffs):
     assert ref.roots_within(coeffs, real_roots(coeffs, 1e-11), 1e-11)
 
 
-# --- termination and cost of the refiner ----------------------------------------
+# --- termination and cost of the rescue and the terminal ------------------------
 
 def test_tol_below_float_spacing_stops_at_adjacent_floats():
-    # no bracket gets narrower than two neighbouring doubles (spacing
-    # 1.1e-13 near 1e3); the refiner stops there, one spacing from a root:
-    # the oracle at tol twice the spacing proves that
+    # no interval gets narrower than two neighbouring doubles (spacing
+    # 1.1e-13 near 1e3); below 32 spacings no straddle is tried, and the
+    # terminal stops at float resolution, one spacing from a root: the
+    # oracle at tol twice the spacing proves that
     coeffs = from_roots([1000.0, 1000.5, 1001.25]).coefficients()
     spacing = math.ulp(1001.25)
     within = 2.0 * spacing
@@ -354,12 +359,6 @@ def test_tol_below_float_spacing_stops_at_adjacent_floats():
     separators = real_roots(coeff_derivative(coeffs), 1e-300)
     got = _separated(coeffs, separators, 1e-300)
     assert ref.roots_within(coeffs, got, within, spacing=False)
-
-
-def _bound_over(rev, lo, hi) -> float:
-    return roots_module._roundoff(
-        roots_module._eval_with_mag(rev, max(abs(lo), abs(hi)))[1],
-        len(rev) - 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -387,8 +386,8 @@ def test_horner_stays_within_its_roundoff_bound(picks, decade, data):
     points += [reach, -reach] + data.draw(st.lists(
         st.floats(-reach, reach), min_size=1, max_size=4))
     for x in points:
-        value, mag = roots_module._eval_with_mag(rev, x)
-        bound = roots_module._roundoff(mag, n)
+        value = roots_module._eval_with_slope(rev, x)[0]
+        bound = roots_module._roundoff(roots_module._magnitude(rev, x), n)
         want = ref.value(exact, Fraction(x))
         assert abs(Fraction(value) - want) <= Fraction(bound), (x, value)
         compensated = roots_module._compensated(rev, x)
@@ -399,94 +398,150 @@ def test_horner_stays_within_its_roundoff_bound(picks, decade, data):
 def test_compensated_sign_inside_its_bound_goes_to_exact_arithmetic():
     # (x - 3/2)^3, exact doubles, 17 spacings above its root: compensated
     # Horner gives -9.9e-32 where the value is +5.4e-44, inside the
-    # threshold of _certified, which then signs it exactly
+    # threshold of _certified, which then signs it on integers
     rev = [1.0, -4.5, 6.75, -3.375]
     x = 1.5 + 17 * math.ulp(1.5)
+    value = roots_module._eval_with_slope(rev, x)[0]
     assert roots_module._compensated(rev, x) < 0.0
-    assert roots_module._certified(rev, x) > 0.0
+    assert roots_module._certified(rev, x, value) > 0.0
+    assert roots_module._certified(rev, 1.5, 0.0) == 0.0
 
 
-def test_triple_root_inside_a_bracket(monkeypatch):
-    # (x - 1)^3: P' vanishes at the root, where Newton only crawls (each
-    # step 2/3 of the one before); bisection to tol needs about 42 points
-    rev = [1.0, -3.0, 3.0, -1.0]
-    points = []
-    real = roots_module._eval_with_slope
-
-    def counted(*args):
-        points.append(args[1])
-        return real(*args)
-    monkeypatch.setattr(roots_module, "_eval_with_slope", counted)
-    for lo, hi in ((0.0, 3.0), (-5.0, 2.5), (0.0, 2.0)):
-        points.clear()
-        f_lo, f_hi = (lo - 1.0) ** 3, (hi - 1.0) ** 3
-        got = roots_module._refine(rev, lo, hi, f_lo, f_hi, 1e-12,
-                                   _bound_over(rev, lo, hi))
-        assert abs(got - 1.0) <= 0.5e-12
-        assert len(points) <= 50
-
-
-def test_newton_step_at_a_critical_point_bisects():
-    # x^3 - 3x - 1 on [0, 2]: equal and opposite end values put the first
-    # point at the midpoint 1, where P' = 0; the root is 2 cos(pi/9)
-    rev = [1.0, 0.0, -3.0, -1.0]
-    got = roots_module._refine(rev, 0.0, 2.0, -1.0, 1.0, 1e-12,
-                               _bound_over(rev, 0.0, 2.0))
-    assert abs(got - 2.0 * math.cos(math.pi / 9.0)) <= 0.5e-12 + 1e-15
+def test_triple_root_inside_a_bracket():
+    # (x - 1)^3 seeded by the ends of brackets around its root: P' vanishes
+    # at the root, where Newton only crawls and no straddle holds, so the
+    # exact terminal answers, and reports the dyadic root as itself
+    coeffs = [-1.0, 3.0, -3.0, 1.0]
+    for ends in ((0.0, 0.5, 2.0, 3.0), (-5.0, 0.0, 1.0, 2.5),
+                 (0.0, 1.0, 1.0, 2.0)):
+        got = real_roots_near(coeffs, ends, 1e-12)
+        assert got == (1.0, 1.0, 1.0)
+        assert ref.roots_within(coeffs, got, 1e-12, spacing=False)
 
 
 def test_refinement_costs_few_evaluations(monkeypatch):
-    # bisection to tol = 1e-11 from brackets a few units wide takes about
-    # 40 evaluations each; safeguarded Newton needs far fewer.  Only the
-    # bracketed call is counted: the unseeded real_roots calls also
-    # evaluate P for their straddles and Aberth sweeps
-    counts = {"brackets": 0, "evaluations": 0}
+    # the terminal counts with the Sturm chain only until an interval holds
+    # one root, then halves it on the sign of the factor alone: one
+    # evaluation a halving, where a chain count costs one a chain entry.
+    # So at most two evaluations per halving that tol asks of each root
+    count = [0]
+    real = roots_module._value
 
-    def counted(name, key):
-        real = getattr(roots_module, name)
+    def counted(*args):
+        count[0] += 1
+        return real(*args)
+    monkeypatch.setattr(roots_module, "_value", counted)
+    for roots in ([Fraction(k, 3) for k in (-20, -13, -7, -1, 2, 8, 13, 17)],
+                  [Fraction(1, 3), Fraction(2, 5), Fraction(7, 3)]):
+        coeffs = from_roots(roots, "rational").coefficients()
+        nums = QPoly.of(coeffs).nums
+        s = (max(abs(v) for v in nums[:-1]) // nums[-1] + 2).bit_length()
+        for tol in (1e-11, 1e-6):
+            count[0] = 0
+            got = roots_module._isolated(nums, tol)
+            assert ref.roots_within(coeffs, got, tol)
+            halvings = math.ceil(math.log2(2.0 ** (s + 1) / tol))
+            assert count[0] <= 2 * len(roots) * halvings, (roots, tol)
 
-        def wrapper(*args):
-            counts[key] += 1
-            return real(*args)
-        monkeypatch.setattr(roots_module, name, wrapper)
-    counted("_refine", "brackets")
-    counted("_eval_with_slope", "evaluations")
-    counted("_certified", "evaluations")
-    p = from_roots([-7.0, -4.5, -2.25, -0.5, 1.0, 2.75, 4.5, 6.0])
-    coeffs = p.coefficients()
-    real_roots(coeffs, 1e-11)
-    separators = real_roots(coeff_derivative(coeffs), 1e-11)
-    counts.update(brackets=0, evaluations=0)
-    _separated(coeffs, separators, 1e-11)
-    assert counts["brackets"] > 0
-    assert counts["evaluations"] <= 20 * counts["brackets"]
+
+def _sturm_bisected(a, tol):
+    # the terminal's halving in its plain form: Sturm counts at every
+    # midpoint down to width tol, a root on a bisection point reported as
+    # itself
+    chain = roots_module._sturm_chain(a)
+    s = (max(abs(v) for v in a[:-1]) // abs(a[-1]) + 2).bit_length()
+    width = math.ldexp(2.0, s)
+    variations = roots_module._sturm_variations
+    roots = []
+    stack = [(-1 << s, 1 << s, 0, variations(chain, -1 << s, 0),
+              variations(chain, 1 << s, 0))]
+    while stack:
+        lo, hi, e, v_lo, v_hi = stack.pop()
+        count = v_lo - v_hi
+        if count and roots_module._done(math.ldexp(width, -e), lo + hi,
+                                        e + 1, tol):
+            if count == 1 and roots_module._value(a, hi, e) == 0:
+                roots.append(hi / (1 << e))
+            else:
+                roots += [(lo + hi) / (1 << e + 1)] * count
+        elif count:
+            mid = lo + hi
+            v_mid = variations(chain, mid, e + 1)
+            stack.append((2 * lo, mid, e + 1, v_lo, v_mid))
+            stack.append((mid, 2 * hi, e + 1, v_mid, v_hi))
+    return sorted(roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_small_fraction, min_size=2, max_size=8, unique=True),
+       st.one_of(st.sampled_from([1e-12, 1e-9, 1e-3, 0.5, 1e-300]),
+                 st.floats(1e-14, 1.0)))
+def test_halving_on_the_factor_gives_the_sturm_bisection_bit_for_bit(
+        roots, tol):
+    # square-free factors with rational roots, some of them dyadic (on a
+    # bisection point) and some on a grid finer than tol: the halving on
+    # the factor's sign picks the intervals that Sturm counts pick
+    nums = QPoly.of(from_roots(roots, "rational").coefficients()).nums
+    want = _sturm_bisected(nums, tol)
+    got = sorted(roots_module._factor_roots(nums, tol))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_start_within_float_resolution_takes_few_evaluations(monkeypatch):
-    # a bracket 2e-9 wide around the root, whose secant point is within
-    # one spacing of it: the Newton step rounds to nothing, and the offset
-    # point must still straddle the root rather than the whole bracket
-    # being bisected
+    # starts within one spacing of the roots: each step of the accurate
+    # pass evaluates P once, and the first step, which rounds to nothing,
+    # ends each start, so two roots take two evaluations, on the doubles
+    # and on integer numerators alike
     evaluations = [0]
-    for name in ("_eval_with_slope", "_certified"):
+    for name in ("_compensated", "_integer_value"):
         real = getattr(roots_module, name)
 
         def counted(*args, _real=real):
             evaluations[0] += 1
             return _real(*args)
         monkeypatch.setattr(roots_module, name, counted)
-    for rev, root in (([1.0, 0.0, -2.0], math.sqrt(2.0)),
-                      ([3.0, -7.0, 2.0], 1.0 / 3.0)):
-        lo, hi = root - 1e-9, root + 1e-9
-        f_lo = roots_module._eval_with_slope(rev, lo)[0]
-        f_hi = roots_module._eval_with_slope(rev, hi)[0]
-        secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        assert abs(secant - root) <= math.ulp(root)
-        evaluations[0] = 0
-        got = roots_module._refine(rev, lo, hi, f_lo, f_hi, 1e-12,
-                                   _bound_over(rev, lo, hi))
-        assert abs(got - root) <= 0.5e-12
-        assert evaluations[0] <= 3, (root, evaluations[0])
+    for rev, roots in (([1.0, 0.0, -2.0], (-math.sqrt(2.0), math.sqrt(2.0))),
+                       ([3.0, -7.0, 2.0], (1.0 / 3.0, 2.0))):
+        coeffs = rev[::-1]
+        for nums in (None, QPoly.of(coeffs).nums):
+            evaluations[0] = 0
+            got = roots_module._accurate(rev, list(roots), 1e-12, nums, 1)
+            assert got is not None
+            assert ref.roots_within(coeffs, got, 1e-12)
+            assert evaluations[0] <= 2 * len(roots), (roots, evaluations[0])
+
+
+def test_accurate_pass_rescues_noisy_horner(monkeypatch):
+    # roots 100..105, seeds 0.01 above them: near each root Horner's
+    # rounding noise is far over 0.45 tol, so plain Newton never settles
+    # and both straddle passes decline; Newton on compensated values (or
+    # on the integers of exact coefficients) settles, and the straddle
+    # certificate proves the points with no fallback
+    monkeypatch.setattr(roots_module, "real_roots", _no_recursion)
+    outcomes = _record_straddles(monkeypatch)
+    roots = [100.0 + k for k in range(6)]
+    coeffs = from_roots(roots).coefficients()
+    seeds = [r + 0.01 for r in roots]
+    for given_as in (coeffs, [Fraction(c) for c in coeffs]):
+        outcomes.clear()
+        got = real_roots_near(given_as, seeds, 1e-11)
+        assert outcomes == [None, None]
+        assert ref.roots_within(coeffs, got, 1e-11, spacing=False)
+
+
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+def test_accurate_pass_fails_on_starts_that_are_not_finite(start):
+    # a start with no finite value fails the pass, on the doubles and on
+    # integer numerators alike, before any integer is read from it;
+    # real_roots_near then falls back, and its answer is proven
+    coeffs = [-6, 11, -6, 1]
+    rev = [float(c) for c in reversed(coeffs)]
+    for nums in (None, coeffs):
+        assert roots_module._accurate(rev, [1.1, start, 2.9], 1e-12, nums,
+                                      1) is None
+    for given_as in (coeffs, [float(c) for c in coeffs]):
+        got = real_roots_near(given_as, [start] * 3, 1e-12)
+        assert ref.roots_within(coeffs, got, 1e-12)
 
 
 # --- seeded roots ---------------------------------------------------------------
@@ -540,7 +595,7 @@ def test_seeded_roots_are_within_tol(picks, tol, data):
     # which cross-checks the exact oracle.  A root at 0 of multiplicity k
     # makes the k lowest double coefficients exactly 0.0: it must come
     # back as k exact zeros, and the rest as the roots of the deflated
-    # coefficients.  No brackets certify any other multiple root, so
+    # coefficients.  No straddle certifies any other multiple root, so
     # those inputs must get the answer of real_roots.  Where partners make
     # the doubles inexact, rounding may turn a multiple root or a pair
     # into a complex pair, which must raise NotRealRooted
@@ -606,18 +661,17 @@ def test_seeded_derivative_roots_are_within_tol(grid, m, tol):
     # D^m p seeded by the n roots of p: root k of D^m p lies in
     # [r_k, r_{k+m}] by iterated Rolle, so the seeds fit though they
     # outnumber the degree, and simple roots never fall back; each root is
-    # within tol/2 (and a spacing) of a root of the double coefficients,
+    # within tol/2 (and a spacing) of a root of the coefficients as given,
     # by the exact oracle
     roots = sorted(Fraction(k, 4) for k in grid)
     coeffs = from_roots(roots, "rational").coefficients()
     for _ in range(m):
         coeffs = coeff_derivative(coeffs)
-    doubles = [float(c) for c in coeffs]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(roots_module, "real_roots", _no_recursion)
         got = real_roots_near(coeffs, roots, tol)
     assert len(got) == len(roots) - m
-    assert ref.roots_within(doubles, got, tol)
+    assert ref.roots_within(coeffs, got, tol)
 
 
 def test_seed_on_a_critical_point_is_polished(monkeypatch):
@@ -678,6 +732,31 @@ def test_tied_rational_roots_are_within_tol(roots, tol, data):
     assert ref.roots_within(coeffs, real_roots(coeffs, tol), tol)
     seeds = data.draw(_seeds([float(r) for r in roots]))
     assert ref.roots_within(coeffs, real_roots_near(coeffs, seeds, tol), tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tied_rational_roots().filter(lambda roots: len(roots) >= 2),
+       st.sampled_from([1e-12, 1e-11, 1e-9]),
+       st.fractions(-4, 4, max_denominator=8))
+def test_bracket_callers_prove_tied_rational_roots(roots, tol, lam):
+    # the four callers that know interlacing bracket ends (the roots of P
+    # for P', those of P for its pencil, a sample's roots for its
+    # criticals) seed real_roots_near with them; on rational roots with
+    # ties, tight clusters and pairs closer than tol, every root they
+    # return is within tol/2 of a root of the coefficients as given
+    p = from_roots(roots, "rational")
+    coeffs = p.coefficients()
+    got, crits = real_roots_with_criticals(coeffs, tol)
+    assert ref.roots_within(coeffs, got, tol)
+    assert ref.roots_within(coeff_derivative(coeffs), crits, tol)
+    n = p.degree
+    assert ref.roots_within([c * k / n for k, c in enumerate(coeffs) if k],
+                            derivative(p, tol).roots, tol)
+    sample = pencil_at(p, lam, tol)
+    assert sample.coeffs == pencil_coeffs(p, lam)
+    assert ref.roots_within(sample.coeffs, sample.roots, tol)
+    assert ref.roots_within(coeff_derivative(sample.coeffs),
+                            sample.criticals, tol)
 
 
 @settings(max_examples=150, deadline=None)
@@ -749,9 +828,8 @@ def _noise_zone(coeffs, root) -> float:
     return 8.0 * (len(coeffs) - 1) * math.ulp(1.0) * magnitude / abs(slope)
 
 
-def _no_brackets(*args):
-    raise AssertionError("the seeds were polished, a bracket end was "
-                         "evaluated or a bracket refined")
+def _no_rescue(*args):
+    raise AssertionError("the seeds were polished or the accurate pass ran")
 
 
 @settings(max_examples=150, deadline=None)
@@ -761,7 +839,7 @@ def test_straddled_roots_are_within_tol(grid, tol, data):
     # roots at least a quarter apart, seeds off by up to 1e-4 relative and
     # in any order: Newton from every seed and n disjoint sign changes
     # prove every root of the double coefficients, so the seeds are not
-    # polished, no bracket end is evaluated and no bracket refined.  tol
+    # polished and the accurate pass does not run.  tol
     # stays 8 times above the widest zone where Horner's sign is noise,
     # since Newton cannot settle inside it.  The exact oracle proves
     # each root within tol/2 of a root of the double coefficients
@@ -774,9 +852,8 @@ def test_straddled_roots_are_within_tol(grid, tol, data):
     seeds = data.draw(st.permutations(
         [r * (1.0 + m) for r, m in zip(roots, moves)]))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(roots_module, "_aberth", _no_brackets)
-        patch.setattr(roots_module, "_values", _no_brackets)
-        patch.setattr(roots_module, "_refine", _no_brackets)
+        patch.setattr(roots_module, "_aberth", _no_rescue)
+        patch.setattr(roots_module, "_accurate", _no_rescue)
         got = real_roots_near(coeffs, seeds, tol)
     assert ref.roots_within(coeffs, got, tol, spacing=False), (got, tol)
 
@@ -804,7 +881,7 @@ def _collapsing_starts(draw, roots):
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=12, unique=True),
        st.sampled_from([1e-12, 1e-11, 1e-9]), st.data())
 def test_deflated_pass_proves_collapsing_starts(grid, tol, data):
-    # the straddle pass alone, with no polish and no bracket.  Maehly's
+    # the straddle pass alone, with no polish and no rescue.  Maehly's
     # deflation pushes each start off the points reached before it: the
     # far start, once all roots below it are found, has a linear Newton
     # map, and two equal starts on a quadratic (off its critical point,
@@ -818,8 +895,8 @@ def test_deflated_pass_proves_collapsing_starts(grid, tol, data):
     tol = max(tol, 8.0 * max(_noise_zone(coeffs, r) for r in roots))
     kind, starts = data.draw(_collapsing_starts(roots))
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_aberth", "_values", "_refine"):
-            patch.setattr(roots_module, name, _no_brackets)
+        for name in ("_aberth", "_accurate"):
+            patch.setattr(roots_module, name, _no_rescue)
         got = roots_module._straddled(list(coeffs[::-1]), starts, tol)
     if kind != "equal" or len(roots) == 2:
         assert got is not None, (kind, starts, tol)
@@ -867,8 +944,8 @@ def _record_straddles(monkeypatch) -> list:
 ], ids=["two-on-one", "nan", "double", "spacing"])
 def test_adversarial_starts_fall_back(monkeypatch, roots, seeds, tol):
     # each seed set fails the straddle certificate as given, and the
-    # polished seeds, the brackets or, at the double root, real_roots
-    # answer: within tol/2 of the roots, or one spacing where
+    # polished seeds or, at the double root and below the spacing,
+    # real_roots answer: within tol/2 of the roots, or one spacing where
     # tol is below it
     outcomes = _record_straddles(monkeypatch)
     coeffs = from_roots(roots).coefficients()
@@ -886,9 +963,9 @@ def test_far_start_is_proven_on_the_first_pass(monkeypatch):
     # roots 1, 2, 3 and seeds 1.1, 2.1, 1e9: once the two near starts have
     # reached 1 and 2, the deflated Newton map of the far start is linear,
     # so it reaches 3 and the first straddle pass proves all three, with
-    # no Aberth sweep and no bracket
-    for name in ("_aberth", "_values", "_refine"):
-        monkeypatch.setattr(roots_module, name, _no_brackets)
+    # no Aberth sweep and no rescue
+    for name in ("_aberth", "_accurate"):
+        monkeypatch.setattr(roots_module, name, _no_rescue)
     outcomes = _record_straddles(monkeypatch)
     coeffs = from_roots((1.0, 2.0, 3.0)).coefficients()
     got = real_roots_near(coeffs, [1.1, 2.1, 1e9], 1e-12)
@@ -899,9 +976,9 @@ def test_far_start_is_proven_on_the_first_pass(monkeypatch):
 def test_near_seeds_are_proven_without_a_polish(monkeypatch):
     # seeds within Newton's reach of simple roots: the straddle
     # certificate proves them as given, with no Aberth sweep and no
-    # bracket
-    for name in ("_aberth", "_values", "_refine"):
-        monkeypatch.setattr(roots_module, name, _no_brackets)
+    # rescue
+    for name in ("_aberth", "_accurate"):
+        monkeypatch.setattr(roots_module, name, _no_rescue)
     roots = [-3.5, -1.25, 0.5, 2.0, 4.75]
     coeffs = from_roots(roots).coefficients()
     seeds = [r + 1e-3 * (-1) ** k for k, r in enumerate(roots)]
@@ -1036,7 +1113,7 @@ def test_a_degree_one_root_at_zero_is_positive_zero():
     # each degree-1 return adds 0.0, as the terminal does, so a report
     # never prints -0.0
     for got in (real_roots([0, 1])[0], real_roots([0.0, -2.0])[0],
-                real_roots_bracketed([0, 1], [-1.0, 1.0])[0],
+                real_roots_near([0, 1], [-1.0, 1.0])[0],
                 real_roots_near([1e-300, 1e300], [0.0])[0],
                 real_roots_with_criticals([-1, 0, 1])[1][0]):
         assert got == 0.0 and math.copysign(1.0, got) == 1.0
