@@ -441,16 +441,16 @@ def shift_pencil(p: HyperbolicPoly, lam: Scalar,
 
     It is the pencil of P(x + lam), whose roots are those of P moved by
     -lam, so ``pencil_brackets`` of the moved roots holds one root in each
-    bracket, as it does for ``pencil_at``.  Their midpoints seed
-    ``real_roots_near``, whose certificates and fallbacks answer at
-    lam = 0 and at a multiple root of P as anywhere else.
+    bracket, as it does for ``pencil_at``.  The n+1 bracket ends seed
+    ``real_roots_near``, as for ``pencil_at``; its certificates and
+    fallbacks answer at lam = 0 and at a multiple root of P as anywhere
+    else.
     """
     if p.degree < 1:
         raise DegreeTooSmall("shift pencil needs degree >= 1")
     coeffs = shift_pencil_coeffs(p, lam)
     ends = pencil_brackets([float(r - lam) for r in p.roots], float(lam))
-    seeds = [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
-    return HyperbolicPoly(real_roots_near(coeffs, seeds, tol), FLOAT)
+    return HyperbolicPoly(real_roots_near(coeffs, ends, tol), FLOAT)
 
 
 def gaussian_coeffs(p: HyperbolicPoly, a: Scalar) -> tuple:

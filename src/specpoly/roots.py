@@ -11,7 +11,7 @@ prove every root of a degree-n P (an a posteriori certificate, Rump,
 Acta Numerica 19, 2010), however the points were found.  Where that pass
 proves too little, Aberth sweeps polish the seeds for a second try, and
 a third pass runs Newton from the polished points with P evaluated
-accurately, for inputs whose rounding noise near a root keeps plain
+on integers, for inputs whose rounding noise near a root keeps plain
 Newton from settling.  A caller that knows n+1 interlacing bracket ends
 passes them as seeds; their midpoints become the starts.  ``real_roots``
 decides on the integer Sturm chain whether P has a multiple root or too
@@ -19,16 +19,16 @@ few real roots: such a P goes to the exact terminal, any other is seeded
 by n Chebyshev nodes inside the root bound, and what its certificates
 miss ends in the terminal too.
 
-Every float sign is the true sign for the double coefficients: plain
-Horner clear of the roundoff bound gamma_2n sum |a_k||x|^k (Higham,
-Accuracy and Stability of Numerical Algorithms, 2002, eq. 5.3), then the
-compensated Horner of Graillat, Langlois and Louvet (2005/2009) clear of
-its own bound, then integers.  Exact coefficients (ints, Fractions, or a
-``_qpoly.QPoly``, as the exact kernels hand over) are signed as given:
-plain Horner on their doubles clear of the bound at degree n + 1, which
-covers the rounding of each coefficient, and otherwise their integer
-numerators.  A ``QPoly``'s doubles are num / den, and the x^k deflation
-and the Sturm chain read its numerators, so no ``Fraction`` is built.
+Every sign is the true sign of the coefficients as given: plain Horner
+on their doubles where it clears the roundoff bound gamma_2n sum
+|a_k||x|^k (Higham, Accuracy and Stability of Numerical Algorithms,
+2002, eq. 5.3), and otherwise the sign on integer numerators.  Float
+coefficients are signed at degree n, on the numerators of their doubles.
+Exact coefficients (ints, Fractions, or a ``_qpoly.QPoly``, as the exact
+kernels hand over) are signed at degree n + 1, which covers the rounding
+of each coefficient, on their own numerators.  A ``QPoly``'s doubles are
+num / den, and the x^k deflation and the Sturm chain read its
+numerators, so no ``Fraction`` is built.
 
 The exact terminal reads ints and Fractions exactly, floats as the
 rationals they store.  Yun's square-free decomposition (1976) on integer
@@ -101,67 +101,6 @@ def _eval_with_slope(rev: Sequence[float], x: float) -> tuple[float, float]:
         slope = slope * x + acc
         acc = acc * x + c
     return acc, slope
-
-
-_SPLIT = 134217729.0    # 2**27 + 1: Veltkamp's split of a double in halves
-
-
-def _compensated(rev: Sequence[float], x: float) -> float:
-    # Compensated Horner (Graillat, Langlois and Louvet): each product and
-    # sum of the plain recurrence is made exact as value + error (Dekker's
-    # TwoProduct on Veltkamp halves, Knuth's TwoSum), and the errors are
-    # run through Horner beside it.  The result is as accurate as Horner
-    # in twice the working precision: off from P(x) by at most
-    # eps |P(x)| + (2n eps)^2 sum |a_k||x|^k, barring underflow.
-    t = _SPLIT * x
-    xh = t - (t - x)
-    xl = x - xh
-    acc = 0.0
-    err = 0.0
-    for c in rev:
-        prod = acc * x
-        t = _SPLIT * acc
-        ah = t - (t - acc)
-        al = acc - ah
-        prod_err = al * xl - (((prod - ah * xh) - al * xh) - ah * xl)
-        total = prod + c
-        back = total - prod
-        sum_err = (prod - (total - back)) + (c - back)
-        acc = total
-        err = err * x + (prod_err + sum_err)
-    return acc + err
-
-
-def _magnitude(rev: Sequence[float], x: float) -> float:
-    # sum |a_k||x|^k, by Horner's recurrence on the |a_k| at |x|
-    mag = 0.0
-    ax = abs(x)
-    for c in rev:
-        mag = mag * ax + abs(c)
-    return mag
-
-
-def _certified(rev: Sequence[float], x: float, value: float) -> float:
-    """P(x), or a value with the true sign of P(x) and about its size.
-
-    ``value`` is plain Horner's at x, which the caller has computed
-    already.  It decides where it clears the roundoff bound at x,
-    compensated Horner where its value clears its own, much smaller bound,
-    and the sign on the integer numerators of the doubles otherwise.
-    Returns 0.0 only at an exact root.
-    """
-    n = len(rev) - 1
-    bound = _roundoff(_magnitude(rev, x), n)
-    if abs(value) > bound:
-        return value
-    value = _compensated(rev, x)
-    # the threshold 8 n eps bound is over 8 (n eps)^2 mag, twice the
-    # (2 n eps)^2 mag of the error bound of _compensated: a value past it
-    # has the sign of P(x)
-    if abs(value) > 8.0 * n * _EPS * bound:
-        return value
-    sign = _sign(QPoly.of(rev[::-1]).nums, x)
-    return math.copysign(max(abs(value), 5e-324), sign) if sign else 0.0
 
 
 def default_tol(coeffs: Sequence[float]) -> float:
@@ -272,12 +211,12 @@ def _proven(rev: list[float], found: list[float], tol: float,
     # root in each, so every root of a degree-n P, and each x is within
     # tol/2 of its root (tol is at least 32 spacings at x, so the rounding
     # of the ends stays inside tol/20).  How the points were reached plays
-    # no part in that proof.  None when it fails.  With ``nums``, the
-    # integer numerators of exact coefficients, the signs are those of
-    # the coefficients as given, which their doubles may round: each by
-    # at most eps/2 |a_k|, so Horner's value is off from the exact one by
-    # at most the roundoff bound at degree n + 1, and inside that bound
-    # the sign is taken on the integers.
+    # no part in that proof.  None when it fails.  Inside the roundoff
+    # bound a sign is taken on integers: ``nums``, the numerators of exact
+    # coefficients, or with nums None those of the doubles, built at the
+    # first such sign.  Exact coefficients have doubles that may round
+    # each by at most eps/2 |a_k|, so Horner's value is off from the exact
+    # one by at most the roundoff bound at degree n + 1.
     half = 0.45 * tol
     found.sort()
     edge = -math.inf
@@ -306,30 +245,22 @@ def _proven(rev: list[float], found: list[float], tol: float,
             b = b * hi + c
             mag = mag * far + size
         bound = factor * mag + 1e-300
-        if -bound <= a <= bound:
-            a = _certified(rev, lo, a) if nums is None else _sign(nums, lo)
-        if -bound <= b <= bound:
-            b = _certified(rev, hi, b) if nums is None else _sign(nums, hi)
+        if -bound <= a <= bound or -bound <= b <= bound:
+            if nums is None:
+                nums = QPoly.of(rev[::-1]).nums
+            if -bound <= a <= bound:
+                a = _sign(nums, lo)
+            if -bound <= b <= bound:
+                b = _sign(nums, hi)
         if not (a < 0.0 < b or b < 0.0 < a):
             return None
     return tuple(found)
 
 
-def _integer_value(nums: list[int], x: float) -> tuple[int, int]:
-    # sum nums[k] x^k as (acc, q^n), its value being acc / q^n: on
-    # integers, with x = p / q, q > 0 and acc = sum nums[k] p^k q^(n - k)
-    p, q = x.as_integer_ratio()
-    acc = nums[-1]
-    scale = 1
-    for c in nums[-2::-1]:
-        scale *= q
-        acc = acc * p + c * scale
-    return acc, scale
-
-
 def _sign(nums: list[int], x: float) -> float:
-    # the sign of sum nums[k] x^k, exactly
-    acc = _integer_value(nums, x)[0]
+    # the sign of sum nums[k] x^k, exactly, at x = p / 2^e
+    p, q = x.as_integer_ratio()
+    acc = _value(nums, p, q.bit_length() - 1)
     return 1.0 if acc > 0 else -1.0 if acc < 0 else 0.0
 
 
@@ -337,11 +268,16 @@ def _accurate(rev: list[float], starts: list[float], tol: float,
               nums: list[int] | None, den: int) -> tuple[float, ...] | None:
     # _straddled's Newton pass again, for inputs whose Horner noise near a
     # root is over 0.45 tol, where plain Newton never settles: the same
-    # deflated steps and stops, with P evaluated accurately (compensated
-    # Horner on the doubles, or the integer value of the numerators
-    # ``nums`` over their denominator ``den``) and P' by plain Horner.
-    # The points go to the same certificate.  A start or a step that is
-    # not finite has no value to compute, and fails the pass.
+    # deflated steps and stops, with P evaluated on integers (the
+    # numerators ``nums`` over their denominator ``den``, or with nums
+    # None those of the doubles) and P' by plain Horner.  The points go to
+    # the same certificate.  A start or a step that is not finite has no
+    # value to compute, and fails the pass.
+    ints = nums
+    if nums is None:
+        doubles = QPoly.of(rev[::-1])
+        ints, den = doubles.nums, doubles.den
+    top = len(ints) - 1
     stop = 0.05 * tol
     half = 0.45 * tol
     found = []
@@ -351,11 +287,9 @@ def _accurate(rev: list[float], starts: list[float], tol: float,
             for _ in range(_NEWTON):
                 if not math.isfinite(x):
                     return None
-                if nums is None:
-                    f = _compensated(rev, x)
-                else:
-                    acc, scale = _integer_value(nums, x)
-                    f = acc / (scale * den)
+                p, q = x.as_integer_ratio()
+                e = q.bit_length() - 1
+                f = _value(ints, p, e) / (den << e * top)
                 slope = _eval_with_slope(rev, x)[1]
                 pull = 0.0
                 for z in found:

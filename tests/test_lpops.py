@@ -152,6 +152,23 @@ def test_shift_pencil_fixtures():
     assert matching_distance(img.roots, (-1, 1)) < 1e-9
 
 
+@pytest.mark.parametrize("roots", [
+    [-2.5, 0.0, 1.25, 3.0],
+    [Fraction(-7, 3), Fraction(0), Fraction(1, 3), Fraction(2)],
+    [Fraction(-1, 2), Fraction(0), Fraction(0), Fraction(5, 4)]])
+def test_shift_pencil_at_lambda_zero_keeps_a_root_at_zero_exact(roots):
+    # at lam = 0 the shift pencil is P, whose lowest coefficients are 0:
+    # the n+1 bracket ends seed real_roots_near, the roots at 0 come back
+    # as exact zeros, and every root is within tol/2 of a root of the
+    # coefficients as given
+    tol = 1e-11
+    p = from_roots(roots)
+    coeffs = shift_pencil_coeffs(p, 0)
+    got = shift_pencil(p, 0, tol).roots
+    assert got.count(0.0) == roots.count(0)
+    assert ref.roots_within(coeffs, got, tol)
+
+
 def test_gaussian_fixtures():
     assert gaussian_coeffs(from_roots([0, 0]), Fraction(1, 2)) == (-1, 0, 1)
     assert gaussian_coeffs(from_roots([0, 0, 0]), Fraction(1, 2)) == (0, -3, 0, 1)

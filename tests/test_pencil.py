@@ -438,8 +438,8 @@ _SHIFT_LAMBDAS = st.one_of(
        st.sampled_from(["float", "rational"]), _SHIFT_LAMBDAS, st.booleans())
 def test_shift_pencil_brackets_agree_with_full_recursion(n, seed, mode, lam,
                                                          repeat):
-    # shift_pencil seeds the shift pencil at the midpoints of the brackets
-    # cut by the moved roots of P, for the main2 suite and the CLI alike
+    # shift_pencil seeds the shift pencil by the ends of the brackets cut
+    # by the moved roots of P, for the main2 suite and the CLI alike
     # (a rational P with a Fraction lam); at lam = 0, tiny lam and a
     # repeated root of P its fallbacks answer where the certificate
     # fails.  A repeated root is drawn in rational mode, whose
@@ -472,8 +472,8 @@ _PENCIL_LAMBDAS = st.one_of(
 @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["float", "rational"]), _PENCIL_LAMBDAS, st.booleans())
 def test_fixed_brackets_agree_with_full_recursion(n, seed, mode, lam, repeat):
-    # pencil_at brackets by the roots of P (pencil_brackets), and
-    # shift_pencil seeds at those brackets' midpoints; their roots, and
+    # pencil_at and shift_pencil seed by the bracket ends that the roots
+    # of P cut (pencil_brackets); their roots, and
     # the criticals of pencil_at's and of pencil_path's samples, must
     # agree with real_roots on the same coefficients, in P's mode, a
     # repeated root of P (drawn in rational mode, as above) included

@@ -361,6 +361,14 @@ def test_tol_below_float_spacing_stops_at_adjacent_floats():
     assert ref.roots_within(coeffs, got, within, spacing=False)
 
 
+def _magnitude(rev, x) -> float:
+    # sum |a_k||x|^k, by Horner's recurrence on the |a_k| at |x|
+    mag = 0.0
+    for c in rev:
+        mag = mag * abs(x) + abs(c)
+    return mag
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(-99, 99), st.integers(-6, 6),
                           st.integers(1, 3)), min_size=1, max_size=20),
@@ -370,12 +378,13 @@ def test_horner_stays_within_its_roundoff_bound(picks, decade, data):
     # scaled by 10^decade: at each root, its neighbouring doubles and a
     # double up to 1e5 spacings away, where the sum cancels, and at
     # points out to four times the largest root, its value is within
-    # _roundoff(mag, n) of the exact value, and a compensated value past
-    # the threshold of _certified has its sign (which near a multiple
-    # root it may not have below that threshold)
+    # _roundoff(mag, n) of the exact value, and wherever it is inside
+    # that bound (where near a multiple root its sign may be noise) the
+    # sign on the numerators of the doubles is the exact sign
     roots = [m * 10.0 ** d for m, d, k in picks for _ in range(k)][:20]
     coeffs = [c * 10.0 ** decade for c in from_roots(roots).coefficients()]
     exact = [Fraction(c) for c in coeffs]
+    nums = QPoly.of(coeffs).nums
     rev = coeffs[::-1]
     n = len(rev) - 1
     reach = 4.0 * max(abs(r) for r in roots) + 1.0
@@ -387,24 +396,87 @@ def test_horner_stays_within_its_roundoff_bound(picks, decade, data):
         st.floats(-reach, reach), min_size=1, max_size=4))
     for x in points:
         value = roots_module._eval_with_slope(rev, x)[0]
-        bound = roots_module._roundoff(roots_module._magnitude(rev, x), n)
+        bound = roots_module._roundoff(_magnitude(rev, x), n)
         want = ref.value(exact, Fraction(x))
         assert abs(Fraction(value) - want) <= Fraction(bound), (x, value)
-        compensated = roots_module._compensated(rev, x)
-        if abs(compensated) > 8.0 * n * math.ulp(1.0) * bound:
-            assert (compensated > 0) == (want > 0), (x, compensated)
+        if abs(value) <= bound:
+            sign = roots_module._sign(nums, x)
+            assert sign == (want > 0) - (want < 0), (x, sign)
 
 
-def test_compensated_sign_inside_its_bound_goes_to_exact_arithmetic():
-    # (x - 3/2)^3, exact doubles, 17 spacings above its root: compensated
-    # Horner gives -9.9e-32 where the value is +5.4e-44, inside the
-    # threshold of _certified, which then signs it on integers
+def test_compensated_sign_inside_its_bound_goes_to_exact_arithmetic(
+        monkeypatch):
+    # (x - 3/2)^3, exact doubles, 17 spacings above its root, where the
+    # value is +5.4e-44 and even a value in twice the working precision
+    # (compensated Horner's, -9.9e-32) has the wrong sign: both straddle
+    # ends of the triple root are inside Horner's roundoff bound, and the
+    # float-coefficient path signs them on the numerators of the doubles,
+    # so the straddle proves the root
     rev = [1.0, -4.5, 6.75, -3.375]
     x = 1.5 + 17 * math.ulp(1.5)
-    value = roots_module._eval_with_slope(rev, x)[0]
-    assert roots_module._compensated(rev, x) < 0.0
-    assert roots_module._certified(rev, x, value) > 0.0
-    assert roots_module._certified(rev, 1.5, 0.0) == 0.0
+    tol = 17 * math.ulp(1.5) / 0.45
+    assert 1.5 + 0.45 * tol == x
+    for end in (x, 1.5 - 17 * math.ulp(1.5)):
+        bound = roots_module._roundoff(_magnitude(rev, end), 3)
+        assert abs(roots_module._eval_with_slope(rev, end)[0]) <= bound
+    assert roots_module._sign(QPoly.of(rev[::-1]).nums, 1.5) == 0.0
+    signs = []
+    real = roots_module._sign
+
+    def recorded(nums, point):
+        signs.append((point, real(nums, point)))
+        return signs[-1][1]
+    monkeypatch.setattr(roots_module, "_sign", recorded)
+    assert roots_module._proven(rev, [1.5], tol, None) == (1.5,)
+    assert sorted(signs) == [(1.5 - 17 * math.ulp(1.5), -1.0), (x, 1.0)]
+
+
+def _proven_reference(coeffs, found, tol):
+    # the straddle certificate on exact values: disjoint intervals about
+    # the sorted points, and a sign change of P as given across each
+    half = 0.45 * tol
+    found = sorted(found)
+    edge = -math.inf
+    for x in found:
+        lo, hi = x - half, x + half
+        if not edge < lo < hi or tol < 32.0 * math.ulp(x):
+            return None
+        edge = hi
+    for x in found:
+        a = ref.value(coeffs, Fraction(x - half))
+        b = ref.value(coeffs, Fraction(x + half))
+        if not (a < 0 < b or b < 0 < a):
+            return None
+    return tuple(found)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 3)),
+                min_size=1, max_size=8, unique_by=lambda pick: pick[0]),
+       st.sampled_from([4, 3, 7]), st.integers(0, 30), st.booleans(),
+       st.data())
+def test_every_straddle_sign_is_exact(picks, scale, widen, exact, data):
+    # roots k / scale with multiplicities 1-3, points within 50 spacings
+    # of some of them, and tol from 32 spacings of the largest root: the
+    # ends fall in Horner's noise about multiple roots, and the
+    # certificate must decide as exact signs do, for the doubles of
+    # float coefficients and for exact coefficients alike
+    roots = [Fraction(k, scale) for k, m in picks for _ in range(m)]
+    coeffs = from_roots(roots, "rational").coefficients()
+    rev = [float(c) for c in reversed(coeffs)]
+    if exact:
+        given_as, nums = coeffs, QPoly.of(coeffs).nums
+    else:
+        given_as, nums = rev[::-1], None
+    top = max(abs(float(r)) for r in roots)
+    tol = 32.0 * math.ulp(top) * 2.0 ** widen
+    found = [float(Fraction(k, scale)) for k, m in picks]
+    found = [x + math.ulp(x) * data.draw(st.integers(-50, 50))
+             for x in data.draw(st.lists(st.sampled_from(found), min_size=1,
+                                         unique=True))]
+    for points in [found] + [[x] for x in found]:
+        want = _proven_reference(given_as, points, tol)
+        assert roots_module._proven(rev, list(points), tol, nums) == want
 
 
 def test_triple_root_inside_a_bracket():
@@ -490,16 +562,15 @@ def test_halving_on_the_factor_gives_the_sturm_bisection_bit_for_bit(
 def test_start_within_float_resolution_takes_few_evaluations(monkeypatch):
     # starts within one spacing of the roots: each step of the accurate
     # pass evaluates P once, and the first step, which rounds to nothing,
-    # ends each start, so two roots take two evaluations, on the doubles
-    # and on integer numerators alike
+    # ends each start, so two roots take two integer evaluations, on the
+    # numerators of the doubles and on those of exact coefficients alike
     evaluations = [0]
-    for name in ("_compensated", "_integer_value"):
-        real = getattr(roots_module, name)
+    real = roots_module._value
 
-        def counted(*args, _real=real):
-            evaluations[0] += 1
-            return _real(*args)
-        monkeypatch.setattr(roots_module, name, counted)
+    def counted(*args):
+        evaluations[0] += 1
+        return real(*args)
+    monkeypatch.setattr(roots_module, "_value", counted)
     for rev, roots in (([1.0, 0.0, -2.0], (-math.sqrt(2.0), math.sqrt(2.0))),
                        ([3.0, -7.0, 2.0], (1.0 / 3.0, 2.0))):
         coeffs = rev[::-1]
@@ -514,9 +585,9 @@ def test_start_within_float_resolution_takes_few_evaluations(monkeypatch):
 def test_accurate_pass_rescues_noisy_horner(monkeypatch):
     # roots 100..105, seeds 0.01 above them: near each root Horner's
     # rounding noise is far over 0.45 tol, so plain Newton never settles
-    # and both straddle passes decline; Newton on compensated values (or
-    # on the integers of exact coefficients) settles, and the straddle
-    # certificate proves the points with no fallback
+    # and both straddle passes decline; Newton on integer values (the
+    # numerators of the doubles, or of exact coefficients) settles, and
+    # the straddle certificate proves the points with no fallback
     monkeypatch.setattr(roots_module, "real_roots", _no_recursion)
     outcomes = _record_straddles(monkeypatch)
     roots = [100.0 + k for k in range(6)]
@@ -991,8 +1062,10 @@ def test_near_seeds_are_proven_without_a_polish(monkeypatch):
 
 def _straddled_reference(rev, starts, tol, nums=None):
     # the straddle pass in its plain form: P and P' by _eval_with_slope,
-    # the Maehly pull summed from 0.0 on every step, and the certificate's
-    # Horner loops started from acc = 0.0 at the leading coefficient
+    # the Maehly pull summed from 0.0 on every step, the certificate's
+    # Horner loops started from acc = 0.0 at the leading coefficient, and
+    # signs inside the bound taken on integers, the doubles' numerators
+    # when nums is None
     stop = 0.05 * tol
     half = 0.45 * tol
     found = []
@@ -1026,6 +1099,7 @@ def _straddled_reference(rev, starts, tol, nums=None):
             return None
         edge = hi
     degree = len(rev) - 1 if nums is None else len(rev)
+    ints = QPoly.of(rev[::-1]).nums if nums is None else nums
     for x in found:
         lo, hi = x - half, x + half
         far = hi if hi > -lo else -lo
@@ -1036,11 +1110,9 @@ def _straddled_reference(rev, starts, tol, nums=None):
             mag = mag * far + abs(c)
         bound = roots_module._roundoff(mag, degree)
         if -bound <= a <= bound:
-            a = (roots_module._certified(rev, lo, a) if nums is None
-                 else roots_module._sign(nums, lo))
+            a = roots_module._sign(ints, lo)
         if -bound <= b <= bound:
-            b = (roots_module._certified(rev, hi, b) if nums is None
-                 else roots_module._sign(nums, hi))
+            b = roots_module._sign(ints, hi)
         if not (a < 0.0 < b or b < 0.0 < a):
             return None
     return tuple(found)
