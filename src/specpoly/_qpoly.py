@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 
 class QPoly:
@@ -68,6 +69,13 @@ class QPoly:
         """The coefficients as a tuple of ``Fraction``."""
         den = self.den
         return tuple(Fraction(v, den) for v in self.nums)
+
+
+def coeff_derivative(coeffs) -> tuple:
+    """The coefficients of P', low degree first, in the scalars given:
+    k a_k for k = 1..n (exact on ints and Fractions, one rounding each on
+    floats)."""
+    return tuple(map(mul, coeffs[1:], range(1, len(coeffs))))
 
 
 def numerators(*tuples, exact: bool = True) -> tuple:

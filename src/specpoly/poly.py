@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import roots as _rootfind
-from ._qpoly import QPoly, numerators
+from ._qpoly import QPoly, coeff_derivative, numerators
 from .errors import DegreeTooSmall, EmptyTuple, InfeasibleGap, NonPositiveEps
 from .scalars import (FLOAT, RATIONAL, Scalar, check_finite, coerce,
                       coerce_all, infer_mode)
@@ -158,10 +158,6 @@ def hyperbolic_from_coeffs(coeffs: Sequence, tol: float | None = None,
     return HyperbolicPoly(_rootfind.real_roots(coeffs, tol), FLOAT)
 
 
-def coeff_derivative(coeffs: Sequence) -> tuple:
-    return tuple(coeffs[k] * k for k in range(1, len(coeffs)))
-
-
 def derivative(p: HyperbolicPoly, tol: float | None = None) -> HyperbolicPoly:
     """The monic normalization P'/n of the derivative.
 
@@ -177,7 +173,7 @@ def derivative(p: HyperbolicPoly, tol: float | None = None) -> HyperbolicPoly:
         raise DegreeTooSmall("derivative needs degree >= 2")
     c = p.coeff_vector()
     if p.mode == RATIONAL:
-        dc = QPoly([k * v for k, v in enumerate(c.nums)][1:], c.den * n)
+        dc = QPoly(coeff_derivative(c.nums), c.den * n)
     else:
         dc = [v * k / n for k, v in enumerate(c) if k >= 1]
     return HyperbolicPoly(

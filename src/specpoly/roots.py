@@ -10,14 +10,14 @@ that two starts do not settle on one root.  Opposite true signs of P at
 prove every root of a degree-n P (an a posteriori certificate, Rump,
 Acta Numerica 19, 2010), however the points were found.  Where that pass
 proves too little, Aberth sweeps polish the seeds for a second try, and
-a third pass runs Newton from the polished points with P evaluated
-on integers, for inputs whose rounding noise near a root keeps plain
-Newton from settling.  A caller that knows n+1 interlacing bracket ends
-passes them as seeds; their midpoints become the starts.  ``real_roots``
-decides on the integer Sturm chain whether P has a multiple root or too
-few real roots: such a P goes to the exact terminal, any other is seeded
-by n Chebyshev nodes inside the root bound, and what its certificates
-miss ends in the terminal too.
+a third pass runs the same deflated Newton loop from the polished points
+with the values of P taken on integers, for inputs whose rounding noise
+near a root keeps plain Newton from settling.  A caller that knows n+1
+interlacing bracket ends passes them as seeds; their midpoints become
+the starts.  ``real_roots`` decides on the integer Sturm chain whether
+P has a multiple root or too few real roots: such a P goes to the exact
+terminal, any other is seeded by n Chebyshev nodes inside the root
+bound, and what its certificates miss ends in the terminal too.
 
 Every sign is the true sign of the coefficients as given: plain Horner
 on their doubles where it clears the roundoff bound gamma_2n sum
@@ -52,7 +52,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Sequence
 
-from ._qpoly import QPoly
+from ._qpoly import QPoly, coeff_derivative
 from .errors import DegreeZero, NonFinite, NotRealRooted
 from .scalars import check_tol
 
@@ -80,17 +80,6 @@ def root_bound(coeffs: Sequence[float]) -> float:
     """A strict bound on the absolute value of every root."""
     b = min(cauchy_bound(coeffs), _fujiwara_bound(coeffs) * (1.0 + 1e-9) + 1e-300)
     return b if b > 0.0 else 1.0
-
-
-def _roundoff(mag: float, n: int) -> float:
-    # a bound on the error of Horner's value at a point where the computed
-    # sum |a_k||x|^k is mag: gamma_2n mag, gamma_k = k u / (1 - k u) with
-    # u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
-    # 2002, eq. 5.3), and 1.01 n eps covers gamma_2n, the rounding of the
-    # sum mag (at least 1 - gamma_2n times the true one) and of this
-    # product while n eps < 1e-3.  Like Higham's, the bound holds barring
-    # underflow; the 1e-300 keeps it above 0.
-    return 1.01 * n * _EPS * mag + 1e-300
 
 
 def _eval_with_slope(rev: Sequence[float], x: float) -> tuple[float, float]:
@@ -144,20 +133,25 @@ _NEWTON = 32
 
 
 def _straddled(rev: list[float], starts: list[float], tol: float,
-               nums: list[int] | None = None) -> tuple[float, ...] | None:
+               nums: list[int] | None = None, ints: list[int] | None = None,
+               den: int = 1) -> tuple[float, ...] | None:
     # Newton from each start in turn, deflated by Maehly's rule against
     # the points z_j reached from the starts before it: the step is
     # P / (P' - P sum_j 1/(x - z_j)), Newton's step on P / prod (x - z_j),
     # so a start near a root already found is pushed on to another.  Each
     # start runs until a step is at most 0.05 tol, or at most 0.45 tol and
     # no smaller than the one before (Horner's rounding noise near the
-    # root; farther out, Newton's steps may grow for a while).  Then
-    # _proven signs P about the points reached.  None when any of it
-    # fails, or a step lands on a point already reached.
+    # root; farther out, Newton's steps may grow for a while).  P and P'
+    # are Horner's, unless integer numerators ``ints`` over ``den`` are
+    # given: then P is their value on integers, rounded once, and only P'
+    # is Horner's (the accurate pass).  Then _proven signs P about the
+    # points reached, on ``nums``.  None when any of it fails, a step
+    # lands on a point already reached, or a point that is not finite
+    # has no integer value to take.
     #
     # Nearly all of the seeded path's time is spent in the Newton loop
     # here and the certificate loop of _proven, so both are written out
-    # rather than calling _eval_with_slope and _roundoff: calling a
+    # rather than calling _eval_with_slope or a bound helper: calling a
     # helper once per Newton step, even one with the same loop, cost 3.6%
     # of the pencil-sweep benchmark's trials/s, lost in 6 of 6 alternating
     # pairs.  Each Horner recurrence starts past the leading coefficient
@@ -165,13 +159,14 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
     # (0 x + 0 = 0, then 0 x + a_n = a_n), so starting from slope = a_n,
     # P = a_n x + a_{n-1}, a = b = a_n and mag = |a_n| gives the same
     # doubles as the full recurrence (a start that reaches a non-finite
-    # x fails either way), and the hoisted roundoff factor keeps
-    # _roundoff's association.
+    # x fails either way), and _proven's bound is (1.01 n eps) mag +
+    # 1e-300 with the factor in parentheses hoisted out of its loop.
     stop = 0.05 * tol
     half = 0.45 * tol
     lead = rev[0]
     second = rev[1]
     tail = rev[2:]
+    top = len(ints) - 1 if ints is not None else 0
     found = []
     try:
         for x in starts:
@@ -182,6 +177,10 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
                 for c in tail:
                     slope = slope * x + f
                     f = f * x + c
+                if ints is not None:
+                    p, q = x.as_integer_ratio()
+                    e = q.bit_length() - 1
+                    f = _value(ints, p, e) / (den << e * top)
                 if found:
                     pull = 0.0
                     for z in found:
@@ -198,7 +197,7 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
             else:
                 return None
             found.append(x)
-    except ZeroDivisionError:
+    except (ZeroDivisionError, OverflowError, ValueError):
         return None
     return _proven(rev, found, tol, nums)
 
@@ -229,6 +228,12 @@ def _proven(rev: list[float], found: list[float], tol: float,
         edge = hi
     # Both ends in one Horner pass, with sum |a_k||x|^k at the end farther
     # from 0: it grows with |x|, so its roundoff bound covers both ends.
+    # Where the computed sum is mag, Horner's value is off by at most
+    # gamma_2n mag, gamma_k = k u / (1 - k u) with u = eps / 2 (Higham,
+    # eq. 5.3); the bound (1.01 n eps) mag + 1e-300 covers gamma_2n, the
+    # rounding of mag (at least 1 - gamma_2n times the true sum) and of
+    # the product while n eps < 1e-3.  Like Higham's, it holds barring
+    # underflow; the 1e-300 keeps it above 0.
     degree = len(rev) - 1 if nums is None else len(rev)
     factor = 1.01 * degree * _EPS
     lead = rev[0]
@@ -266,49 +271,14 @@ def _sign(nums: list[int], x: float) -> float:
 
 def _accurate(rev: list[float], starts: list[float], tol: float,
               nums: list[int] | None, den: int) -> tuple[float, ...] | None:
-    # _straddled's Newton pass again, for inputs whose Horner noise near a
-    # root is over 0.45 tol, where plain Newton never settles: the same
-    # deflated steps and stops, with P evaluated on integers (the
-    # numerators ``nums`` over their denominator ``den``, or with nums
-    # None those of the doubles) and P' by plain Horner.  The points go to
-    # the same certificate.  A start or a step that is not finite has no
-    # value to compute, and fails the pass.
-    ints = nums
-    if nums is None:
-        doubles = QPoly.of(rev[::-1])
-        ints, den = doubles.nums, doubles.den
-    top = len(ints) - 1
-    stop = 0.05 * tol
-    half = 0.45 * tol
-    found = []
-    try:
-        for x in starts:
-            last = math.inf
-            for _ in range(_NEWTON):
-                if not math.isfinite(x):
-                    return None
-                p, q = x.as_integer_ratio()
-                e = q.bit_length() - 1
-                f = _value(ints, p, e) / (den << e * top)
-                slope = _eval_with_slope(rev, x)[1]
-                pull = 0.0
-                for z in found:
-                    pull += 1.0 / (x - z)
-                slope -= f * pull
-                if not slope:
-                    return None
-                step = f / slope
-                x -= step
-                size = abs(step)
-                if size <= stop or not size < last and size <= half:
-                    break
-                last = size
-            else:
-                return None
-            found.append(x)
-    except (ZeroDivisionError, OverflowError):
-        return None
-    return _proven(rev, found, tol, nums)
+    # _straddled's pass again, for inputs whose Horner noise near a root
+    # is over 0.45 tol, where plain Newton never settles: P is evaluated
+    # on integers, the numerators ``nums`` over their denominator ``den``,
+    # or with nums None those of the doubles
+    if nums is not None:
+        return _straddled(rev, starts, tol, nums, nums, den)
+    doubles = QPoly.of(rev[::-1])
+    return _straddled(rev, starts, tol, None, doubles.nums, doubles.den)
 
 
 _SWEEPS = 12    # Aberth sweeps at most; near seeds take three or four
@@ -454,10 +424,9 @@ def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,
     if n == 1:
         return roots, ()
     if isinstance(coeffs, QPoly):
-        derivative = QPoly([k * v for k, v in enumerate(coeffs.nums)][1:],
-                           coeffs.den)
+        derivative = QPoly(coeff_derivative(coeffs.nums), coeffs.den)
     else:
-        derivative = [k * v for k, v in enumerate(coeffs)][1:]
+        derivative = coeff_derivative(coeffs)
     return roots, real_roots_near(derivative, roots, tol)
 
 
@@ -497,7 +466,7 @@ def _sturm_chain(nums: list[int]) -> list[list[int]]:
     if not nums:
         raise DegreeZero("the zero polynomial has no Sturm sequence")
     seq = [nums]
-    dp = _primitive([k * v for k, v in enumerate(nums)][1:])
+    dp = _primitive(coeff_derivative(nums))
     while dp:
         seq.append(dp)
         r = _remainder(seq[-2], seq[-1])
@@ -519,7 +488,7 @@ def sturm_sequence(coeffs: Sequence) -> list[list[Fraction]]:
     p = QPoly.of(coeffs)
     chain = _sturm_chain(p.nums)
     head = [Fraction(v, p.den) for v in chain[0]]
-    seq = [head, [k * v for k, v in enumerate(head)][1:]]
+    seq = [head, list(coeff_derivative(head))]
     for s in chain[2:]:
         lead = abs(s[-1])
         seq.append([Fraction(v, lead) for v in s])
@@ -575,8 +544,7 @@ def _quotient(num: list[int], den: list[int]) -> list[int]:
 
 def _minus_derivative(c: list[int], b: list[int]) -> list[int]:
     # c - b' without top zeros
-    d = [v - w for v, w in zip_longest(c, [k * v for k, v in enumerate(b)][1:],
-                                       fillvalue=0)]
+    d = [v - w for v, w in zip_longest(c, coeff_derivative(b), fillvalue=0)]
     while d and d[-1] == 0:
         d.pop()
     return d
@@ -590,7 +558,7 @@ def _square_free(nums: list[int]) -> list[tuple[list[int], int]]:
     # keeps its meaning.
     chain = _sturm_chain(nums)
     p, a = chain[0], chain[-1]
-    dp = [k * v for k, v in enumerate(p)][1:]
+    dp = coeff_derivative(p)
     b = _quotient(p, a)
     d = _minus_derivative(_quotient(dp, a), b)
     factors = []

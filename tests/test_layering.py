@@ -1,7 +1,8 @@
 """The library's import structure: every import at module level, no cycles.
 
 An import inside a function hides a dependency from the module header and
-usually papers over a cycle; both are checked on the source with ``ast``.
+usually papers over a cycle; both are checked on the source with ``ast``,
+as is that every private function has a reader in the library.
 """
 
 import ast
@@ -64,3 +65,31 @@ def test_internal_import_graph_is_acyclic():
 
     for name in graph:
         visit(name)
+
+
+def _private_functions(tree):
+    """The ``_name`` functions and methods a module defines (no dunders)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_")
+                and not node.name.endswith("__")):
+            yield node.name
+
+
+def _loaded_names(tree):
+    """Every name a module reads, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            yield node.attr
+
+
+def test_every_private_function_has_a_library_caller():
+    # a private helper that only the tests call is test code in the
+    # library; one that nothing calls is dead
+    loaded = set().union(*(_loaded_names(tree) for tree in MODULES.values()))
+    unused = {name: sorted(set(_private_functions(tree)) - loaded)
+              for name, tree in MODULES.items()}
+    assert {k: v for k, v in unused.items() if v} == {}

@@ -361,6 +361,16 @@ def test_tol_below_float_spacing_stops_at_adjacent_floats():
     assert ref.roots_within(coeffs, got, within, spacing=False)
 
 
+def _roundoff(mag: float, n: int) -> float:
+    # the reference form of the bound _proven hoists: a bound on the error
+    # of Horner's value at a point where the computed sum |a_k||x|^k is
+    # mag, gamma_2n mag with gamma_k = k u / (1 - k u), u = eps / 2
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    # eq. 5.3), which 1.01 n eps covers with the rounding of mag and of
+    # this product while n eps < 1e-3; the 1e-300 keeps it above 0
+    return 1.01 * n * 2.0 ** -52 * mag + 1e-300
+
+
 def _magnitude(rev, x) -> float:
     # sum |a_k||x|^k, by Horner's recurrence on the |a_k| at |x|
     mag = 0.0
@@ -396,7 +406,7 @@ def test_horner_stays_within_its_roundoff_bound(picks, decade, data):
         st.floats(-reach, reach), min_size=1, max_size=4))
     for x in points:
         value = roots_module._eval_with_slope(rev, x)[0]
-        bound = roots_module._roundoff(_magnitude(rev, x), n)
+        bound = _roundoff(_magnitude(rev, x), n)
         want = ref.value(exact, Fraction(x))
         assert abs(Fraction(value) - want) <= Fraction(bound), (x, value)
         if abs(value) <= bound:
@@ -417,7 +427,7 @@ def test_compensated_sign_inside_its_bound_goes_to_exact_arithmetic(
     tol = 17 * math.ulp(1.5) / 0.45
     assert 1.5 + 0.45 * tol == x
     for end in (x, 1.5 - 17 * math.ulp(1.5)):
-        bound = roots_module._roundoff(_magnitude(rev, end), 3)
+        bound = _roundoff(_magnitude(rev, end), 3)
         assert abs(roots_module._eval_with_slope(rev, end)[0]) <= bound
     assert roots_module._sign(QPoly.of(rev[::-1]).nums, 1.5) == 0.0
     signs = []
@@ -585,9 +595,10 @@ def test_start_within_float_resolution_takes_few_evaluations(monkeypatch):
 def test_accurate_pass_rescues_noisy_horner(monkeypatch):
     # roots 100..105, seeds 0.01 above them: near each root Horner's
     # rounding noise is far over 0.45 tol, so plain Newton never settles
-    # and both straddle passes decline; Newton on integer values (the
-    # numerators of the doubles, or of exact coefficients) settles, and
-    # the straddle certificate proves the points with no fallback
+    # and both straddle passes decline; the third run of the same loop,
+    # on integer values (the numerators of the doubles, or of exact
+    # coefficients), settles, and the straddle certificate proves the
+    # points it reaches with no fallback
     monkeypatch.setattr(roots_module, "real_roots", _no_recursion)
     outcomes = _record_straddles(monkeypatch)
     roots = [100.0 + k for k in range(6)]
@@ -596,14 +607,14 @@ def test_accurate_pass_rescues_noisy_horner(monkeypatch):
     for given_as in (coeffs, [Fraction(c) for c in coeffs]):
         outcomes.clear()
         got = real_roots_near(given_as, seeds, 1e-11)
-        assert outcomes == [None, None]
+        assert outcomes == [None, None, got]
         assert ref.roots_within(coeffs, got, 1e-11, spacing=False)
 
 
 @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
 def test_accurate_pass_fails_on_starts_that_are_not_finite(start):
-    # a start with no finite value fails the pass, on the doubles and on
-    # integer numerators alike, before any integer is read from it;
+    # a start with no finite value has no integer value, and fails the
+    # pass, on the numerators of the doubles and on exact ones alike;
     # real_roots_near then falls back, and its answer is proven
     coeffs = [-6, 11, -6, 1]
     rev = [float(c) for c in reversed(coeffs)]
@@ -1108,7 +1119,7 @@ def _straddled_reference(rev, starts, tol, nums=None):
             a = a * lo + c
             b = b * hi + c
             mag = mag * far + abs(c)
-        bound = roots_module._roundoff(mag, degree)
+        bound = _roundoff(mag, degree)
         if -bound <= a <= bound:
             a = roots_module._sign(ints, lo)
         if -bound <= b <= bound:
@@ -1116,6 +1127,50 @@ def _straddled_reference(rev, starts, tol, nums=None):
         if not (a < 0.0 < b or b < 0.0 < a):
             return None
     return tuple(found)
+
+
+def _accurate_reference(rev, starts, tol, nums, den):
+    # the accurate pass in its plain form, as a loop of its own: P on
+    # integers (nums over den, or with nums None the numerators of the
+    # doubles) for every Newton step, P' by _eval_with_slope, the pull
+    # summed from 0.0 on every step, and a start or step that is not
+    # finite failing the pass before it is read
+    ints = nums
+    if nums is None:
+        doubles = QPoly.of(rev[::-1])
+        ints, den = doubles.nums, doubles.den
+    top = len(ints) - 1
+    stop = 0.05 * tol
+    half = 0.45 * tol
+    found = []
+    try:
+        for x in starts:
+            last = math.inf
+            for _ in range(roots_module._NEWTON):
+                if not math.isfinite(x):
+                    return None
+                p, q = x.as_integer_ratio()
+                e = q.bit_length() - 1
+                f = roots_module._value(ints, p, e) / (den << e * top)
+                slope = roots_module._eval_with_slope(rev, x)[1]
+                pull = 0.0
+                for z in found:
+                    pull += 1.0 / (x - z)
+                slope -= f * pull
+                if not slope:
+                    return None
+                step = f / slope
+                x -= step
+                size = abs(step)
+                if size <= stop or not size < last and size <= half:
+                    break
+                last = size
+            else:
+                return None
+            found.append(x)
+    except (ZeroDivisionError, OverflowError):
+        return None
+    return roots_module._proven(rev, found, tol, nums)
 
 
 def _bits(got):
@@ -1167,6 +1222,57 @@ def test_straddle_kernel_matches_its_plain_form_bit_for_bit(
     want = _straddled_reference(rev, list(starts), tol, nums)
     got = roots_module._straddled(rev, list(starts), tol, nums)
     assert _bits(got) == _bits(want), (starts, tol)
+
+
+@st.composite
+def _accurate_starts(draw, roots):
+    # the kernel's starts; starts up to 1e-7 relative off the roots, in
+    # the noise of a multiple root, where the accurate pass is meant to
+    # run; or those with one start that is not finite
+    kind = draw(st.sampled_from(["kernel", "noise", "not finite"]))
+    if kind == "kernel":
+        return draw(_kernel_starts(roots))
+    n = len(roots)
+    moves = draw(st.lists(st.floats(-1e-7, 1e-7), min_size=n, max_size=n))
+    starts = [r + m * (1.0 + abs(r)) for r, m in zip(roots, moves)]
+    if kind == "not finite":
+        starts[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    return starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 3)),
+                min_size=2, max_size=10, unique_by=lambda pick: pick[0]),
+       st.sampled_from([4, 3, 7]),
+       st.one_of(st.integers(0, 30), st.floats(1e-13, 1e-6)),
+       st.booleans(), st.data())
+def test_accurate_pass_matches_its_plain_form_bit_for_bit(
+        picks, scale, tol, exact, data):
+    # the accurate pass is _straddled's loop with P on integers: every
+    # point it hands the certificate, and so every root and every None,
+    # must be the plain form's to the bit.  Degrees 2-10 with
+    # multiplicities, roots k / scale, tol as in the kernel test, on the
+    # numerators of the doubles and on exact ones
+    roots = sorted(Fraction(k, scale) for k, m in picks for _ in range(m))[:10]
+    coeffs = QPoly.of(from_roots(roots, "rational").coefficients())
+    rev = [c / coeffs.den for c in reversed(coeffs.nums)]
+    if isinstance(tol, int):
+        tol = 32.0 * math.ulp(float(max(abs(r) for r in roots))) * 2.0 ** tol
+    nums, den = (coeffs.nums, coeffs.den) if exact else (None, 1)
+    starts = data.draw(_accurate_starts([float(r) for r in roots]))
+    reached = []
+    real = roots_module._proven
+
+    def recorded(rev, found, tol, nums):
+        reached.append((tuple(v.hex() for v in found), nums))
+        return real(rev, found, tol, nums)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roots_module, "_proven", recorded)
+        want = _accurate_reference(rev, list(starts), tol, nums, den)
+        got = roots_module._accurate(rev, list(starts), tol, nums, den)
+    assert _bits(got) == _bits(want), (starts, tol)
+    assert len(reached) in (0, 2) and reached[:1] == reached[1:], reached
 
 
 def test_exact_terminal_reports_dyadic_roots_exactly():
