@@ -5,10 +5,17 @@ if that is more) of a root of the coefficients as given, proven by a
 straddle or by an exact Sturm interval.  ``real_roots_near`` runs Newton
 from seeds near the roots, one start after another, each deflated by
 Maehly's rule (1954) against the points the starts before it reached, so
-that two starts do not settle on one root.  Opposite true signs of P at
-0.45 tol on either side of each point reached, on n disjoint intervals,
-prove every root of a degree-n P (an a posteriori certificate, Rump,
-Acta Numerica 19, 2010), however the points were found.  Where that pass
+that two starts do not settle on one root.  A start also stops in
+Newton's quadratic regime: after a step s of at most 0.01 sqrt(tol) that
+is under a tenth of the step before it (always, on a first step), the
+error left is about K s^2 <= 1e-4 K tol, with K = |P''/2P'| at the root,
+so no confirming step is taken; a cluster, where each step shrinks only
+by about 1 - 1/m, does not stop this way.  No stop proves anything:
+opposite true signs of P at 0.45 tol on either side of each point
+reached, on n disjoint intervals, prove every root of a degree-n P (an
+a posteriori certificate, Rump, Acta Numerica 19, 2010), however the
+points were found, and a start that stopped too early fails it and
+goes on to the passes after it.  Where that pass
 proves too little, Aberth sweeps polish the seeds for a second try, and
 a third pass runs the same deflated Newton loop from the polished points
 with the values of P taken on integers, for inputs whose rounding noise
@@ -126,7 +133,7 @@ def _float_rev(coeffs: Sequence | QPoly, tol: float | None,
     return c[::-1], n, tol
 
 
-# Newton steps per start at most.  Near starts take two; a far one first
+# Newton steps per start at most.  Near starts take one; a far one first
 # closes in linearly, each step about 1 - 1/m of the distance to the m
 # roots left, so from d times their spread it takes about m ln d steps.
 _NEWTON = 32
@@ -141,7 +148,15 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
     # so a start near a root already found is pushed on to another.  Each
     # start runs until a step is at most 0.05 tol, or at most 0.45 tol and
     # no smaller than the one before (Horner's rounding noise near the
-    # root; farther out, Newton's steps may grow for a while).  P and P'
+    # root; farther out, Newton's steps may grow for a while), or at most
+    # near = 0.01 sqrt(tol) and under a tenth of the step before it (any
+    # first step that small).  That last stop is Newton's quadratic
+    # regime: the point is then about K s^2 <= 1e-4 K tol from its root,
+    # K = |P''/2P'| there, inside 0.05 tol while K <= 500 and inside the
+    # certificate's 0.45 tol while K <= 4500; toward a cluster of m roots
+    # each step shrinks only by about 1 - 1/m, not tenfold.  A confirming
+    # step would prove nothing: _proven proves every point, and a start
+    # that stopped too early fails it and goes to the next pass.  P and P'
     # are Horner's, unless integer numerators ``ints`` over ``den`` are
     # given: then P is their value on integers, rounded once, and only P'
     # is Horner's (the accurate pass).  Then _proven signs P about the
@@ -163,6 +178,7 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
     # 1e-300 with the factor in parentheses hoisted out of its loop.
     stop = 0.05 * tol
     half = 0.45 * tol
+    near = 0.01 * math.sqrt(tol)
     lead = rev[0]
     second = rev[1]
     tail = rev[2:]
@@ -191,7 +207,8 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
                 step = f / slope
                 x -= step
                 size = step if step > 0.0 else -step
-                if size <= stop or not size < last and size <= half:
+                if (size <= stop or not size < last and size <= half
+                        or size <= near and 10.0 * size < last):
                     break
                 last = size
             else:

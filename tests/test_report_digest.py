@@ -14,7 +14,13 @@ digests: the rational-mode operator suites and the hunts take the roots
 of their images from it too, so their margins carry float root noise as
 well.
 
-A third digest pins the wire format of trial inputs, which the report
+A verdict digest covers the same runs as the two report digests and
+hashes only what a run decides: (name, mode, seed, degree, ``passed``,
+the ``trial`` of each failure record), as ``json.dumps``.  A change that
+moves only float margins, as a change to the float root finder does,
+moves the report digests and leaves this one.
+
+A fourth digest pins the wire format of trial inputs, which the report
 digests never see while every run passes: ``inputs_to_json`` of seeded
 draws from every suite and hunt (sorted names, both modes, seeds 0-2,
 degrees 2-8, three trials each), as ``json.dumps(..., sort_keys=True)``.
@@ -30,15 +36,20 @@ from specpoly.harness import (HUNTS, SUITES, ExperimentConfig,
 
 FLOAT_SUITES = ("allincr", "main1", "main2")
 EXACT_PINNED = (
-    "35f7e8e6d1c19d133cdd4ef1271c1ab3d58d32f35e8eaca7d36e763d3ec5eacc")
+    "c5af802c1489e5d369a7a4fc135f7b636a80115de654f21c351ff2f08e38b8e5")
 FLOAT_PINNED = (
-    "49b8ad96c9fff6fc43407120c93d1142250b1bd404e9a4d37fc3423d8c4a4fec")
+    "2751b195bdaf75c66854c3be5bb8eef9d94a737efbb7e9b7ccee6a6fdd68140e")
+VERDICT_PINNED = (
+    "a6304689676645b5dc1cdf1bcc0d4c48c6e7f6f5bfe0f02dcdfc7decda46ce76")
 WIRE_PINNED = (
     "1e80163f48925ce5c3a806724f3b79499e711ccd33565dd9429ffc6e0cc283e2")
 
 
-def _digest(names, mode) -> str:
-    digest = hashlib.sha256()
+EXACT_NAMES = ([name for name in sorted(SUITES) if name not in FLOAT_SUITES]
+               + sorted(HUNTS))
+
+
+def _reports(names, mode):
     for name in names:
         for seed in (0, 1):
             for degree in range(2, 9):
@@ -47,20 +58,35 @@ def _digest(names, mode) -> str:
                     degree_max=degree, mode=mode)
                 report = (run_suite(config) if name in SUITES
                           else hunt_counterexamples(name, config))
-                digest.update(json.dumps(report.summary_json(),
-                                         sort_keys=True).encode())
-                for record in report.failures:
-                    digest.update(json.dumps(record, sort_keys=True).encode())
+                yield (name, seed, degree), report
+
+
+def _digest(names, mode) -> str:
+    digest = hashlib.sha256()
+    for _, report in _reports(names, mode):
+        digest.update(json.dumps(report.summary_json(),
+                                 sort_keys=True).encode())
+        for record in report.failures:
+            digest.update(json.dumps(record, sort_keys=True).encode())
     return digest.hexdigest()
 
 
 def test_report_digest_is_pinned():
-    exact = [name for name in sorted(SUITES) if name not in FLOAT_SUITES]
-    assert _digest(exact + sorted(HUNTS), "rational") == EXACT_PINNED
+    assert _digest(EXACT_NAMES, "rational") == EXACT_PINNED
 
 
 def test_float_report_digest_is_pinned():
     assert _digest(FLOAT_SUITES, "float") == FLOAT_PINNED
+
+
+def test_verdict_digest_is_pinned():
+    digest = hashlib.sha256()
+    for names, mode in ((EXACT_NAMES, "rational"), (FLOAT_SUITES, "float")):
+        for (name, seed, degree), report in _reports(names, mode):
+            trials = [record["trial"] for record in report.failures]
+            digest.update(json.dumps(
+                [name, mode, seed, degree, report.passed, trials]).encode())
+    assert digest.hexdigest() == VERDICT_PINNED
 
 
 def test_input_wire_format_is_pinned():

@@ -1069,6 +1069,39 @@ def test_near_seeds_are_proven_without_a_polish(monkeypatch):
         assert abs(g - r) <= 0.5e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 3),
+                          st.integers(1, 2)),
+                min_size=1, max_size=3, unique_by=lambda pick: pick[0]),
+       st.integers(10, 30), st.sampled_from([1e-12, 1e-11, 1e-9]),
+       st.booleans(), st.data())
+def test_seeded_roots_at_clusters_keep_the_contract(picks, gap, tol, exact,
+                                                    data):
+    # clusters of up to three rational roots 2^-gap apart about k / 4,
+    # the first of each of multiplicity 1 or 2, seeded within
+    # 0.01 sqrt(tol) of the roots: there |P''/2P'| is large, so a start
+    # that stops after one small step may be far from its root, and must
+    # fail the certificate and fall back rather than come back unproven.
+    # On the doubles of the coefficients, rounding may split a multiple
+    # root into a complex pair, which must raise NotRealRooted
+    roots = sorted(Fraction(k, 4) + Fraction(j, 2 ** gap)
+                   for k, size, m in picks
+                   for j in range(size) for _ in range(m if j == 0 else 1))
+    coeffs = from_roots(roots, "rational").coefficients()
+    if not exact:
+        coeffs = [float(c) for c in coeffs]
+    near = 0.01 * math.sqrt(tol)
+    moves = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(roots),
+                               max_size=len(roots)))
+    seeds = [float(r) + near * m for r, m in zip(roots, moves)]
+    try:
+        got = real_roots_near(coeffs, seeds, tol)
+    except NotRealRooted:
+        assert not exact and not is_real_rooted(coeffs)
+        return
+    assert ref.roots_within(coeffs, got, tol)
+
+
 # --- the straddle kernel keeps its bits -----------------------------------------
 
 def _straddled_reference(rev, starts, tol, nums=None):
@@ -1079,6 +1112,7 @@ def _straddled_reference(rev, starts, tol, nums=None):
     # when nums is None
     stop = 0.05 * tol
     half = 0.45 * tol
+    near = 0.01 * math.sqrt(tol)
     found = []
     try:
         for x in starts:
@@ -1094,7 +1128,8 @@ def _straddled_reference(rev, starts, tol, nums=None):
                 step = f / slope
                 x -= step
                 size = abs(step)
-                if size <= stop or not size < last and size <= half:
+                if (size <= stop or not size < last and size <= half
+                        or size <= near and 10.0 * size < last):
                     break
                 last = size
             else:
@@ -1142,6 +1177,7 @@ def _accurate_reference(rev, starts, tol, nums, den):
     top = len(ints) - 1
     stop = 0.05 * tol
     half = 0.45 * tol
+    near = 0.01 * math.sqrt(tol)
     found = []
     try:
         for x in starts:
@@ -1162,7 +1198,8 @@ def _accurate_reference(rev, starts, tol, nums, den):
                 step = f / slope
                 x -= step
                 size = abs(step)
-                if size <= stop or not size < last and size <= half:
+                if (size <= stop or not size < last and size <= half
+                        or size <= near and 10.0 * size < last):
                     break
                 last = size
             else:
