@@ -15,16 +15,16 @@ opposite true signs of P at 0.45 tol on either side of each point
 reached, on n disjoint intervals, prove every root of a degree-n P (an
 a posteriori certificate, Rump, Acta Numerica 19, 2010), however the
 points were found, and a start that stopped too early fails it and
-goes on to the passes after it.  Where that pass
-proves too little, Aberth sweeps polish the seeds for a second try, and
-a third pass runs the same deflated Newton loop from the polished points
+goes on to the passes after it.  So the ladder has three steps: the
+deflated Newton pass from the seeds; the same loop from the same seeds
 with the values of P taken on integers, for inputs whose rounding noise
-near a root keeps plain Newton from settling.  A caller that knows n+1
-interlacing bracket ends passes them as seeds; their midpoints become
-the starts.  ``real_roots`` decides on the integer Sturm chain whether
-P has a multiple root or too few real roots: such a P goes to the exact
-terminal, any other is seeded by n Chebyshev nodes inside the root
-bound, and what its certificates miss ends in the terminal too.
+near a root keeps plain Newton from settling; and the exact terminal for
+what neither proves (a multiple root, tied seeds, a first start on a
+critical point).  A caller that knows n+1 interlacing bracket ends
+passes them as seeds; their midpoints become the starts.  ``real_roots``
+decides on the integer Sturm chain whether P has a multiple root or too
+few real roots: such a P goes to the exact terminal, any other is seeded
+by n Chebyshev nodes inside the root bound and climbs the same ladder.
 
 Every sign is the true sign of the coefficients as given: plain Horner
 on their doubles where it clears the roundoff bound gamma_2n sum
@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ._qpoly import QPoly, coeff_derivative
 from .errors import DegreeZero, NonFinite, NotRealRooted
@@ -87,16 +87,6 @@ def root_bound(coeffs: Sequence[float]) -> float:
     """A strict bound on the absolute value of every root."""
     b = min(cauchy_bound(coeffs), _fujiwara_bound(coeffs) * (1.0 + 1e-9) + 1e-300)
     return b if b > 0.0 else 1.0
-
-
-def _eval_with_slope(rev: Sequence[float], x: float) -> tuple[float, float]:
-    # P(x) and P'(x) in one Horner pass on high-to-low coefficients
-    acc = 0.0
-    slope = 0.0
-    for c in rev:
-        slope = slope * x + acc
-        acc = acc * x + c
-    return acc, slope
 
 
 def default_tol(coeffs: Sequence[float]) -> float:
@@ -156,17 +146,17 @@ def _straddled(rev: list[float], starts: list[float], tol: float,
     # certificate's 0.45 tol while K <= 4500; toward a cluster of m roots
     # each step shrinks only by about 1 - 1/m, not tenfold.  A confirming
     # step would prove nothing: _proven proves every point, and a start
-    # that stopped too early fails it and goes to the next pass.  P and P'
-    # are Horner's, unless integer numerators ``ints`` over ``den`` are
-    # given: then P is their value on integers, rounded once, and only P'
-    # is Horner's (the accurate pass).  Then _proven signs P about the
-    # points reached, on ``nums``.  None when any of it fails, a step
-    # lands on a point already reached, or a point that is not finite
-    # has no integer value to take.
+    # that stopped too early fails it and goes on to the accurate pass,
+    # then the exact terminal.  P and P' are Horner's, unless integer
+    # numerators ``ints`` over ``den`` are given: then P is their value on
+    # integers, rounded once, and only P' is Horner's (the accurate pass).
+    # Then _proven signs P about the points reached, on ``nums``.  None
+    # when any of it fails, a step lands on a point already reached, or a
+    # point that is not finite has no integer value to take.
     #
     # Nearly all of the seeded path's time is spent in the Newton loop
     # here and the certificate loop of _proven, so both are written out
-    # rather than calling _eval_with_slope or a bound helper: calling a
+    # rather than calling a Horner or a bound helper: calling a
     # helper once per Newton step, even one with the same loop, cost 3.6%
     # of the pencil-sweep benchmark's trials/s, lost in 6 of 6 alternating
     # pairs.  Each Horner recurrence starts past the leading coefficient
@@ -298,45 +288,10 @@ def _accurate(rev: list[float], starts: list[float], tol: float,
     return _straddled(rev, starts, tol, None, doubles.nums, doubles.den)
 
 
-_SWEEPS = 12    # Aberth sweeps at most; near seeds take three or four
-
-
-def _aberth(rev: list[float], z: list[float]) -> list[float]:
-    # Aberth's simultaneous iteration (Math. Comp. 27, 1973) in real
-    # arithmetic, each new value used at once: z_i -= w / (1 - w S_i), with
-    # w = P(z_i)/P'(z_i) and S_i = sum over j != i of 1/(z_i - z_j); where
-    # P'(z_i) = 0 the step is its limit P / (P' - P S_i) = -1/S_i.  Stops
-    # after the first sweep whose steps are all at most
-    # 1e-6 (1 + max |seed|).  A zero denominator (tied values, or S_i = 0
-    # where P' = 0) raises ZeroDivisionError.
-    limit = 1e-6 * (1.0 + max(abs(v) for v in z))
-    for _ in range(_SWEEPS):
-        largest = 0.0
-        for i, x in enumerate(z):
-            f, slope = _eval_with_slope(rev, x)
-            pull = 0.0
-            for j, v in enumerate(z):
-                if j != i:
-                    pull += 1.0 / (x - v)
-            if slope:
-                w = f / slope
-                step = w / (1.0 - w * pull)
-            else:
-                step = -1.0 / pull if f else 0.0
-            z[i] = x - step
-            size = step if step > 0.0 else -step
-            if not size <= largest:     # a NaN step counts as large
-                largest = size
-        if largest <= limit:
-            break
-    return z
-
-
 def _near(coeffs: Sequence | QPoly, rev: list[float], n: int,
-          seeds: list[float], tol: float,
-          fallback: Callable) -> tuple[float, ...]:
-    # real_roots_near on the doubles rev (high-to-low) of coeffs, with
-    # the sorted seeds as doubles; a QPoly's straddles are signed on it
+          seeds: list[float], tol: float) -> tuple[float, ...]:
+    # real_roots_near on the doubles rev (high-to-low) of coeffs, with at
+    # least n sorted seeds as doubles; a QPoly's straddles are signed on it
     exact = isinstance(coeffs, QPoly)
     low = coeffs.nums if exact else coeffs
     k = 0
@@ -347,28 +302,19 @@ def _near(coeffs: Sequence | QPoly, rev: list[float], n: int,
         # coeffs[k:], its doubles high-to-low rev[:n - k + 1]
         rest = sorted(sorted(seeds, key=abs)[k:])
         inner = (_near(QPoly(low[k:], coeffs.den) if exact else low[k:],
-                       rev[:n - k + 1], n - k, rest, tol, fallback)
+                       rev[:n - k + 1], n - k, rest, tol)
                  if k < n else ())
         return tuple(sorted((0.0,) * k + inner))
     if n == 1:
         return (-rev[1] / rev[0] + 0.0,)
     m = len(seeds) - n
-    if m < 0:
-        return fallback(coeffs, tol)
     if m:
         seeds = [sum(seeds[i:i + m + 1]) / (m + 1) for i in range(n)]
     nums = low if exact and len(low) == n + 1 else None
     roots = _straddled(rev, seeds, tol, nums)
-    if roots is not None:
-        return roots
-    try:
-        polished = sorted(_aberth(rev, seeds))
-    except ZeroDivisionError:
-        return fallback(coeffs, tol)
-    roots = _straddled(rev, polished, tol, nums)
     if roots is None:
-        roots = _accurate(rev, polished, tol, nums, coeffs.den if exact else 1)
-    return fallback(coeffs, tol) if roots is None else roots
+        roots = _accurate(rev, seeds, tol, nums, coeffs.den if exact else 1)
+    return _isolated(coeffs, tol) if roots is None else roots
 
 
 def _floats(coeffs: Sequence | QPoly) -> bool:
@@ -390,20 +336,23 @@ def real_roots_near(coeffs: Sequence, seeds: Sequence,
     outnumber the degree by m (an image p^(m)), seed k becomes the mean of
     the sorted seeds k..k+m, as root k of p^(m) lies in [r_k, r_{k+m}] by
     iterated Rolle; so n+1 interlacing bracket ends seed one start inside
-    each bracket.  What neither the straddle passes nor the accurate
-    Newton pass after them proves, fewer seeds than the degree and tied
-    values in the Aberth sweeps go to ``real_roots``, so its contract
-    holds however poor the seeds.  A seed beyond double range is refused,
-    as a coefficient is (``NonFinite``).
+    each bracket.  Fewer seeds than the degree go to ``real_roots``.
+    The seeds start the deflated Newton pass, then the same pass on
+    integer values; what neither proves (a multiple root, tied seeds, a
+    first seed on a critical point) goes to the exact terminal, so the
+    contract holds however poor the seeds.  A seed beyond double range is
+    refused, as a coefficient is (``NonFinite``).
     """
     rev, n, tol = _float_rev(coeffs, tol)
     try:
         seeds = sorted([float(v) for v in seeds])
     except OverflowError:
         raise NonFinite("a seed is beyond double range") from None
+    if len(seeds) < n:
+        return real_roots(coeffs, tol)
     if not _floats(coeffs):
         coeffs = QPoly.of(coeffs)
-    return _near(coeffs, rev, n, seeds, tol, real_roots)
+    return _near(coeffs, rev, n, seeds, tol)
 
 
 def real_roots(coeffs: Sequence, tol: float | None = None) -> tuple[float, ...]:
@@ -427,8 +376,7 @@ def real_roots(coeffs: Sequence, tol: float | None = None) -> tuple[float, ...]:
         return _isolated(exact, tol)
     bound = root_bound(rev[::-1])
     seeds = [-bound * math.cos(math.pi * (k + 0.5) / n) for k in range(n)]
-    return _near(coeffs if _floats(coeffs) else exact, rev, n, seeds, tol,
-                 _isolated)
+    return _near(coeffs if _floats(coeffs) else exact, rev, n, seeds, tol)
 
 
 def real_roots_with_criticals(coeffs: Sequence, tol: float | None = None,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -123,15 +124,29 @@ def test_op_deform(files, capsys, tmp_path):
 
 
 def test_op_multiplier_laguerre(files, capsys, monkeypatch):
-    # the image x P'(x) / n is seeded by the roots of P: it never falls
-    # back on real_roots
+    # the image x P'(x) / n of P = x(x - 2)(x - 4) is seeded by the roots
+    # of P.  Its root 0 is deflated exactly; the seed 2 of the other two
+    # sits on the critical point of x^2 - 4x + 8/3, so neither Newton pass
+    # can move its first start, and the exact terminal answers, not
+    # real_roots
     def recursion(*args):
         raise AssertionError("real_roots called")
     monkeypatch.setattr(specpoly.roots, "real_roots", recursion)
+    answers = []
+    terminal = specpoly.roots._isolated
+
+    def recorded(*args):
+        answers.append(terminal(*args))
+        return answers[-1]
+    monkeypatch.setattr(specpoly.roots, "_isolated", recorded)
     assert main(["op", "multiplier", "--poly", files["p"], "--laguerre", "1", "0",
                  "--normalized"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert len(obj["roots"]) == 3
+    got = json.loads(capsys.readouterr().out)["roots"]
+    assert len(answers) == 1
+    tol = default_tol([0.0, 8.0 / 3.0, -4.0, 1.0])
+    want = [0.0, 2.0 - 2.0 / math.sqrt(3.0), 2.0 + 2.0 / math.sqrt(3.0)]
+    assert len(got) == 3
+    assert all(abs(g - w) <= tol / 2 for g, w in zip(got, want)), got
 
 
 def test_pencil_scan_csv(files, capsys):

@@ -185,21 +185,25 @@ def test_lambda_zero_roots_are_those_of_p():
             coeffs, 1e-11))) <= 1e-11
 
 
-def _record_calls(monkeypatch, module, name):
-    # wrap a root finder as the module calls it (positional args)
+def _record_calls(monkeypatch, module, *names):
+    # wrap root finders as the module calls them (positional args), into
+    # one list
     calls = []
-    real = getattr(module, name)
+    for name in names:
+        real = getattr(module, name)
 
-    def recorded(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(module, name, recorded)
+        def recorded(*args, real=real):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, name, recorded)
     return calls
 
 
 def _record_fallbacks(monkeypatch):
-    # real_roots, as real_roots_near falls back on it
-    return _record_calls(monkeypatch, specpoly.roots, "real_roots")
+    # real_roots_near's fallbacks: real_roots, for fewer seeds than the
+    # degree, and the exact terminal, for what neither Newton pass proves
+    return _record_calls(monkeypatch, specpoly.roots, "real_roots",
+                         "_isolated")
 
 
 @pytest.mark.parametrize("lam", [-0.5, 0.5])

@@ -36,7 +36,7 @@ from specpoly.harness import (HUNTS, SUITES, ExperimentConfig,
 
 FLOAT_SUITES = ("allincr", "main1", "main2")
 EXACT_PINNED = (
-    "c5af802c1489e5d369a7a4fc135f7b636a80115de654f21c351ff2f08e38b8e5")
+    "0c6f2a2c292ea77bcbdecab80d5b2b2141206c925ca23928ab55305ffab1442f")
 FLOAT_PINNED = (
     "2751b195bdaf75c66854c3be5bb8eef9d94a737efbb7e9b7ccee6a6fdd68140e")
 VERDICT_PINNED = (

@@ -371,6 +371,17 @@ def _roundoff(mag: float, n: int) -> float:
     return 1.01 * n * 2.0 ** -52 * mag + 1e-300
 
 
+def _eval_with_slope(rev, x) -> tuple[float, float]:
+    # the plain form of the Horner loop that _straddled writes out: P(x)
+    # and P'(x) in one pass on high-to-low coefficients, from 0.0
+    acc = 0.0
+    slope = 0.0
+    for c in rev:
+        slope = slope * x + acc
+        acc = acc * x + c
+    return acc, slope
+
+
 def _magnitude(rev, x) -> float:
     # sum |a_k||x|^k, by Horner's recurrence on the |a_k| at |x|
     mag = 0.0
@@ -405,7 +416,7 @@ def test_horner_stays_within_its_roundoff_bound(picks, decade, data):
     points += [reach, -reach] + data.draw(st.lists(
         st.floats(-reach, reach), min_size=1, max_size=4))
     for x in points:
-        value = roots_module._eval_with_slope(rev, x)[0]
+        value = _eval_with_slope(rev, x)[0]
         bound = _roundoff(_magnitude(rev, x), n)
         want = ref.value(exact, Fraction(x))
         assert abs(Fraction(value) - want) <= Fraction(bound), (x, value)
@@ -428,7 +439,7 @@ def test_compensated_sign_inside_its_bound_goes_to_exact_arithmetic(
     assert 1.5 + 0.45 * tol == x
     for end in (x, 1.5 - 17 * math.ulp(1.5)):
         bound = _roundoff(_magnitude(rev, end), 3)
-        assert abs(roots_module._eval_with_slope(rev, end)[0]) <= bound
+        assert abs(_eval_with_slope(rev, end)[0]) <= bound
     assert roots_module._sign(QPoly.of(rev[::-1]).nums, 1.5) == 0.0
     signs = []
     real = roots_module._sign
@@ -595,19 +606,19 @@ def test_start_within_float_resolution_takes_few_evaluations(monkeypatch):
 def test_accurate_pass_rescues_noisy_horner(monkeypatch):
     # roots 100..105, seeds 0.01 above them: near each root Horner's
     # rounding noise is far over 0.45 tol, so plain Newton never settles
-    # and both straddle passes decline; the third run of the same loop,
+    # and the straddle pass declines; the second run of the same loop,
     # on integer values (the numerators of the doubles, or of exact
     # coefficients), settles, and the straddle certificate proves the
     # points it reaches with no fallback
     monkeypatch.setattr(roots_module, "real_roots", _no_recursion)
-    outcomes = _record_straddles(monkeypatch)
+    outcomes = _record(monkeypatch, "_straddled")
     roots = [100.0 + k for k in range(6)]
     coeffs = from_roots(roots).coefficients()
     seeds = [r + 0.01 for r in roots]
     for given_as in (coeffs, [Fraction(c) for c in coeffs]):
         outcomes.clear()
         got = real_roots_near(given_as, seeds, 1e-11)
-        assert outcomes == [None, None, got]
+        assert outcomes == [None, got]
         assert ref.roots_within(coeffs, got, 1e-11, spacing=False)
 
 
@@ -754,14 +765,6 @@ def test_seeded_derivative_roots_are_within_tol(grid, m, tol):
         got = real_roots_near(coeffs, roots, tol)
     assert len(got) == len(roots) - m
     assert ref.roots_within(coeffs, got, tol)
-
-
-def test_seed_on_a_critical_point_is_polished(monkeypatch):
-    # P' = 0 at the seed -2 of (x + 1)(x + 3): the Aberth step there is
-    # its limit -1/S_i, not a division by zero that ends in real_roots
-    monkeypatch.setattr(roots_module, "real_roots", _no_recursion)
-    got = real_roots_near([3.0, 4.0, 1.0], [-3.5, -2.0], 1e-12)
-    assert got == pytest.approx((-3.0, -1.0), abs=0.5e-12)
 
 
 def test_adjacent_triple_roots_are_within_tol():
@@ -911,7 +914,7 @@ def _noise_zone(coeffs, root) -> float:
 
 
 def _no_rescue(*args):
-    raise AssertionError("the seeds were polished or the accurate pass ran")
+    raise AssertionError("the accurate pass ran")
 
 
 @settings(max_examples=150, deadline=None)
@@ -920,11 +923,11 @@ def _no_rescue(*args):
 def test_straddled_roots_are_within_tol(grid, tol, data):
     # roots at least a quarter apart, seeds off by up to 1e-4 relative and
     # in any order: Newton from every seed and n disjoint sign changes
-    # prove every root of the double coefficients, so the seeds are not
-    # polished and the accurate pass does not run.  tol
-    # stays 8 times above the widest zone where Horner's sign is noise,
-    # since Newton cannot settle inside it.  The exact oracle proves
-    # each root within tol/2 of a root of the double coefficients
+    # prove every root of the double coefficients, so the accurate pass
+    # does not run.  tol stays 8 times above the widest zone where
+    # Horner's sign is noise, since Newton cannot settle inside it.  The
+    # exact oracle proves each root within tol/2 of a root of the double
+    # coefficients
     roots = sorted(k / 4 for k in grid)
     coeffs = from_roots(roots).coefficients()
     assume(_strictly_real_rooted(coeffs))
@@ -934,7 +937,6 @@ def test_straddled_roots_are_within_tol(grid, tol, data):
     seeds = data.draw(st.permutations(
         [r * (1.0 + m) for r, m in zip(roots, moves)]))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(roots_module, "_aberth", _no_rescue)
         patch.setattr(roots_module, "_accurate", _no_rescue)
         got = real_roots_near(coeffs, seeds, tol)
     assert ref.roots_within(coeffs, got, tol, spacing=False), (got, tol)
@@ -963,7 +965,7 @@ def _collapsing_starts(draw, roots):
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=12, unique=True),
        st.sampled_from([1e-12, 1e-11, 1e-9]), st.data())
 def test_deflated_pass_proves_collapsing_starts(grid, tol, data):
-    # the straddle pass alone, with no polish and no rescue.  Maehly's
+    # the straddle pass alone, with no rescue.  Maehly's
     # deflation pushes each start off the points reached before it: the
     # far start, once all roots below it are found, has a linear Newton
     # map, and two equal starts on a quadratic (off its critical point,
@@ -977,8 +979,7 @@ def test_deflated_pass_proves_collapsing_starts(grid, tol, data):
     tol = max(tol, 8.0 * max(_noise_zone(coeffs, r) for r in roots))
     kind, starts = data.draw(_collapsing_starts(roots))
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_aberth", "_accurate"):
-            patch.setattr(roots_module, name, _no_rescue)
+        patch.setattr(roots_module, "_accurate", _no_rescue)
         got = roots_module._straddled(list(coeffs[::-1]), starts, tol)
     if kind != "equal" or len(roots) == 2:
         assert got is not None, (kind, starts, tol)
@@ -1006,15 +1007,16 @@ def test_straddle_signs_exact_coefficients_as_given():
         assert ref.roots_within(coeffs, got, 1e-9)
 
 
-def _record_straddles(monkeypatch) -> list:
-    # what each straddle attempt returned (None: it fell back)
+def _record(monkeypatch, name) -> list:
+    # what each call of the roots function ``name`` returned (for
+    # _straddled, None: the pass declined)
     outcomes = []
-    real = roots_module._straddled
+    real = getattr(roots_module, name)
 
     def recorded(*args):
         outcomes.append(real(*args))
         return outcomes[-1]
-    monkeypatch.setattr(roots_module, "_straddled", recorded)
+    monkeypatch.setattr(roots_module, name, recorded)
     return outcomes
 
 
@@ -1023,16 +1025,21 @@ def _record_straddles(monkeypatch) -> list:
     ((1.0, 2.0, 3.0), [1.1, math.nan, 2.9], 1e-12),
     ((-2.0, 1.0, 1.0), [-2.1, 0.9, 1.1], 1e-12),        # a double root
     ((-1e6, 1e6), [-1e6 + 0.5, 1e6 - 0.5], 1e-11),      # below the spacing
-], ids=["two-on-one", "nan", "double", "spacing"])
+    ((-3.0, -1.0), [-2.0, -0.5], 1e-12),                # P' = 0 at -2
+], ids=["two-on-one", "nan", "double", "spacing", "critical"])
 def test_adversarial_starts_fall_back(monkeypatch, roots, seeds, tol):
-    # each seed set fails the straddle certificate as given, and the
-    # polished seeds or, at the double root and below the spacing,
-    # real_roots answer: within tol/2 of the roots, or one spacing where
-    # tol is below it
-    outcomes = _record_straddles(monkeypatch)
+    # each seed set fails the straddle certificate as given, in the plain
+    # and in the accurate pass: two starts settle on one root, a start
+    # has no value, a double root has no sign change, tol is below the
+    # spacing, or the first start sits where P' = 0 and nothing deflates
+    # it yet.  The exact terminal answers, within tol/2 of the roots, or
+    # one spacing where tol is below it
+    outcomes = _record(monkeypatch, "_straddled")
+    answers = _record(monkeypatch, "_isolated")
     coeffs = from_roots(roots).coefficients()
     got = real_roots_near(coeffs, seeds, tol)
-    assert outcomes[0] is None
+    assert outcomes == [None, None]
+    assert answers == [got]
     want = real_roots(coeffs, tol)
     if len(set(roots)) < len(roots):
         assert got == want
@@ -1045,10 +1052,9 @@ def test_far_start_is_proven_on_the_first_pass(monkeypatch):
     # roots 1, 2, 3 and seeds 1.1, 2.1, 1e9: once the two near starts have
     # reached 1 and 2, the deflated Newton map of the far start is linear,
     # so it reaches 3 and the first straddle pass proves all three, with
-    # no Aberth sweep and no rescue
-    for name in ("_aberth", "_accurate"):
-        monkeypatch.setattr(roots_module, name, _no_rescue)
-    outcomes = _record_straddles(monkeypatch)
+    # no rescue
+    monkeypatch.setattr(roots_module, "_accurate", _no_rescue)
+    outcomes = _record(monkeypatch, "_straddled")
     coeffs = from_roots((1.0, 2.0, 3.0)).coefficients()
     got = real_roots_near(coeffs, [1.1, 2.1, 1e9], 1e-12)
     assert outcomes == [got]
@@ -1057,16 +1063,19 @@ def test_far_start_is_proven_on_the_first_pass(monkeypatch):
 
 def test_near_seeds_are_proven_without_a_polish(monkeypatch):
     # seeds within Newton's reach of simple roots: the straddle
-    # certificate proves them as given, with no Aberth sweep and no
-    # rescue
-    for name in ("_aberth", "_accurate"):
-        monkeypatch.setattr(roots_module, name, _no_rescue)
+    # certificate proves them as given, with no rescue.  A seed on a
+    # critical point is no obstacle once a root is found below it: at
+    # the seed -2 of (x + 1)(x + 3), P' = 0 but the deflated slope
+    # P' - P / (x + 3) is 1
+    monkeypatch.setattr(roots_module, "_accurate", _no_rescue)
     roots = [-3.5, -1.25, 0.5, 2.0, 4.75]
     coeffs = from_roots(roots).coefficients()
     seeds = [r + 1e-3 * (-1) ** k for k, r in enumerate(roots)]
     got = real_roots_near(coeffs, seeds, 1e-12)
     for g, r in zip(got, roots):
         assert abs(g - r) <= 0.5e-12
+    got = real_roots_near([3.0, 4.0, 1.0], [-3.5, -2.0], 1e-12)
+    assert got == pytest.approx((-3.0, -1.0), abs=0.5e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1118,7 +1127,7 @@ def _straddled_reference(rev, starts, tol, nums=None):
         for x in starts:
             last = math.inf
             for _ in range(roots_module._NEWTON):
-                f, slope = roots_module._eval_with_slope(rev, x)
+                f, slope = _eval_with_slope(rev, x)
                 pull = 0.0
                 for z in found:
                     pull += 1.0 / (x - z)
@@ -1188,7 +1197,7 @@ def _accurate_reference(rev, starts, tol, nums, den):
                 p, q = x.as_integer_ratio()
                 e = q.bit_length() - 1
                 f = roots_module._value(ints, p, e) / (den << e * top)
-                slope = roots_module._eval_with_slope(rev, x)[1]
+                slope = _eval_with_slope(rev, x)[1]
                 pull = 0.0
                 for z in found:
                     pull += 1.0 / (x - z)
