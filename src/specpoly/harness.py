@@ -133,12 +133,12 @@ def _frac(rng, lo, hi, den=4) -> Fraction:
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def _random_phi(rng: random.Random, max_m: int = 2, max_alphas: int = 4,
+def _random_phi(rng: random.Random, max_m: int = 2,
                 kind: str = "general") -> LPFunction:
     m = rng.randint(0, max_m)
     a = _frac(rng, 0, 1)
     b = _frac(rng, -1, 1)
-    count = rng.randint(0, max_alphas)
+    count = rng.randint(0, 4)
     alphas = tuple(_frac(rng, -1, 1) for _ in range(count))
     c = rng.choice((1, 1, 2, Fraction(1, 2), -1))
     if kind == "monic_prime":
@@ -150,9 +150,8 @@ def _random_phi(rng: random.Random, max_m: int = 2, max_alphas: int = 4,
 
 
 def _pair(cfg: ExperimentConfig, rng: random.Random, n: int,
-          budget: int | None = None, mode: str | None = None):
-    if budget is None:
-        budget = rng.randint(1, 4)
+          mode: str | None = None):
+    budget = rng.randint(1, 4)
     if mode is None:
         mode = cfg.mode
     gap = Fraction(1, 2) if mode == RATIONAL else 0.5

@@ -4,15 +4,13 @@ An ``LPFunction`` stores the parameters (c, m, a, b, alphas) of
 c x^m e^{-a^2 x^2 + b x} prod (1 - alpha_k x) e^{alpha_k x}, with the
 canonical product truncated to finitely many factors (any action on a
 degree-n polynomial only sees the Maclaurin prefix, and the approximant
-machinery controls the truncation error empirically).  With rational
-parameters the prefix comes exactly from the closed form
+machinery controls the truncation error empirically).  The parameters are
+exact: ints and Fractions are kept as given, and a float is read as the
+rational it stores.  So every prefix comes exactly from the closed form
 c x^m e^{beta x - a^2 x^2} prod (1 - alpha_k x), beta = b + sum alpha_k:
 the exponential's coefficients satisfy the Hermite recurrence
 (i + 1) g_{i+1} = beta g_i - 2 a^2 g_{i-1}, run on integers over one
-denominator, and the linear factors multiply in after it.  Float
-parameters keep the truncated product of the exponential series: float
-input keeps its arithmetic as written, and the recurrence would round
-differently.
+denominator, and the linear factors multiply in after it.
 
 Exact coefficient work runs on integer numerators over one denominator
 (``_qpoly.QPoly``): Maclaurin prefixes, f(D) sums, Gaussian flows,
@@ -26,7 +24,8 @@ hands the prefix as that form) or first applied at a degree
 ``laguerre_closed_form``) return a ``QPoly`` for a ``QPoly`` input, the
 form in which the library passes an exact polynomial on to the root
 finder; exact inputs given as ints and Fractions give ``Fraction``
-tuples.  Any float input keeps float arithmetic exactly as written.
+tuples.  Any float polynomial or coefficient input keeps float
+arithmetic exactly as written.
 
 A ``DiffOperator`` is a Maclaurin prefix a_m..a_N acting by
 f(D)[P] = sum a_k P^(k), optionally rescaled so monic degree-n inputs map
@@ -66,7 +65,9 @@ class LPFunction:
 
     phi(x) = c x^m e^{-a^2 x^2 + b x} prod (1 - alpha_k x) e^{alpha_k x};
     its exponential factors make one e^{beta x - a^2 x^2} with
-    beta = b + sum alpha_k, which is how rational prefixes are computed.
+    beta = b + sum alpha_k, which is how prefixes are computed.  Ints and
+    Fractions are kept as given; a float is stored as the Fraction it
+    holds.
     """
 
     c: Scalar = 1
@@ -76,48 +77,35 @@ class LPFunction:
     alphas: tuple = ()
 
     def __post_init__(self):
-        if self.c == 0:
+        params = (self.c, self.a, self.b, *self.alphas)
+        if infer_mode(params) == FLOAT:
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in params):
+                raise ValueError("LP parameters must be finite")
+            params = [Fraction(v) if isinstance(v, float) else v
+                      for v in params]
+        c, a, b, *alphas = params
+        if c == 0:
             raise ValueError("leading constant c must be nonzero")
         if self.m < 0:
             raise ValueError("vanishing order m must be nonnegative")
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-
-    @property
-    def mode(self) -> str:
-        return infer_mode((self.c, self.a, self.b) + self.alphas)
+        for name, value in zip("cab", (c, a, b)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "alphas", tuple(alphas))
 
     def maclaurin_prefix(self, n: int) -> tuple:
-        """Maclaurin coefficients a_0..a_N; exact for rational parameters.
+        """Maclaurin coefficients a_0..a_N, exact, as Fractions.
 
-        The first m entries vanish and a_m = c.  Rational parameters take
-        the closed form on integers (``_exact_series``), the same values
-        with no series products.  Float parameters keep the truncated
-        product of the series of e^{b x}, e^{-a^2 x^2} and each
-        (1 - alpha x) e^{alpha x}: float input keeps its arithmetic as
-        written, and the recurrence would round differently.
+        The first m entries vanish and a_m = c.  The rest come from the
+        closed form on integers (``_exact_series``).
         """
         if n < self.m:
             raise DegreeTooSmall(f"prefix length {n} below vanishing order {self.m}")
-        k = n - self.m
-        if self.mode == RATIONAL:
-            return (Fraction(0),) * self.m + self._exact_series(k).fractions()
-        factors = []
-        if self.b != 0:
-            factors.append(_exp_series(float(self.b), k, False))
-        if self.a != 0:
-            factors.append(_exp_series(-float(self.a) ** 2, k, False, step=2))
-        for alpha in self.alphas:
-            if alpha != 0:
-                factors.append(_exp_series(float(alpha), k, False,
-                                           weight=lambda i: 1 - i))
-        series = [1.0]
-        for values, _ in factors:
-            series = _mul_trunc(series, values, k)
-        series += [0.0] * (k + 1 - len(series))    # no factors
-        return self._graded(series, 1, False)
+        return ((Fraction(0),) * self.m
+                + self._exact_series(n - self.m).fractions())
 
     def _exact_series(self, k: int) -> QPoly:
-        """a_m..a_{m+k} of a rational-parameter function, as one QPoly.
+        """a_m..a_{m+k} as one QPoly.
 
         phi(x) / x^m = c e^{beta x - a^2 x^2} prod (1 - alpha x), with
         beta = b + sum alpha.  Over one integer Q, with B = Q beta and
@@ -151,15 +139,6 @@ class LPFunction:
         cn, cd = self.c.as_integer_ratio()
         return QPoly([cn * v for v in nums], den * cd)
 
-    def _graded(self, series: list, den: int, exact: bool) -> tuple:
-        # c x^m series / den as a coefficient tuple in the function's mode
-        if exact:
-            cn, cd = self.c.as_integer_ratio()
-            return QPoly([0] * self.m + [cn * v for v in series],
-                         den * cd).fractions()
-        c = float(self.c)
-        return tuple([0.0] * self.m + [c * v for v in series])
-
     def deform(self, s) -> "LPFunction":
         """The s-deformation: s_0 rescales the Gaussian decay, s_k rescales
         alpha_k; grading and drift are untouched.  Missing entries mean 1."""
@@ -191,68 +170,58 @@ class LPFunction:
         """
         if j < 1 or n_j < 1:
             raise ValueError("approximant needs j >= 1 and n_j >= 1")
-        exact = self.mode == RATIONAL
-        alphas = [_param(a, exact) for a in self.alphas[:j]]
-        tau = _param(self.b, exact) + sum(alphas)
-
-        one = 1 if exact else 1.0
-        poly, den = [one], 1
+        alphas = self.alphas[:j]
+        tau = self.b + sum(alphas)
+        poly, den = [1], 1
         if self.a != 0:
-            step, step_den = _binomial(-_param(self.a, exact) ** 2 / j, 2,
-                                       exact)
-            quad = [one]
+            step, step_den = _binomial(Fraction(-self.a ** 2, j), 2)
+            quad = [1]
             for _ in range(j):
                 quad = _mul_trunc(quad, step, len(quad) + 1)
             poly = _mul_trunc(poly, quad, len(poly) + len(quad))
             den *= step_den ** j
         if tau != 0:
-            lin, lin_den = _binomial(tau / n_j, 1, exact)
+            lin, lin_den = _binomial(Fraction(tau, n_j), 1)
             for _ in range(n_j):
                 poly = _mul_trunc(poly, lin, len(poly))
             den *= lin_den ** n_j
         for al in alphas:
             if al != 0:
-                lin, lin_den = _binomial(-al, 1, exact)
+                lin, lin_den = _binomial(-al, 1)
                 poly = _mul_trunc(poly, lin, len(poly))
                 den *= lin_den
         while len(poly) > 1 and poly[-1] == 0:
             poly.pop()
-        return self._graded(poly, den, exact)
+        cn, cd = self.c.as_integer_ratio()
+        return QPoly([0] * self.m + [cn * v for v in poly],
+                     den * cd).fractions()
 
 
-def _param(value: Scalar, exact: bool) -> Scalar:
-    return Fraction(value) if exact else float(value)
-
-
-def _exp_series(t: Scalar, k: int, exact: bool, step: int = 1,
-                weight=lambda i: 1) -> tuple[list, int]:
-    """sum_i weight(i) t^i / i! x^(step i) up to degree k, as (values, den).
+def _exp_series(t: Scalar, k: int, exact: bool,
+                step: int = 1) -> tuple[list, int]:
+    """sum_i t^i / i! x^(step i) up to degree k, as (values, den).
 
     Floats come with denominator 1.  A rational t = p/q comes as integer
     numerators over q^I I!, with I the top index: the i-th numerator is
-    weight(i) p^i q^(I-i) I!/i!.
+    p^i q^(I-i) I!/i!.
     """
     top = k // step
     values = [0 if exact else 0.0] * (k + 1)
     if not exact:
-        values[::step] = [weight(i) * t ** i / math.factorial(i)
-                          for i in range(top + 1)]
+        values[::step] = [t ** i / math.factorial(i) for i in range(top + 1)]
         return values, 1
     p, q = t.as_integer_ratio()
     den = num = q ** top * math.factorial(top)
     for i in range(top + 1):
-        values[step * i] = weight(i) * num
+        values[step * i] = num
         num = num * p // (q * (i + 1))     # exact: the next numerator
     return values, den
 
 
-def _binomial(t: Scalar, power: int, exact: bool) -> tuple[list, int]:
-    """1 + t x^power as (values, den): integers [q, 0.., p] over q for a
-    rational t = p/q, floats [1, 0.., t] over 1."""
-    if exact:
-        p, q = t.as_integer_ratio()
-        return [q] + [0] * (power - 1) + [p], q
-    return [1.0] + [0.0] * (power - 1) + [t], 1
+def _binomial(t: Scalar, power: int) -> tuple[list, int]:
+    """1 + t x^power for a rational t = p/q, as integers [q, 0.., p] over q."""
+    p, q = t.as_integer_ratio()
+    return [q] + [0] * (power - 1) + [p], q
 
 
 @dataclass(frozen=True)
@@ -314,10 +283,7 @@ class DiffOperator:
             raise DegreeTooSmall(
                 f"cannot normalize at degree {degree} below order {phi.m}")
         norm = degree if normalized else None
-        if phi.mode == RATIONAL:
-            return cls(phi.m, phi._exact_series(max(degree - phi.m, 0)), norm)
-        prefix = phi.maclaurin_prefix(max(degree, phi.m))
-        return cls(phi.m, prefix[phi.m:], norm)
+        return cls(phi.m, phi._exact_series(max(degree - phi.m, 0)), norm)
 
     @property
     def normalizer(self) -> Scalar:

@@ -223,12 +223,9 @@ def scan_monotonicity(p: HyperbolicPoly, grid, tol: float | None = None,
     for a, b in zip(samples, samples[1:]):
         for m in range(1, n):
             delta = b.partial_sums[m - 1] - a.partial_sums[m - 1]
-            if b.lam <= 0.0:
-                bad = -delta    # should be nondecreasing left of 0
-            elif a.lam >= 0.0:
-                bad = delta     # nonincreasing right of 0
-            else:
-                continue        # straddles 0: no claim
+            # nondecreasing left of 0, nonincreasing right of it; the grid
+            # is sorted and holds 0, so no adjacent pair straddles 0
+            bad = -delta if b.lam <= 0.0 else delta
             if bad > worst[m - 1]:
                 worst[m - 1] = bad
     drift = max(abs(s.partial_sums[-1] - base.partial_sums[-1])

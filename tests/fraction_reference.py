@@ -39,19 +39,19 @@ def mul_trunc(a: list, b: list, n: int) -> list:
     return out
 
 
-def maclaurin_prefix(c, m, a, b, alphas, n: int, exact: bool) -> tuple:
+def maclaurin_prefix(c, m, a, b, alphas, n: int) -> tuple:
     """Maclaurin coefficients a_0..a_n of
-    c x^m e^{-a^2 x^2 + b x} prod (1 - alpha x) e^{alpha x}."""
-    scalar = Fraction if exact else float
-    one = scalar(1)
+    c x^m e^{-a^2 x^2 + b x} prod (1 - alpha x) e^{alpha x}, as Fractions
+    (the library reads every parameter exactly)."""
+    one = Fraction(1)
     k = n - m
     series = [one] + [one * 0] * k
     if b != 0:
-        b = scalar(b)
+        b = Fraction(b)
         series = mul_trunc(series, [b ** i / math.factorial(i)
                                     for i in range(k + 1)], k)
     if a != 0:
-        a2 = scalar(a) ** 2
+        a2 = Fraction(a) ** 2
         gauss = [one * 0] * (k + 1)
         for i in range(0, k + 1, 2):
             gauss[i] = (-a2) ** (i // 2) / math.factorial(i // 2)
@@ -59,11 +59,11 @@ def maclaurin_prefix(c, m, a, b, alphas, n: int, exact: bool) -> tuple:
     for alpha in alphas:
         if alpha == 0:
             continue
-        al = scalar(alpha)
+        al = Fraction(alpha)
         fac = [one, one * 0] + [al ** i * (1 - i) / math.factorial(i)
                                 for i in range(2, k + 1)]
         series = mul_trunc(series, fac, k)
-    c = scalar(c)
+    c = Fraction(c)
     return tuple([one * 0] * m + [c * v for v in series])
 
 

@@ -70,7 +70,7 @@ def test_prefix_matches_the_fraction_loop(params):
     n = m + extra
     got = LPFunction(c, m, a, b, alphas).maclaurin_prefix(n)
     assert len(got) == n + 1
-    assert got == ref.maclaurin_prefix(c, m, a, b, alphas, n, exact=True)
+    assert got == ref.maclaurin_prefix(c, m, a, b, alphas, n)
     assert _fractions(got)
 
 
@@ -98,20 +98,35 @@ def test_prefix_pads_to_the_requested_length():
     # no exponential, Gaussian or alpha factor: a_{m+1}..a_N are zeros
     assert LPFunction(1, 0).maclaurin_prefix(1) == (1, 0)
     assert LPFunction(2, 1).maclaurin_prefix(3) == (0, 2, 0, 0)
-    assert LPFunction(2.0, 1).maclaurin_prefix(2) == (0.0, 2.0, 0.0)
+    # a float parameter is the rational it stores: the prefix is Fractions
+    got = LPFunction(2.0, 1).maclaurin_prefix(2)
+    assert got == (0, 2, 0) and _fractions(got)
+
+
+_param_float = st.floats(-3, 3, allow_nan=False, allow_subnormal=False)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_lp_params)
-def test_prefix_keeps_float_arithmetic(params):
+@given(st.tuples(_param_float.filter(lambda v: v != 0), st.integers(0, 2),
+                 _param_float, _param_float,
+                 st.lists(_param_float, max_size=4), st.integers(0, 10)),
+       st.booleans(), st.integers(1, 4), st.integers(1, 6))
+def test_float_parameters_are_their_fractions(params, normalized, j, n_j):
     c, m, a, b, alphas, extra = params
-    c, a, b = float(c), float(a), float(b)
-    alphas = [float(v) for v in alphas]
     n = m + extra
-    got = LPFunction(c, m, a, b, alphas).maclaurin_prefix(n)
-    assert len(got) == n + 1
-    assert _bits(got) == _bits(ref.maclaurin_prefix(c, m, a, b, alphas, n,
-                                                    exact=False))
+    phi = LPFunction(c, m, a, b, alphas)
+    read = (Fraction(c), m, Fraction(a), Fraction(b),
+            [Fraction(v) for v in alphas])
+    same = LPFunction(*read)
+    assert phi == same and hash(phi) == hash(same)
+    got = phi.maclaurin_prefix(n)
+    assert got == ref.maclaurin_prefix(*read, n)
+    assert _fractions(got)
+    op = DiffOperator.from_function(phi, n, normalized)
+    want = DiffOperator.from_function(same, n, normalized)
+    assert op == want and hash(op) == hash(want)
+    approx = phi.approximant(j, n_j)
+    assert approx == same.approximant(j, n_j) and _fractions(approx)
 
 
 _operator = st.tuples(st.integers(0, 3),
@@ -142,6 +157,19 @@ def test_apply_coeffs_keeps_float_arithmetic(case):
     norm = max(len(pc) - 1, order) if normalized else None
     got = DiffOperator(order, coeffs, norm).apply_coeffs(pc)
     assert _bits(got) == _bits(ref.apply_coeffs(order, coeffs, pc, norm))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operator)
+def test_monomial_image_keeps_float_arithmetic(case):
+    order, coeffs, pc, normalized = case
+    coeffs = [float(v) for v in coeffs]
+    assume(coeffs[0] != 0)
+    n = len(pc)
+    norm = max(n, order) if normalized else None
+    got = monomial_image(DiffOperator(order, coeffs, norm), n)
+    assert _bits(got) == _bits(ref.apply_coeffs(order, coeffs,
+                                                (0.0,) * n + (1.0,), norm))
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,6 +219,32 @@ def test_multiplier_apply_is_the_coefficientwise_product(gammas, pc,
     got = multiplier_apply(gammas, pc, n, normalized=normalized)
     assert got == tuple(gk / top * pk for gk, pk in zip(g, pc))
     assert _fractions(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_float, min_size=1, max_size=9),
+       st.lists(_float, min_size=1, max_size=9))
+def test_normalized_multiplier_keeps_float_arithmetic(gammas, pc):
+    n = len(pc) - 1
+    g = gammas[:n + 1] + [0.0] * (n + 1 - len(gammas))
+    assume(g[n] != 0)
+    got = multiplier_apply(gammas, pc, n, normalized=True)
+    assert _bits(got) == _bits([gk / g[n] * pk for gk, pk in zip(g, pc)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2),
+       st.lists(_float, min_size=1, max_size=9))
+def test_laguerre_closed_form_keeps_float_arithmetic(m, p, pc):
+    # x^{m-p} [x^p P]^{(m)}: m derivatives of the shifted vector, padded
+    # with zeros of the input's sign, pc[0] * 0
+    assume(len(pc) - 1 >= m - p)
+    zero = pc[0] * 0
+    work = [zero] * p + pc
+    for _ in range(m):
+        work = ref.derivative(work)
+    want = [zero] * (m - p) + work if m >= p else work[p - m:]
+    assert _bits(laguerre_closed_form(m, p, pc)) == _bits(want)
 
 
 @settings(max_examples=100, deadline=None)

@@ -19,7 +19,7 @@ from specpoly.harness import (_find_diagonal_operator, random_hyperbolic,
 from specpoly.pencil import pencil_coeffs
 from specpoly.lpops import (MultiplierSequence, gaussian_coeffs,
                             shift_pencil_coeffs)
-from specpoly.roots import is_real_rooted, real_roots
+from specpoly.roots import default_tol, is_real_rooted, real_roots
 
 
 def test_prefix_exponential():
@@ -43,6 +43,30 @@ def test_prefix_leading_term_is_c():
     prefix = phi.maclaurin_prefix(6)
     assert prefix[0] == prefix[1] == 0
     assert prefix[2] == Fraction(3, 7)
+
+
+def test_parameters_are_stored_exactly():
+    phi = LPFunction(c=2, a=Fraction(1, 2), b=0.1, alphas=[0.25, -1])
+    assert phi.b == Fraction(0.1) and type(phi.b) is Fraction
+    assert phi.alphas == (Fraction(1, 4), -1)
+    assert [type(v) for v in (phi.c, phi.a, phi.alphas[1])] == [
+        int, Fraction, int]
+    assert LPFunction(c=1.0) == LPFunction()
+
+
+@pytest.mark.parametrize("params", [
+    {"c": True}, {"a": "1/2"}, {"b": None}, {"alphas": [1, False]}])
+def test_parameters_of_other_types_are_refused(params):
+    with pytest.raises(TypeError):
+        LPFunction(**params)
+
+
+@pytest.mark.parametrize("params", [
+    {"c": 0}, {"c": 0.0}, {"m": -1}, {"a": math.nan}, {"b": math.inf},
+    {"alphas": [1, -math.inf]}, {"c": math.nan}])
+def test_invalid_parameters_are_refused(params):
+    with pytest.raises(ValueError):
+        LPFunction(**params)
 
 
 def test_prefix_matches_brute_force_product():
@@ -141,6 +165,17 @@ def test_appell_fixtures():
     assert appell(shift, 1) == (Fraction(5, 3), 1)
     with pytest.raises(DegreeTooSmall):
         appell(LPFunction(c=1, m=1), 1)
+
+
+def test_appell_of_a_float_shift_is_exact():
+    # (x + b)^6 with b the rational 0.1 stores: six roots at -0.1, where a
+    # float prefix once split them into a complex pair
+    b = Fraction(0.1)
+    got = appell(LPFunction(b=0.1), 6)
+    assert got == tuple(math.comb(6, k) * b ** (6 - k) for k in range(7))
+    roots = real_roots(got)
+    assert len(roots) == 6
+    assert max(abs(r + 0.1) for r in roots) <= default_tol(got)
 
 
 def test_shift_pencil_fixtures():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specpoly import (FLOAT, RATIONAL, derivative, from_roots,
+from specpoly import (FLOAT, RATIONAL, derivative, from_roots, is_strict,
                       matching_distance, strict_perturb, strictness,
                       taylor_shift, to_coefficients)
 from specpoly.errors import (DegreeTooSmall, EmptyTuple, NonFinite,
@@ -140,6 +140,17 @@ def test_strictness_report():
     r2 = strictness(from_roots([1, 3]))
     assert r2.is_strict and r2.min_gap == 2
     assert strictness(from_roots([7])).is_strict
+
+
+@given(st.lists(st.one_of(st.integers(-4, 4),
+                          st.builds(Fraction, st.integers(-8, 8),
+                                    st.integers(1, 3)),
+                          st.sampled_from([-1.5, 0.0, 0.5, 2.0])),
+                min_size=1, max_size=6))
+def test_is_strict_means_pairwise_distinct(roots):
+    p = from_roots(roots)
+    assert is_strict(p) == (len(set(p.roots)) == len(p.roots))
+    assert is_strict(p) == strictness(p).is_strict
 
 
 @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1,

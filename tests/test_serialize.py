@@ -117,6 +117,18 @@ def test_lp_round_trip():
     assert lp_from_json(obj) == phi
 
 
+def test_lp_float_parameters_are_written_exactly():
+    # a float is read as the rational it stores and written as "p/q";
+    # ints and Fractions keep their bytes
+    obj = json.loads(json.dumps({"c": 2, "a": "1/3", "b": 0.1,
+                                 "alphas": [0.25, -1]}))
+    phi = lp_from_json(obj)
+    out = lp_to_json(phi)
+    assert out == {"c": 2, "m": 0, "a": "1/3", "b": str(Fraction(0.1)),
+                   "alphas": ["1/4", -1]}
+    assert lp_from_json(json.loads(json.dumps(out))) == phi
+
+
 def test_lp_defaults():
     assert lp_from_json({}) == LPFunction()
 
