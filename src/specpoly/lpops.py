@@ -77,20 +77,20 @@ class LPFunction:
     alphas: tuple = ()
 
     def __post_init__(self):
-        params = (self.c, self.a, self.b, *self.alphas)
+        alphas = tuple(self.alphas)
+        params = (self.c, self.a, self.b) + alphas
         if infer_mode(params) == FLOAT:
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in params):
                 raise ValueError("LP parameters must be finite")
-            params = [Fraction(v) if isinstance(v, float) else v
-                      for v in params]
-        c, a, b, *alphas = params
-        if c == 0:
+            c, a, b, *alphas = [Fraction(v) if isinstance(v, float) else v
+                                for v in params]
+            for name, value in zip("cab", (c, a, b)):
+                object.__setattr__(self, name, value)
+        if self.c == 0:
             raise ValueError("leading constant c must be nonzero")
         if self.m < 0:
             raise ValueError("vanishing order m must be nonnegative")
-        for name, value in zip("cab", (c, a, b)):
-            object.__setattr__(self, name, value)
         object.__setattr__(self, "alphas", tuple(alphas))
 
     def maclaurin_prefix(self, n: int) -> tuple:
@@ -160,7 +160,7 @@ class LPFunction:
                           s * self.b, tuple(s * al for al in self.alphas))
 
     def approximant(self, j: int, n_j: int) -> tuple:
-        """Coefficients of the j-th hyperbolic polynomial approximant.
+        """Coefficients, as Fractions, of the j-th hyperbolic approximant.
 
         c x^m (1 - a^2 x^2 / j)^j (1 + tau_j x / n_j)^{n_j}
         prod_{v<=j} (1 - alpha_v x), with tau_j = b + sum_{v<=j} alpha_v.
