@@ -168,8 +168,8 @@ def test_appell_fixtures():
 
 
 def test_appell_of_a_float_shift_is_exact():
-    # (x + b)^6 with b the rational 0.1 stores: six roots at -0.1, where a
-    # float prefix once split them into a complex pair
+    # (x + b)^6 with b the rational 0.1 stores: six roots at -0.1; a prefix
+    # rounded to doubles splits that sixfold root into complex pairs
     b = Fraction(0.1)
     got = appell(LPFunction(b=0.1), 6)
     assert got == tuple(math.comb(6, k) * b ** (6 - k) for k in range(7))
