@@ -89,6 +89,9 @@ class LPFunction:
                 object.__setattr__(self, name, value)
         if self.c == 0:
             raise ValueError("leading constant c must be nonzero")
+        if type(self.m) is not int:
+            raise TypeError(f"vanishing order m must be an int, got "
+                            f"{type(self.m).__name__}")
         if self.m < 0:
             raise ValueError("vanishing order m must be nonnegative")
         object.__setattr__(self, "alphas", tuple(alphas))

@@ -27,8 +27,12 @@ the pencil is P itself and its roots are known.  Each root moves with
 dx/dlam = P'/(P' - lam P''), which is 1 at lam = 0.  The path walks out
 from 0 on each side in sorted order: the first sample on a side is
 seeded by the roots of P moved by lam, and each later one by the recent
-samples' roots extrapolated to its lam.  Every sample is found by
-``real_roots_near``, with the same contract as ``pencil_at``.
+samples' roots extrapolated to its lam.  What depends on P alone is done
+once per path: its coefficients are read and tol is checked.  Each sample
+then builds its coefficients by the one pencil formula that
+``pencil_coeffs`` uses, checks their doubles, and hands them with its n
+sorted seeds to the seeded ladder of ``real_roots_near`` (``roots._near``),
+so it keeps the same contract as ``pencil_at``.
 
 The critical points of either kind of sample are the roots of
 P' - lam P'', which by Rolle's theorem the sample's own roots bracket;
@@ -39,13 +43,15 @@ when ``PencilSample.criticals`` is first read; nothing is cached on P.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
+from ._qpoly import QPoly
 from .errors import DegreeMismatch
 from .majorize import MajorizationCertificate, check_majorization
 from .poly import HyperbolicPoly, coeff_derivative
-from .roots import real_roots_near
-from .scalars import FLOAT, Scalar, coerce
+from .roots import _checked_rev, _doubles, _near, real_roots_near
+from .scalars import FLOAT, RATIONAL, Scalar, check_tol, coerce
 
 
 @dataclass(frozen=True)
@@ -74,10 +80,14 @@ class PencilSample:
 
 def pencil_coeffs(p: HyperbolicPoly, lam: Scalar) -> tuple:
     """P - lam P' by coefficients, low degree first, in P's scalar mode."""
-    c = p.coefficients()
-    lam = coerce(lam, p.mode)
-    return tuple(c[i] - lam * (i + 1) * c[i + 1] for i in range(len(c) - 1)
-                 ) + (c[-1],)
+    return _pencil_row(p.coefficients(), coerce(lam, p.mode))
+
+
+def _pencil_row(c: tuple, lam: Scalar) -> tuple:
+    # P - lam P' from the coefficients c of P, low degree first, in the
+    # scalars of c and lam
+    return (*[c[i] - lam * (i + 1) * c[i + 1] for i in range(len(c) - 1)],
+            c[-1])
 
 
 def pencil_brackets(roots, lam: float) -> list:
@@ -146,29 +156,37 @@ def pencil_path(p: HyperbolicPoly, lams, tol: float | None = None) -> tuple:
     The lams may come in any order and repeat; the samples come back in
     that order, one per lam, and equal lams share one sample.  The
     distinct lams are sampled outward from 0 on each side (those above 0
-    ascending, those below descending), each by ``real_roots_near``: the
-    first on a side from the roots of P moved by lam, each later one from
-    the last samples' roots extrapolated to its lam.  A lam of 0 is
-    sampled from the roots of P themselves.  The coefficients are those
+    ascending, those below descending), each by the seeded ladder of
+    ``real_roots_near`` on the path's own coefficients: the first on a
+    side from the roots of P moved by lam, each later one from the last
+    samples' roots extrapolated to its lam.  A lam of 0 is sampled from
+    the roots of P themselves.  The coefficients are those
     ``pencil_coeffs`` gives at the float lam, in P's mode, and every root
-    keeps the contract of ``pencil_at``; no root of P' is computed.
+    keeps the contract of ``pencil_at``; no root of P' is computed.  P's
+    coefficients are read and tol is checked once, even when no lam is
+    given; each sample still refuses a coefficient with no finite double,
+    and a tol of None gets each sample's default.
     """
-    pf = p.to_float()
+    check_tol(tol)
     lams = [coerce(lam, FLOAT) for lam in lams]
-    anchor = _sample(0.0, pf.roots, (), tol)    # seeds only
+    exact = p.mode == RATIONAL
+    c = p.coefficients()
+    anchor = _sample(0.0, p.to_float().roots, (), tol)    # seeds only
     found = {}
-    if 0.0 in lams:
-        coeffs = pencil_coeffs(p, 0.0)
-        anchor = found[0.0] = _sample(
-            0.0, real_roots_near(coeffs, pf.roots, tol), coeffs, tol)
     distinct = sorted(set(lams))
-    for side in ([lam for lam in reversed(distinct) if lam < 0.0],
+    for side in ([0.0] if 0.0 in lams else [],
+                 [lam for lam in reversed(distinct) if lam < 0.0],
                  [lam for lam in distinct if lam > 0.0]):
-        recent = [anchor]
+        # every side starts from the sample at 0, once it is taken
+        recent = [found.get(0.0, anchor)]
         for lam in side:
-            coeffs = pencil_coeffs(p, lam)
-            roots = real_roots_near(coeffs, _extrapolated(lam, recent), tol)
-            found[lam] = _sample(lam, roots, coeffs, tol)
+            row = _pencil_row(c, Fraction(lam) if exact else lam)
+            given = QPoly.of(row) if exact else row
+            rev, n, checked = _checked_rev(
+                _doubles(given) if exact else row, tol)
+            roots = _near(given, rev, n, sorted(_extrapolated(lam, recent)),
+                          checked)
+            found[lam] = _sample(lam, roots, row, tol)
             recent = recent[-2:] + [found[lam]]
     return tuple(found[lam] for lam in lams)
 

@@ -97,30 +97,42 @@ def _float_rev(coeffs: Sequence | QPoly, tol: float | None,
                ) -> tuple[list[float], int, float]:
     # the float coefficients high-to-low, unscaled so that every sign a
     # certificate takes is one of the given polynomial; the degree; the
-    # tolerance.  A QPoly's doubles are num / den, correctly rounded as
-    # float(Fraction) is.  A coefficient whose double is NaN, infinite or
-    # beyond double range has no sign to certify, and is refused.
+    # tolerance
+    rev, n, checked = _checked_rev(_doubles(coeffs), tol)
+    check_tol(tol)
+    return rev, n, checked
+
+
+def _doubles(coeffs: Sequence | QPoly) -> list[float]:
+    # the doubles of coeffs, low degree first.  A QPoly's are num / den,
+    # correctly rounded as float(Fraction) is; a coefficient beyond double
+    # range makes the list [inf], which _checked_rev refuses.
     try:
         if isinstance(coeffs, QPoly):
             den = coeffs.den
-            c = [v / den for v in coeffs.nums]
-        else:
-            c = [float(v) for v in coeffs]
+            return [v / den for v in coeffs.nums]
+        return [float(v) for v in coeffs]
     except OverflowError:
-        c = [math.inf]
+        return [math.inf]
+
+
+def _checked_rev(c: Sequence[float], tol: float | None,
+                 ) -> tuple[Sequence[float], int, float]:
+    # the doubles c (low degree first) high-to-low without top zeros; the
+    # degree; tol, or for None the default tolerance of c made monic.  A
+    # coefficient whose double is NaN or infinite has no sign to certify,
+    # and is refused.  tol itself is the caller's to check.
     if not all(map(math.isfinite, c)):
         raise NonFinite("a coefficient has no finite double")
-    while c and c[-1] == 0.0:
-        c.pop()
     n = len(c) - 1
+    while n >= 0 and c[n] == 0.0:
+        n -= 1
     if n <= 0:
         raise DegreeZero("degree must be at least 1")
     if tol is None:
-        an = c[-1]
-        tol = default_tol([v / an for v in c])
-    else:
-        check_tol(tol)
-    return c[::-1], n, tol
+        an = c[n]
+        tol = default_tol([v / an for v in c[:n + 1]])
+    return c[n::-1], n, tol
 
 
 # Newton steps per start at most.  Near starts take one; a far one first
@@ -292,7 +304,7 @@ def _accurate(rev: list[float], starts: list[float], tol: float,
     return _straddled(rev, starts, tol, None, doubles.nums, doubles.den)
 
 
-def _near(coeffs: Sequence | QPoly, rev: list[float], n: int,
+def _near(coeffs: Sequence | QPoly, rev: Sequence[float], n: int,
           seeds: list[float], tol: float) -> tuple[float, ...]:
     # real_roots_near on the doubles rev (high-to-low) of coeffs, with at
     # least n sorted seeds as doubles; a QPoly's straddles are signed on it

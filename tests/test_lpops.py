@@ -55,7 +55,8 @@ def test_parameters_are_stored_exactly():
 
 
 @pytest.mark.parametrize("params", [
-    {"c": True}, {"a": "1/2"}, {"b": None}, {"alphas": [1, False]}])
+    {"c": True}, {"a": "1/2"}, {"b": None}, {"alphas": [1, False]},
+    {"m": True}, {"m": 1.5}])
 def test_parameters_of_other_types_are_refused(params):
     with pytest.raises(TypeError):
         LPFunction(**params)

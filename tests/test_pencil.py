@@ -14,13 +14,14 @@ import specpoly.pencil
 import specpoly.roots
 from specpoly import (Verdict, from_roots, pencil_at,
                       pencil_majorization_check, scan_monotonicity)
-from specpoly.errors import DegreeMismatch
+from specpoly.errors import ConfigError, DegreeMismatch, NonFinite
 from specpoly.harness import ROOT_TOL, random_hyperbolic
 from specpoly.lpops import shift_pencil, shift_pencil_coeffs
 from specpoly.pencil import (default_grid, pencil_brackets, pencil_coeffs,
                              pencil_path)
 from specpoly.poly import coeff_derivative
-from specpoly.roots import real_roots, real_roots_with_criticals
+from specpoly.roots import (default_tol, real_roots, real_roots_near,
+                            real_roots_with_criticals)
 
 
 def test_pencil_coeffs_x_squared():
@@ -309,24 +310,27 @@ def test_path_agrees_with_one_shot_samples(n, seed, order):
 
 def test_path_continues_from_one_sample_to_the_next(monkeypatch):
     # a strictly hyperbolic P is sampled from the roots of P at lam = 0
-    # outward: one real_roots_near call per distinct lam, each with one
-    # start per root (no bracket ends, and no criticals computed), no
-    # fallback on real_roots, and every root within tol/2 of a root of
-    # its pencil's coefficients
+    # outward: one call of the seeded ladder per distinct lam, each on its
+    # pencil's doubles with one sorted start per root (no bracket ends,
+    # and no criticals computed), no fallback on real_roots, and every
+    # root within tol/2 of a root of its pencil's coefficients
+    ladder = _record_calls(monkeypatch, specpoly.pencil, "_near")
     seeded = _record_calls(monkeypatch, specpoly.pencil, "real_roots_near")
     fallback = _record_fallbacks(monkeypatch)
     p = from_roots([-4.0, -1.5, 0.5, 2.0, 3.25, 6.0])
     for lams in (default_grid(p, 41), default_grid(p, 41)[::-1],
                  (3.0, -2.0, 0.5, 7.0, -9.0, 0.5)):
-        seeded.clear()
+        ladder.clear()
         samples = pencil_path(p, lams, 1e-11)
         assert sorted(pencil_coeffs(p, lam) for lam in set(lams)) == sorted(
-            coeffs for coeffs, _, _ in seeded)
-        for coeffs, starts, tol in seeded:
-            assert len(starts) == p.degree
+            coeffs for coeffs, *_ in ladder)
+        for coeffs, rev, n, starts, tol in ladder:
+            assert list(rev) == list(coeffs[::-1])
+            assert n == len(starts) == p.degree
+            assert starts == sorted(starts) and tol == 1e-11
         for sample in samples:
             assert ref.roots_within(sample.coeffs, sample.roots, 1e-11)
-    assert fallback == []
+    assert seeded == fallback == []
 
 
 def _grid_without_zero(rng, shape):
@@ -371,10 +375,12 @@ def test_path_criticals_are_those_of_pencil_at(monkeypatch):
     # sample's criticals are read; each is within tol/2 of a root of the
     # derivative of the sample's coefficients, and so within tol of
     # pencil_at's
+    ladder = _record_calls(monkeypatch, specpoly.pencil, "_near")
     seeded = _record_calls(monkeypatch, specpoly.pencil, "real_roots_near")
     p = from_roots([-2.0, 0.5, 1.0, 3.0])
     samples = pencil_path(p, (-3.0, -0.5, 0.0, 1.5, 4.0), 1e-11)
-    assert all(len(args[0]) == p.degree + 1 for args in seeded)
+    assert len(ladder) == 5 and seeded == []
+    assert all(len(args[0]) == p.degree + 1 for args in ladder)
     for sample in samples:
         want = pencil_at(p, sample.lam, 1e-11).criticals
         seeded.clear()
@@ -389,9 +395,9 @@ def test_path_criticals_are_those_of_pencil_at(monkeypatch):
 @pytest.mark.parametrize("order", ["increasing", "decreasing", "unsorted"])
 def test_path_with_a_double_root_of_p(order):
     # 1 is a root of every pencil, and the double root seeds the sample at
-    # 0 and the first sample on each side twice at one point, so
-    # real_roots_near answers those by real_roots; every sample
-    # must match pencil_at either way
+    # 0 and the first sample on each side twice at one point, so the
+    # ladder's later steps answer those; every sample must match pencil_at
+    # either way
     p = from_roots([1.0, 1.0, -2.0, 3.0])
     lams = _ordered(default_grid(p, 21), order, random.Random(5))
     for sample in pencil_path(p, lams, 1e-11):
@@ -423,6 +429,98 @@ def test_path_roots_are_within_half_tol_at_50_digits(n, seed, order):
     for sample in rng.sample(pencil_path(p, lams, tol), 4):
         coeffs = pencil_coeffs(p, sample.lam)
         assert ref.roots_within(coeffs, sample.roots, tol)
+
+
+def _walk(lams):
+    # the distinct lams in the order the path samples them: 0 first, then
+    # those below 0 descending, then those above 0 ascending
+    distinct = sorted(set(lams))
+    return ([0.0] if 0.0 in distinct else []) + [
+        lam for lam in reversed(distinct) if lam < 0.0] + [
+        lam for lam in distinct if lam > 0.0]
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["float", "rational"]), st.booleans(),
+       st.sampled_from(["increasing", "unsorted", "repeated"]),
+       st.sampled_from([None, 1e-11]))
+def test_path_samples_are_real_roots_near_on_their_seeds(n, seed, mode, zero,
+                                                         order, tol):
+    # the path runs the seeded ladder itself, once per distinct lam: each
+    # sample's coefficients are pencil_coeffs', and its roots are, bit for
+    # bit, what real_roots_near gives on them from the seeds the path used
+    # (the default tol of each pencil when tol is None)
+    rng = random.Random(seed)
+    p = random_hyperbolic(rng, n, bound=5, mode=mode, min_gap=Fraction(1, 4))
+    grid = (default_grid(p, 21) if zero else
+            _grid_without_zero(rng, rng.choice(["symmetric", "one-sided"])))
+    lams = _ordered(grid, order, rng)
+    with pytest.MonkeyPatch.context() as patch:
+        ladder = _record_calls(patch, specpoly.pencil, "_near")
+        samples = pencil_path(p, lams, tol)
+    assert [s.lam for s in samples] == lams
+    by_lam = {s.lam: s for s in samples}
+    walk = _walk(lams)
+    assert len(ladder) == len(walk)
+    for lam, (given, _, degree, seeds, _) in zip(walk, ladder):
+        sample = by_lam[lam]
+        assert sample.coeffs == pencil_coeffs(p, lam)
+        assert (given if mode == "float" else given.fractions()
+                ) == sample.coeffs
+        assert degree == len(seeds) == n and seeds == sorted(seeds)
+        assert _bits(sample.roots) == _bits(
+            real_roots_near(sample.coeffs, seeds, tol))
+
+
+@pytest.mark.parametrize("tol", ["x", -1.0, math.nan, math.inf, True])
+def test_path_refuses_a_bad_tol_with_or_without_samples(tol):
+    # one sample refuses it, and so does the path before its first sample:
+    # with no lam it used to return () without reading tol
+    p = from_roots([-1.0, 2.0])
+    with pytest.raises(ConfigError):
+        pencil_at(p, 0.5, tol)
+    for lams in ((), (0.5,), (0.0, -1.0)):
+        with pytest.raises(ConfigError):
+            pencil_path(p, lams, tol)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("tol", [None, 1e-11])
+def test_path_refuses_a_pencil_with_no_finite_double(mode, tol):
+    # at lam = 1e308 the x coefficient of P - lam P' is beyond double
+    # range: its float product overflows, and its exact value has no
+    # double; a sample there raises NonFinite, as real_roots_near does
+    p = from_roots([-1, 2, 5], mode)
+    lam = 1e308
+    with pytest.raises(NonFinite):
+        real_roots_near(pencil_coeffs(p, lam), p.to_float().roots, tol)
+    for lams in ((lam,), (-2.0, 0.0, 1.0, lam)):
+        with pytest.raises(NonFinite):
+            pencil_path(p, lams, tol)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_path_with_a_double_root_reaches_the_exact_terminal(monkeypatch,
+                                                             mode):
+    # the scan of ``specpoly pencil scan --poly repeated.json --grid 3 11``:
+    # at lam = 0 the pencil is P, whose double root 1 no straddle proves,
+    # so the exact terminal answers it, reporting 1 itself; every sample
+    # is within tol/2 of a root of its coefficients at its default tol
+    terminal = _record_calls(monkeypatch, specpoly.roots, "_isolated")
+    p = from_roots([1, 1, -2, 3], mode)
+    lams = [-3.0 + 6.0 * k / 10 for k in range(11)]
+    samples = pencil_path(p, lams)
+    assert terminal
+    assert samples[5].lam == 0.0 and samples[5].roots == (-2.0, 1.0, 1.0,
+                                                           3.0)
+    for sample in samples:
+        assert ref.roots_within(sample.coeffs, sample.roots,
+                                default_tol([float(c) for c in sample.coeffs]))
 
 
 def _repeated(p, rng):
