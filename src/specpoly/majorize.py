@@ -20,6 +20,11 @@ tuples give int partial sums).  Float mode runs the same loops on the
 doubles with L = 1, each hinge summed term by term as written, and
 refuses a tuple with a non-finite entry or an overflowing sum
 (``NonFinite``).
+
+In either mode ``hinge_oracle`` decides its verdict on those values
+(integers in rational mode) when it is called; its ``ProbeResult``
+tuple, with the descriptions, is built on first read of the report's
+``probes``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from ._qpoly import numerators
@@ -175,13 +181,49 @@ class ProbeResult:
     satisfied: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ConvexProbeReport:
-    probes: tuple
+    """The verdict of ``hinge_oracle`` and, on first read, its probes.
 
-    @property
-    def all_satisfied(self) -> bool:
-        return all(p.satisfied for p in self.probes)
+    ``all_satisfied`` is decided when the report is made.  The
+    ``ProbeResult`` tuple and its descriptions are built only when
+    ``probes`` is first read, from the hidden ``parts``; equality, hash
+    and repr follow the probes.
+    """
+    all_satisfied: bool
+    # what the probes are built from on first read: both tuples as given,
+    # whether they are rational, the common denominator L, the limit of
+    # the tests, the two numerator sums, the kink numerators (ascending)
+    # and the hinge values on X and on Y at those kinks.  One field, as a
+    # frozen dataclass pays one setattr per field at every call.
+    parts: tuple
+
+    @cached_property
+    def probes(self) -> tuple:
+        """The sum probe, then one hinge probe per kink t, ascending."""
+        xs, ys, exact, den, lim, sx, sy, kinks, hx, hy = self.parts
+        fsx, fsy, kinds = _hinge_kinds(xs, ys, exact)
+        results = [ProbeResult("sum", _handed_back(sx, den, fsx),
+                               _handed_back(sy, den, fsy),
+                               abs(sx - sy) <= lim)]
+        for t, vx, vy in zip(kinks, hx, hy):
+            fvx, fvy = kinds(t)
+            results.append(ProbeResult(
+                f"hinge(t={t if den == 1 else Fraction(t, den)})",
+                _handed_back(vx, den, fvx), _handed_back(vy, den, fvy),
+                vx <= vy + lim))
+        return tuple(results)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.probes == other.probes
+
+    def __hash__(self):
+        return hash((self.probes,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(probes={self.probes!r})"
 
 
 def _hinge_kinds(xs, ys, exact: bool):
@@ -222,18 +264,14 @@ def hinge_oracle(x, y, tol: Optional[Scalar] = None) -> ConvexProbeReport:
     t is piecewise linear with kinks only at those points.
 
     In rational mode all hinge values come from one ascending sweep over
-    the sorted numerators (``_hinge_sweep``).
+    the sorted numerators (``_hinge_sweep``).  The verdict
+    ``all_satisfied`` is decided here on those values, integers in
+    rational mode; the ``ProbeResult`` tuple is built on first read of
+    the report's ``probes``.
     """
     xs, ys, nx, ny, den, exact, tol, sx, sy = _prepare(x, y, tol)
     lim = 0 if exact else tol
-    fsx, fsy, kinds = _hinge_kinds(xs, ys, exact)
-    results = []
-
-    results.append(ProbeResult("sum", _handed_back(sx, den, fsx),
-                               _handed_back(sy, den, fsy),
-                               abs(sx - sy) <= lim))
-
-    kinks = sorted(set(nx) | set(ny))
+    kinks = sorted({*nx, *ny})
     if exact:
         hx, hy = _hinge_sweep(nx, sx, kinks), _hinge_sweep(ny, sy, kinks)
     else:
@@ -245,13 +283,10 @@ def hinge_oracle(x, y, tol: Optional[Scalar] = None) -> ConvexProbeReport:
               for t in kinks]
         hy = [sum([zero if zero > (d := v - t) else d for v in ny])
               for t in kinks]
-    for t, vx, vy in zip(kinks, hx, hy):
-        fvx, fvy = kinds(t)
-        results.append(ProbeResult(
-            f"hinge(t={t if den == 1 else Fraction(t, den)})",
-            _handed_back(vx, den, fvx), _handed_back(vy, den, fvy),
-            vx <= vy + lim))
-    return ConvexProbeReport(tuple(results))
+    satisfied = (abs(sx - sy) <= lim
+                 and all(vx <= vy + lim for vx, vy in zip(hx, hy)))
+    return ConvexProbeReport(satisfied, (xs, ys, exact, den, lim, sx, sy,
+                                         kinks, hx, hy))
 
 
 def _hinge_sweep(nums: list, total: int, kinks: list) -> list:

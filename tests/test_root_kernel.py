@@ -78,9 +78,14 @@ def test_partial_sums_match_the_fraction_loop(pair):
 @given(_pairs())
 def test_hinge_values_match_the_fraction_loop(pair):
     xs, ys = pair
-    got = [(p.description, p.value_on_x, p.value_on_y, p.satisfied)
-           for p in hinge_oracle(xs, ys).probes]
+    report = hinge_oracle(xs, ys)
     want = ref.hinge_values(xs, ys)
+    # the verdict is decided without the probes, which are built on the
+    # first read and kept
+    assert report.all_satisfied == all(row[3] for row in want)
+    got = [(p.description, p.value_on_x, p.value_on_y, p.satisfied)
+           for p in report.probes]
+    assert report.probes is report.probes
     assert [row[0] for row in got] == [row[0] for row in want]
     assert all(_same(g[1:], w[1:]) for g, w in zip(got, want))
 
@@ -121,9 +126,13 @@ def test_float_mode_keeps_its_arithmetic(pair, tol):
     assert cert.verdict is Verdict(verdict)
     assert _same(cert.sum_residual, residual)
     assert _same(cert.slacks, slacks)
+    report = hinge_oracle(xs, ys, tol)
+    want = ref.hinge_values(xs, ys, ref_tol)
+    assert report.all_satisfied == all(row[3] for row in want)
     got = [(p.description, p.value_on_x, p.value_on_y, p.satisfied)
-           for p in hinge_oracle(xs, ys, tol).probes]
-    assert _same(got, [tuple(r) for r in ref.hinge_values(xs, ys, ref_tol)])
+           for p in report.probes]
+    assert report.probes is report.probes
+    assert _same(got, [tuple(r) for r in want])
 
 
 def _contract_randomly(rng, roots, budget):
